@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .classgroup import class_group, prime_to_p_report
+from .coeffring import is_prime
 from .logreg import (
     BaseRing,
     InvalidPresentation,
@@ -68,7 +67,7 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, min(self.p, 100))):
+        if not is_prime(self.p):
             raise ParseError("p must be a prime")
         if self.depth < 0:
             raise ParseError("depth must be nonnegative")
@@ -76,13 +75,6 @@ class RunConfig:
             raise ParseError("cutoff must be positive")
         if self.precision < 1:
             raise ParseError("precision must be at least 1")
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PTLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def load_descriptor(path: str) -> dict:
@@ -208,8 +200,7 @@ def _cmd_tower(args, cfg: RunConfig) -> int:
     if args.action == "verify":
         a = verify_purely_inseparable(T)
         b = verify_perfectoid(T)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            frob = list(pool.map(lambda i: frobenius_identities(T, i), range(cfg.depth)))
+        frob = [frobenius_identities(T, i) for i in range(cfg.depth)]
         report = {
             "axioms": a["axioms"] + b["axioms"],
             "frobenius_identities": [

@@ -16,6 +16,38 @@ class PrimeMismatch(ValueError):
     pass
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
+
+
+def is_prime(n: int) -> bool:
+    """Primality by Miller-Rabin over fixed bases, exact for n below 3.3e24.
+
+    Larger n raise ValueError rather than get a probabilistic answer.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("primality is only decided below 3.3e24")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeFieldElem:
     p: int

@@ -10,6 +10,7 @@ algorithms with smallest-pivot selection are entirely adequate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 
@@ -266,6 +267,10 @@ def hnf(M):
     return H, V
 
 
+# in_lattice reduces many vectors against the same few generator matrices
+_cached_hnf = lru_cache(maxsize=None)(hnf)
+
+
 def _bezout(p: int, q: int) -> tuple[int, int]:
     """x, y with x*p + y*q = gcd(p, q)."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -279,8 +284,9 @@ def _bezout(p: int, q: int) -> tuple[int, int]:
 def in_lattice(gens, v):
     """Integer coefficients expressing v in the columns of gens, or None.
 
-    The vector is reduced against the Hermite form of the generator matrix;
-    it lies in the lattice exactly when the reduction reaches zero.
+    The vector is reduced against the Hermite form of the generator matrix
+    (computed once per matrix); it lies in the lattice exactly when the
+    reduction reaches zero.
     """
     gens = intmatrix(gens)
     rows, cols = dims(gens)
@@ -289,7 +295,7 @@ def in_lattice(gens, v):
         raise ValueError("vector length does not match matrix rows")
     if cols == 0:
         return () if all(x == 0 for x in v) else None
-    H, V = hnf(gens)
+    H, V = _cached_hnf(gens)
     resid = list(v)
     y = [0] * cols
     col = 0

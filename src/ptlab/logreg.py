@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffring import digit_correction
+from .coeffring import digit_correction, is_prime
 from .monoid import (
     AffineMonoid,
     MonoidElem,
@@ -280,7 +280,7 @@ class BaseRing:
     mixed: bool = True
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, self.p)):
+        if not is_prime(self.p):
             raise UnsupportedBase("p must be prime")
         if self.d < 0:
             raise UnsupportedBase("negative variable count")

@@ -9,8 +9,9 @@ higher level.
 
 Cones are handled by a small double description pass (dimensions up to 6),
 which yields facet normals; for saturated monoids membership reduces to the
-facet inequalities plus a lattice solve, with bounded enumeration as the
-fallback for everything else.
+facet inequalities plus a lattice solve.  Elsewhere membership is decided
+exactly by peeling generators off the target, and enumeration up to a degree
+walks over generator sums; both need the generators in N^d.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import floor, gcd
 
 from . import intlat
 from .intlat import FinAbelianGroup
@@ -327,20 +328,47 @@ def _bounded_combo_member(gens, target, budget) -> bool:
     return all(x == 0 for x in t)
 
 
-def contains(Q: AffineMonoid, x: MonoidElem, degree_bound: int = 8) -> bool:
-    """Monoid membership.
+def _nonneg_generators(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
+    """The nonzero generators of Q, which must lie in N^d."""
+    if any(x < 0 for g in Q.generators for x in g):
+        raise ValueError("monoid has a generator outside N^d")
+    return tuple(g for g in Q.generators if any(g))
 
-    Saturated monoids get the unconditional cone-and-lattice test; everything
-    else falls back to bounded enumeration of generator combinations (the
-    budget is a coefficient-sum bound, default 8, enough for every desk-scale
-    input in this package).
+
+@lru_cache(maxsize=None)
+def _generated(gens: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> bool:
+    """v in the N-span of gens (nonzero, in N^d).
+
+    v is in the span iff v = 0 or v - g >= 0 is in it for some generator g.
+    Every step lowers the total degree, so the walk down from v is finite.
+    """
+    seen = {v}
+    stack = [v]
+    while stack:
+        u = stack.pop()
+        if not any(u):
+            return True
+        for g in gens:
+            w = tuple(a - b for a, b in zip(u, g))
+            if min(w) >= 0 and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
+    """Monoid membership, decided exactly.
+
+    Saturated monoids get the cone-and-lattice test.  Any other Q must have
+    its generators in N^d (ValueError otherwise), and x is tested by walking
+    down from x through differences with the generators.
     """
     if x.level > Q.level:
         return False
     v = x.at_level(Q.level)
     if is_saturated(Q):
         return cone_contains(Q, v) and in_gp(Q, x)
-    return _bounded_combo_member(list(Q.generators), v, degree_bound)
+    return _generated(_nonneg_generators(Q), v)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +478,7 @@ def is_exact_submonoid(Qp: AffineMonoid, Q: AffineMonoid, degree_bound: int = 8)
     if Qp.ambient_rank != Q.ambient_rank or Qp.scale_base != Q.scale_base:
         raise NotSubmonoid("ambient contexts differ")
     for g in Qp.gen_elems():
-        if not contains(Q, g, degree_bound):
+        if not contains(Q, g):
             raise NotSubmonoid(f"generator {g} of the submonoid is outside the monoid")
     if is_saturated(Qp) and is_saturated(Q):
         n = Q.ambient_rank
@@ -472,7 +500,7 @@ def is_exact_submonoid(Qp: AffineMonoid, Q: AffineMonoid, degree_bound: int = 8)
 
 def _exact_bounded(Qp: AffineMonoid, Q: AffineMonoid, degree_bound: int) -> bool:
     for v in enumerate_elements(Q, Fraction(degree_bound)):
-        if in_gp(Qp, v) and not contains(Qp, v, degree_bound):
+        if in_gp(Qp, v) and not contains(Qp, v):
             return False
     return True
 
@@ -482,28 +510,36 @@ def _rescaled_basis(Q: AffineMonoid, level: int):
     return tuple(tuple(f * x for x in row) for row in gp_basis(Q))
 
 
-def enumerate_elements(Q: AffineMonoid, max_degree: Fraction):
-    """All monoid elements of total degree <= max_degree (nonneg ambients).
+def enumerate_elements(Q: AffineMonoid, max_degree: Fraction) -> tuple[MonoidElem, ...]:
+    """All monoid elements of total degree <= max_degree, in sort_key order.
 
-    Enumeration is over the ambient simplex, filtered through membership;
-    only correct when Q sits inside N^d, which is true of every monoid this
-    package constructs.
+    Q is the N-span of its generators, so the elements are found by a walk
+    up from 0 over generator sums, which visits only elements of Q.
+    The generators must lie in N^d (ValueError otherwise): each nonzero one
+    then has positive degree and the walk ends.  The result is memoised per
+    monoid and degree cap.
     """
-    d = Q.ambient_rank
-    cap = int(max_degree * Q.scale_base ** Q.level)
-    out = []
+    return _elements(Q, floor(Fraction(max_degree) * Q.scale_base ** Q.level))
 
-    def rec(prefix, remaining):
-        if len(prefix) == d:
-            e = Q.elem(prefix)
-            if contains(Q, e):
-                out.append(e)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v)
 
-    rec((), cap)
-    return sorted(set(out), key=lambda e: e.sort_key())
+@lru_cache(maxsize=None)
+def _elements(Q: AffineMonoid, cap: int) -> tuple[MonoidElem, ...]:
+    # level-Q.level coordinate tuples of degree <= cap
+    gens = _nonneg_generators(Q)
+    if cap < 0:
+        return ()
+    zero = (0,) * Q.ambient_rank
+    seen = {zero}
+    stack = [zero]
+    while stack:
+        u = stack.pop()
+        for g in gens:
+            w = tuple(a + b for a, b in zip(u, g))
+            if sum(w) <= cap and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    # at a common level, (sum, coords) orders exactly like sort_key
+    return tuple(Q.elem(v) for v in sorted(seen, key=lambda v: (sum(v), v)))
 
 
 # ---------------------------------------------------------------------------

@@ -386,10 +386,7 @@ def s_pow(x: Series, n: int) -> Series:
 
 def is_unit(x: Series) -> bool:
     """Units are detected on the constant coefficient of the canonical form."""
-    c = x.constant_coeff
-    if x.ring.char_p or x.ring.relation_f is not None:
-        return c % x.ring.p != 0
-    return c % x.ring.p != 0
+    return x.constant_coeff % x.ring.p != 0
 
 
 def reduce_mod_I0(x: Series, target: SeriesRingDesc | None = None) -> Series:

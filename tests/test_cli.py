@@ -127,6 +127,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code6 == 2 and "provide" in err6
 
 
+def test_composite_p_is_rejected(capsys):
+    # 10201 = 101^2 has no prime factor below 100
+    code, out, err = run(capsys, "monoid", "divide", "--preset", "Nd", "--p", "10201", "--d", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "ptlab: p must be a prime\n"
+
+
 def test_load_descriptor_parses(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(NUMERIC) + "\n")

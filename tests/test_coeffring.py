@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+import sympy
 
 from ptlab.coeffring import (
     PrimeFieldElem,
@@ -10,6 +11,7 @@ from ptlab.coeffring import (
     TruncatedWittCoeff,
     carry_normalize,
     digit_correction,
+    is_prime,
     teichmuller_lift,
     w2,
     w2_add,
@@ -125,3 +127,13 @@ def test_prime_mismatch_raises():
         w2_add(w2(2, 1, 0), w2(3, 1, 0))
     with pytest.raises(PrimeMismatch):
         w2_mul(w2(2, 1, 0), w2(5, 1, 0))
+
+
+def test_is_prime_matches_sympy():
+    # 3215031751 and 3825123056546413051 are strong pseudoprimes to small bases
+    big = [10201, 101 * 103, 2**31 - 1, 2**61 - 1, 3215031751, 3825123056546413051,
+           (2**61 - 1) * (2**19 - 1)]
+    for n in list(range(-3, 3000)) + big:
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError):
+        is_prime(10**25)

@@ -1,10 +1,12 @@
 """Affine monoids, division levels, exactness, graded pieces."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptlab.monoid import (
     AffineMonoid,
@@ -157,3 +159,76 @@ def test_gp_membership():
 def test_descriptor_roundtrip():
     for Q in (QUADRIC, Nd(3, 3), p_divide(Nd(2), 1)):
         assert AffineMonoid.from_descriptor(Q.to_descriptor()) == Q
+
+
+# -- exact enumeration and membership against brute force ----------------------
+
+
+@st.composite
+def small_monoids(draw):
+    """Generators in N^d, d <= 3, entries <= 3, at level 0 or 1."""
+    d = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=4))
+    return AffineMonoid(d, draw(st.sampled_from((2, 3))), draw(st.integers(0, 1)), tuple(gens))
+
+
+def brute_elements(Q, cap):
+    """Level-Q.level coordinates of every element of Q of degree <= cap.
+
+    Every coefficient vector that keeps each generator's own contribution
+    within degree cap is summed; all generators lie in N^d, so no element of
+    degree <= cap needs more.
+    """
+    gens = [g for g in Q.generators if any(g)]
+    out = set()
+    for coeffs in itertools.product(*(range(cap // sum(g) + 1) for g in gens)):
+        v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(Q.ambient_rank))
+        if sum(v) <= cap:
+            out.add(v)
+    return out
+
+
+def simplex_walk(Q, max_degree):
+    """The ambient-simplex walk filtered through exact (brute-force) membership."""
+    cap = int(max_degree * Q.scale_base ** Q.level)
+    members = brute_elements(Q, cap)
+    out = []
+    for v in itertools.product(range(cap + 1), repeat=Q.ambient_rank):
+        if sum(v) <= cap and v in members:
+            out.append(Q.elem(v))
+    return sorted(out, key=lambda e: e.sort_key())
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_monoids(), st.fractions(0, 3, max_denominator=3))
+def test_enumerate_matches_simplex_walk(Q, max_degree):
+    assert list(enumerate_elements(Q, max_degree)) == simplex_walk(Q, max_degree)
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_monoids())
+def test_contains_matches_brute_force_in_a_box(Q):
+    box = 4
+    members = brute_elements(Q, box * Q.ambient_rank)
+    for v in itertools.product(range(box + 1), repeat=Q.ambient_rank):
+        assert contains(Q, Q.elem(v)) == (v in members), v
+    # an element finer than Q's level is never in Q
+    assert not contains(Q, MonoidElem((1,) * Q.ambient_rank, Q.level + 1, Q.scale_base))
+
+
+def test_numerical_semigroup_membership_is_exact():
+    Q = AffineMonoid(1, 2, 0, ((2,), (3,)))
+    assert contains(Q, MonoidElem((30,), 0, 2))
+    assert not contains(Q, MonoidElem((1,), 0, 2))
+    elems = enumerate_elements(Q, 30)
+    assert len(elems) == 30
+    assert [e.coords[0] for e in elems] == [0] + list(range(2, 31))
+
+
+def test_enumeration_is_memoised_and_needs_Nd():
+    assert enumerate_elements(QUADRIC, 2) is enumerate_elements(QUADRIC, Fraction(5, 2))
+    with pytest.raises(ValueError):
+        enumerate_elements(AffineMonoid(2, 2, 0, ((1, 0), (-1, 1))), 2)
+    # a non-saturated monoid outside N^d has no exact membership walk
+    with pytest.raises(ValueError):
+        contains(AffineMonoid(1, 2, 0, ((-2,), (-3,))), MonoidElem((-5,), 0, 2))
