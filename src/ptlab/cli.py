@@ -30,7 +30,6 @@ from .logreg import (
 )
 from .monoid import (
     AffineMonoid,
-    MonoidElem,
     NotSharp,
     NotSaturated,
     dimension,
@@ -41,7 +40,8 @@ from .monoid import (
     p_divide,
     saturate,
 )
-from .series import InvariantViolation, make_series
+from .monoid import preset as monoid_preset
+from .series import InvariantViolation, make_series, term_from_json
 from .tower import (
     frobenius_identities,
     inverse_perfection_is_perfect,
@@ -109,27 +109,18 @@ def _monoid_from_args(args, cfg: RunConfig) -> AffineMonoid:
             raise ParseError(f"--json:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         return _monoid_descriptor(payload, "--json")
     if args.preset:
-        return _monoid_preset(args.preset, cfg)
+        return monoid_preset(args.preset, cfg.p, cfg.d)
     raise ParseError("provide --input, --json, or --preset")
-
-
-def _monoid_preset(name: str, cfg: RunConfig) -> AffineMonoid:
-    if name == "quadric":
-        return AffineMonoid(4, cfg.p, 0,
-                            ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)))
-    if name == "Nd":
-        gens = tuple(tuple(1 if i == j else 0 for j in range(cfg.d)) for i in range(cfg.d))
-        return AffineMonoid(cfg.d, cfg.p, 0, gens)
-    if name == "A1":
-        return AffineMonoid(2, cfg.p, 0, ((2, 0), (1, 1), (0, 2)))
-    raise ParseError(f"unknown monoid preset {name!r}")
 
 
 def _presentation_from_args(args, cfg: RunConfig) -> LogRegPresentation:
     if getattr(args, "input", None):
+        custom = load_descriptor(args.input)
         try:
-            return preset("custom", cfg.p, custom=load_descriptor(args.input))
-        except (KeyError, TypeError) as exc:
+            return preset("custom", cfg.p, custom=custom)
+        except InvalidPresentation:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{args.input}: bad presentation descriptor ({exc!r})") from exc
     return preset(args.preset, cfg.p, d=cfg.d)
 
@@ -253,12 +244,8 @@ def _series_list(arg: str, A: BaseRing):
             if isinstance(item, (int, float)):
                 terms = [(ring.zero_exp, int(item))]
             else:
-                terms = [
-                    (MonoidElem(tuple(t["exponent"]), int(t.get("level", 0)), A.p),
-                     int(t["coeff"]))
-                    for t in item
-                ]
-        except (KeyError, TypeError) as exc:
+                terms = [term_from_json(t, A.p) for t in item]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"series term: expected an int or a list of "
                              f'{{"exponent", "coeff"}} objects ({exc!r})') from exc
         out.append(make_series(ring, terms, validate=True))

@@ -11,7 +11,7 @@ characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeffring import digit_correction, is_prime
@@ -24,7 +24,18 @@ from .monoid import (
     layer_quotient,
     p_divide,
 )
-from .series import Series, SeriesRingDesc, make_series, s_monomial
+from .monoid import preset as monoid_preset
+from .series import (
+    NonMonomialReduction,
+    Series,
+    SeriesRingDesc,
+    make_series,
+    reduced_relation_exp,
+    s_monomial,
+    s_zero,
+    term_from_json,
+    term_json,
+)
 from .tower import TowerDesc, Transition
 
 
@@ -80,10 +91,7 @@ class LogRegPresentation:
             "monoid": self.Q.to_descriptor(),
             "free_rank": self.r,
             "p": self.p,
-            "f": [
-                {"exponent": list(e.coords), "level": e.level, "coeff": c}
-                for e, c in self.f_terms
-            ],
+            "f": [term_json(e, c) for e, c in self.f_terms],
             "labels": list(self.labels),
         }
 
@@ -91,10 +99,7 @@ class LogRegPresentation:
     def from_descriptor(cls, d: dict) -> LogRegPresentation:
         Q = AffineMonoid.from_descriptor(d["monoid"])
         p = int(d["p"])
-        f_terms = tuple(
-            (MonoidElem(tuple(t["exponent"]), int(t.get("level", 0)), p), int(t["coeff"]))
-            for t in d["f"]
-        )
+        f_terms = tuple(term_from_json(t, p) for t in d["f"])
         return cls(Q=Q, r=int(d["free_rank"]), p=p, f_terms=f_terms,
                    labels=tuple(d.get("labels", ())))
 
@@ -103,22 +108,15 @@ def preset_unramified(p: int, d: int) -> LogRegPresentation:
     """W(k)[[x_1..x_d]]/(p - x_1): trivial monoid part, f the first variable."""
     if d < 1:
         raise InvalidPresentation("need at least one free variable for f = x_1")
-    Q = AffineMonoid(ambient_rank=0, scale_base=p, level=0, generators=())
     e1 = MonoidElem((1,) + (0,) * (d - 1), 0, p)
-    return LogRegPresentation(Q=Q, r=d, p=p, f_terms=((e1, 1),),
+    return LogRegPresentation(Q=monoid_preset("Nd", p), r=d, p=p, f_terms=((e1, 1),),
                               labels=tuple(f"x{i + 1}" for i in range(d)))
 
 
 def preset_quadric(p: int) -> LogRegPresentation:
     """W(k)[[x,y,z,w]]/(xy - zw, p - w) as the monoid ring of the quadric cone."""
-    Q = AffineMonoid(
-        ambient_rank=4,
-        scale_base=p,
-        level=0,
-        generators=((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)),
-    )
     w = MonoidElem((0, 1, 1, 0), 0, p)
-    return LogRegPresentation(Q=Q, r=0, p=p, f_terms=((w, 1),),
+    return LogRegPresentation(Q=monoid_preset("quadric", p), r=0, p=p, f_terms=((w, 1),),
                               labels=("x", "y", "z", "w"))
 
 
@@ -153,37 +151,18 @@ def predict_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) -
     The relation direction survives the tilt as an honest coordinate; the
     tilted base ideal is the f-bar monomial itself.
     """
-    levels = []
-    for i in range(depth + 1):
-        levels.append(SeriesRingDesc(
-            monoid_part=p_divide(P.Q, i),
-            free_rank=P.r,
-            free_level=i,
-            p=P.p,
-            precision=N,
-            cutoff=Fraction(D),
-            relation_f=None,
-            char_p=True,
-        ))
-    levels = tuple(levels)
-    fbar = _fbar_exp(P)
-    if fbar is None:
-        base = make_series(levels[0], [])
-    else:
-        base = s_monomial(levels[0], fbar)
+    rings = [P.ring(i, Fraction(D), N) for i in range(depth + 1)]
+    levels = tuple(replace(R, relation_f=None, char_p=True) for R in rings)
+    try:
+        base = s_monomial(levels[0], reduced_relation_exp(rings[0]))
+    except NonMonomialReduction:
+        base = s_zero(levels[0])
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
         base_ideal=base,
         depth=depth,
     )
-
-
-def _fbar_exp(P: LogRegPresentation) -> MonoidElem | None:
-    live = [(e, c % P.p) for e, c in P.f_terms if c % P.p != 0]
-    if len(live) != 1:
-        return None
-    return live[0][0]
 
 
 def verify_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) -> dict:
@@ -209,10 +188,7 @@ def verify_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) ->
             "level": j,
             "pass": not missing and not extra,
             "basis_size": len(src),
-            "witnesses": [
-                {"exponent": list(e.coords), "level": e.level}
-                for e in (missing + extra)[:3]
-            ],
+            "witnesses": [e.to_json() for e in (missing + extra)[:3]],
         })
         dim_src = dimension(P.Q) + P.r  # relation spends the +1 of C(k)
         dim_prd = dimension(Tp.levels[j].monoid_part) + Tp.levels[j].free_rank
@@ -286,9 +262,8 @@ class BaseRing:
             raise UnsupportedBase("negative variable count")
 
     def series_ring(self, D=Fraction(3), N: int = 2) -> SeriesRingDesc:
-        Q = AffineMonoid(ambient_rank=0, scale_base=self.p, level=0, generators=())
         return SeriesRingDesc(
-            monoid_part=Q,
+            monoid_part=monoid_preset("Nd", self.p),
             free_rank=self.d,
             free_level=0,
             p=self.p,

@@ -111,6 +111,14 @@ class MonoidElem:
     def sort_key(self):
         return (self.degree(), self.as_fractions())
 
+    def to_json(self) -> dict:
+        return {"exponent": list(self.coords), "level": self.level}
+
+    @classmethod
+    def from_json(cls, t: dict, base: int) -> MonoidElem:
+        """Inverse of to_json; a missing level means level 0."""
+        return cls(tuple(t["exponent"]), int(t.get("level", 0)), base)
+
     def __repr__(self):
         if self.level == 0:
             return f"<{','.join(map(str, self.coords))}>"
@@ -163,6 +171,22 @@ class AffineMonoid:
             level=int(d.get("level", 0)),
             generators=tuple(tuple(int(x) for x in g) for g in d["generators"]),
         )
+
+
+# named monoids: name -> d -> (ambient rank, generators)
+_PRESETS = {
+    "quadric": lambda d: (4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0))),
+    "Nd": lambda d: (d, tuple(tuple(int(i == j) for j in range(d)) for i in range(d))),
+    "A1": lambda d: (2, ((2, 0), (1, 1), (0, 2))),
+}
+
+
+def preset(name: str, p: int, d: int = 0) -> AffineMonoid:
+    """The quadric cone xy = zw, N^d, or the A1 cone <(2,0),(1,1),(0,2)>, at level 0."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown monoid preset {name!r}")
+    rank, gens = _PRESETS[name](d)
+    return AffineMonoid(rank, p, 0, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +407,17 @@ def is_sharp(Q: AffineMonoid) -> bool:
     return True
 
 
+SATURATION_N_MAX = 6
+SATURATION_BUDGET = 8
+
+
 @lru_cache(maxsize=None)
-def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int, n_max: int, budget: int):
+def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     """Points of cone(Q) cap Q^gp outside Q, by bounded division search.
 
     Saturation points are exactly the v with m*v in Q for some m >= 1, so the
-    search divides bounded generator combinations by every m <= n_max.  The
+    search divides sums of at most SATURATION_BUDGET generators by every
+    m <= SATURATION_N_MAX.  The
     result is level-free: the same generator tuples answer for every division
     level.
     """
@@ -396,7 +425,7 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int, n_max: int, budge
     found = []
     sums = {tuple(0 for _ in range(n))}
     frontier = list(sums)
-    for _ in range(budget):
+    for _ in range(SATURATION_BUDGET):
         nxt = []
         for u in frontier:
             for g in gens:
@@ -406,35 +435,35 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int, n_max: int, budge
                     nxt.append(w)
         frontier = nxt
     for u in sorted(sums):
-        for m in range(2, n_max + 1):
+        for m in range(2, SATURATION_N_MAX + 1):
             if all(x % m == 0 for x in u):
                 v = tuple(x // m for x in u)
                 if not any(v) or intlat.in_lattice(basis, v) is None:
                     continue
-                if not _bounded_combo_member(list(gens), v, budget) and v not in found:
+                if not _bounded_combo_member(list(gens), v, SATURATION_BUDGET) and v not in found:
                     found.append(v)
     return tuple(sorted(found))
 
 
-def is_saturated(Q: AffineMonoid, n_max: int = 6, budget: int = 8) -> bool:
+def is_saturated(Q: AffineMonoid) -> bool:
     """Q = cone(Q) cap Q^gp, decided by bounded saturation search."""
-    return not _saturation_gap(Q.generators, Q.ambient_rank, n_max, budget)
+    return not _saturation_gap(Q.generators, Q.ambient_rank)
 
 
-def saturate(Q: AffineMonoid, n_max: int = 6, budget: int = 8) -> AffineMonoid:
+def saturate(Q: AffineMonoid) -> AffineMonoid:
     """The minimal saturated monoid between Q and Q^gp (bounded search)."""
-    gap = _saturation_gap(Q.generators, Q.ambient_rank, n_max, budget)
+    gap = _saturation_gap(Q.generators, Q.ambient_rank)
     if not gap:
         return Q
     gens = list(Q.generators) + list(gap)
     keep = []
     for i, g in enumerate(gens):
         others = [h for j, h in enumerate(gens) if j != i] + keep
-        if not _bounded_combo_member([h for h in others if h != g], g, budget):
+        if not _bounded_combo_member([h for h in others if h != g], g, SATURATION_BUDGET):
             keep.append(g)
     out = AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level, tuple(keep) or ((0,) * Q.ambient_rank,))
-    if not is_saturated(out, n_max, budget):
-        return saturate(out, n_max, budget)
+    if not is_saturated(out):
+        return saturate(out)
     return out
 
 

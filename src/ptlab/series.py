@@ -19,10 +19,11 @@ rule.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
+from .coeffring import is_prime
 from .monoid import AffineMonoid, MonoidElem, contains
 
 
@@ -61,6 +62,12 @@ class SeriesRingDesc:
     def __post_init__(self):
         if self.p != self.monoid_part.scale_base:
             raise InvariantViolation("prime differs from the monoid scale base")
+        try:
+            prime = is_prime(self.p)
+        except ValueError as exc:  # p beyond the range is_prime decides
+            raise InvariantViolation(str(exc)) from exc
+        if not prime:
+            raise InvariantViolation("p must be a prime")
         if self.free_rank < 0 or self.free_level < 0:
             raise InvariantViolation("free part data must be nonnegative")
         if self.precision < 1:
@@ -120,20 +127,13 @@ class SeriesRingDesc:
     def monomial_basis(self) -> tuple[MonoidElem, ...]:
         return _monomial_basis(self)
 
-    def residue_ring(self) -> SeriesRingDesc:
-        """The mod-I0 ring: same exponents, F_p coefficients, f-bar quotient."""
-        fbar = reduced_relation_exp(self)
-        return SeriesRingDesc(
-            monoid_part=self.monoid_part,
-            free_rank=self.free_rank,
-            free_level=self.free_level,
-            p=self.p,
-            precision=self.precision,
-            cutoff=self.cutoff,
-            relation_f=None,
-            char_p=True,
-            quotient_exps=(fbar,),
-        )
+    def residue_ring(self, *extra: MonoidElem) -> SeriesRingDesc:
+        """The char-p ring on the same exponents modulo f-bar (when there is a
+        relation), the ring's own quotient monomials and the extra ones."""
+        quots = set(self.quotient_exps) | set(extra)
+        if self.relation_f is not None:
+            quots.add(reduced_relation_exp(self))
+        return replace(self, relation_f=None, char_p=True, quotient_exps=tuple(quots))
 
     def to_descriptor(self) -> dict:
         out = {
@@ -145,13 +145,11 @@ class SeriesRingDesc:
             "cutoff": f"{self.cutoff.numerator}/{self.cutoff.denominator}",
         }
         if self.relation_f is not None:
-            out["relation_f"] = [_term_json(e, c) for e, c in self.relation_f]
+            out["relation_f"] = [term_json(e, c) for e, c in self.relation_f]
         if self.char_p:
             out["char_p"] = True
         if self.quotient_exps:
-            out["quotient_exponents"] = [
-                {"exponent": list(e.coords), "level": e.level} for e in self.quotient_exps
-            ]
+            out["quotient_exponents"] = [e.to_json() for e in self.quotient_exps]
         return out
 
     @classmethod
@@ -160,14 +158,8 @@ class SeriesRingDesc:
         p = int(d["p"])
         rel = None
         if d.get("relation_f") is not None:
-            rel = tuple(
-                (MonoidElem(tuple(t["exponent"]), int(t.get("level", 0)), p), int(t["coeff"]))
-                for t in d["relation_f"]
-            )
-        quot = tuple(
-            MonoidElem(tuple(t["exponent"]), int(t.get("level", 0)), p)
-            for t in d.get("quotient_exponents", ())
-        )
+            rel = tuple(term_from_json(t, p) for t in d["relation_f"])
+        quot = tuple(MonoidElem.from_json(t, p) for t in d.get("quotient_exponents", ()))
         num, _, den = str(d["cutoff"]).partition("/")
         return cls(
             monoid_part=mon,
@@ -182,8 +174,14 @@ class SeriesRingDesc:
         )
 
 
-def _term_json(e: MonoidElem, c: int) -> dict:
-    return {"exponent": list(e.coords), "level": e.level, "coeff": int(c)}
+def term_json(e: MonoidElem, c: int) -> dict:
+    """A series term as {"exponent": [..], "level": i, "coeff": c}."""
+    return {**e.to_json(), "coeff": int(c)}
+
+
+def term_from_json(t: dict, base: int) -> tuple[MonoidElem, int]:
+    """Inverse of term_json; a missing level means level 0."""
+    return MonoidElem.from_json(t, base), int(t["coeff"])
 
 
 def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
@@ -254,7 +252,7 @@ class Series:
         return tuple(e for e, _ in self.terms)
 
     def to_json(self) -> list[dict]:
-        return [_term_json(e, c) for e, c in self.terms]
+        return [term_json(e, c) for e, c in self.terms]
 
     def __repr__(self):
         if not self.terms:

@@ -14,7 +14,7 @@ degree cutoff is skipped rather than counted, and every report carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .monoid import MonoidElem
@@ -30,6 +30,7 @@ from .series import (
     s_mul,
     s_one,
     s_zero,
+    term_from_json,
     torsion_annihilator,
 )
 
@@ -134,15 +135,11 @@ class TowerDesc:
     @classmethod
     def from_descriptor(cls, d: dict) -> TowerDesc:
         levels = tuple(SeriesRingDesc.from_descriptor(r) for r in d["levels"])
-        p = levels[0].p
         transitions = tuple(
             Transition(None if t is None else tuple(tuple(int(x) for x in row) for row in t))
             for t in d["transitions"]
         )
-        terms = [
-            (MonoidElem(tuple(t["exponent"]), int(t.get("level", 0)), p), int(t["coeff"]))
-            for t in d["base_ideal"]
-        ]
+        terms = [term_from_json(t, levels[0].p) for t in d["base_ideal"]]
         base = make_series(levels[0], terms, validate=True)
         return cls(levels=levels, transitions=transitions, base_ideal=base, depth=int(d["depth"]))
 
@@ -155,26 +152,9 @@ def _residue_ring(T: TowerDesc, i: int) -> SeriesRingDesc:
     ideal generator; when they coincide (every preset) that is the usual mod-p
     picture.  Equal-characteristic levels just gain the ideal monomial.
     """
-    ring = T.levels[i]
-    quots = list(ring.quotient_exps)
-    if not ring.char_p and ring.relation_f is not None:
-        from .series import reduced_relation_exp
-
-        quots.append(reduced_relation_exp(ring))
     gexp = T.ideal_exp()
-    if gexp is not None:
-        quots.append(gexp)
-    return SeriesRingDesc(
-        monoid_part=ring.monoid_part,
-        free_rank=ring.free_rank,
-        free_level=ring.free_level,
-        p=ring.p,
-        precision=ring.precision,
-        cutoff=ring.cutoff,
-        relation_f=None,
-        char_p=True,
-        quotient_exps=tuple(sorted(set(quots), key=lambda e: e.sort_key())),
-    )
+    ring = T.levels[i]
+    return ring.residue_ring() if gexp is None else ring.residue_ring(gexp)
 
 
 def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None) -> dict:
@@ -184,10 +164,6 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
     if note is not None:
         out["note"] = note
     return out
-
-
-def _wit(e: MonoidElem) -> dict:
-    return {"exponent": list(e.coords), "level": e.level}
 
 
 def _frob_exp(ring: SeriesRingDesc, e: MonoidElem) -> Series:
@@ -210,7 +186,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
                          note="non-monomial ideal generator unsupported"))
     else:
         bad = [e for e, _ in p_series.terms if not R0.exp_in_ring(e - gexp)]
-        rows.append(_row("a", 0, not bad, _wit(bad[0]) if bad else None))
+        rows.append(_row("a", 0, not bad, bad[0].to_json() if bad else None))
 
     for i in range(T.depth):
         Si, Si1 = T.residue(i), T.residue(i + 1)
@@ -231,7 +207,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
         if bad_b is None:
             rows.append(_row("b", i, True))
         else:
-            rows.append(_row("b", i, False, _wit(bad_b[1]), note=f"image {bad_b[0]}"))
+            rows.append(_row("b", i, False, bad_b[1].to_json(), note=f"image {bad_b[0]}"))
 
         bad_c = None
         for d in Si1.monomial_basis():
@@ -241,7 +217,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
             if fr.terms[0][0] not in images:
                 bad_c = d
                 break
-        rows.append(_row("c", i, bad_c is None, _wit(bad_c) if bad_c is not None else None))
+        rows.append(_row("c", i, bad_c is None, bad_c.to_json() if bad_c is not None else None))
     return {"axioms": rows, "all_pass": all(r["pass"] for r in rows), "cutoff": T.cutoff_info()}
 
 
@@ -268,15 +244,19 @@ def frobenius_projection(T: TowerDesc, i: int) -> FrobProjection:
     """
     F = FrobProjection(T, i)
     Si1 = T.residue(i + 1)
-    for d in Si1.monomial_basis():
-        x = s_monomial(Si1, d)
-        frob = make_series(Si1, [(d.scale(T.p), 1)])
-        if d.scale(T.p).degree() > Si1.cutoff:
-            continue
-        via = T.transition_bar(i, F.apply(x))
-        if via != frob:
-            raise AxiomViolation(f"no Frobenius factorization at monomial {d}")
+    bad = next(_frobenius_failures(Si1, lambda x: T.transition_bar(i, F.apply(x))), None)
+    if bad is not None:
+        raise AxiomViolation(f"no Frobenius factorization at monomial {bad}")
     return F
+
+
+def _frobenius_failures(ring: SeriesRingDesc, via):
+    """Basis monomials g of ring with via(e^g) != e^{pg}, within the cutoff."""
+    for g in ring.monomial_basis():
+        if g.scale(ring.p).degree() > ring.cutoff:
+            continue
+        if via(s_monomial(ring, g)) != _frob_exp(ring, g):
+            yield g
 
 
 def frobenius_identities(T: TowerDesc, i: int) -> dict:
@@ -286,23 +266,10 @@ def frobenius_identities(T: TowerDesc, i: int) -> dict:
     in S_i; witnesses are returned rather than raised.
     """
     F = FrobProjection(T, i)
-    Si, Si1 = T.residue(i), T.residue(i + 1)
-    bad_tf = []
-    for d in Si1.monomial_basis():
-        if d.scale(T.p).degree() > Si1.cutoff:
-            continue
-        lhs = T.transition_bar(i, F.apply(s_monomial(Si1, d)))
-        rhs = make_series(Si1, [(d.scale(T.p), 1)])
-        if lhs != rhs:
-            bad_tf.append(_wit(d))
-    bad_ft = []
-    for g in Si.monomial_basis():
-        if g.scale(T.p).degree() > Si.cutoff:
-            continue
-        lhs = F.apply(T.transition_bar(i, s_monomial(Si, g)))
-        rhs = make_series(Si, [(g.scale(T.p), 1)])
-        if lhs != rhs:
-            bad_ft.append(_wit(g))
+    t_after_F = _frobenius_failures(T.residue(i + 1), lambda x: T.transition_bar(i, F.apply(x)))
+    F_after_t = _frobenius_failures(T.residue(i), lambda x: F.apply(T.transition_bar(i, x)))
+    bad_tf = [d.to_json() for d in t_after_F]
+    bad_ft = [g.to_json() for g in F_after_t]
     return {
         "level": i,
         "t_after_F_is_frobenius": not bad_tf,
@@ -310,13 +277,6 @@ def frobenius_identities(T: TowerDesc, i: int) -> dict:
         "witnesses": bad_tf + bad_ft,
         "cutoff": T.cutoff_info(),
     }
-
-
-def _pillar_exp(T: TowerDesc, i: int) -> MonoidElem | None:
-    gexp = T.ideal_exp()
-    if gexp is None:
-        return None
-    return gexp.divide(i)
 
 
 def pillar_system(T: TowerDesc):
@@ -381,7 +341,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             if not Si1.exp_in_ring(mu.divide(1)) or Si1.dominated(mu.divide(1)):
                 bad_d = mu
                 break
-        rows.append(_row("d", i, bad_d is None, _wit(bad_d) if bad_d is not None else None))
+        rows.append(_row("d", i, bad_d is None, bad_d.to_json() if bad_d is not None else None))
 
     if T.base_ideal.is_zero:
         rows.append(_row("e", 0, True, note="I0 = (0) is contained in every maximal ideal"))
@@ -406,12 +366,12 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         for i in range(T.depth):
             e1, e0 = pillars.exponent(i + 1), pillars.exponent(i)
             if e1 is not None and e0 is not None and e1.scale(p) != e0:
-                rows.append(_row("f", i, False, _wit(e1), note="I_{i+1}^p != I_i R_{i+1}"))
+                rows.append(_row("f", i, False, e1.to_json(), note="I_{i+1}^p != I_i R_{i+1}"))
                 ok_f = False
         for i in range(T.depth):
             mism = _kernel_mismatch(T, i, pillars)
             if mism is not None:
-                rows.append(_row("f", i, False, _wit(mism),
+                rows.append(_row("f", i, False, mism.to_json(),
                                  note="ker F_i differs from pillar multiples"))
                 ok_f = False
         if ok_f:
@@ -437,7 +397,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
                     continue
                 if not s_mul(s_monomial(Ri, m), g_i).is_zero:
                     ok_g = False
-                    witness_g = _wit(m)
+                    witness_g = m.to_json()
                     break
             if not ok_g:
                 break
@@ -449,7 +409,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
                 if m.scale(p).degree() <= T.levels[i].cutoff and m.scale(p) not in down:
                     if T.levels[i].exp_in_ring(m.scale(p)):
                         ok_g = False
-                        witness_g = _wit(m)
+                        witness_g = m.to_json()
                         note_g = "p-scaling does not land in the lower torsion basis"
                         break
             if not ok_g:
@@ -458,7 +418,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
                 dm = m.divide(1)
                 if T.levels[i + 1].exp_in_ring(dm) and dm not in up:
                     ok_g = False
-                    witness_g = _wit(m)
+                    witness_g = m.to_json()
                     note_g = "lower torsion monomial with no p-divided partner"
                     break
             if not ok_g:
@@ -620,12 +580,12 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
         try:
             te = teich_tilt(T, j, mu, m)
         except IncompatibleComponents:
-            mismatches.append({"direction": "section", **_wit(mu)})
+            mismatches.append({"direction": "section", **mu.to_json()})
             continue
         if te.project(0) != s_monomial(Sj, mu):
-            mismatches.append({"direction": "projection", **_wit(mu)})
+            mismatches.append({"direction": "projection", **mu.to_json()})
             continue
-        correspondence.append(_wit(mu))
+        correspondence.append(mu.to_json())
     # completeness: classify every depth-m monomial tuple inside the cutoff
     top_ring = T.residue(j + m)
     basis_set = set(Sj.monomial_basis())
@@ -636,7 +596,7 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
         # top exponent of the tilt-side ideal generator is gexp / p^m
         in_ideal = gexp is not None and top_ring.exp_in_ring(d - gexp.divide(m))
         if (mu in basis_set) == in_ideal:
-            mismatches.append({"direction": "partition", **_wit(d)})
+            mismatches.append({"direction": "partition", **d.to_json()})
     return {
         "home_level": j,
         "bijective": not mismatches,
@@ -644,21 +604,6 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
         "mismatches": mismatches,
         "cutoff": T.cutoff_info(),
     }
-
-
-@lru_cache(maxsize=None)
-def _unquotiented(ring: SeriesRingDesc) -> SeriesRingDesc:
-    return SeriesRingDesc(
-        monoid_part=ring.monoid_part,
-        free_rank=ring.free_rank,
-        free_level=ring.free_level,
-        p=ring.p,
-        precision=ring.precision,
-        cutoff=ring.cutoff,
-        relation_f=None,
-        char_p=True,
-        quotient_exps=(),
-    )
 
 
 def verify_exactstilt(T: TowerDesc, j: int) -> dict:
@@ -679,8 +624,8 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
         rows.append({"check": "principal", "pass": True,
                      "note": "I = (0): the tilt ideal is zero"})
     else:
-        top_ring = T.residue(j + m)
-        full_top = _unquotiented(top_ring)
+        Sj = T.residue(j)
+        full_top = replace(T.residue(j + m), quotient_exps=())
         pe_top = gexp.divide(j + m)  # top component exponent of the tilt pillar
         pe_home = gexp.divide(j)
         bad = None
@@ -688,14 +633,14 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
             if d.scale(p ** m).degree() > T.levels[0].cutoff:
                 continue
             mu = d.scale(p ** m)
-            # kernel of pi_j o Phi_0: the class of e^mu dies in R_j/(I_j + I_0)
-            in_ker = (not T.residue(j).exp_in_ring(mu)) or Sj_dominated_with_pillar(T, j, mu)
+            # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
+            in_ker = not Sj.exp_in_ring(mu) or Sj.dominated(mu) or Sj.exp_in_ring(mu - pe_home)
             in_ideal = full_top.exp_in_ring(d - pe_top)
             if in_ker != in_ideal:
                 bad = d
                 break
         rows.append({"check": "principal", "pass": bad is None,
-                     **({"witness": _wit(bad)} if bad is not None else {})})
+                     **({"witness": bad.to_json()} if bad is not None else {})})
 
         if j + 1 <= T.depth:
             mj1 = tilt_depth(T, j + 1)
@@ -732,16 +677,6 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
     }
 
 
-def Sj_dominated_with_pillar(T: TowerDesc, j: int, mu: MonoidElem) -> bool:
-    """Does e^mu die in R_j/(I_j + I_0)?  I_j is the level-j pillar ideal."""
-    Sj = T.residue(j)
-    gexp = T.ideal_exp()
-    if Sj.dominated(mu):
-        return True
-    pe = gexp.divide(j)
-    return Sj.exp_in_ring(mu - pe)
-
-
 def _tilt_torsion(T: TowerDesc, j: int) -> dict:
     """Componentwise annihilator of the tilt pillar on monomial tuples."""
     m = tilt_depth(T, j)
@@ -760,7 +695,7 @@ def _tilt_torsion(T: TowerDesc, j: int) -> dict:
             continue
         if all(c.is_zero for c in te_mul(te, f).components):
             found.append(mu)
-    return {"is_zero": not found, "monomials": [_wit(e) for e in found]}
+    return {"is_zero": not found, "monomials": [e.to_json() for e in found]}
 
 
 def shift_tilt(x: TiltElem) -> TiltElem:

@@ -135,6 +135,37 @@ def test_composite_p_is_rejected(capsys):
     assert err == "ptlab: p must be a prime\n"
 
 
+def test_custom_presentation_with_composite_p_is_rejected(tmp_path, capsys):
+    P4 = {"monoid": {"ambient_rank": 0, "scale_base": 4, "level": 0, "generators": []},
+          "free_rank": 2, "p": 4, "f": [{"exponent": [1, 0], "coeff": 1}]}
+    path = tmp_path / "P4.json"
+    path.write_text(json.dumps(P4))
+    code, out, err = run(capsys, "tower", "verify", "--input", str(path),
+                         "--depth", "1", "--cutoff", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "ptlab: p must be a prime\n"
+
+
+def test_malformed_tower_term_exits_2(tmp_path, capsys):
+    P = preset("unramified_rlr", 2).to_descriptor()
+    P["f"][0]["coeff"] = "x"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(P))
+    code, out, err = run(capsys, "tower", "verify", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptlab: ") and err.count("\n") == 1 and "'x'" in err
+
+
+def test_malformed_series_term_exits_2(capsys):
+    elems = json.dumps([[{"exponent": [1, 0], "coeff": "x"}]])
+    code, out, err = run(capsys, "regularity", "maximal", "--elems", elems)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("ptlab: series term") and err.count("\n") == 1
+
+
 def test_load_descriptor_parses(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(NUMERIC) + "\n")

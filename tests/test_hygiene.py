@@ -1,0 +1,56 @@
+"""Static hygiene of the package: no unused imports, no dead private helpers."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ptlab"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every identifier node reads: bare names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_no_unused_imports():
+    unused = []
+    for fname, tree in _modules().items():
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in read:
+                    unused.append(f"{fname}:{node.lineno}: {bound}")
+    assert unused == []
+
+
+def test_no_unreferenced_private_functions():
+    """A module-level _helper must be used somewhere other than its own body."""
+    statements = [(fname, stmt) for fname, tree in _modules().items() for stmt in tree.body]
+    refs = [_names(stmt) for _, stmt in statements]
+    dead = []
+    for k, (fname, stmt) in enumerate(statements):
+        if not isinstance(stmt, ast.FunctionDef):
+            continue
+        name = stmt.name
+        if not name.startswith("_") or name.startswith("__"):
+            continue
+        if not any(name in r for j, r in enumerate(refs) if j != k):
+            dead.append(f"{fname}: {name}")
+    assert dead == []

@@ -19,8 +19,8 @@ from ptlab.logreg import (
     preset,
     verify_tilt,
 )
-from ptlab.monoid import AffineMonoid, MonoidElem
-from ptlab.series import make_series, s_const, s_monomial
+from ptlab.monoid import AffineMonoid, MonoidElem, p_divide
+from ptlab.series import SeriesRingDesc, make_series, s_const, s_monomial
 
 
 def test_presets():
@@ -79,6 +79,33 @@ def test_predict_tilt_is_equal_characteristic():
     assert W.ideal_exp() == MonoidElem((0, 1, 1, 0), 0, 2)
     fexp = W.ideal_exp()
     assert W.base_ideal == make_series(W.levels[0], [(fexp, 1)])
+
+
+@pytest.mark.parametrize("name,p", [("unramified_rlr", 2), ("quadric", 3)])
+def test_residue_of_R0_is_S0(name, p):
+    # f-bar is the I_0 generator in both presets, so S_0 = R_0/(f-bar)
+    T = build_tower(preset(name, p), 2, Fraction(3), 2)
+    assert T.levels[0].residue_ring() == T.residue(0)
+    assert T.residue(0).quotient_exps == (T.ideal_exp(),)
+
+
+@pytest.mark.parametrize("name,p", [("unramified_rlr", 3), ("quadric", 2)])
+def test_predict_tilt_levels_are_the_char_p_rings(name, p):
+    P = preset(name, p)
+    W = predict_tilt(P, 2, Fraction(4), 2)
+    expected = tuple(
+        SeriesRingDesc(monoid_part=p_divide(P.Q, i), free_rank=P.r, free_level=i, p=p,
+                       precision=2, cutoff=Fraction(4), relation_f=None, char_p=True)
+        for i in range(3)
+    )
+    assert W.levels == expected
+
+
+def test_predict_tilt_without_monomial_fbar_has_zero_ideal():
+    N1 = AffineMonoid(1, 2, 0, ((1,),))
+    for f in ((), ((MonoidElem((1,), 0, 2), 2),)):
+        W = predict_tilt(LogRegPresentation(Q=N1, r=0, p=2, f_terms=f), 1, Fraction(2), 2)
+        assert W.base_ideal.is_zero and W.ideal_exp() is None
 
 
 @pytest.mark.parametrize("name,p", [("unramified_rlr", 2), ("quadric", 2)])

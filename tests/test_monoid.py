@@ -27,6 +27,7 @@ from ptlab.monoid import (
     is_sharp,
     layer_quotient,
     p_divide,
+    preset,
     saturate,
 )
 
@@ -159,6 +160,25 @@ def test_gp_membership():
 def test_descriptor_roundtrip():
     for Q in (QUADRIC, Nd(3, 3), p_divide(Nd(2), 1)):
         assert AffineMonoid.from_descriptor(Q.to_descriptor()) == Q
+
+
+def test_elem_json_roundtrip():
+    for e in (MonoidElem((3, 0, 5), 2, 3), MonoidElem((1, 1), 1, 2), MonoidElem((4,), 0, 2)):
+        t = e.to_json()
+        assert t == {"exponent": list(e.coords), "level": e.level}
+        assert MonoidElem.from_json(t, e.base) == e
+    # a missing level means level 0; levels are canonicalised on the way in
+    assert MonoidElem.from_json({"exponent": [2, 0]}, 2) == MonoidElem((2, 0), 0, 2)
+    assert MonoidElem.from_json({"exponent": [2, 4], "level": 1}, 2) == MonoidElem((1, 2), 0, 2)
+
+
+def test_preset_table():
+    assert preset("quadric", 2) == QUADRIC
+    assert preset("Nd", 3, 3) == Nd(3, 3)
+    assert preset("Nd", 5) == AffineMonoid(0, 5, 0, ())
+    assert preset("A1", 3) == AffineMonoid(2, 3, 0, ((2, 0), (1, 1), (0, 2)))
+    with pytest.raises(ValueError):
+        preset("nosuch", 2)
 
 
 # -- exact enumeration and membership against brute force ----------------------

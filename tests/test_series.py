@@ -26,6 +26,8 @@ from ptlab.series import (
     s_pow,
     s_sub,
     s_zero,
+    term_from_json,
+    term_json,
     torsion_annihilator,
 )
 
@@ -201,6 +203,29 @@ def test_reduced_relation_exp():
         reduced_relation_exp(two_live)
 
 
+def test_term_json_roundtrip():
+    for e, c in ((MonoidElem((1, 3), 2, 2), 1), (MonoidElem((0, 1), 1, 2), -5),
+                 (MonoidElem((2, 0), 0, 2), 7)):
+        t = term_json(e, c)
+        assert t == {"exponent": list(e.coords), "level": e.level, "coeff": c}
+        assert term_from_json(t, 2) == (e, c)
+    assert term_from_json({"exponent": [1, 0], "coeff": 3}, 2) == (MonoidElem((1, 0), 0, 2), 3)
+    with pytest.raises(ValueError):
+        term_from_json({"exponent": [1, 0], "coeff": "x"}, 2)
+
+
+def test_residue_ring_quotients():
+    fbar = MonoidElem((1, 0), 0, 2)
+    g = MonoidElem((0, 1), 1, 2)
+    S = MIXED.residue_ring()
+    assert S.char_p and S.relation_f is None and S.quotient_exps == (fbar,)
+    # extra monomials join f-bar once each, in sort_key order
+    assert MIXED.residue_ring(g, fbar, g).quotient_exps == (g, fbar)
+    # a char-p ring keeps its own quotients
+    assert S.residue_ring() == S
+    assert S.residue_ring(g).quotient_exps == (g, fbar)
+
+
 def test_make_series_validation():
     bad = MonoidElem((1, 0, 0), 0, 2)
     with pytest.raises(InvariantViolation):
@@ -221,6 +246,10 @@ def test_ring_descriptor_invariants():
     with pytest.raises(InvariantViolation):
         SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0, p=2,
                        precision=2, cutoff=Fraction(0))
+    for q in (4, 10**25 + 13):   # p must be a prime, decided by is_prime
+        with pytest.raises(InvariantViolation):
+            SeriesRingDesc(monoid_part=AffineMonoid(0, q, 0, ()), free_rank=1, free_level=0,
+                           p=q, precision=2, cutoff=Fraction(4))
 
 
 def test_ring_descriptor_roundtrip():
