@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .intlat import FinAbelianGroup, abelian_quotient, identity
-from .monoid import AffineMonoid, NotSharp, NotSaturated, facet_normals, gp_basis, is_saturated, is_sharp
+from .monoid import AffineMonoid, NotSaturated, facet_normals, gp_basis, is_saturated
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ def pairing_matrix(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
 
 
 def class_group(Q: AffineMonoid) -> ClassGroupReport:
-    if not is_sharp(Q):
-        raise NotSharp("class group needs a sharp monoid")
-    if not is_saturated(Q):
+    if not is_saturated(Q):  # NotSharp unless Q is sharp
         raise NotSaturated("class group needs a saturated monoid")
     M = pairing_matrix(Q)
     nf = len(M)

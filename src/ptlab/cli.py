@@ -36,6 +36,7 @@ from .monoid import (
     exact_embed_Nd,
     is_saturated,
     is_sharp,
+    json_int,
     layer_quotient,
     p_divide,
     saturate,
@@ -75,6 +76,8 @@ class RunConfig:
             raise ParseError("cutoff must be positive")
         if self.precision < 1:
             raise ParseError("precision must be at least 1")
+        if self.d < 0:
+            raise ParseError("d must be nonnegative")
 
 
 def load_descriptor(path: str) -> dict:
@@ -138,7 +141,7 @@ def _cmd_monoid(args, cfg: RunConfig) -> int:
     Q = _monoid_from_args(args, cfg)
     if args.action == "check":
         sharp = is_sharp(Q)
-        sat = is_saturated(Q)
+        sat = is_saturated(Q) if sharp else None
         report = {
             "sharp": sharp,
             "saturated": sat,
@@ -241,10 +244,10 @@ def _series_list(arg: str, A: BaseRing):
         raise ParseError("series list must be a JSON array")
     for item in data:
         try:
-            if isinstance(item, (int, float)):
-                terms = [(ring.zero_exp, int(item))]
-            else:
+            if isinstance(item, list):
                 terms = [term_from_json(t, A.p) for t in item]
+            else:
+                terms = [(ring.zero_exp, json_int(item))]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"series term: expected an int or a list of "
                              f'{{"exponent", "coeff"}} objects ({exc!r})') from exc

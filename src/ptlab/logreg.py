@@ -21,6 +21,7 @@ from .monoid import (
     dimension,
     is_saturated,
     is_sharp,
+    json_int,
     layer_quotient,
     p_divide,
 )
@@ -98,9 +99,9 @@ class LogRegPresentation:
     @classmethod
     def from_descriptor(cls, d: dict) -> LogRegPresentation:
         Q = AffineMonoid.from_descriptor(d["monoid"])
-        p = int(d["p"])
+        p = json_int(d["p"])
         f_terms = tuple(term_from_json(t, p) for t in d["f"])
-        return cls(Q=Q, r=int(d["free_rank"]), p=p, f_terms=f_terms,
+        return cls(Q=Q, r=json_int(d["free_rank"]), p=p, f_terms=f_terms,
                    labels=tuple(d.get("labels", ())))
 
 

@@ -11,11 +11,14 @@ Cones are handled by a small double description pass (dimensions up to 6),
 which yields facet normals; for saturated monoids membership reduces to the
 facet inequalities plus a lattice solve.  Elsewhere membership is decided
 exactly by peeling generators off the target, and enumeration up to a degree
-walks over generator sums; both need the generators in N^d.
+walks over generator sums; both need the generators in N^d.  Saturation of a
+sharp monoid is decided exactly from the lattice points of a box spanned by
+its generators.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +42,13 @@ class NotSaturated(ValueError):
 
 class NotExact(ValueError):
     pass
+
+
+def json_int(x) -> int:
+    """x if it is an int; a bool, float, str or anything else is a ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 def _strip(coords: tuple[int, ...], level: int, base: int) -> tuple[tuple[int, ...], int]:
@@ -117,7 +127,7 @@ class MonoidElem:
     @classmethod
     def from_json(cls, t: dict, base: int) -> MonoidElem:
         """Inverse of to_json; a missing level means level 0."""
-        return cls(tuple(t["exponent"]), int(t.get("level", 0)), base)
+        return cls(tuple(map(json_int, t["exponent"])), json_int(t.get("level", 0)), base)
 
     def __repr__(self):
         if self.level == 0:
@@ -135,6 +145,8 @@ class AffineMonoid:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.ambient_rank < 0:
+            raise ValueError("ambient rank must be nonnegative")
         gens = tuple(tuple(int(x) for x in g) for g in self.generators)
         for g in gens:
             if len(g) != self.ambient_rank:
@@ -166,10 +178,10 @@ class AffineMonoid:
     @classmethod
     def from_descriptor(cls, d: dict) -> AffineMonoid:
         return cls(
-            ambient_rank=int(d["ambient_rank"]),
-            scale_base=int(d["scale_base"]),
-            level=int(d.get("level", 0)),
-            generators=tuple(tuple(int(x) for x in g) for g in d["generators"]),
+            ambient_rank=json_int(d["ambient_rank"]),
+            scale_base=json_int(d["scale_base"]),
+            level=json_int(d.get("level", 0)),
+            generators=tuple(tuple(map(json_int, g)) for g in d["generators"]),
         )
 
 
@@ -333,25 +345,6 @@ def dimension(Q: AffineMonoid) -> int:
 # membership
 
 
-def _bounded_combo_member(gens, target, budget) -> bool:
-    # DFS over nonneg integer combinations with coefficient-sum <= budget
-    gens = [g for g in gens if any(g)]
-    if all(x == 0 for x in target):
-        return True
-    if not gens or budget <= 0:
-        return False
-    g = gens[0]
-    rest = gens[1:]
-    t = tuple(target)
-    for k in range(budget + 1):
-        if all(x == 0 for x in t):
-            return True
-        if _bounded_combo_member(rest, t, budget - k):
-            return True
-        t = tuple(a - b for a, b in zip(t, g))
-    return all(x == 0 for x in t)
-
-
 def _nonneg_generators(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
     """The nonzero generators of Q, which must lie in N^d."""
     if any(x < 0 for g in Q.generators for x in g):
@@ -385,7 +378,8 @@ def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
 
     Saturated monoids get the cone-and-lattice test.  Any other Q must have
     its generators in N^d (ValueError otherwise), and x is tested by walking
-    down from x through differences with the generators.
+    down from x through differences with the generators.  A non-sharp Q
+    raises NotSharp.
     """
     if x.level > Q.level:
         return False
@@ -407,64 +401,60 @@ def is_sharp(Q: AffineMonoid) -> bool:
     return True
 
 
-SATURATION_N_MAX = 6
-SATURATION_BUDGET = 8
+def _pairings(rays, v) -> tuple[int, ...]:
+    return tuple(_dot(r, v) for r in rays)
 
 
 @lru_cache(maxsize=None)
 def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
-    """Points of cone(Q) cap Q^gp outside Q, by bounded division search.
+    """Points of cone(Q) cap Q^gp outside Q, in lexicographic order.
 
-    Saturation points are exactly the v with m*v in Q for some m >= 1, so the
-    search divides sums of at most SATURATION_BUDGET generators by every
-    m <= SATURATION_N_MAX.  The
-    result is level-free: the same generator tuples answer for every division
-    level.
+    Every x in cone(Q) cap Q^gp is a sum of lam_g * g with lam_g >= 0, and
+    x - sum floor(lam_g) g is a lattice point of cone(Q) cap Q^gp in the box
+    prod_k [sum_g min(g_k, 0), sum_g max(g_k, 0)].  So Q is saturated iff
+    every nonzero such box point is in Q, and the generators together with
+    the box points outside Q generate the saturation.  Membership is the
+    generator walk on facet pairings, which map a sharp Q injectively into
+    N^facets; Q is not sharp (NotSharp) iff a nonzero generator pairs to 0
+    with every facet.  The result is level-free, the same for every level.
     """
+    _, rays = _cone_data(gens, n)
+    images = tuple(_pairings(rays, g) for g in gens if any(g))
+    if not all(any(v) for v in images):
+        raise NotSharp("monoid is not sharp")
     basis = _gp_basis(gens, n)
-    found = []
-    sums = {tuple(0 for _ in range(n))}
-    frontier = list(sums)
-    for _ in range(SATURATION_BUDGET):
-        nxt = []
-        for u in frontier:
-            for g in gens:
-                w = tuple(a + b for a, b in zip(u, g))
-                if w not in sums:
-                    sums.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    for u in sorted(sums):
-        for m in range(2, SATURATION_N_MAX + 1):
-            if all(x % m == 0 for x in u):
-                v = tuple(x // m for x in u)
-                if not any(v) or intlat.in_lattice(basis, v) is None:
-                    continue
-                if not _bounded_combo_member(list(gens), v, SATURATION_BUDGET) and v not in found:
-                    found.append(v)
-    return tuple(sorted(found))
+    box = [range(sum(min(g[k], 0) for g in gens), sum(max(g[k], 0) for g in gens) + 1)
+           for k in range(n)]
+    gap = []
+    for v in itertools.product(*box):
+        pv = _pairings(rays, v)
+        if (any(v) and min(pv, default=0) >= 0 and intlat.in_lattice(basis, v) is not None
+                and not _generated(images, pv)):
+            gap.append(v)
+    return tuple(gap)
 
 
 def is_saturated(Q: AffineMonoid) -> bool:
-    """Q = cone(Q) cap Q^gp, decided by bounded saturation search."""
+    """Q = cone(Q) cap Q^gp, decided exactly; NotSharp unless Q is sharp."""
     return not _saturation_gap(Q.generators, Q.ambient_rank)
 
 
 def saturate(Q: AffineMonoid) -> AffineMonoid:
-    """The minimal saturated monoid between Q and Q^gp (bounded search)."""
+    """cone(Q) cap Q^gp, generated by its Hilbert basis; NotSharp unless Q is sharp.
+
+    The candidates are Q's distinct nonzero generators followed by the
+    saturation gap.  A candidate is kept iff the other candidates do not
+    generate it, which leaves exactly the irreducible elements.
+    """
     gap = _saturation_gap(Q.generators, Q.ambient_rank)
     if not gap:
         return Q
-    gens = list(Q.generators) + list(gap)
-    keep = []
-    for i, g in enumerate(gens):
-        others = [h for j, h in enumerate(gens) if j != i] + keep
-        if not _bounded_combo_member([h for h in others if h != g], g, SATURATION_BUDGET):
-            keep.append(g)
-    out = AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level, tuple(keep) or ((0,) * Q.ambient_rank,))
-    if not is_saturated(out):
-        return saturate(out)
-    return out
+    _, rays = _cone_data(Q.generators, Q.ambient_rank)
+    cands = list(dict.fromkeys(g for g in Q.generators if any(g))) + list(gap)
+    images = [_pairings(rays, c) for c in cands]
+    keep = tuple(c for i, c in enumerate(cands)
+                 if not _generated(tuple(images[:i] + images[i + 1:]), images[i]))
+    return AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -495,41 +485,36 @@ def layer_quotient(Q: AffineMonoid, i: int = 0) -> FinAbelianGroup:
     return intlat.abelian_quotient(basis, sub)
 
 
-def is_exact_submonoid(Qp: AffineMonoid, Q: AffineMonoid, degree_bound: int = 8) -> bool:
-    """Exactness of Qp inside Q: (Qp)^gp cap Q = Qp.
+def is_exact_submonoid(Qp: AffineMonoid, Q: AffineMonoid) -> bool:
+    """Exactness of Qp inside a saturated Q: (Qp)^gp cap Q = Qp.
 
-    For saturated pairs the answer is unconditional: exactness is equivalent
-    to cone(Q) cap span(Qp^gp) being contained in cone(Qp), which double
-    description settles.  Otherwise every element of Q up to the degree bound
-    is checked against the groupification of Qp.  Raises NotSubmonoid when
-    some generator of Qp is not in Q.
+    Then (Qp)^gp cap Q = (Qp)^gp cap cone(Q) is saturated, so a non-saturated
+    Qp is never exact; for a saturated Qp, exactness says that cone(Q) cap
+    span(Qp^gp) lies in cone(Qp), which double description settles.  Raises
+    NotSubmonoid for a generator of Qp outside Q, NotSaturated unless Q is
+    saturated.
     """
     if Qp.ambient_rank != Q.ambient_rank or Qp.scale_base != Q.scale_base:
         raise NotSubmonoid("ambient contexts differ")
     for g in Qp.gen_elems():
         if not contains(Q, g):
             raise NotSubmonoid(f"generator {g} of the submonoid is outside the monoid")
-    if is_saturated(Qp) and is_saturated(Q):
-        n = Q.ambient_rank
-        level = max(Q.level, Qp.level)
-        # cone(Q) cap span(Qp^gp): constraints are Q's facet inequalities plus
-        # both signs of a basis of the annihilator of span(Qp^gp)
-        perp = intlat.transpose(intlat.kernel(intlat.transpose(_rescaled_basis(Qp, level))))
-        constraints = list(facet_normals(Q))
-        for row in perp:
-            constraints.append(tuple(row))
-            constraints.append(tuple(-x for x in row))
-        lin, rays = _ineq_cone_rays(tuple(constraints), n)
-        for r in list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin]:
-            if not cone_contains(Qp, r):
-                return False
-        return True
-    return _exact_bounded(Qp, Q, degree_bound)
-
-
-def _exact_bounded(Qp: AffineMonoid, Q: AffineMonoid, degree_bound: int) -> bool:
-    for v in enumerate_elements(Q, Fraction(degree_bound)):
-        if in_gp(Qp, v) and not contains(Qp, v):
+    if not is_saturated(Q):
+        raise NotSaturated("exactness needs a saturated ambient monoid")
+    if not is_saturated(Qp):
+        return False
+    n = Q.ambient_rank
+    level = max(Q.level, Qp.level)
+    # cone(Q) cap span(Qp^gp): constraints are Q's facet inequalities plus
+    # both signs of a basis of the annihilator of span(Qp^gp)
+    perp = intlat.transpose(intlat.kernel(intlat.transpose(_rescaled_basis(Qp, level))))
+    constraints = list(facet_normals(Q))
+    for row in perp:
+        constraints.append(tuple(row))
+        constraints.append(tuple(-x for x in row))
+    lin, rays = _ineq_cone_rays(tuple(constraints), n)
+    for r in list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin]:
+        if not cone_contains(Qp, r):
             return False
     return True
 
@@ -581,9 +566,7 @@ def exact_embed_Nd(Q: AffineMonoid):
     Rows are the primitive inner facet normals; the map q -> (<n_F, q>)_F is
     the split exact embedding available for fine sharp saturated monoids.
     """
-    if not is_sharp(Q):
-        raise NotSharp("facet embedding needs a sharp monoid")
-    if not is_saturated(Q):
+    if not is_saturated(Q):  # NotSharp unless Q is sharp
         raise NotSaturated("facet embedding needs a saturated monoid")
     return facet_normals(Q)
 
@@ -620,9 +603,9 @@ class GradedDecomposition:
         return tuple(e for e in elems if self.is_zero_class(e))
 
 
-def graded_decomposition(Qp: AffineMonoid, Q: AffineMonoid, degree_bound: int = 8) -> GradedDecomposition:
+def graded_decomposition(Qp: AffineMonoid, Q: AffineMonoid) -> GradedDecomposition:
     """Grading of Q by G = Q^gp/(Qp)^gp, with exactness as precondition."""
-    if not is_exact_submonoid(Qp, Q, degree_bound):
+    if not is_exact_submonoid(Qp, Q):
         raise NotExact("submonoid is not exact in the ambient monoid")
     level = max(Q.level, Qp.level)
     bq = _rescaled_basis(Q, level)

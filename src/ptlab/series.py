@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .coeffring import is_prime
-from .monoid import AffineMonoid, MonoidElem, contains
+from .monoid import AffineMonoid, MonoidElem, contains, json_int
 
 
 class RingMismatch(ValueError):
@@ -155,7 +155,7 @@ class SeriesRingDesc:
     @classmethod
     def from_descriptor(cls, d: dict) -> SeriesRingDesc:
         mon = AffineMonoid.from_descriptor(d["monoid"])
-        p = int(d["p"])
+        p = json_int(d["p"])
         rel = None
         if d.get("relation_f") is not None:
             rel = tuple(term_from_json(t, p) for t in d["relation_f"])
@@ -163,10 +163,10 @@ class SeriesRingDesc:
         num, _, den = str(d["cutoff"]).partition("/")
         return cls(
             monoid_part=mon,
-            free_rank=int(d["free_rank"]),
-            free_level=int(d.get("free_level", mon.level)),
+            free_rank=json_int(d["free_rank"]),
+            free_level=json_int(d.get("free_level", mon.level)),
             p=p,
-            precision=int(d["precision"]),
+            precision=json_int(d["precision"]),
             cutoff=Fraction(int(num), int(den) if den else 1),
             relation_f=rel,
             char_p=bool(d.get("char_p", False)),
@@ -181,7 +181,7 @@ def term_json(e: MonoidElem, c: int) -> dict:
 
 def term_from_json(t: dict, base: int) -> tuple[MonoidElem, int]:
     """Inverse of term_json; a missing level means level 0."""
-    return MonoidElem.from_json(t, base), int(t["coeff"])
+    return MonoidElem.from_json(t, base), json_int(t["coeff"])
 
 
 def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:

@@ -135,7 +135,7 @@ def test_criterion_02_exactness_suite():
     assert not is_exact_submonoid(numeric, AffineMonoid(1, 2, 0, ((1,),)))
     for Q, bound in ((Nd_monoid(2, 2), Fraction(2)),
                      (AffineMonoid(4, 2, 0, QUADRIC_GENS), Fraction(1))):
-        dec = graded_decomposition(Q, p_divide(Q, 1), degree_bound=2)
+        dec = graded_decomposition(Q, p_divide(Q, 1))
         for v in enumerate_elements(p_divide(Q, 1), bound):
             assert dec.is_zero_class(v) == contains(Q, v)
     done(2, "exactness suite")

@@ -1,7 +1,11 @@
 """CLI behavior: exit codes, determinism, descriptor round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from ptlab.cli import load_descriptor, main
 from ptlab.logreg import build_tower, preset
@@ -179,3 +183,61 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["report"]["saturated"] is True
+
+
+def _one_line_exit_2(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert out == ""
+    assert err.startswith("ptlab: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_float_constant_series_exits_2(capsys):
+    # a float constant used to be truncated: [2.9] answered for 2 with exit 0
+    err = _one_line_exit_2(capsys, "regularity", "kummer", "--p", "2", "--d", "0",
+                           "--f", "[2.9]", "--e", "2")
+    assert "2.9" in err
+
+
+def test_float_generator_exits_2(capsys):
+    desc = {"ambient_rank": 2, "scale_base": 2, "generators": [[1.7, 0], [0, 1]]}
+    err = _one_line_exit_2(capsys, "monoid", "check", "--json", json.dumps(desc))
+    assert "1.7" in err
+
+
+def test_bool_generator_exits_2(capsys):
+    desc = {"ambient_rank": 1, "scale_base": 2, "generators": [[True]]}
+    err = _one_line_exit_2(capsys, "monoid", "check", "--json", json.dumps(desc))
+    assert "True" in err
+
+
+def test_negative_d_and_rank_exit_2(capsys):
+    err = _one_line_exit_2(capsys, "monoid", "check", "--preset", "Nd", "--d", "-1")
+    assert "d must be nonnegative" in err
+    desc = {"ambient_rank": -2, "scale_base": 2, "generators": []}
+    err2 = _one_line_exit_2(capsys, "monoid", "check", "--json", json.dumps(desc))
+    assert "ambient rank" in err2
+
+
+def test_non_sharp_monoid(capsys):
+    Z = json.dumps({"ambient_rank": 1, "scale_base": 2, "generators": [[1], [-1]]})
+    code, out, _ = run(capsys, "monoid", "check", "--json", Z)
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["sharp"] is False and report["saturated"] is None
+    err = _one_line_exit_2(capsys, "monoid", "saturate", "--json", Z)
+    assert "sharp" in err
+
+
+def test_thin_cone_saturates_in_a_subprocess():
+    """A fresh process, so a hang fails this test at the timeout instead of stalling the suite."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    desc = {"ambient_rank": 2, "scale_base": 2, "generators": [[1, 0], [1, 8], [2, 9]]}
+    proc = subprocess.run([sys.executable, "-m", "ptlab.cli", "monoid", "saturate",
+                           "--json", json.dumps(desc)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    gens = json.loads(proc.stdout)["report"]["generators"]
+    assert sorted(map(tuple, gens)) == [(1, k) for k in range(9)]

@@ -8,9 +8,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptlab.classgroup import class_group
 from ptlab.monoid import (
     AffineMonoid,
     MonoidElem,
+    NotSaturated,
     NotSharp,
     NotSubmonoid,
     cone_contains,
@@ -23,6 +25,7 @@ from ptlab.monoid import (
     gp_basis,
     in_gp,
     is_exact_submonoid,
+    json_int,
     is_saturated,
     is_sharp,
     layer_quotient,
@@ -127,7 +130,7 @@ def test_numerical_semigroup_not_exact_in_N():
 def test_graded_zero_component_is_submonoid():
     """The degree-zero piece of Q^(1) over Q is Q itself."""
     for Q, bound in ((Nd(2), Fraction(2)), (QUADRIC, Fraction(1))):
-        dec = graded_decomposition(Q, p_divide(Q, 1), degree_bound=2)
+        dec = graded_decomposition(Q, p_divide(Q, 1))
         for v in enumerate_elements(p_divide(Q, 1), bound):
             assert dec.is_zero_class(v) == contains(Q, v)
 
@@ -252,3 +255,125 @@ def test_enumeration_is_memoised_and_needs_Nd():
     # a non-saturated monoid outside N^d has no exact membership walk
     with pytest.raises(ValueError):
         contains(AffineMonoid(1, 2, 0, ((-2,), (-3,))), MonoidElem((-5,), 0, 2))
+
+
+def test_json_int_rejects_non_integers():
+    assert json_int(-3) == -3
+    for bad in (True, 1.7, 2.0, "1", None):
+        with pytest.raises(ValueError):
+            json_int(bad)
+    with pytest.raises(ValueError):
+        MonoidElem.from_json({"exponent": [1.5, 0]}, 2)
+    with pytest.raises(ValueError):
+        AffineMonoid.from_descriptor({"ambient_rank": 1, "scale_base": 2, "generators": [[True]]})
+    with pytest.raises(ValueError):
+        AffineMonoid(-2, 2, 0, ())
+
+
+# -- exact saturation against brute force -----------------------------------
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def _minors(cols, r, d):
+    """Every r x r minor of the d-row matrix with the given columns."""
+    for rows in itertools.combinations(range(d), r):
+        for cs in itertools.combinations(cols, r):
+            yield _det([[c[i] for c in cs] for i in rows])
+
+
+def cone_gp_points(gens, d, cap):
+    """Points of cone(gens) cap Z-span(gens) of degree <= cap, for gens in N^d.
+
+    Cone membership is Caratheodory's theorem: x is in the cone iff it is a
+    nonnegative combination of r = rank linearly independent generators,
+    solved by Cramer's rule.  For x in the span, the lattice spanned by the
+    generators and x contains Z-span(gens) with the same rank and index
+    gcd of r x r minors without x / gcd with x, so x is in Z-span(gens) iff
+    the two gcds agree.
+    """
+    gens = [g for g in gens if any(g)]
+    r = max((k for k in range(1, d + 1) if any(_minors(gens, k, d))), default=0)
+    if r == 0:
+        return {(0,) * d}
+    index = gcd(*_minors(gens, r, d))
+    pieces = []
+    for T in itertools.combinations(gens, r):
+        for R in itertools.combinations(range(d), r):
+            D = _det([[t[i] for t in T] for i in R])
+            if D:
+                pieces.append((T, R, D))
+                break
+
+    def in_cone(x):
+        for T, R, D in pieces:
+            nums = [_det([[x[i] if k == j else t[i] for k, t in enumerate(T)] for i in R])
+                    for j in range(r)]
+            if all(n * D >= 0 for n in nums) and all(
+                    D * x[i] == sum(n * t[i] for n, t in zip(nums, T)) for i in range(d)):
+                return True
+        return False
+
+    return {x for x in itertools.product(range(cap + 1), repeat=d)
+            if sum(x) <= cap and in_cone(x) and gcd(*_minors(gens + [x], r, d)) == index}
+
+
+def _coords(Q, cap):
+    """Level-Q.level coordinates of the elements of Q of degree <= cap there."""
+    return {e.at_level(Q.level) for e in enumerate_elements(Q, Fraction(cap, Q.scale_base ** Q.level))}
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_monoids())
+def test_saturation_matches_brute_force(Q):
+    # every gap point of cone cap Q^gp lies in the generator box, whose
+    # points have degree <= S = the total degree of all generators
+    S = sum(sum(g) for g in Q.generators)
+    sat = cone_gp_points(Q.generators, Q.ambient_rank, S)
+    assert is_saturated(Q) == (_coords(Q, S) == sat)
+    H = saturate(Q)
+    assert is_saturated(H)
+    assert all(contains(H, g) for g in Q.gen_elems())
+    assert _coords(H, S) == sat
+    # a saturated Q comes back as given; otherwise the result is the Hilbert basis
+    for i, h in enumerate(H.generators if H is not Q else ()):
+        others = AffineMonoid(Q.ambient_rank, 2, 0, H.generators[:i] + H.generators[i + 1:])
+        assert h not in brute_elements(others, sum(h)), (H.generators, h)
+    assert saturate(H) == H
+
+
+def test_saturation_of_a_thin_cone():
+    Q = AffineMonoid(2, 2, 0, ((1, 0), (1, 8), (2, 9)))
+    assert not is_saturated(Q)
+    assert set(saturate(Q).generators) == {(1, k) for k in range(9)}
+
+
+def test_veronese_3_3_is_saturated():
+    gens = tuple(c for c in itertools.product(range(4), repeat=3) if sum(c) == 3)
+    assert is_saturated(AffineMonoid(3, 2, 0, gens))
+
+
+def test_saturated_cone_outside_Nd():
+    Q = AffineMonoid(2, 2, 0, ((1, -1), (1, 1), (1, 0)))
+    assert is_saturated(Q)
+    assert saturate(Q) is Q
+    assert class_group(Q).group.describe() == "Z/2"
+
+
+def test_exactness_needs_saturated_ambient():
+    with pytest.raises(NotSaturated):
+        is_exact_submonoid(AffineMonoid(1, 2, 0, ((4,),)), AffineMonoid(1, 2, 0, ((2,), (3,))))
+
+
+def test_saturation_needs_sharp():
+    Z = AffineMonoid(1, 2, 0, ((1,), (-1,)))
+    with pytest.raises(NotSharp):
+        is_saturated(Z)
+    with pytest.raises(NotSharp):
+        saturate(Z)

@@ -255,3 +255,8 @@ def test_ring_descriptor_invariants():
 def test_ring_descriptor_roundtrip():
     for ring in RINGS.values():
         assert SeriesRingDesc.from_descriptor(ring.to_descriptor()) == ring
+    # integers must be JSON integers, not truncated floats or bools
+    for key, bad in (("precision", 2.7), ("free_rank", True), ("p", 2.0)):
+        d = {**MIXED.to_descriptor(), key: bad}
+        with pytest.raises(ValueError):
+            SeriesRingDesc.from_descriptor(d)
