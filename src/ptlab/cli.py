@@ -155,7 +155,10 @@ def _cmd_monoid(args, cfg: RunConfig) -> int:
         _emit({"command": "monoid saturate", "report": S.to_descriptor()}, cfg)
         return 0
     if args.action == "divide":
-        D = p_divide(Q, args.i)
+        try:
+            D = p_divide(Q, args.i)
+        except ValueError as exc:  # a negative --i
+            raise ParseError(str(exc)) from exc
         G = layer_quotient(Q)
         report = {
             "divided": D.to_descriptor(),
@@ -183,6 +186,10 @@ def _cmd_monoid(args, cfg: RunConfig) -> int:
 
 
 def _cmd_tower(args, cfg: RunConfig) -> int:
+    # exactstilt's home levels j < depth have tilt depth >= 1; at j = depth no
+    # compatibility constraint survives and the annihilator comparison degenerates
+    if args.action == "exactstilt" and cfg.depth < 1:
+        raise ParseError("exactstilt needs --depth >= 1")
     P = _presentation_from_args(args, cfg)
     if args.action == "build":
         T = build_tower(P, cfg.depth, cfg.cutoff, cfg.precision)
@@ -217,9 +224,7 @@ def _cmd_tower(args, cfg: RunConfig) -> int:
         _emit({"command": "tower tilt", "report": rep}, cfg)
         return 0 if ok else 1
     if args.action == "exactstilt":
-        # home levels with tilt depth >= 1; at j = depth no compatibility
-        # constraint survives and the annihilator comparison degenerates
-        rows = [verify_exactstilt(T, j) for j in range(max(1, cfg.depth))]
+        rows = [verify_exactstilt(T, j) for j in range(cfg.depth)]
         inv = inverse_perfection_is_perfect(T)
         ok = all(r["all_pass"] for r in rows) and inv["all_pass"]
         report = {"levels": rows, "inverse_perfection": inv, "all_pass": ok,

@@ -75,7 +75,7 @@ class LogRegPresentation:
 
     def ring(self, level: int, D: Fraction, N: int) -> SeriesRingDesc:
         """Level-i ring C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), or k[[...]] if f = 0."""
-        rel = tuple(sorted(self.f_terms, key=lambda t: t[0].sort_key())) or None
+        rel = self.f_terms or None
         return SeriesRingDesc(
             monoid_part=p_divide(self.Q, level),
             free_rank=self.r,
@@ -182,8 +182,8 @@ def verify_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) ->
         Pj = Tp.residue(j)
         src = set(Sj.monomial_basis())
         prd = set(Pj.monomial_basis())
-        missing = sorted(prd - src, key=lambda e: e.sort_key())
-        extra = sorted(src - prd, key=lambda e: e.sort_key())
+        missing = sorted(prd - src, key=Pj.key)
+        extra = sorted(src - prd, key=Sj.key)
         rows.append({
             "check": "basis_match",
             "level": j,

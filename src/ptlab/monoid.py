@@ -90,10 +90,6 @@ class MonoidElem:
     def degree(self) -> Fraction:
         return Fraction(sum(self.coords), self.base ** self.level)
 
-    def as_fractions(self) -> tuple[Fraction, ...]:
-        d = self.base ** self.level
-        return tuple(Fraction(x, d) for x in self.coords)
-
     @property
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
@@ -117,9 +113,6 @@ class MonoidElem:
     def divide(self, i: int = 1) -> MonoidElem:
         """The element divided by base**i (level raised)."""
         return MonoidElem(self.coords, self.level + i, self.base)
-
-    def sort_key(self):
-        return (self.degree(), self.as_fractions())
 
     def to_json(self) -> dict:
         return {"exponent": list(self.coords), "level": self.level}
@@ -524,8 +517,13 @@ def _rescaled_basis(Q: AffineMonoid, level: int):
     return tuple(tuple(f * x for x in row) for row in gp_basis(Q))
 
 
+def graded_order(coords: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The term order on coordinates at one common level: degree, then coordinates."""
+    return sum(coords), coords
+
+
 def enumerate_elements(Q: AffineMonoid, max_degree: Fraction) -> tuple[MonoidElem, ...]:
-    """All monoid elements of total degree <= max_degree, in sort_key order.
+    """All monoid elements of total degree <= max_degree, in graded_order.
 
     Q is the N-span of its generators, so the elements are found by a walk
     up from 0 over generator sums, which visits only elements of Q.
@@ -552,8 +550,7 @@ def _elements(Q: AffineMonoid, cap: int) -> tuple[MonoidElem, ...]:
             if sum(w) <= cap and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    # at a common level, (sum, coords) orders exactly like sort_key
-    return tuple(Q.elem(v) for v in sorted(seen, key=lambda v: (sum(v), v)))
+    return tuple(Q.elem(v) for v in sorted(seen, key=graded_order))
 
 
 # ---------------------------------------------------------------------------

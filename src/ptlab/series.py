@@ -21,10 +21,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import floor
 
 from .coeffring import is_prime
-from .monoid import AffineMonoid, MonoidElem, contains, json_int
+from .monoid import AffineMonoid, MonoidElem, contains, graded_order, json_int
 
 
 class RingMismatch(ValueError):
@@ -47,6 +48,12 @@ class SeriesRingDesc:
     the monoid part is sliced off the front.  char_p rings carry F_p
     coefficients and may quotient by a monomial ideal (quotient_exps); mixed
     rings may carry the Kato relation theta = p - f as a term tuple.
+
+    Every exponent of the ring lives at or above one level L (the finer of
+    the monoid and free levels), so degrees are compared as integers at L:
+    deg(e) counts steps of p^-L and e is within the cutoff iff deg(e) <= cap,
+    cap = floor(D p^L).  key(e) is the term order, by degree and then by
+    the coordinates at L.
     """
 
     monoid_part: AffineMonoid
@@ -78,20 +85,38 @@ class SeriesRingDesc:
         if self.relation_f is not None:
             if self.char_p:
                 raise InvariantViolation("relation rings are mixed characteristic")
-            terms = tuple(sorted(self.relation_f, key=lambda t: t[0].sort_key()))
-            object.__setattr__(self, "relation_f", terms)
-            for e, c in terms:
+            for e, c in self.relation_f:
                 if e.degree() <= 0:
                     raise InvariantViolation("relation f must have positive degree terms")
                 if not self.exp_in_ring(e):
                     raise InvariantViolation("relation exponent outside the ring monoid")
+            terms = tuple(sorted(self.relation_f, key=lambda t: self.key(t[0])))
+            object.__setattr__(self, "relation_f", terms)
         if self.quotient_exps:
             if not self.char_p:
                 raise InvariantViolation("monomial quotients live in residue rings")
+            # quotient monomials may be finer than the ring: order them at
+            # the finest level among the ring and its quotients
+            lv = max(self.level, *(q.level for q in self.quotient_exps))
             object.__setattr__(
                 self, "quotient_exps",
-                tuple(sorted(self.quotient_exps, key=lambda e: e.sort_key())),
+                tuple(sorted(self.quotient_exps, key=lambda e: graded_order(e.at_level(lv)))),
             )
+
+    @cached_property
+    def level(self) -> int:
+        return max(self.monoid_part.level, self.free_level)
+
+    @cached_property
+    def cap(self) -> int:
+        return floor(self.cutoff * self.p ** self.level)
+
+    def deg(self, e: MonoidElem) -> int:
+        """Degree of e in steps of p^-level; ValueError if e is finer than the ring."""
+        return sum(e.at_level(self.level))
+
+    def key(self, e: MonoidElem) -> tuple[int, tuple[int, ...]]:
+        return graded_order(e.at_level(self.level))
 
     @property
     def width(self) -> int:
@@ -160,6 +185,9 @@ class SeriesRingDesc:
         if d.get("relation_f") is not None:
             rel = tuple(term_from_json(t, p) for t in d["relation_f"])
         quot = tuple(MonoidElem.from_json(t, p) for t in d.get("quotient_exponents", ()))
+        char_p = d.get("char_p", False)
+        if type(char_p) is not bool:
+            raise ValueError(f"char_p must be a JSON boolean, got {char_p!r}")
         num, _, den = str(d["cutoff"]).partition("/")
         return cls(
             monoid_part=mon,
@@ -169,7 +197,7 @@ class SeriesRingDesc:
             precision=json_int(d["precision"]),
             cutoff=Fraction(int(num), int(den) if den else 1),
             relation_f=rel,
-            char_p=bool(d.get("char_p", False)),
+            char_p=char_p,
             quotient_exps=quot,
         )
 
@@ -201,21 +229,16 @@ def _monomial_basis(ring: SeriesRingDesc) -> tuple[MonoidElem, ...]:
     """All valid exponents of degree <= D surviving the monomial quotient."""
     from .monoid import enumerate_elements
 
-    d = ring.monoid_part.ambient_rank
-    mparts = enumerate_elements(ring.monoid_part, ring.cutoff)
+    lv = ring.level
+    step = ring.p ** (lv - ring.free_level)  # one free-level unit, in level-lv steps
     out = []
-    fden = ring.p ** ring.free_level
-    for m in mparts:
-        room = ring.cutoff - m.degree()
-        cap = int(room * fden)
-        for v in _compositions(ring.free_rank, cap):
-            lv = max(m.level, ring.free_level)
-            mc = m.at_level(lv)
-            fc = tuple(x * ring.p ** (lv - ring.free_level) for x in v)
-            e = MonoidElem(mc + fc, lv, ring.p)
+    for m in enumerate_elements(ring.monoid_part, ring.cutoff):
+        mc = m.at_level(lv)
+        for v in _compositions(ring.free_rank, (ring.cap - sum(mc)) // step):
+            e = MonoidElem(mc + tuple(x * step for x in v), lv, ring.p)
             if not ring.dominated(e):
                 out.append(e)
-    return tuple(sorted(set(out), key=lambda e: e.sort_key()))
+    return tuple(sorted(out, key=ring.key))
 
 
 def _compositions(r: int, cap: int):
@@ -271,7 +294,7 @@ def make_series(ring: SeriesRingDesc, raw, validate: bool = False) -> Series:
     for e, c in items:
         if validate and not ring.exp_in_ring(e):
             raise InvariantViolation(f"exponent {e} is not in the ring monoid")
-        if e.degree() > ring.cutoff or c == 0:
+        if c == 0 or ring.deg(e) > ring.cap:
             continue
         if ring.quotient_exps and ring.dominated(e):
             continue
@@ -285,7 +308,7 @@ def make_series(ring: SeriesRingDesc, raw, validate: bool = False) -> Series:
     else:
         norm = _digit_normalize(ring, acc)
     terms = tuple(
-        sorted(((e, c) for e, c in norm.items() if c != 0), key=lambda t: t[0].sort_key())
+        sorted(((e, c) for e, c in norm.items() if c != 0), key=lambda t: ring.key(t[0]))
     )
     return Series(ring, terms)
 
@@ -299,7 +322,7 @@ def _digit_normalize(ring: SeriesRingDesc, acc: dict[MonoidElem, int]) -> dict[M
     """
     p = ring.p
     work = dict(acc)
-    heap = [(e.sort_key(), e) for e in work]
+    heap = [(ring.key(e), e) for e in work]
     heapq.heapify(heap)
     queued = set(work)
     while heap:
@@ -313,11 +336,11 @@ def _digit_normalize(ring: SeriesRingDesc, acc: dict[MonoidElem, int]) -> dict[M
         work[e] = d0
         for fe, fc in ring.relation_f:
             e2 = e + fe
-            if e2.degree() > ring.cutoff:
+            if ring.deg(e2) > ring.cap:
                 continue
             work[e2] = work.get(e2, 0) + rest * fc
             if e2 not in queued:
-                heapq.heappush(heap, (e2.sort_key(), e2))
+                heapq.heappush(heap, (ring.key(e2), e2))
                 queued.add(e2)
     return work
 
@@ -359,20 +382,17 @@ def s_sub(x: Series, y: Series) -> Series:
     return s_add(x, s_neg(y))
 
 
-def s_scale(x: Series, n: int) -> Series:
-    return make_series(x.ring, [(e, n * c) for e, c in x.terms])
-
-
 def s_mul(x: Series, y: Series) -> Series:
     _same_ring(x, y)
+    ring = x.ring
     acc: dict[MonoidElem, int] = {}
     for e1, c1 in x.terms:
         for e2, c2 in y.terms:
             e = e1 + e2
-            if e.degree() > x.ring.cutoff:
+            if ring.deg(e) > ring.cap:
                 continue
             acc[e] = acc.get(e, 0) + c1 * c2
-    return make_series(x.ring, acc)
+    return make_series(ring, acc)
 
 
 def s_pow(x: Series, n: int) -> Series:
@@ -441,15 +461,15 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
     if g.is_zero:
         for m in ring.monomial_basis():
             found.append((m, 1))
-    elif min(e.degree() for e, _ in g.terms) == 0:
+    elif min(ring.deg(e) for e, _ in g.terms) == 0:
         # canonical forms put a unit digit on a degree-0 term: g is a unit
         pass
     else:
-        gdeg = min(e.degree() for e, _ in g.terms)
+        gdeg = min(ring.deg(e) for e, _ in g.terms)
         for m in ring.monomial_basis():
             prod = s_monomial(ring, m)
             l = 0
-            while m.degree() + (l + 1) * gdeg <= ring.cutoff:
+            while ring.deg(m) + (l + 1) * gdeg <= ring.cap:
                 prod = s_mul(prod, g)
                 l += 1
                 if prod.is_zero:

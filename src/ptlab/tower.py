@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .monoid import MonoidElem
+from .monoid import MonoidElem, json_int
 from .series import (
     InvariantViolation,
     Series,
@@ -85,11 +85,15 @@ class TowerDesc:
             raise InvariantViolation("one transition per consecutive pair")
         if self.base_ideal.ring != self.levels[0]:
             raise InvariantViolation("base ideal must live in R_0")
+        if any(R.cutoff != self.levels[0].cutoff for R in self.levels):
+            raise InvariantViolation("all levels must share the degree cutoff D")
         for i, t in enumerate(self.transitions):
             src, dst = self.levels[i], self.levels[i + 1]
             for e in src.monomial_basis():
                 img = t.apply_exp(e)
-                if not dst.exp_in_ring(img) and img.degree() <= dst.cutoff:
+                # an image finer than dst is outside it at every degree
+                if not dst.exp_in_ring(img) and (img.level > dst.level
+                                                 or dst.deg(img) <= dst.cap):
                     raise InvariantViolation(
                         f"transition {i} sends {e} outside level {i + 1}"
                     )
@@ -136,12 +140,13 @@ class TowerDesc:
     def from_descriptor(cls, d: dict) -> TowerDesc:
         levels = tuple(SeriesRingDesc.from_descriptor(r) for r in d["levels"])
         transitions = tuple(
-            Transition(None if t is None else tuple(tuple(int(x) for x in row) for row in t))
+            Transition(None if t is None else tuple(tuple(map(json_int, row)) for row in t))
             for t in d["transitions"]
         )
         terms = [term_from_json(t, levels[0].p) for t in d["base_ideal"]]
         base = make_series(levels[0], terms, validate=True)
-        return cls(levels=levels, transitions=transitions, base_ideal=base, depth=int(d["depth"]))
+        return cls(levels=levels, transitions=transitions, base_ideal=base,
+                   depth=json_int(d["depth"]))
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +200,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
         bad_b = None
         for e in Si.monomial_basis():
             ie = t.apply_exp(e)
-            if ie.degree() > Si1.cutoff:
+            if Si1.deg(ie) > Si1.cap:
                 continue  # image leaves the cutoff: no claim at this truncation
             if make_series(Si1, [(ie, 1)]).is_zero:
                 bad_b = ("vanishes", e)
@@ -253,7 +258,7 @@ def frobenius_projection(T: TowerDesc, i: int) -> FrobProjection:
 def _frobenius_failures(ring: SeriesRingDesc, via):
     """Basis monomials g of ring with via(e^g) != e^{pg}, within the cutoff."""
     for g in ring.monomial_basis():
-        if g.scale(ring.p).degree() > ring.cutoff:
+        if ring.p * ring.deg(g) > ring.cap:
             continue
         if via(s_monomial(ring, g)) != _frob_exp(ring, g):
             yield g
@@ -393,7 +398,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             Ri = T.levels[i]
             g_i = s_monomial(Ri, gexp)
             for m in tors[i].monomial_exps():
-                if m.degree() + gexp.degree() > Ri.cutoff:
+                if Ri.deg(m) + Ri.deg(gexp) > Ri.cap:
                     continue
                 if not s_mul(s_monomial(Ri, m), g_i).is_zero:
                     ok_g = False
@@ -405,13 +410,14 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         for i in range(T.depth):
             up = {m for m in tors[i + 1].monomial_exps()}
             down = {m for m in tors[i].monomial_exps()}
+            Ri = T.levels[i]
             for m in up:
-                if m.scale(p).degree() <= T.levels[i].cutoff and m.scale(p) not in down:
-                    if T.levels[i].exp_in_ring(m.scale(p)):
-                        ok_g = False
-                        witness_g = m.to_json()
-                        note_g = "p-scaling does not land in the lower torsion basis"
-                        break
+                mp = m.scale(p)
+                if mp not in down and Ri.exp_in_ring(mp) and Ri.deg(mp) <= Ri.cap:
+                    ok_g = False
+                    witness_g = m.to_json()
+                    note_g = "p-scaling does not land in the lower torsion basis"
+                    break
             if not ok_g:
                 break
             for m in down:
@@ -443,7 +449,7 @@ def _kernel_mismatch(T: TowerDesc, i: int, pillars: PillarSystem) -> MonoidElem 
     pe = None if gexp is None else gexp.divide(1)
     ambient = [q.divide(1) for q in Si1.quotient_exps]
     for d in Si1.monomial_basis():
-        if d.scale(T.p).degree() > Si1.cutoff:
+        if T.p * Si1.deg(d) > Si1.cap:
             continue  # truncation kill, not kernel
         in_ker = make_series(Si, [(d.scale(T.p), 1)]).is_zero
         predicted = any(Si1.exp_in_ring(d - q) for q in ambient)
@@ -591,7 +597,7 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     basis_set = set(Sj.monomial_basis())
     for d in top_ring.monomial_basis():
         mu = d.scale(T.p ** m)
-        if mu.degree() > Sj.cutoff:
+        if Sj.deg(mu) > Sj.cap:
             continue
         # top exponent of the tilt-side ideal generator is gexp / p^m
         in_ideal = gexp is not None and top_ring.exp_in_ring(d - gexp.divide(m))
@@ -630,9 +636,9 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
         pe_home = gexp.divide(j)
         bad = None
         for d in full_top.monomial_basis():
-            if d.scale(p ** m).degree() > T.levels[0].cutoff:
-                continue
             mu = d.scale(p ** m)
+            if Sj.deg(mu) > Sj.cap:
+                continue
             # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
             in_ker = not Sj.exp_in_ring(mu) or Sj.dominated(mu) or Sj.exp_in_ring(mu - pe_home)
             in_ideal = full_top.exp_in_ring(d - pe_top)
@@ -686,8 +692,9 @@ def _tilt_torsion(T: TowerDesc, j: int) -> dict:
     found = []
     f = pillar_tilt(T, j, m)
     Sj = T.residue(j)
+    fdeg = Sj.deg(gexp.divide(j))
     for mu in Sj.monomial_basis():
-        if mu.degree() + gexp.divide(j).degree() > Sj.cutoff:
+        if Sj.deg(mu) + fdeg > Sj.cap:
             continue
         try:
             te = teich_tilt(T, j, mu, m)

@@ -241,3 +241,17 @@ def test_thin_cone_saturates_in_a_subprocess():
     assert proc.returncode == 0, proc.stderr
     gens = json.loads(proc.stdout)["report"]["generators"]
     assert sorted(map(tuple, gens)) == [(1, k) for k in range(9)]
+
+
+def test_negative_division_index_exits_2(capsys):
+    err = _one_line_exit_2(capsys, "monoid", "divide", "--preset", "A1", "--p", "2", "--i", "-1")
+    assert err == "ptlab: division index must be nonnegative\n"
+
+
+def test_exactstilt_needs_positive_depth(capsys):
+    # at depth 0 the only home level is j = depth, where the check degenerates
+    for name in ("unramified_rlr", "quadric"):
+        err = _one_line_exit_2(capsys, "tower", "exactstilt", "--preset", name, "--depth", "0")
+        assert err == "ptlab: exactstilt needs --depth >= 1\n"
+    code, out, _ = run(capsys, "tower", "exactstilt", "--preset", "unramified_rlr", "--depth", "1")
+    assert code == 0 and len(json.loads(out)["report"]["levels"]) == 1

@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no unused imports, no dead private helpers."""
+"""Static hygiene of the package: no unused imports, no dead private helpers,
+no Fraction cutoff tests."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,27 @@ def test_no_unreferenced_private_functions():
         if not any(name in r for j, r in enumerate(refs) if j != k):
             dead.append(f"{fname}: {name}")
     assert dead == []
+
+
+
+def _calls(node: ast.AST, method: str) -> bool:
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+               and sub.func.attr == method for sub in ast.walk(node))
+
+
+def _reads(node: ast.AST, attr: str) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == attr for sub in ast.walk(node))
+
+
+def test_cutoff_is_decided_on_the_ring_scale():
+    """No comparison of a .degree() call with a .cutoff attribute: a ring decides
+    the cutoff on its integer scale, deg(e) <= cap."""
+    sites = []
+    for fname, tree in _modules().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if any(_calls(s, "degree") for s in sides) and any(_reads(s, "cutoff") for s in sides):
+                sites.append(f"{fname}:{node.lineno}")
+    assert sites == []

@@ -219,7 +219,9 @@ def simplex_walk(Q, max_degree):
     for v in itertools.product(range(cap + 1), repeat=Q.ambient_rank):
         if sum(v) <= cap and v in members:
             out.append(Q.elem(v))
-    return sorted(out, key=lambda e: e.sort_key())
+    # the term order in Fractions: degree, then coordinates
+    return sorted(out, key=lambda e: (e.degree(),
+                                      tuple(Fraction(x, e.base ** e.level) for x in e.coords)))
 
 
 @settings(deadline=None, max_examples=150)

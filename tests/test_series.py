@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,8 +256,137 @@ def test_ring_descriptor_invariants():
 def test_ring_descriptor_roundtrip():
     for ring in RINGS.values():
         assert SeriesRingDesc.from_descriptor(ring.to_descriptor()) == ring
-    # integers must be JSON integers, not truncated floats or bools
-    for key, bad in (("precision", 2.7), ("free_rank", True), ("p", 2.0)):
-        d = {**MIXED.to_descriptor(), key: bad}
+    # integers must be JSON integers, not truncated floats or bools, and
+    # char_p a JSON bool, not a truthy string or number
+    for ring, key, bad in ((MIXED, "precision", 2.7), (MIXED, "free_rank", True),
+                           (MIXED, "p", 2.0), (CHARP, "char_p", "no"), (CHARP, "char_p", 1)):
+        d = {**ring.to_descriptor(), key: bad}
         with pytest.raises(ValueError):
             SeriesRingDesc.from_descriptor(d)
+
+
+# ---------------------------------------------------------------------------
+# the integer degree scale, on rings whose monoid and free levels differ.
+# The oracle works in Fractions: exponents are (a, b, c) with (a, b) in the
+# A1 cone <(2,0),(1,1),(0,2)> read at level ml and c in N read at level fl.
+
+A1_GENS = ((2, 0), (1, 1), (0, 2))
+SCALES = [(p, ml, fl, D) for p in (2, 3) for ml, fl in ((0, 2), (2, 0), (0, 1))
+          for D in (Fraction(7, 3), Fraction(5, 2))]
+
+
+def scale_ring(p, ml, fl, D, **kw):
+    ring = SeriesRingDesc(monoid_part=AffineMonoid(2, p, ml, A1_GENS), free_rank=1,
+                          free_level=fl, p=p, precision=2, cutoff=D, **kw)
+    assert ring.level == max(ml, fl)
+    assert ring.cap == floor(D * p ** ring.level)
+    return ring
+
+
+def fracs(e):
+    return tuple(Fraction(x, e.base ** e.level) for x in e.coords)
+
+
+def frac_key(fr):
+    return sum(fr), fr
+
+
+def in_scale_ring(fr, p, ml, fl):
+    x, y, z = fr[0] * p ** ml, fr[1] * p ** ml, fr[2] * p ** fl
+    return (all(v.denominator == 1 and v >= 0 for v in (x, y, z))
+            and (x + y).numerator % 2 == 0)
+
+
+def brute_exps(p, ml, fl, bound):
+    """Every exponent of degree <= bound, in Fraction (degree, coordinates) order."""
+    out = []
+    for x in range(int(bound * p ** ml) + 1):
+        for y in range(int(bound * p ** ml) + 1 - x):
+            for z in range(int(bound * p ** fl) + 1):
+                fr = (Fraction(x, p ** ml), Fraction(y, p ** ml), Fraction(z, p ** fl))
+                if (x + y) % 2 == 0 and sum(fr) <= bound:
+                    out.append(fr)
+    return sorted(out, key=frac_key)
+
+
+@pytest.mark.parametrize("p,ml,fl,D", SCALES)
+def test_degree_scale_basis_and_order(p, ml, fl, D):
+    ring = scale_ring(p, ml, fl, D)
+    L = ring.level
+    basis = ring.monomial_basis()
+    assert [fracs(e) for e in basis] == brute_exps(p, ml, fl, D)
+    for e in basis:
+        assert Fraction(ring.deg(e), p ** L) == e.degree()
+    # key orders like the Fractions, also past the cutoff
+    wide = [MonoidElem(tuple(int(v * p ** L) for v in fr), L, p)
+            for fr in brute_exps(p, ml, fl, D + 1)]
+    shuffled = wide[:]
+    random.Random(5).shuffle(shuffled)
+    assert sorted(shuffled, key=ring.key) == wide
+    with pytest.raises(ValueError):
+        ring.deg(MonoidElem((1, 1, 1), L + 1, p))
+
+
+@pytest.mark.parametrize("p,ml,fl,D", SCALES)
+def test_degree_scale_truncation(p, ml, fl, D):
+    ring = scale_ring(p, ml, fl, D)
+    L = ring.level
+    pn = p ** ring.precision
+    wide = brute_exps(p, ml, fl, D + 1)
+
+    def elem(fr):
+        return MonoidElem(tuple(int(v * p ** L) for v in fr), L, p)
+
+    def expected(pairs):
+        acc = {}
+        for fr, c in pairs:
+            if sum(fr) <= D:
+                acc[fr] = acc.get(fr, 0) + c
+        return sorted(((fr, c % pn) for fr, c in acc.items() if c % pn),
+                      key=lambda t: frac_key(t[0]))
+
+    rng = random.Random(17)
+    for _ in range(30):
+        xs = [(rng.choice(wide), rng.randint(-30, 30)) for _ in range(rng.randint(0, 6))]
+        ys = [(rng.choice(wide), rng.randint(-30, 30)) for _ in range(rng.randint(0, 6))]
+        x = make_series(ring, [(elem(fr), c) for fr, c in xs])
+        y = make_series(ring, [(elem(fr), c) for fr, c in ys])
+        assert [(fracs(e), c) for e, c in x.terms] == expected(xs)
+        prod = [(tuple(a + b for a, b in zip(f1, f2)), c1 * c2)
+                for f1, c1 in expected(xs) for f2, c2 in expected(ys)]
+        assert [(fracs(e), c) for e, c in s_mul(x, y).terms] == expected(prod)
+
+    # with a relation, digit normalization also stays below D, in order
+    f = ((elem((0, 0, Fraction(1, p ** fl))), 1), (elem((Fraction(1, p ** ml),) * 2 + (0,)), 1))
+    rel = scale_ring(p, ml, fl, D, relation_f=f)
+    for _ in range(10):
+        x = make_series(rel, [(elem(rng.choice(wide)), rng.randint(-30, 30)) for _ in range(4)])
+        keys = [frac_key(fracs(e)) for e, _ in x.terms]
+        assert keys == sorted(keys) and all(k[0] <= D for k in keys)
+
+
+@pytest.mark.parametrize("p,ml,fl,D", SCALES)
+def test_degree_scale_torsion(p, ml, fl, D):
+    quots = (MonoidElem((1, 1, 0), 0, p), MonoidElem((0, 0, 1), 0, p))
+    ring = scale_ring(p, ml, fl, D, char_p=True, quotient_exps=quots)
+
+    def dominated(fr):
+        return any(in_scale_ring(tuple(a - b for a, b in zip(fr, fracs(q))), p, ml, fl)
+                   for q in quots)
+
+    basis = [fr for fr in brute_exps(p, ml, fl, D) if not dominated(fr)]
+    assert [fracs(e) for e in ring.monomial_basis()] == basis
+    # a p^L-th root of a quotient monomial, L the ring's level
+    g = MonoidElem((1, 1, 0), ml, p) if ml else MonoidElem((0, 0, 1), fl, p)
+    gf = fracs(g)
+    want = []
+    for m in basis:
+        l = 1
+        while sum(m) + l * sum(gf) <= D:
+            if dominated(tuple(a + l * b for a, b in zip(m, gf))):
+                want.append((m, l))
+                break
+            l += 1
+    rep = torsion_annihilator(ring, s_monomial(ring, g))
+    assert [(fracs(e), l) for e, l in zip(rep.monomial_exps(), rep.minimal_powers)] == want
+    assert want[0] == ((0, 0, 0), p ** max(ml, fl))   # g^(p^level) is a quotient monomial

@@ -1,5 +1,6 @@
 """Tower axioms, Frobenius projections, pillars, tilt elements."""
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -199,6 +200,20 @@ def test_transition_matrix_action():
 def test_tower_descriptor_roundtrip():
     for T in (unram2(), sab_c()[0], perfect_tower()):
         assert TowerDesc.from_descriptor(T.to_descriptor()) == T
+    # depth and matrix entries must be JSON integers: 2.0, 1.9 and 1.7 are rejected
+    d = sab_c()[0].to_descriptor()
+    twisted = [[[x + 0.7 if x == 1 else x for x in row] for row in t] for t in d["transitions"]]
+    for bad in ({**d, "depth": 2.0}, {**d, "depth": 1.9}, {**d, "transitions": twisted}):
+        with pytest.raises(ValueError):
+            TowerDesc.from_descriptor(bad)
+
+
+def test_levels_share_the_cutoff():
+    # cutoff_info reports one D, so a level truncated elsewhere is rejected
+    T = unram2()
+    short = replace(T.levels[1], cutoff=Fraction(2))
+    with pytest.raises(InvariantViolation):
+        replace(T, levels=(T.levels[0], short, T.levels[2]))
 
 
 def test_cutoff_info():
