@@ -42,7 +42,7 @@ from .monoid import (
     saturate,
 )
 from .monoid import preset as monoid_preset
-from .series import InvariantViolation, make_series, term_from_json
+from .series import InvariantViolation, s_from_terms, term_from_json
 from .tower import (
     frobenius_identities,
     inverse_perfection_is_perfect,
@@ -252,11 +252,11 @@ def _series_list(arg: str, A: BaseRing):
             if isinstance(item, list):
                 terms = [term_from_json(t, A.p) for t in item]
             else:
-                terms = [(ring.zero_exp, json_int(item))]
+                terms = [(ring.elem(ring.zero_exp), json_int(item))]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"series term: expected an int or a list of "
                              f'{{"exponent", "coeff"}} objects ({exc!r})') from exc
-        out.append(make_series(ring, terms, validate=True))
+        out.append(s_from_terms(ring, terms))
     return out
 
 

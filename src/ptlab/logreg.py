@@ -19,6 +19,7 @@ from .monoid import (
     AffineMonoid,
     MonoidElem,
     dimension,
+    graded_order,
     is_saturated,
     is_sharp,
     json_int,
@@ -180,30 +181,27 @@ def verify_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) ->
     for j in range(depth + 1):
         Sj = T.residue(j)
         Pj = Tp.residue(j)
+        # both rings read exponents at the same level
         src = set(Sj.monomial_basis())
         prd = set(Pj.monomial_basis())
-        missing = sorted(prd - src, key=Pj.key)
-        extra = sorted(src - prd, key=Sj.key)
+        missing = sorted(prd - src, key=graded_order)
+        extra = sorted(src - prd, key=graded_order)
         rows.append({
             "check": "basis_match",
             "level": j,
             "pass": not missing and not extra,
             "basis_size": len(src),
-            "witnesses": [e.to_json() for e in (missing + extra)[:3]],
+            "witnesses": [Sj.elem(e).to_json() for e in (missing + extra)[:3]],
         })
         dim_src = dimension(P.Q) + P.r  # relation spends the +1 of C(k)
         dim_prd = dimension(Tp.levels[j].monoid_part) + Tp.levels[j].free_rank
         rows.append({"check": "dimension", "level": j, "pass": dim_src == dim_prd,
                      "source": dim_src, "tilt": dim_prd})
     for j in range(depth):
-        ok = True
-        Pj1 = Tp.residue(j + 1)
-        for e in Tp.residue(j).monomial_basis():
-            a = Tp.transition_bar(j, s_monomial(Tp.residue(j), e))
-            b = make_series(Pj1, [(e, 1)])
-            if a != b:
-                ok = False
-                break
+        Pj, Pj1 = Tp.residue(j), Tp.residue(j + 1)
+        ok = all(Tp.transition_bar(j, make_series(Pj, [(e, 1)]))
+                 == make_series(Pj1, [(Pj1.rescale(e, Pj.level), 1)])
+                 for e in Pj.monomial_basis())
         deg = layer_quotient(P.Q, j).torsion_order() * P.p ** P.r
         ppow = _is_p_power(deg, P.p)
         rows.append({"check": "transition_match", "level": j, "pass": ok})

@@ -23,9 +23,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor
+from operator import add
 
 from .coeffring import is_prime
-from .monoid import AffineMonoid, MonoidElem, contains, graded_order, json_int
+from .monoid import (
+    AffineMonoid,
+    MonoidElem,
+    contains,
+    enumerate_elements,
+    graded_order,
+    json_int,
+)
 
 
 class RingMismatch(ValueError):
@@ -44,16 +52,18 @@ class InvariantViolation(ValueError):
 class SeriesRingDesc:
     """Descriptor of one truncated ring C(k)[[Q^(i) + (N^r)^(i)]]/(theta).
 
-    Exponents are combined MonoidElem vectors of length ambient_rank + free_rank;
-    the monoid part is sliced off the front.  char_p rings carry F_p
+    Exponents are combined vectors of length ambient_rank + free_rank; the
+    monoid part is sliced off the front.  char_p rings carry F_p
     coefficients and may quotient by a monomial ideal (quotient_exps); mixed
     rings may carry the Kato relation theta = p - f as a term tuple.
 
     Every exponent of the ring lives at or above one level L (the finer of
-    the monoid and free levels), so degrees are compared as integers at L:
-    deg(e) counts steps of p^-L and e is within the cutoff iff deg(e) <= cap,
-    cap = floor(D p^L).  key(e) is the term order, by degree and then by
-    the coordinates at L.
+    the monoid and free levels).  Inside the ring an exponent is the int
+    tuple of its coordinates at L: its degree in steps of p^-L is the sum,
+    it is within the cutoff iff that sum is <= cap = floor(D p^L), and the
+    term order is (sum, coordinates).  MonoidElem is the API and JSON form;
+    coords() and elem() convert.  Below the cutoff, membership in the ring
+    and in the quotient ideal are lookups in sets computed once per ring.
     """
 
     monoid_part: AffineMonoid
@@ -88,13 +98,17 @@ class SeriesRingDesc:
             for e, c in self.relation_f:
                 if e.degree() <= 0:
                     raise InvariantViolation("relation f must have positive degree terms")
-                if not self.exp_in_ring(e):
+                v = self.coords(e)
+                if v is None or not self.structural_contains(v):
                     raise InvariantViolation("relation exponent outside the ring monoid")
             terms = tuple(sorted(self.relation_f, key=lambda t: self.key(t[0])))
             object.__setattr__(self, "relation_f", terms)
         if self.quotient_exps:
             if not self.char_p:
                 raise InvariantViolation("monomial quotients live in residue rings")
+            if any(len(q.coords) != self.width or q.degree() < 0 for q in self.quotient_exps):
+                raise InvariantViolation("quotient monomials need the ring's width "
+                                         "and a nonnegative degree")
             # quotient monomials may be finer than the ring: order them at
             # the finest level among the ring and its quotients
             lv = max(self.level, *(q.level for q in self.quotient_exps))
@@ -126,31 +140,94 @@ class SeriesRingDesc:
         return MonoidElem(tuple(coords), level, self.p)
 
     @property
-    def zero_exp(self) -> MonoidElem:
-        return MonoidElem((0,) * self.width, 0, self.p)
+    def zero_exp(self) -> tuple[int, ...]:
+        return (0,) * self.width
 
-    def split(self, e: MonoidElem) -> tuple[MonoidElem, MonoidElem]:
+    def rescale(self, v: tuple[int, ...], level: int) -> tuple[int, ...] | None:
+        """The exponent with coordinates v at the given level, at the ring's
+        level; None if it is finer than the ring."""
+        shift = self.level - level
+        if shift == 0:
+            return v
+        f = self.p ** abs(shift)
+        if shift > 0:
+            return tuple(x * f for x in v)
+        return None if any(x % f for x in v) else tuple(x // f for x in v)
+
+    def coords(self, e: MonoidElem) -> tuple[int, ...] | None:
+        """e at the ring's level; None for the wrong width or an e finer than the ring."""
+        return self.rescale(e.coords, e.level) if len(e.coords) == self.width else None
+
+    def elem(self, v: tuple[int, ...]) -> MonoidElem:
+        return MonoidElem(v, self.level, self.p)
+
+    def structural_contains(self, v: tuple[int, ...]) -> bool:
+        """v is an exponent of the ring, decided from the monoid's generators
+        without the support set (descriptor checks use this)."""
         d = self.monoid_part.ambient_rank
-        return (
-            MonoidElem(e.coords[:d], e.level, self.p),
-            MonoidElem(e.coords[d:], e.level, self.p),
-        )
+        step = self.p ** (self.level - self.free_level)
+        if len(v) != self.width or any(x < 0 or x % step for x in v[d:]):
+            return False
+        return contains(self.monoid_part, MonoidElem(v[:d], self.level, self.p))
+
+    @cached_property
+    def _support(self) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
+        return _support(self.monoid_part, self.free_rank, self.free_level, self.cutoff)
+
+    @cached_property
+    def _ideal(self) -> frozenset:
+        # v within the cutoff is in the ideal iff v = s + q for a ring exponent
+        # s and a quotient monomial q (a q finer than the ring dominates no
+        # exponent of the ring's level); deg q >= 0 keeps s within the cutoff
+        out = set()
+        for q in self.quotient_exps:
+            w = self.coords(q)
+            if w is None:
+                continue
+            room = self.cap - sum(w)
+            for s in self._support[0]:
+                if sum(s) > room:
+                    break
+                out.add(tuple(map(add, s, w)))
+        return frozenset(out)
+
+    def in_ring(self, v: tuple[int, ...]) -> bool:
+        """v (at the ring's level) is an exponent of the ring, degree cutoff not included."""
+        if sum(v) <= self.cap:
+            return v in self._support[1]
+        return self.structural_contains(v)
+
+    def in_ideal(self, v: tuple[int, ...]) -> bool:
+        """v (at the ring's level, within the cutoff) is in the monomial quotient ideal."""
+        return v in self._ideal
 
     def exp_in_ring(self, e: MonoidElem) -> bool:
         """Validity of a combined exponent (degree cutoff not included)."""
-        if len(e.coords) != self.width:
-            return False
-        mpart, fpart = self.split(e)
-        if any(x < 0 for x in fpart.coords) or fpart.level > self.free_level:
-            return False
-        return contains(self.monoid_part, mpart)
+        v = self.coords(e)
+        return v is not None and self.in_ring(v)
 
     def dominated(self, e: MonoidElem) -> bool:
         """Membership of e in the monomial quotient ideal."""
+        v = self.coords(e)
+        if v is not None and sum(v) <= self.cap:
+            return v in self._ideal
         return any(self.exp_in_ring(e - q) for q in self.quotient_exps)
 
-    def monomial_basis(self) -> tuple[MonoidElem, ...]:
-        return _monomial_basis(self)
+    def monomial_basis(self) -> tuple[tuple[int, ...], ...]:
+        """Exponents within the cutoff outside the quotient ideal, in term order;
+        the tuples are the members of the ring's support set."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> tuple[tuple[int, ...], ...]:
+        ideal = self._ideal
+        return tuple(v for v in self._support[0] if v not in ideal)
+
+    @cached_property
+    def _relation_terms(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+        """The relation f as (coordinates, degree, coefficient), in term order."""
+        return tuple((v, sum(v), c) for v, c in
+                     ((self.coords(e), c) for e, c in self.relation_f or ()))
 
     def residue_ring(self, *extra: MonoidElem) -> SeriesRingDesc:
         """The char-p ring on the same exponents modulo f-bar (when there is a
@@ -189,13 +266,16 @@ class SeriesRingDesc:
         if type(char_p) is not bool:
             raise ValueError(f"char_p must be a JSON boolean, got {char_p!r}")
         num, _, den = str(d["cutoff"]).partition("/")
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"cutoff {d['cutoff']!r} has a zero denominator")
         return cls(
             monoid_part=mon,
             free_rank=json_int(d["free_rank"]),
             free_level=json_int(d.get("free_level", mon.level)),
             p=p,
             precision=json_int(d["precision"]),
-            cutoff=Fraction(int(num), int(den) if den else 1),
+            cutoff=Fraction(int(num), den),
             relation_f=rel,
             char_p=char_p,
             quotient_exps=quot,
@@ -225,20 +305,24 @@ def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
 
 
 @lru_cache(maxsize=None)
-def _monomial_basis(ring: SeriesRingDesc) -> tuple[MonoidElem, ...]:
-    """All valid exponents of degree <= D surviving the monomial quotient."""
-    from .monoid import enumerate_elements
+def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Fraction):
+    """Every exponent of degree <= cutoff of k[[monoid + (N^r)^(free_level)]],
+    at the ring's level, in term order, and the same tuples as a set.
 
-    lv = ring.level
-    step = ring.p ** (lv - ring.free_level)  # one free-level unit, in level-lv steps
+    The key leaves out the relation and the quotient, so a ring and its
+    residue rings share one support.
+    """
+    p = monoid.scale_base
+    lv = max(monoid.level, free_level)
+    cap = floor(cutoff * p ** lv)
+    step = p ** (lv - free_level)  # one free-level unit, in level-lv steps
     out = []
-    for m in enumerate_elements(ring.monoid_part, ring.cutoff):
+    for m in enumerate_elements(monoid, cutoff):
         mc = m.at_level(lv)
-        for v in _compositions(ring.free_rank, (ring.cap - sum(mc)) // step):
-            e = MonoidElem(mc + tuple(x * step for x in v), lv, ring.p)
-            if not ring.dominated(e):
-                out.append(e)
-    return tuple(sorted(out, key=ring.key))
+        for v in _compositions(free_rank, (cap - sum(mc)) // step):
+            out.append(mc + tuple(x * step for x in v))
+    out.sort(key=graded_order)
+    return tuple(out), frozenset(out)
 
 
 def _compositions(r: int, cap: int):
@@ -252,16 +336,14 @@ def _compositions(r: int, cap: int):
 
 @dataclass(frozen=True)
 class Series:
-    """An element in canonical form: sorted terms, coefficients reduced."""
+    """An element in canonical form: terms (coordinates at ring.level, coefficient)
+    in term order, coefficients reduced."""
 
     ring: SeriesRingDesc
-    terms: tuple[tuple[MonoidElem, int], ...]
+    terms: tuple[tuple[tuple[int, ...], int], ...]
 
     def coeff(self, e: MonoidElem) -> int:
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return 0
+        return dict(self.terms).get(self.ring.coords(e), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -269,79 +351,74 @@ class Series:
 
     @property
     def constant_coeff(self) -> int:
-        return self.coeff(self.ring.zero_exp)
+        return dict(self.terms).get(self.ring.zero_exp, 0)
 
-    def monomials(self) -> tuple[MonoidElem, ...]:
-        return tuple(e for e, _ in self.terms)
+    def exp_terms(self) -> tuple[tuple[MonoidElem, int], ...]:
+        """The terms with MonoidElem exponents, the API form."""
+        return tuple((self.ring.elem(v), c) for v, c in self.terms)
 
     def to_json(self) -> list[dict]:
-        return [term_json(e, c) for e, c in self.terms]
+        return [term_json(e, c) for e, c in self.exp_terms()]
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*e{e!r}" for e, c in self.terms)
+        return " + ".join(f"{c}*e{e!r}" for e, c in self.exp_terms())
 
 
-def make_series(ring: SeriesRingDesc, raw, validate: bool = False) -> Series:
-    """Canonicalize raw (exponent, coefficient) data into a Series.
+def make_series(ring: SeriesRingDesc, raw) -> Series:
+    """Canonicalize raw (coordinates, coefficient) data into a Series.
 
-    Truncation drops exponents beyond D silently; invalid exponents raise only
-    under validate=True (internal arithmetic never produces them).
+    Coordinates are int tuples at the ring's level.  Truncation drops
+    exponents beyond D and the quotient ideal; nothing is validated, since
+    internal arithmetic only produces exponents of the ring (s_from_terms is
+    the validating entry for MonoidElem exponents).
     """
-    acc: dict[MonoidElem, int] = {}
+    cap = ring.cap
+    ideal = ring._ideal if ring.quotient_exps else ()
+    acc: dict[tuple[int, ...], int] = {}
     items = raw.items() if isinstance(raw, dict) else raw
-    for e, c in items:
-        if validate and not ring.exp_in_ring(e):
-            raise InvariantViolation(f"exponent {e} is not in the ring monoid")
-        if c == 0 or ring.deg(e) > ring.cap:
+    for v, c in items:
+        if c == 0 or sum(v) > cap or v in ideal:
             continue
-        if ring.quotient_exps and ring.dominated(e):
-            continue
-        acc[e] = acc.get(e, 0) + c
+        acc[v] = acc.get(v, 0) + c
 
-    if ring.char_p:
-        norm = {e: c % ring.p for e, c in acc.items()}
-    elif ring.relation_f is None:
-        pn = ring.p ** ring.precision
-        norm = {e: c % pn for e, c in acc.items()}
+    if ring.relation_f is None:  # F_p coefficients, or Z/p^N ones
+        m = ring.p if ring.char_p else ring.p ** ring.precision
+        norm = {v: c % m for v, c in acc.items()}
     else:
         norm = _digit_normalize(ring, acc)
-    terms = tuple(
-        sorted(((e, c) for e, c in norm.items() if c != 0), key=lambda t: ring.key(t[0]))
-    )
-    return Series(ring, terms)
+    terms = sorted(((v, c) for v, c in norm.items() if c), key=lambda t: (sum(t[0]), t[0]))
+    return Series(ring, tuple(terms))
 
 
-def _digit_normalize(ring: SeriesRingDesc, acc: dict[MonoidElem, int]) -> dict[MonoidElem, int]:
+def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
     """Rewrite until every coefficient is a base-p digit, trading p for f.
 
     Smallest degree first; substitution pushes mass to strictly larger degree,
-    so one pass over a growing heap terminates and the result is independent
-    of the input order.
+    so one pass over a growing heap terminates, no exponent gains mass after
+    it is popped (so each enters the heap once, when it first appears), and
+    the result is independent of the input order.
     """
     p = ring.p
+    cap = ring.cap
     work = dict(acc)
-    heap = [(ring.key(e), e) for e in work]
+    heap = [(sum(v), v) for v in work]
     heapq.heapify(heap)
-    queued = set(work)
     while heap:
-        _, e = heapq.heappop(heap)
-        queued.discard(e)
-        c = work.get(e, 0)
+        dv, v = heapq.heappop(heap)
+        c = work[v]
         if 0 <= c < p:
             continue
         d0 = c % p
-        rest = (c - d0) // p
-        work[e] = d0
-        for fe, fc in ring.relation_f:
-            e2 = e + fe
-            if ring.deg(e2) > ring.cap:
-                continue
-            work[e2] = work.get(e2, 0) + rest * fc
-            if e2 not in queued:
-                heapq.heappush(heap, (ring.key(e2), e2))
-                queued.add(e2)
+        work[v] = d0
+        for fv, fd, fc in ring._relation_terms:
+            if dv + fd > cap:
+                break  # relation terms come in degree order
+            v2 = tuple(map(add, v, fv))
+            if v2 not in work:
+                heapq.heappush(heap, (dv + fd, v2))
+            work[v2] = work.get(v2, 0) + (c - d0) // p * fc
     return work
 
 
@@ -353,8 +430,22 @@ def s_one(ring: SeriesRingDesc) -> Series:
     return make_series(ring, [(ring.zero_exp, 1)])
 
 
+def s_from_terms(ring: SeriesRingDesc, terms) -> Series:
+    """The series from (MonoidElem, coefficient) pairs: the API and JSON entry.
+
+    InvariantViolation for an exponent outside the ring.
+    """
+    raw = []
+    for e, c in terms:
+        v = ring.coords(e)
+        if v is None or not ring.in_ring(v):
+            raise InvariantViolation(f"exponent {e} is not in the ring monoid")
+        raw.append((v, c))
+    return make_series(ring, raw)
+
+
 def s_monomial(ring: SeriesRingDesc, e: MonoidElem, c: int = 1) -> Series:
-    return make_series(ring, [(e, c)], validate=True)
+    return s_from_terms(ring, [(e, c)])
 
 
 def s_const(ring: SeriesRingDesc, c: int) -> Series:
@@ -368,14 +459,14 @@ def _same_ring(x: Series, y: Series):
 
 def s_add(x: Series, y: Series) -> Series:
     _same_ring(x, y)
-    acc: dict[MonoidElem, int] = dict(x.terms)
-    for e, c in y.terms:
-        acc[e] = acc.get(e, 0) + c
+    acc = dict(x.terms)
+    for v, c in y.terms:
+        acc[v] = acc.get(v, 0) + c
     return make_series(x.ring, acc)
 
 
 def s_neg(x: Series) -> Series:
-    return make_series(x.ring, [(e, -c) for e, c in x.terms])
+    return make_series(x.ring, [(v, -c) for v, c in x.terms])
 
 
 def s_sub(x: Series, y: Series) -> Series:
@@ -384,15 +475,17 @@ def s_sub(x: Series, y: Series) -> Series:
 
 def s_mul(x: Series, y: Series) -> Series:
     _same_ring(x, y)
-    ring = x.ring
-    acc: dict[MonoidElem, int] = {}
-    for e1, c1 in x.terms:
-        for e2, c2 in y.terms:
-            e = e1 + e2
-            if ring.deg(e) > ring.cap:
-                continue
-            acc[e] = acc.get(e, 0) + c1 * c2
-    return make_series(ring, acc)
+    cap = x.ring.cap
+    ys = [(sum(v), v, c) for v, c in y.terms]
+    acc: dict[tuple[int, ...], int] = {}
+    for v1, c1 in x.terms:
+        room = cap - sum(v1)
+        for d2, v2, c2 in ys:
+            if d2 > room:
+                break  # y's terms come in degree order
+            v = tuple(map(add, v1, v2))
+            acc[v] = acc.get(v, 0) + c1 * c2
+    return make_series(x.ring, acc)
 
 
 def s_pow(x: Series, n: int) -> Series:
@@ -412,7 +505,8 @@ def reduce_mod_I0(x: Series, target: SeriesRingDesc | None = None) -> Series:
 
     The canonical form of a relation ring already has digit coefficients with
     every p traded for f, so reduction is reinterpretation of the same terms
-    in the residue ring, which drops everything the f-bar monomial dominates.
+    in the residue ring (same exponents, same level), which drops everything
+    the f-bar monomial dominates.
     """
     if x.ring.relation_f is None and not x.ring.char_p:
         raise NonMonomialReduction("ring has no relation; nothing to reduce by")
@@ -426,7 +520,8 @@ def frobenius_mod_I0(x: Series) -> Series:
     """The p-power Frobenius on a residue ring: c e^g -> c e^{pg}."""
     if not x.ring.char_p:
         raise InvariantViolation("Frobenius acts on the mod-I0 residue rings")
-    return make_series(x.ring, [(e.scale(x.ring.p), c) for e, c in x.terms])
+    p = x.ring.p
+    return make_series(x.ring, [(tuple(p * a for a in v), c) for v, c in x.terms])
 
 
 @dataclass(frozen=True)
@@ -443,8 +538,12 @@ class TorsionReport:
     bounded_exponent: int | None
     minimal_powers: tuple[int, ...] = ()
 
-    def monomial_exps(self) -> tuple[MonoidElem, ...]:
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        """The torsion monomials, coordinates at the ring's level."""
         return tuple(s.terms[0][0] for s in self.annihilator_basis)
+
+    def monomial_exps(self) -> tuple[MonoidElem, ...]:
+        return tuple(s.ring.elem(s.terms[0][0]) for s in self.annihilator_basis)
 
 
 def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
@@ -453,33 +552,33 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
     For each basis monomial m, successive products m*g^l are computed while
     they stay inside the cutoff; m is torsion when some product vanishes.  A
     zero generator makes everything 1-torsion, which the axiom layer handles
-    through the I = (0) remark rather than here.
+    through the I = (0) remark rather than here.  A basis monomial with
+    coefficient 1 is already canonical.
     """
     if g.ring != ring:
         raise RingMismatch("generator lives in a different ring")
-    found: list[tuple[MonoidElem, int]] = []
+    found: list[tuple[tuple[int, ...], int]] = []
     if g.is_zero:
+        found = [(m, 1) for m in ring.monomial_basis()]
+    elif sum(g.terms[0][0]) > 0:
+        # a degree-0 lowest term carries a unit digit: g is a unit, no torsion
+        gdeg = sum(g.terms[0][0])
+        cap = ring.cap
         for m in ring.monomial_basis():
-            found.append((m, 1))
-    elif min(ring.deg(e) for e, _ in g.terms) == 0:
-        # canonical forms put a unit digit on a degree-0 term: g is a unit
-        pass
-    else:
-        gdeg = min(ring.deg(e) for e, _ in g.terms)
-        for m in ring.monomial_basis():
-            prod = s_monomial(ring, m)
+            prod = Series(ring, ((m, 1),))
+            top = sum(m) + gdeg
             l = 0
-            while ring.deg(m) + (l + 1) * gdeg <= ring.cap:
+            while top <= cap:
                 prod = s_mul(prod, g)
                 l += 1
                 if prod.is_zero:
                     found.append((m, l))
                     break
-    basis = tuple(s_monomial(ring, m) for m, _ in found)
+                top += gdeg
     powers = tuple(l for _, l in found)
     return TorsionReport(
-        annihilator_basis=basis,
-        is_zero=not basis,
+        annihilator_basis=tuple(Series(ring, ((m, 1),)) for m, _ in found),
+        is_zero=not found,
         bounded_exponent=max(powers) if powers else None,
         minimal_powers=powers,
     )

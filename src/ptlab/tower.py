@@ -15,7 +15,8 @@ degree cutoff is skipped rather than counted, and every report carries
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
+from operator import sub
 
 from .monoid import MonoidElem, json_int
 from .series import (
@@ -26,6 +27,7 @@ from .series import (
     make_series,
     reduce_mod_I0,
     s_add,
+    s_from_terms,
     s_monomial,
     s_mul,
     s_one,
@@ -57,16 +59,22 @@ class Transition:
 
     matrix: tuple[tuple[int, ...], ...] | None = None
 
-    def apply_exp(self, e: MonoidElem) -> MonoidElem:
+    def act(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """The image of coordinates v, at the same level."""
         if self.matrix is None:
-            return e
-        coords = tuple(
-            sum(row[k] * e.coords[k] for k in range(len(e.coords))) for row in self.matrix
-        )
-        return MonoidElem(coords, e.level, e.base)
+            return v
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in self.matrix)
+
+    def apply_exp(self, e: MonoidElem) -> MonoidElem:
+        return MonoidElem(self.act(e.coords), e.level, e.base)
+
+    def image(self, v: tuple[int, ...], source: SeriesRingDesc,
+              target: SeriesRingDesc) -> tuple[int, ...] | None:
+        """t(v) for v at source's level, at target's level (None if finer than target)."""
+        return target.rescale(self.act(v), source.level)
 
     def apply(self, x: Series, target: SeriesRingDesc) -> Series:
-        return make_series(target, [(self.apply_exp(e), c) for e, c in x.terms])
+        return make_series(target, [(self.image(v, x.ring, target), c) for v, c in x.terms])
 
 
 @dataclass(frozen=True)
@@ -87,15 +95,16 @@ class TowerDesc:
             raise InvariantViolation("base ideal must live in R_0")
         if any(R.cutoff != self.levels[0].cutoff for R in self.levels):
             raise InvariantViolation("all levels must share the degree cutoff D")
+        if len(self.base_ideal.terms) > 1:
+            raise InvariantViolation("the base ideal generator must be a monomial or zero")
         for i, t in enumerate(self.transitions):
             src, dst = self.levels[i], self.levels[i + 1]
-            for e in src.monomial_basis():
-                img = t.apply_exp(e)
+            for v in src.monomial_basis():
+                w = t.image(v, src, dst)
                 # an image finer than dst is outside it at every degree
-                if not dst.exp_in_ring(img) and (img.level > dst.level
-                                                 or dst.deg(img) <= dst.cap):
+                if w is None or (sum(w) <= dst.cap and not dst.structural_contains(w)):
                     raise InvariantViolation(
-                        f"transition {i} sends {e} outside level {i + 1}"
+                        f"transition {i} sends {src.elem(v)} outside level {i + 1}"
                     )
 
     @property
@@ -114,12 +123,29 @@ class TowerDesc:
         """Exponent of the monomial I_0 generator; None for I_0 = (0)."""
         if self.base_ideal.is_zero:
             return None
-        if len(self.base_ideal.terms) != 1:
+        return self.base_ideal.exp_terms()[0][0]
+
+    def pillar_coords(self, ring: SeriesRingDesc, i: int) -> tuple[int, ...] | None:
+        """The I_0 generator exponent divided by p^i, at ring's level; None for
+        I_0 = (0) or when it is finer than ring (then it divides no exponent of ring)."""
+        if self.base_ideal.is_zero:
             return None
-        return self.base_ideal.terms[0][0]
+        return ring.rescale(self.base_ideal.terms[0][0], self.levels[0].level + i)
 
     def residue(self, i: int) -> SeriesRingDesc:
-        return _residue_ring(self, i)
+        return self._residues[i]
+
+    @cached_property
+    def _residues(self) -> tuple[SeriesRingDesc, ...]:
+        """S_i = R_i/(I_0 + p): char-p rings with the I_0 monomial quotiented.
+
+        For a mixed ring with relation theta = p - f this kills both f-bar and
+        the ideal generator; when they coincide (every preset) that is the usual
+        mod-p picture.  Equal-characteristic levels just gain the ideal monomial.
+        """
+        gexp = self.ideal_exp()
+        return tuple(R.residue_ring() if gexp is None else R.residue_ring(gexp)
+                     for R in self.levels)
 
     def transition_bar(self, i: int, x: Series) -> Series:
         """t-bar_i: S_i -> S_{i+1}."""
@@ -144,22 +170,9 @@ class TowerDesc:
             for t in d["transitions"]
         )
         terms = [term_from_json(t, levels[0].p) for t in d["base_ideal"]]
-        base = make_series(levels[0], terms, validate=True)
+        base = s_from_terms(levels[0], terms)
         return cls(levels=levels, transitions=transitions, base_ideal=base,
                    depth=json_int(d["depth"]))
-
-
-@lru_cache(maxsize=None)
-def _residue_ring(T: TowerDesc, i: int) -> SeriesRingDesc:
-    """S_i = R_i/(I_0 + p): char-p ring with the I_0 monomial quotiented.
-
-    For a mixed ring with relation theta = p - f this kills both f-bar and the
-    ideal generator; when they coincide (every preset) that is the usual mod-p
-    picture.  Equal-characteristic levels just gain the ideal monomial.
-    """
-    gexp = T.ideal_exp()
-    ring = T.levels[i]
-    return ring.residue_ring() if gexp is None else ring.residue_ring(gexp)
 
 
 def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None) -> dict:
@@ -171,9 +184,28 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
     return out
 
 
-def _frob_exp(ring: SeriesRingDesc, e: MonoidElem) -> Series:
+def _frob_exp(ring: SeriesRingDesc, v: tuple[int, ...]) -> Series:
     """The canonical rule e -> e^p inside one residue ring, cutoff-truncated."""
-    return make_series(ring, [(e.scale(ring.p), 1)])
+    p = ring.p
+    return make_series(ring, [(tuple(p * x for x in v), 1)])
+
+
+def _monomial(ring: SeriesRingDesc, v: tuple[int, ...]) -> Series:
+    """e^v for a basis monomial v, which is already canonical."""
+    return Series(ring, ((v, 1),))
+
+
+def _into(ring: SeriesRingDesc, v: tuple[int, ...], level: int) -> tuple[int, ...]:
+    """v (coordinates at level) at ring's level, for a map into ring; an image
+    finer than ring is a ValueError, as in MonoidElem.at_level."""
+    w = ring.rescale(v, level)
+    if w is None:
+        raise ValueError(f"{MonoidElem(v, level, ring.p)} is finer than the target ring")
+    return w
+
+
+def _sub(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(sub, v, w))
 
 
 def verify_purely_inseparable(T: TowerDesc) -> dict:
@@ -181,38 +213,36 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
     rows = []
     R0 = T.levels[0]
     p_series = make_series(R0, [(R0.zero_exp, T.p)])
-    gexp = T.ideal_exp()
     if T.base_ideal.is_zero:
         rows.append(_row("a", 0, p_series.is_zero,
                          None if p_series.is_zero else p_series.to_json(),
                          note="I0 = (0): p must vanish in R0"))
-    elif gexp is None:
-        rows.append(_row("a", 0, False, T.base_ideal.to_json(),
-                         note="non-monomial ideal generator unsupported"))
     else:
-        bad = [e for e, _ in p_series.terms if not R0.exp_in_ring(e - gexp)]
-        rows.append(_row("a", 0, not bad, bad[0].to_json() if bad else None))
+        g = T.pillar_coords(R0, 0)
+        bad = [v for v, _ in p_series.terms if not R0.in_ring(_sub(v, g))]
+        rows.append(_row("a", 0, not bad, R0.elem(bad[0]).to_json() if bad else None))
 
     for i in range(T.depth):
         Si, Si1 = T.residue(i), T.residue(i + 1)
         t = T.transitions[i]
-        images = {}
+        images = set()
         bad_b = None
-        for e in Si.monomial_basis():
-            ie = t.apply_exp(e)
-            if Si1.deg(ie) > Si1.cap:
+        for v in Si.monomial_basis():
+            w = t.image(v, Si, Si1)
+            if sum(w) > Si1.cap:
                 continue  # image leaves the cutoff: no claim at this truncation
-            if make_series(Si1, [(ie, 1)]).is_zero:
-                bad_b = ("vanishes", e)
+            if make_series(Si1, [(w, 1)]).is_zero:
+                bad_b = ("vanishes", v)
                 break
-            if ie in images:
-                bad_b = ("collides", e)
+            if w in images:
+                bad_b = ("collides", v)
                 break
-            images[ie] = e
+            images.add(w)
         if bad_b is None:
             rows.append(_row("b", i, True))
         else:
-            rows.append(_row("b", i, False, bad_b[1].to_json(), note=f"image {bad_b[0]}"))
+            rows.append(_row("b", i, False, Si.elem(bad_b[1]).to_json(),
+                             note=f"image {bad_b[0]}"))
 
         bad_c = None
         for d in Si1.monomial_basis():
@@ -220,9 +250,9 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
             if fr.is_zero:
                 continue  # Frobenius image already zero, trivially in the image
             if fr.terms[0][0] not in images:
-                bad_c = d
+                bad_c = Si1.elem(d).to_json()
                 break
-        rows.append(_row("c", i, bad_c is None, bad_c.to_json() if bad_c is not None else None))
+        rows.append(_row("c", i, bad_c is None, bad_c))
     return {"axioms": rows, "all_pass": all(r["pass"] for r in rows), "cutoff": T.cutoff_info()}
 
 
@@ -238,7 +268,9 @@ class FrobProjection:
         if x.ring != self.tower.residue(self.level + 1):
             raise InvariantViolation("argument must live in S_{i+1}")
         p = self.tower.p
-        return make_series(Si, [(e.scale(p), pow(c, p, p)) for e, c in x.terms])
+        # p * v at S_{i+1}'s level is v at one level coarser
+        lv = x.ring.level - 1
+        return make_series(Si, [(_into(Si, v, lv), pow(c, p, p)) for v, c in x.terms])
 
 
 def frobenius_projection(T: TowerDesc, i: int) -> FrobProjection:
@@ -251,16 +283,16 @@ def frobenius_projection(T: TowerDesc, i: int) -> FrobProjection:
     Si1 = T.residue(i + 1)
     bad = next(_frobenius_failures(Si1, lambda x: T.transition_bar(i, F.apply(x))), None)
     if bad is not None:
-        raise AxiomViolation(f"no Frobenius factorization at monomial {bad}")
+        raise AxiomViolation(f"no Frobenius factorization at monomial {Si1.elem(bad)}")
     return F
 
 
 def _frobenius_failures(ring: SeriesRingDesc, via):
     """Basis monomials g of ring with via(e^g) != e^{pg}, within the cutoff."""
     for g in ring.monomial_basis():
-        if ring.p * ring.deg(g) > ring.cap:
+        if ring.p * sum(g) > ring.cap:
             continue
-        if via(s_monomial(ring, g)) != _frob_exp(ring, g):
+        if via(_monomial(ring, g)) != _frob_exp(ring, g):
             yield g
 
 
@@ -271,10 +303,11 @@ def frobenius_identities(T: TowerDesc, i: int) -> dict:
     in S_i; witnesses are returned rather than raised.
     """
     F = FrobProjection(T, i)
-    t_after_F = _frobenius_failures(T.residue(i + 1), lambda x: T.transition_bar(i, F.apply(x)))
-    F_after_t = _frobenius_failures(T.residue(i), lambda x: F.apply(T.transition_bar(i, x)))
-    bad_tf = [d.to_json() for d in t_after_F]
-    bad_ft = [g.to_json() for g in F_after_t]
+    Si, Si1 = T.residue(i), T.residue(i + 1)
+    t_after_F = _frobenius_failures(Si1, lambda x: T.transition_bar(i, F.apply(x)))
+    F_after_t = _frobenius_failures(Si, lambda x: F.apply(T.transition_bar(i, x)))
+    bad_tf = [Si1.elem(d).to_json() for d in t_after_F]
+    bad_ft = [Si.elem(g).to_json() for g in F_after_t]
     return {
         "level": i,
         "t_after_F_is_frobenius": not bad_tf,
@@ -291,20 +324,16 @@ def pillar_system(T: TowerDesc):
     level-i monoid is exactly what can fail, and failure raises PillarNotFound
     with the offending level.
     """
-    gexp = T.ideal_exp()
-    gens = []
     if T.base_ideal.is_zero:
         # I = (0): the chain is the zero ideal at every level
-        for i in range(T.depth + 1):
-            gens.append(s_zero(T.levels[i]))
-        return PillarSystem(tower=T, generators=tuple(gens))
-    if gexp is None:
-        raise PillarNotFound("base ideal generator is not monomial")
-    for i in range(T.depth + 1):
-        pe = gexp.divide(i)
-        if not T.levels[i].exp_in_ring(pe):
-            raise PillarNotFound(f"no monomial pillar at level {i}: {pe} is not in the monoid")
-        gens.append(s_monomial(T.levels[i], pe))
+        return PillarSystem(tower=T, generators=tuple(s_zero(R) for R in T.levels))
+    gens = []
+    for i, R in enumerate(T.levels):
+        pe = T.pillar_coords(R, i)
+        if pe is None or not R.in_ring(pe):
+            raise PillarNotFound(f"no monomial pillar at level {i}: "
+                                 f"{T.ideal_exp().divide(i)} is not in the monoid")
+        gens.append(make_series(R, [(pe, 1)]))
     return PillarSystem(tower=T, generators=tuple(gens))
 
 
@@ -315,7 +344,7 @@ class PillarSystem:
 
     def exponent(self, i: int) -> MonoidElem | None:
         g = self.generators[i]
-        return None if g.is_zero else g.terms[0][0]
+        return None if g.is_zero else g.exp_terms()[0][0]
 
     def compatibility_witnesses(self) -> list[dict]:
         """F_i(f-bar_{i+1}) = f-bar_i on the nose, reported per level."""
@@ -343,10 +372,11 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         Si, Si1 = T.residue(i), T.residue(i + 1)
         bad_d = None
         for mu in Si.monomial_basis():
-            if not Si1.exp_in_ring(mu.divide(1)) or Si1.dominated(mu.divide(1)):
-                bad_d = mu
+            w = Si1.rescale(mu, Si.level + 1)  # mu / p
+            if w is None or not Si1.in_ring(w) or Si1.in_ideal(w):
+                bad_d = Si.elem(mu).to_json()
                 break
-        rows.append(_row("d", i, bad_d is None, bad_d.to_json() if bad_d is not None else None))
+        rows.append(_row("d", i, bad_d is None, bad_d))
 
     if T.base_ideal.is_zero:
         rows.append(_row("e", 0, True, note="I0 = (0) is contained in every maximal ideal"))
@@ -383,53 +413,41 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             rows.append(_row("f", -1, True, note="pillar chain with kernel identity"))
 
     # (g): torsion annihilated by I_0, p-scaling matches torsion across levels
-    tors = []
-    for i in range(T.depth + 1):
-        Ri = T.levels[i]
-        gen = s_zero(Ri) if T.base_ideal.is_zero else s_monomial(Ri, gexp)
-        tors.append(torsion_annihilator(Ri, gen))
-    ok_g = True
+    gens = [s_zero(R) if gexp is None else s_monomial(R, gexp) for R in T.levels]
+    tors = [torsion_annihilator(R, g).monomials() for R, g in zip(T.levels, gens)]
     witness_g = None
     note_g = None
-    if T.base_ideal.is_zero:
+    if gexp is None:
         note_g = "I0 = (0): axiom follows from (c) and (f); torsion is the whole ring"
     else:
-        for i in range(T.depth + 1):
-            Ri = T.levels[i]
-            g_i = s_monomial(Ri, gexp)
-            for m in tors[i].monomial_exps():
-                if Ri.deg(m) + Ri.deg(gexp) > Ri.cap:
-                    continue
-                if not s_mul(s_monomial(Ri, m), g_i).is_zero:
-                    ok_g = False
-                    witness_g = m.to_json()
-                    break
-            if not ok_g:
+        for R, g, ms in zip(T.levels, gens, tors):
+            room = R.cap - sum(T.pillar_coords(R, 0))
+            bad = next((m for m in ms
+                        if sum(m) <= room and not s_mul(_monomial(R, m), g).is_zero), None)
+            if bad is not None:
+                witness_g = R.elem(bad).to_json()
                 break
-    if ok_g:
+    if witness_g is None:
         for i in range(T.depth):
-            up = {m for m in tors[i + 1].monomial_exps()}
-            down = {m for m in tors[i].monomial_exps()}
-            Ri = T.levels[i]
-            for m in up:
-                mp = m.scale(p)
-                if mp not in down and Ri.exp_in_ring(mp) and Ri.deg(mp) <= Ri.cap:
-                    ok_g = False
-                    witness_g = m.to_json()
+            Ri, Ri1 = T.levels[i], T.levels[i + 1]
+            up, down = set(tors[i + 1]), set(tors[i])
+            for m in tors[i + 1]:
+                mp = Ri.rescale(m, Ri1.level - 1)  # p * m
+                if mp is not None and sum(mp) <= Ri.cap and mp not in down and Ri.in_ring(mp):
+                    witness_g = Ri1.elem(m).to_json()
                     note_g = "p-scaling does not land in the lower torsion basis"
                     break
-            if not ok_g:
+            if witness_g is not None:
                 break
-            for m in down:
-                dm = m.divide(1)
-                if T.levels[i + 1].exp_in_ring(dm) and dm not in up:
-                    ok_g = False
-                    witness_g = m.to_json()
+            for m in tors[i]:
+                dm = Ri1.rescale(m, Ri.level + 1)  # m / p
+                if dm is not None and Ri1.in_ring(dm) and dm not in up:
+                    witness_g = Ri.elem(m).to_json()
                     note_g = "lower torsion monomial with no p-divided partner"
                     break
-            if not ok_g:
+            if witness_g is not None:
                 break
-    rows.append(_row("g", -1, ok_g, witness_g, note=note_g))
+    rows.append(_row("g", -1, witness_g is None, witness_g, note=note_g))
 
     return {"axioms": rows, "all_pass": all(r["pass"] for r in rows), "cutoff": T.cutoff_info()}
 
@@ -445,18 +463,18 @@ def _kernel_mismatch(T: TowerDesc, i: int, pillars: PillarSystem) -> MonoidElem 
     ideal generator here), so only a genuine discrepancy is reported.
     """
     Si, Si1 = T.residue(i), T.residue(i + 1)
-    gexp = T.ideal_exp()
-    pe = None if gexp is None else gexp.divide(1)
-    ambient = [q.divide(1) for q in Si1.quotient_exps]
+    # the quotient exponents and the generator, divided by p, at Si1's level
+    # (one finer than Si1 divides no exponent of Si1)
+    shifted = [Si1.rescale(q.coords, q.level + 1) for q in Si1.quotient_exps]
+    shifted.append(T.pillar_coords(Si1, 1))
+    shifted = [q for q in shifted if q is not None]
     for d in Si1.monomial_basis():
-        if T.p * Si1.deg(d) > Si1.cap:
+        if T.p * sum(d) > Si1.cap:
             continue  # truncation kill, not kernel
-        in_ker = make_series(Si, [(d.scale(T.p), 1)]).is_zero
-        predicted = any(Si1.exp_in_ring(d - q) for q in ambient)
-        if pe is not None:
-            predicted = predicted or Si1.exp_in_ring(d - pe)
+        in_ker = make_series(Si, [(_into(Si, d, Si1.level - 1), 1)]).is_zero  # e^(p d)
+        predicted = any(Si1.in_ring(_sub(d, q)) for q in shifted)
         if in_ker != predicted:
-            return d
+            return Si1.elem(d)
     return None
 
 
@@ -541,25 +559,31 @@ def _te_match(x: TiltElem, y: TiltElem):
 
 def teich_tilt(T: TowerDesc, j: int, mu: MonoidElem, depth: int) -> TiltElem:
     """The monomial tilt (e^mu, e^{mu/p}, ...): p-division tuples."""
+    return _teich(T, j, mu.coords, mu.level, depth)
+
+
+def _teich(T: TowerDesc, j: int, v: tuple[int, ...], level: int, depth: int) -> TiltElem:
+    """teich_tilt of the exponent with coordinates v at the given level."""
     comps = []
     for l in range(depth + 1):
         ring = T.residue(j + l)
-        e = mu.divide(l)
-        if not ring.exp_in_ring(e):
+        w = ring.rescale(v, level + l)  # v / p^l
+        if w is None or not ring.in_ring(w):
+            mu = MonoidElem(v, level, T.p)
             raise IncompatibleComponents(f"{mu} has no p^{l}-th root at level {j + l}")
-        comps.append(s_monomial(ring, e))
+        comps.append(make_series(ring, [(w, 1)]))
     return TiltElem(T, j, tuple(comps))
 
 
 def pillar_tilt(T: TowerDesc, j: int, depth: int) -> TiltElem:
     """f^{s.flat}_j = (f_j mod I0, f_{j+1} mod I0, ...)."""
-    gexp = T.ideal_exp()
-    if gexp is None:
+    if T.base_ideal.is_zero:
         return te_zero(T, j, depth)
     comps = []
     for l in range(depth + 1):
         ring = T.residue(j + l)
-        comps.append(make_series(ring, [(gexp.divide(j + l), 1)]))
+        g = _into(ring, T.base_ideal.terms[0][0], T.levels[0].level + j + l)
+        comps.append(make_series(ring, [(g, 1)]))
     return TiltElem(T, j, tuple(comps))
 
 
@@ -579,34 +603,34 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     """
     m = tilt_depth(T, j)
     Sj = T.residue(j)
-    gexp = T.ideal_exp()
-    correspondence = []
+    matched = 0
     mismatches = []
     for mu in Sj.monomial_basis():
         try:
-            te = teich_tilt(T, j, mu, m)
+            te = _teich(T, j, mu, Sj.level, m)
         except IncompatibleComponents:
-            mismatches.append({"direction": "section", **mu.to_json()})
+            mismatches.append({"direction": "section", **Sj.elem(mu).to_json()})
             continue
-        if te.project(0) != s_monomial(Sj, mu):
-            mismatches.append({"direction": "projection", **mu.to_json()})
+        if te.project(0) != _monomial(Sj, mu):
+            mismatches.append({"direction": "projection", **Sj.elem(mu).to_json()})
             continue
-        correspondence.append(mu.to_json())
+        matched += 1
     # completeness: classify every depth-m monomial tuple inside the cutoff
     top_ring = T.residue(j + m)
     basis_set = set(Sj.monomial_basis())
+    # top exponent of the tilt-side ideal generator is gexp / p^m
+    g_top = T.pillar_coords(top_ring, m)
     for d in top_ring.monomial_basis():
-        mu = d.scale(T.p ** m)
-        if Sj.deg(mu) > Sj.cap:
+        mu = _into(Sj, d, top_ring.level - m)  # d * p^m
+        if sum(mu) > Sj.cap:
             continue
-        # top exponent of the tilt-side ideal generator is gexp / p^m
-        in_ideal = gexp is not None and top_ring.exp_in_ring(d - gexp.divide(m))
+        in_ideal = g_top is not None and top_ring.in_ring(_sub(d, g_top))
         if (mu in basis_set) == in_ideal:
-            mismatches.append({"direction": "partition", **d.to_json()})
+            mismatches.append({"direction": "partition", **top_ring.elem(d).to_json()})
     return {
         "home_level": j,
         "bijective": not mismatches,
-        "basis_size": len(correspondence),
+        "basis_size": matched,
         "mismatches": mismatches,
         "cutoff": T.cutoff_info(),
     }
@@ -632,21 +656,23 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
     else:
         Sj = T.residue(j)
         full_top = replace(T.residue(j + m), quotient_exps=())
-        pe_top = gexp.divide(j + m)  # top component exponent of the tilt pillar
-        pe_home = gexp.divide(j)
+        # top component exponent of the tilt pillar, and the level-j pillar
+        pe_top = T.pillar_coords(full_top, j + m)
+        pe_home = T.pillar_coords(Sj, j)
         bad = None
         for d in full_top.monomial_basis():
-            mu = d.scale(p ** m)
-            if Sj.deg(mu) > Sj.cap:
+            mu = _into(Sj, d, full_top.level - m)  # d * p^m
+            if sum(mu) > Sj.cap:
                 continue
             # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
-            in_ker = not Sj.exp_in_ring(mu) or Sj.dominated(mu) or Sj.exp_in_ring(mu - pe_home)
-            in_ideal = full_top.exp_in_ring(d - pe_top)
+            in_ker = (not Sj.in_ring(mu) or Sj.in_ideal(mu)
+                      or (pe_home is not None and Sj.in_ring(_sub(mu, pe_home))))
+            in_ideal = pe_top is not None and full_top.in_ring(_sub(d, pe_top))
             if in_ker != in_ideal:
                 bad = d
                 break
         rows.append({"check": "principal", "pass": bad is None,
-                     **({"witness": bad.to_json()} if bad is not None else {})})
+                     **({"witness": full_top.elem(bad).to_json()} if bad is not None else {})})
 
         if j + 1 <= T.depth:
             mj1 = tilt_depth(T, j + 1)
@@ -666,13 +692,12 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
         T.levels[j],
         s_zero(T.levels[j]) if gexp is None else s_monomial(T.levels[j], gexp),
     )
-    tilt_tor = _tilt_torsion(T, j)
-    sides_agree = src_t.is_zero == tilt_tor["is_zero"]
+    tilt_empty = _tilt_torsion_empty(T, j)
     rows.append({
         "check": "torsion",
-        "pass": sides_agree,
+        "pass": src_t.is_zero == tilt_empty,
         "source_empty": src_t.is_zero,
-        "tilt_empty": tilt_tor["is_zero"],
+        "tilt_empty": tilt_empty,
         **({"note": "I = (0): torsion degenerate per the (c)+(f) remark"} if gexp is None else {}),
     })
     return {
@@ -683,26 +708,25 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
     }
 
 
-def _tilt_torsion(T: TowerDesc, j: int) -> dict:
-    """Componentwise annihilator of the tilt pillar on monomial tuples."""
+def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
+    """No monomial tuple is annihilated componentwise by the tilt pillar
+    (for I = (0) the whole ring is 1-torsion)."""
+    if T.base_ideal.is_zero:
+        return False
     m = tilt_depth(T, j)
-    gexp = T.ideal_exp()
-    if gexp is None:
-        return {"is_zero": False, "note": "whole ring is 1-torsion for I = (0)"}
-    found = []
     f = pillar_tilt(T, j, m)
     Sj = T.residue(j)
-    fdeg = Sj.deg(gexp.divide(j))
+    room = Sj.cap - sum(T.pillar_coords(Sj, j))
     for mu in Sj.monomial_basis():
-        if Sj.deg(mu) + fdeg > Sj.cap:
+        if sum(mu) > room:
             continue
         try:
-            te = teich_tilt(T, j, mu, m)
+            te = _teich(T, j, mu, Sj.level, m)
         except IncompatibleComponents:
             continue
-        if all(c.is_zero for c in te_mul(te, f).components):
-            found.append(mu)
-    return {"is_zero": not found, "monomials": [e.to_json() for e in found]}
+        if te_mul(te, f).is_zero:
+            return False
+    return True
 
 
 def shift_tilt(x: TiltElem) -> TiltElem:
@@ -740,10 +764,10 @@ def inverse_perfection_is_perfect(T: TowerDesc) -> dict:
         return {"checks": [], "all_pass": True, "cutoff": T.cutoff_info()}
     m = tilt_depth(T, j)
     samples = []
-    basis = T.residue(j).monomial_basis()
-    for mu in basis[: min(6, len(basis))]:
+    Sj = T.residue(j)
+    for mu in Sj.monomial_basis()[:6]:
         try:
-            samples.append(teich_tilt(T, j, mu, m))
+            samples.append(_teich(T, j, mu, Sj.level, m))
         except IncompatibleComponents:
             continue
     if len(samples) >= 2:

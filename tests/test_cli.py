@@ -255,3 +255,17 @@ def test_exactstilt_needs_positive_depth(capsys):
         assert err == "ptlab: exactstilt needs --depth >= 1\n"
     code, out, _ = run(capsys, "tower", "exactstilt", "--preset", "unramified_rlr", "--depth", "1")
     assert code == 0 and len(json.loads(out)["report"]["levels"]) == 1
+
+
+def test_multi_term_base_ideal_exits_2(tmp_path, capsys):
+    # Q = <2>, r = 1, f = x^2 + 2y: the canonical form of p is x^2 (1 + y + y^2 + ...),
+    # which is not a monomial, so no tower command may treat I_0 as (0)
+    P = {"monoid": {"ambient_rank": 1, "scale_base": 2, "level": 0, "generators": [[2]]},
+         "free_rank": 1, "p": 2,
+         "f": [{"exponent": [2, 0], "coeff": 1}, {"exponent": [0, 1], "coeff": 2}]}
+    path = tmp_path / "multi.json"
+    path.write_text(json.dumps(P))
+    for action in ("verify", "tilt", "exactstilt"):
+        err = _one_line_exit_2(capsys, "tower", action, "--input", str(path),
+                               "--depth", "1", "--cutoff", "7/2")
+        assert "monomial" in err

@@ -20,7 +20,7 @@ from ptlab.logreg import (
     verify_tilt,
 )
 from ptlab.monoid import AffineMonoid, MonoidElem, p_divide
-from ptlab.series import SeriesRingDesc, make_series, s_const, s_monomial
+from ptlab.series import SeriesRingDesc, make_series, s_const, s_from_terms, s_monomial
 
 
 def test_presets():
@@ -78,7 +78,7 @@ def test_predict_tilt_is_equal_characteristic():
     assert all(r.char_p for r in W.levels)
     assert W.ideal_exp() == MonoidElem((0, 1, 1, 0), 0, 2)
     fexp = W.ideal_exp()
-    assert W.base_ideal == make_series(W.levels[0], [(fexp, 1)])
+    assert W.base_ideal == make_series(W.levels[0], [(W.levels[0].coords(fexp), 1)])
 
 
 @pytest.mark.parametrize("name,p", [("unramified_rlr", 2), ("quadric", 3)])
@@ -179,7 +179,7 @@ def test_kummer_regularity_cases():
     ring = A.series_ring()
     x1 = s_monomial(ring, ring.exp((1, 0)))
     x2 = s_monomial(ring, ring.exp((0, 1)))
-    x1px1x2 = make_series(ring, [(ring.exp((1, 0)), 1), (ring.exp((1, 1)), 1)])
+    x1px1x2 = s_from_terms(ring, [(ring.exp((1, 0)), 1), (ring.exp((1, 1)), 1)])
     B = BaseRing(3, 1, mixed=True)
     rb = B.series_ring()
     y = s_monomial(rb, rb.exp((1,)))

@@ -7,7 +7,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptlab.monoid import AffineMonoid, MonoidElem
+from ptlab.monoid import AffineMonoid, MonoidElem, contains
 from ptlab.series import (
     InvariantViolation,
     NonMonomialReduction,
@@ -20,6 +20,7 @@ from ptlab.series import (
     reduced_relation_exp,
     s_add,
     s_const,
+    s_from_terms,
     s_monomial,
     s_mul,
     s_neg,
@@ -58,7 +59,7 @@ RINGS = {"mixed": MIXED, "witt": WITT, "charp": CHARP}
 def series_strategy(ring, max_terms=4, degree_cap=None):
     basis = [e for e in (ring.zero_exp,) + ring.monomial_basis()]
     if degree_cap is not None:
-        basis = [e for e in basis if e.degree() <= degree_cap]
+        basis = [e for e in basis if ring.elem(e).degree() <= degree_cap]
     term = st.tuples(st.sampled_from(basis), st.integers(-9, 9))
     return st.lists(term, max_size=max_terms).map(lambda ts: make_series(ring, ts))
 
@@ -168,7 +169,7 @@ def test_quotient_ideal_membership():
     assert s_monomial(CHARP, xxy).is_zero
     assert CHARP.dominated(MonoidElem((3, 1), 0, 2))
     assert not CHARP.dominated(MonoidElem((1, 1), 0, 2))
-    assert xxy not in CHARP.monomial_basis()
+    assert CHARP.coords(xxy) not in CHARP.monomial_basis()
 
 
 def test_torsion_annihilator_quotient_plane():
@@ -230,7 +231,7 @@ def test_residue_ring_quotients():
 def test_make_series_validation():
     bad = MonoidElem((1, 0, 0), 0, 2)
     with pytest.raises(InvariantViolation):
-        make_series(MIXED, [(bad, 1)], validate=True)
+        s_from_terms(MIXED, [(bad, 1)])
     neg = MonoidElem((-1, 0), 0, 2)
     with pytest.raises(InvariantViolation):
         s_monomial(MIXED, neg)
@@ -256,10 +257,11 @@ def test_ring_descriptor_invariants():
 def test_ring_descriptor_roundtrip():
     for ring in RINGS.values():
         assert SeriesRingDesc.from_descriptor(ring.to_descriptor()) == ring
-    # integers must be JSON integers, not truncated floats or bools, and
-    # char_p a JSON bool, not a truthy string or number
+    # integers must be JSON integers, not truncated floats or bools, char_p
+    # a JSON bool, not a truthy string or number, and a cutoff denominator nonzero
     for ring, key, bad in ((MIXED, "precision", 2.7), (MIXED, "free_rank", True),
-                           (MIXED, "p", 2.0), (CHARP, "char_p", "no"), (CHARP, "char_p", 1)):
+                           (MIXED, "p", 2.0), (CHARP, "char_p", "no"), (CHARP, "char_p", 1),
+                           (MIXED, "cutoff", "7/0")):
         d = {**ring.to_descriptor(), key: bad}
         with pytest.raises(ValueError):
             SeriesRingDesc.from_descriptor(d)
@@ -313,7 +315,7 @@ def brute_exps(p, ml, fl, bound):
 def test_degree_scale_basis_and_order(p, ml, fl, D):
     ring = scale_ring(p, ml, fl, D)
     L = ring.level
-    basis = ring.monomial_basis()
+    basis = [ring.elem(v) for v in ring.monomial_basis()]
     assert [fracs(e) for e in basis] == brute_exps(p, ml, fl, D)
     for e in basis:
         assert Fraction(ring.deg(e), p ** L) == e.degree()
@@ -349,19 +351,20 @@ def test_degree_scale_truncation(p, ml, fl, D):
     for _ in range(30):
         xs = [(rng.choice(wide), rng.randint(-30, 30)) for _ in range(rng.randint(0, 6))]
         ys = [(rng.choice(wide), rng.randint(-30, 30)) for _ in range(rng.randint(0, 6))]
-        x = make_series(ring, [(elem(fr), c) for fr, c in xs])
-        y = make_series(ring, [(elem(fr), c) for fr, c in ys])
-        assert [(fracs(e), c) for e, c in x.terms] == expected(xs)
+        x = make_series(ring, [(ring.coords(elem(fr)), c) for fr, c in xs])
+        y = make_series(ring, [(ring.coords(elem(fr)), c) for fr, c in ys])
+        assert [(fracs(e), c) for e, c in x.exp_terms()] == expected(xs)
         prod = [(tuple(a + b for a, b in zip(f1, f2)), c1 * c2)
                 for f1, c1 in expected(xs) for f2, c2 in expected(ys)]
-        assert [(fracs(e), c) for e, c in s_mul(x, y).terms] == expected(prod)
+        assert [(fracs(e), c) for e, c in s_mul(x, y).exp_terms()] == expected(prod)
 
     # with a relation, digit normalization also stays below D, in order
     f = ((elem((0, 0, Fraction(1, p ** fl))), 1), (elem((Fraction(1, p ** ml),) * 2 + (0,)), 1))
     rel = scale_ring(p, ml, fl, D, relation_f=f)
     for _ in range(10):
-        x = make_series(rel, [(elem(rng.choice(wide)), rng.randint(-30, 30)) for _ in range(4)])
-        keys = [frac_key(fracs(e)) for e, _ in x.terms]
+        x = make_series(rel, [(rel.coords(elem(rng.choice(wide))), rng.randint(-30, 30))
+                              for _ in range(4)])
+        keys = [frac_key(fracs(e)) for e, _ in x.exp_terms()]
         assert keys == sorted(keys) and all(k[0] <= D for k in keys)
 
 
@@ -375,7 +378,7 @@ def test_degree_scale_torsion(p, ml, fl, D):
                    for q in quots)
 
     basis = [fr for fr in brute_exps(p, ml, fl, D) if not dominated(fr)]
-    assert [fracs(e) for e in ring.monomial_basis()] == basis
+    assert [fracs(ring.elem(v)) for v in ring.monomial_basis()] == basis
     # a p^L-th root of a quotient monomial, L the ring's level
     g = MonoidElem((1, 1, 0), ml, p) if ml else MonoidElem((0, 0, 1), fl, p)
     gf = fracs(g)
@@ -390,3 +393,116 @@ def test_degree_scale_torsion(p, ml, fl, D):
     rep = torsion_annihilator(ring, s_monomial(ring, g))
     assert [(fracs(e), l) for e, l in zip(rep.monomial_exps(), rep.minimal_powers)] == want
     assert want[0] == ((0, 0, 0), p ** max(ml, fl))   # g^(p^level) is a quotient monomial
+
+
+# ---------------------------------------------------------------------------
+# membership by lookup: below the cutoff a ring answers exp_in_ring and
+# dominated from its support set and its set of quotient-ideal points.  The
+# oracle asks monoid.contains directly, for exponents below the cutoff, above
+# it and finer than the ring, on rings whose residue rings carry a quotient
+# monomial in the ring, one at the ring's level outside it, and one finer.
+
+LOOKUP_MONOIDS = {
+    "A1": (2, A1_GENS),
+    "quadric": (4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0))),
+    "N2": (2, ((1, 0), (0, 1))),
+}
+
+
+def lookup_rings():
+    out = []
+    for name, (rank, gens) in sorted(LOOKUP_MONOIDS.items()):
+        for p in (2, 3):
+            for ml, r, fl in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0)):
+                R = SeriesRingDesc(monoid_part=AffineMonoid(rank, p, ml, gens), free_rank=r,
+                                   free_level=fl, p=p, precision=2, cutoff=Fraction(5, 2))
+                L = R.level
+                q_in = MonoidElem(gens[0] + (0,) * r, ml, p)
+                q_out = MonoidElem((1,) + (0,) * (rank - 1 + r), L, p)
+                q_fine = MonoidElem(gens[1] + (1,) * r, L + 1, p)
+                out.append((f"{name} p={p} ml={ml} r={r} fl={fl}", R,
+                            R.residue_ring(q_in, q_out, q_fine)))
+    return out
+
+
+LOOKUP_RINGS = lookup_rings()
+
+
+def oracle_in_ring(ring, e):
+    d = ring.monoid_part.ambient_rank
+    if len(e.coords) != ring.width:
+        return False
+    free = MonoidElem(e.coords[d:], e.level, e.base)
+    return (min(free.coords, default=0) >= 0 and free.level <= ring.free_level
+            and contains(ring.monoid_part, MonoidElem(e.coords[:d], e.level, e.base)))
+
+
+def oracle_dominated(ring, e):
+    return any(oracle_in_ring(ring, e - q) for q in ring.quotient_exps)
+
+
+@st.composite
+def ring_exponents(draw, ring):
+    """An exponent below the ring's cutoff, above it, or finer than the ring."""
+    kind = draw(st.sampled_from(("below", "above", "finer")))
+    p, L, w = ring.p, ring.level, ring.width
+    lv = L + 1 if kind == "finer" else draw(st.integers(0, L))
+    room = floor(ring.cutoff * p ** lv)
+    coords = draw(st.lists(st.integers(-1, room), min_size=w, max_size=w))
+    while sum(coords) > room:
+        coords[coords.index(max(coords))] -= 1
+    k = draw(st.integers(0, w - 1))
+    if kind == "above":
+        coords[k] += room + 1 - sum(coords)
+    elif kind == "finer":
+        coords[k] = p * coords[k] + 1
+    return MonoidElem(tuple(coords), lv, p)
+
+
+@pytest.mark.parametrize("name,R,S", LOOKUP_RINGS, ids=[c[0] for c in LOOKUP_RINGS])
+def test_lookup_membership_matches_contains(name, R, S):
+    # the residue ring's basis is the old filter: R's basis minus what dominated kills
+    old = [v for v in R.monomial_basis() if not oracle_dominated(S, R.elem(v))]
+    assert list(S.monomial_basis()) == old
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def check(data):
+        ring = data.draw(st.sampled_from((R, S)))
+        e = data.draw(ring_exponents(ring))
+        assert ring.exp_in_ring(e) == oracle_in_ring(ring, e)
+        assert ring.dominated(e) == oracle_dominated(ring, e)
+
+    check()
+
+
+def test_ring_and_residue_share_one_support():
+    name, R, S = LOOKUP_RINGS[-1]
+    assert S.monomial_basis() and set(S.monomial_basis()) <= set(R.monomial_basis())
+    members = {id(v) for v in R.monomial_basis()}
+    assert all(id(v) in members for v in S.monomial_basis())
+
+
+def test_hot_path_builds_no_monoid_elem(monkeypatch):
+    """With a warm basis, arithmetic and torsion work on int tuples only."""
+    from ptlab.logreg import build_tower, preset
+
+    T = build_tower(preset("quadric", 2), 1, Fraction(4), 2)
+    R, S = T.levels[1], T.residue(1)
+    gexp = T.ideal_exp()
+    g, gbar = s_monomial(R, gexp), s_monomial(S, gexp)
+    xs = [make_series(ring, [(v, 3) for v in ring.monomial_basis()[:8]]) for ring in (R, S)]
+    calls = []
+    original = MonoidElem.__post_init__
+
+    def counting(self):
+        calls.append(self.coords)
+        original(self)
+
+    monkeypatch.setattr(MonoidElem, "__post_init__", counting)
+    for x, gen, ring in zip(xs, (g, gbar), (R, S)):
+        s_mul(x, x)
+        s_add(x, s_neg(x))
+        make_series(ring, [(v, -5) for v in ring.monomial_basis()])
+        torsion_annihilator(ring, gen)
+    assert calls == []

@@ -80,9 +80,9 @@ def test_frobenius_identities_both_directions():
 def test_frobenius_projection_guards():
     T = unram2()
     F = frobenius_projection(T, 0)
-    e = T.residue(1).monomial_basis()[0]
+    e = T.residue(1).elem(T.residue(1).monomial_basis()[0])
     out = F.apply(s_monomial(T.residue(1), e))
-    assert out.terms and out.terms[0][0] == e.scale(2)
+    assert out.terms and out.exp_terms()[0][0] == e.scale(2)
     with pytest.raises(InvariantViolation):
         F.apply(s_one(T.residue(0)))    # wrong source ring
     Tc, _ = sab_c()
