@@ -216,7 +216,7 @@ def _cmd_tower(args, cfg: RunConfig) -> int:
         _emit({"command": "tower verify", "report": report}, cfg)
         return 0 if ok else 1
     if args.action == "tilt":
-        rep = verify_tilt(P, cfg.depth, cfg.cutoff, cfg.precision)
+        rep = verify_tilt(P, T)
         isos = [tilt_mod_pillar_iso(T, j) for j in range(min(2, cfg.depth + 1))]
         rep["mod_pillar_iso"] = isos
         ok = rep["all_pass"] and all(x["bijective"] for x in isos)

@@ -147,38 +147,38 @@ def build_tower(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) ->
     )
 
 
-def predict_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) -> TowerDesc:
-    """The equal-characteristic tower k[[Q^(i) + (N^r)^(i)]] with f-bar as ideal.
+def predict_tilt(T: TowerDesc) -> TowerDesc:
+    """The equal-characteristic tower k[[Q^(i) + (N^r)^(i)]] on T's levels,
+    with f-bar as ideal.
 
     The relation direction survives the tilt as an honest coordinate; the
     tilted base ideal is the f-bar monomial itself.
     """
-    rings = [P.ring(i, Fraction(D), N) for i in range(depth + 1)]
-    levels = tuple(replace(R, relation_f=None, char_p=True) for R in rings)
+    levels = tuple(replace(R, relation_f=None, char_p=True) for R in T.levels)
     try:
-        base = s_monomial(levels[0], reduced_relation_exp(rings[0]))
+        base = s_monomial(levels[0], reduced_relation_exp(T.levels[0]))
     except NonMonomialReduction:
         base = s_zero(levels[0])
     return TowerDesc(
         levels=levels,
-        transitions=tuple(Transition() for _ in range(depth)),
+        transitions=tuple(Transition() for _ in range(T.depth)),
         base_ideal=base,
-        depth=depth,
+        depth=T.depth,
     )
 
 
-def verify_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) -> dict:
-    """Computed small tilt vs the predicted equal-characteristic tower.
+def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
+    """Computed small tilt of P's division tower T vs the predicted
+    equal-characteristic tower.
 
     Per level j: the monomial basis of the tilt modulo its pillar (which the
     truncated tuples see) must equal the basis of the predicted ring modulo
     f-bar, transitions must agree monomial-by-monomial, the generic transition
     degree must be the layer-quotient order times p^r, and dimensions match.
     """
-    T = build_tower(P, depth, D, N)
-    Tp = predict_tilt(P, depth, D, N)
+    Tp = predict_tilt(T)
     rows = []
-    for j in range(depth + 1):
+    for j in range(T.depth + 1):
         Sj = T.residue(j)
         Pj = Tp.residue(j)
         # both rings read exponents at the same level
@@ -197,7 +197,7 @@ def verify_tilt(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) ->
         dim_prd = dimension(Tp.levels[j].monoid_part) + Tp.levels[j].free_rank
         rows.append({"check": "dimension", "level": j, "pass": dim_src == dim_prd,
                      "source": dim_src, "tilt": dim_prd})
-    for j in range(depth):
+    for j in range(T.depth):
         Pj, Pj1 = Tp.residue(j), Tp.residue(j + 1)
         ok = all(Tp.transition_bar(j, make_series(Pj, [(e, 1)]))
                  == make_series(Pj1, [(Pj1.rescale(e, Pj.level), 1)])

@@ -171,6 +171,16 @@ class SeriesRingDesc:
         return contains(self.monoid_part, MonoidElem(v[:d], self.level, self.p))
 
     @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of the ring's exponent monoid at the ring's level: the
+        monoid's generators and the free unit vectors."""
+        d, r = self.monoid_part.ambient_rank, self.free_rank
+        gens = [(g + (0,) * r, self.monoid_part.level) for g in self.monoid_part.generators]
+        gens += [(tuple(int(j == k) for j in range(d + r)), self.free_level)
+                 for k in range(d, d + r)]
+        return tuple(self.rescale(v, lv) for v, lv in gens)
+
+    @cached_property
     def _support(self) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
         return _support(self.monoid_part, self.free_rank, self.free_level, self.cutoff)
 
@@ -546,14 +556,32 @@ class TorsionReport:
         return tuple(s.ring.elem(s.terms[0][0]) for s in self.annihilator_basis)
 
 
+def kills_monomial(x: Series, m: tuple[int, ...]) -> bool:
+    """e^m * x = 0 for an exponent m of x's ring, by lookup.
+
+    Shifting a canonical series by a coefficient-1 monomial keeps it canonical
+    apart from the terms it pushes past the cutoff or into the quotient
+    ideal, so the product vanishes exactly when every term does.
+    """
+    ring = x.ring
+    room = ring.cap - sum(m)
+    for v, _ in x.terms:
+        if sum(v) > room:
+            return True  # terms come in degree order
+        if tuple(map(add, m, v)) not in ring._ideal:
+            return False
+    return True
+
+
 def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
     """Power-torsion of the principal ideal (g) on the ring's monomial basis.
 
-    For each basis monomial m, successive products m*g^l are computed while
-    they stay inside the cutoff; m is torsion when some product vanishes.  A
-    zero generator makes everything 1-torsion, which the axiom layer handles
-    through the I = (0) remark rather than here.  A basis monomial with
-    coefficient 1 is already canonical.
+    The powers g, g^2, ... are computed once, while their lowest possible
+    degree stays inside the cutoff; a basis monomial m is torsion when some
+    m*g^l with deg m + l deg g within the cutoff vanishes, which
+    kills_monomial reads off g^l.  A zero generator makes everything
+    1-torsion, which the axiom layer handles through the I = (0) remark
+    rather than here.
     """
     if g.ring != ring:
         raise RingMismatch("generator lives in a different ring")
@@ -564,17 +592,14 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
         # a degree-0 lowest term carries a unit digit: g is a unit, no torsion
         gdeg = sum(g.terms[0][0])
         cap = ring.cap
+        gpow = [g]
+        while len(gpow) < cap // gdeg:
+            gpow.append(s_mul(gpow[-1], g))
         for m in ring.monomial_basis():
-            prod = Series(ring, ((m, 1),))
-            top = sum(m) + gdeg
-            l = 0
-            while top <= cap:
-                prod = s_mul(prod, g)
-                l += 1
-                if prod.is_zero:
-                    found.append((m, l))
-                    break
-                top += gdeg
+            l = next((l for l in range(1, (cap - sum(m)) // gdeg + 1)
+                      if kills_monomial(gpow[l - 1], m)), None)
+            if l is not None:
+                found.append((m, l))
     powers = tuple(l for _, l in found)
     return TorsionReport(
         annihilator_basis=tuple(Series(ring, ((m, 1),)) for m, _ in found),

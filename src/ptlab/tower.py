@@ -24,6 +24,7 @@ from .series import (
     Series,
     SeriesRingDesc,
     is_unit,
+    kills_monomial,
     make_series,
     reduce_mod_I0,
     s_add,
@@ -99,10 +100,11 @@ class TowerDesc:
             raise InvariantViolation("the base ideal generator must be a monomial or zero")
         for i, t in enumerate(self.transitions):
             src, dst = self.levels[i], self.levels[i + 1]
-            for v in src.monomial_basis():
+            # t is additive, so the images of R_i's generators decide where it
+            # sends every exponent, at every degree
+            for v in src.generators:
                 w = t.image(v, src, dst)
-                # an image finer than dst is outside it at every degree
-                if w is None or (sum(w) <= dst.cap and not dst.structural_contains(w)):
+                if w is None or not dst.structural_contains(w):
                     raise InvariantViolation(
                         f"transition {i} sends {src.elem(v)} outside level {i + 1}"
                     )
@@ -211,8 +213,9 @@ def _sub(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
 def verify_purely_inseparable(T: TowerDesc) -> dict:
     """Axioms (a) p in I_0, (b) t-bar injective, (c) Frob lands in im(t-bar)."""
     rows = []
+    p = T.p
     R0 = T.levels[0]
-    p_series = make_series(R0, [(R0.zero_exp, T.p)])
+    p_series = make_series(R0, [(R0.zero_exp, p)])
     if T.base_ideal.is_zero:
         rows.append(_row("a", 0, p_series.is_zero,
                          None if p_series.is_zero else p_series.to_json(),
@@ -231,7 +234,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
             w = t.image(v, Si, Si1)
             if sum(w) > Si1.cap:
                 continue  # image leaves the cutoff: no claim at this truncation
-            if make_series(Si1, [(w, 1)]).is_zero:
+            if Si1.in_ideal(w):
                 bad_b = ("vanishes", v)
                 break
             if w in images:
@@ -246,10 +249,10 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
 
         bad_c = None
         for d in Si1.monomial_basis():
-            fr = _frob_exp(Si1, d)
-            if fr.is_zero:
+            pd = tuple(p * x for x in d)
+            if sum(pd) > Si1.cap or Si1.in_ideal(pd):
                 continue  # Frobenius image already zero, trivially in the image
-            if fr.terms[0][0] not in images:
+            if pd not in images:
                 bad_c = Si1.elem(d).to_json()
                 break
         rows.append(_row("c", i, bad_c is None, bad_c))
@@ -422,8 +425,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
     else:
         for R, g, ms in zip(T.levels, gens, tors):
             room = R.cap - sum(T.pillar_coords(R, 0))
-            bad = next((m for m in ms
-                        if sum(m) <= room and not s_mul(_monomial(R, m), g).is_zero), None)
+            bad = next((m for m in ms if sum(m) <= room and not kills_monomial(g, m)), None)
             if bad is not None:
                 witness_g = R.elem(bad).to_json()
                 break

@@ -205,7 +205,8 @@ def test_criterion_05_pillars_and_exact_tilts():
 
 def test_criterion_06_tilting_correspondence():
     for name, p, d in PRESETS:
-        rep = verify_tilt(preset(name, p, d=d), DEPTH, D, N)
+        P = preset(name, p, d=d)
+        rep = verify_tilt(P, build_tower(P, DEPTH, D, N))
         assert rep["all_pass"], (name, p, d, rep)
         for c in rep["checks"]:
             assert c["pass"], (name, p, d, c)

@@ -74,7 +74,7 @@ def test_build_tower_shape():
 
 def test_predict_tilt_is_equal_characteristic():
     P = preset("quadric", 2)
-    W = predict_tilt(P, 2, Fraction(4), 2)
+    W = predict_tilt(build_tower(P, 2, Fraction(4), 2))
     assert all(r.char_p for r in W.levels)
     assert W.ideal_exp() == MonoidElem((0, 1, 1, 0), 0, 2)
     fexp = W.ideal_exp()
@@ -92,7 +92,7 @@ def test_residue_of_R0_is_S0(name, p):
 @pytest.mark.parametrize("name,p", [("unramified_rlr", 3), ("quadric", 2)])
 def test_predict_tilt_levels_are_the_char_p_rings(name, p):
     P = preset(name, p)
-    W = predict_tilt(P, 2, Fraction(4), 2)
+    W = predict_tilt(build_tower(P, 2, Fraction(4), 2))
     expected = tuple(
         SeriesRingDesc(monoid_part=p_divide(P.Q, i), free_rank=P.r, free_level=i, p=p,
                        precision=2, cutoff=Fraction(4), relation_f=None, char_p=True)
@@ -104,13 +104,15 @@ def test_predict_tilt_levels_are_the_char_p_rings(name, p):
 def test_predict_tilt_without_monomial_fbar_has_zero_ideal():
     N1 = AffineMonoid(1, 2, 0, ((1,),))
     for f in ((), ((MonoidElem((1,), 0, 2), 2),)):
-        W = predict_tilt(LogRegPresentation(Q=N1, r=0, p=2, f_terms=f), 1, Fraction(2), 2)
+        P = LogRegPresentation(Q=N1, r=0, p=2, f_terms=f)
+        W = predict_tilt(build_tower(P, 1, Fraction(2), 2))
         assert W.base_ideal.is_zero and W.ideal_exp() is None
 
 
 @pytest.mark.parametrize("name,p", [("unramified_rlr", 2), ("quadric", 2)])
 def test_verify_tilt_matches(name, p):
-    rep = verify_tilt(preset(name, p), 2, Fraction(4), 2)
+    P = preset(name, p)
+    rep = verify_tilt(P, build_tower(P, 2, Fraction(4), 2))
     assert rep["all_pass"]
     kinds = {c["check"] for c in rep["checks"]}
     assert kinds == {"basis_match", "dimension", "transition_match", "transition_degree"}

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from ptlab.cli import main
-from ptlab.logreg import predict_tilt, preset
+from ptlab.logreg import build_tower, predict_tilt, preset
 from ptlab.tower import frobenius_identities, verify_tower
 
 from fixtures import SABOTAGE
@@ -76,6 +76,6 @@ def test_sabotage_report_digest(letter):
 
 
 def test_predict_tilt_digest():
-    Tp = predict_tilt(preset("quadric", 2), 2, Fraction(4), 2)
+    Tp = predict_tilt(build_tower(preset("quadric", 2), 2, Fraction(4), 2))
     report = {"descriptor": Tp.to_descriptor(), "verify": verify_tower(Tp)}
     assert _json_sha(report) == PREDICT_TILT_DIGEST

@@ -15,6 +15,7 @@ from ptlab.series import (
     SeriesRingDesc,
     frobenius_mod_I0,
     is_unit,
+    kills_monomial,
     make_series,
     reduce_mod_I0,
     reduced_relation_exp,
@@ -393,6 +394,80 @@ def test_degree_scale_torsion(p, ml, fl, D):
     rep = torsion_annihilator(ring, s_monomial(ring, g))
     assert [(fracs(e), l) for e, l in zip(rep.monomial_exps(), rep.minimal_powers)] == want
     assert want[0] == ((0, 0, 0), p ** max(ml, fl))   # g^(p^level) is a quotient monomial
+
+
+# ---------------------------------------------------------------------------
+# torsion by lookup.  The oracle is the per-monomial product loop that
+# torsion_annihilator ran before it read m*g^l = 0 off the shared powers of g:
+# m*g, m*g^2, ... by s_mul while deg m + l deg g stays within the cutoff.
+
+
+def torsion_oracle(ring, g):
+    if g.is_zero:
+        return [(m, 1) for m in ring.monomial_basis()]
+    gdeg = sum(g.terms[0][0])
+    if gdeg == 0:
+        return []
+    found = []
+    for m in ring.monomial_basis():
+        prod, l = make_series(ring, [(m, 1)]), 0
+        while sum(m) + (l + 1) * gdeg <= ring.cap:
+            prod, l = s_mul(prod, g), l + 1
+            if prod.is_zero:
+                found.append((m, l))
+                break
+    return found
+
+
+TORSION_RINGS = {
+    "relation": MIXED,
+    "relation A1 p=3": scale_ring(3, 0, 1, Fraction(5, 2),
+                                  relation_f=((MonoidElem((0, 0, 1), 1, 3), 1),)),
+    "relation A1 two-term f": scale_ring(2, 0, 1, Fraction(5, 2), relation_f=(
+        (MonoidElem((0, 0, 1), 1, 2), 1), (MonoidElem((1, 1, 0), 0, 2), 1))),
+    "Z/8": WITT,
+    "Z/9 A1": scale_ring(3, 1, 0, Fraction(7, 3)),
+    "char p quotient": CHARP,
+    "char p A1 quotients": scale_ring(2, 1, 0, Fraction(5, 2), char_p=True, quotient_exps=(
+        MonoidElem((1, 1, 0), 0, 2), MonoidElem((0, 0, 1), 0, 2))),
+}
+
+
+@st.composite
+def torsion_generators(draw, ring):
+    """g = zero, a unit, a monomial with coefficient 1, a unit or a multiple
+    of p (at any degree, 0 included), or several terms."""
+    p, basis = ring.p, ring.monomial_basis()
+    positive = [v for v in basis if sum(v) > 0]
+    terms = st.tuples(st.sampled_from(positive), st.integers(-9, 9))
+    kind = draw(st.sampled_from(("zero", "unit", "monomial", "multi")))
+    if kind == "zero":
+        return s_zero(ring)
+    if kind == "unit":
+        c = draw(st.integers(1, 3 * p).filter(lambda c: c % p))
+        return make_series(ring, [(ring.zero_exp, c)] + draw(st.lists(terms, max_size=2)))
+    if kind == "monomial":
+        c = draw(st.sampled_from((1, draw(st.integers(1, 3 * p).filter(lambda c: c % p)),
+                                  p * draw(st.integers(1, p)))))
+        return make_series(ring, [(draw(st.sampled_from(basis)), c)])
+    return make_series(ring, draw(st.lists(terms, min_size=2, max_size=3)))
+
+
+@pytest.mark.parametrize("name", sorted(TORSION_RINGS))
+def test_torsion_annihilator_matches_the_product_loop(name):
+    ring = TORSION_RINGS[name]
+
+    @settings(deadline=2000, max_examples=40)
+    @given(torsion_generators(ring), st.sampled_from(ring.monomial_basis()))
+    def check(g, m):
+        rep = torsion_annihilator(ring, g)
+        want = torsion_oracle(ring, g)
+        assert list(zip(rep.monomials(), rep.minimal_powers)) == want
+        assert rep.is_zero == (not want)
+        assert rep.bounded_exponent == max((l for _, l in want), default=None)
+        assert kills_monomial(g, m) == s_mul(make_series(ring, [(m, 1)]), g).is_zero
+
+    check()
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,72 @@ def test_transition_matrix_action():
     assert Transition().apply_exp(e) == e
 
 
+# transitions are checked on the generators of R_i's exponent monoid: here
+# the A1 cone <(2,0),(1,1),(0,2)> plus one free coordinate, p = 2, D = 4
+
+
+def a1_ring(ml, fl):
+    return SeriesRingDesc(monoid_part=AffineMonoid(2, 2, ml, ((2, 0), (1, 1), (0, 2))),
+                          free_rank=1, free_level=fl, p=2, precision=1, cutoff=Fraction(4),
+                          char_p=True)
+
+
+def one_step(matrix, src=(0, 0), dst=(0, 0)):
+    levels = (a1_ring(*src), a1_ring(*dst))
+    return TowerDesc(levels=levels, transitions=(Transition(matrix),),
+                     base_ideal=s_zero(levels[0]), depth=1)
+
+
+def test_transition_on_generators_accepts_a_monoid_map():
+    swap = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    assert one_step(swap).levels[0].generators == ((2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1))
+    # the inclusion into the next division level
+    assert one_step(None, dst=(1, 1)).levels[1].generators == (
+        (2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 0, 1))
+
+
+def test_transition_monoid_generator_outside_below_the_cutoff():
+    # (1,1) -> (2,1), of degree 3 <= D, is off the A1 lattice
+    with pytest.raises(InvariantViolation, match="sends <1,1,0> outside level 1"):
+        one_step(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def test_transition_outside_only_above_the_cutoff():
+    # (x, y, z) -> (x + 9y, y, z) leaves A1 exactly when x and y are odd, and
+    # then the image has degree >= 11 > D: every in-cutoff image of a basis
+    # monomial is inside level 1, yet the map is no monoid map
+    t = ((1, 9, 0), (0, 1, 0), (0, 0, 1))
+    src = dst = a1_ring(0, 0)
+    for v in src.monomial_basis():
+        w = Transition(t).image(v, src, dst)
+        assert sum(w) > dst.cap or dst.structural_contains(w)
+    with pytest.raises(InvariantViolation, match="sends <1,1,0> outside level 1"):
+        one_step(t)
+
+
+def test_transition_image_finer_than_the_next_level():
+    # the free coordinate is divided at level 0 but not at level 1: its unit
+    # vector has no image at level 1's level
+    src, dst = a1_ring(0, 1), a1_ring(0, 0)
+    assert Transition().image(src.generators[-1], src, dst) is None
+    with pytest.raises(InvariantViolation, match=r"sends <0,0,1>/2\^1 outside level 1"):
+        one_step(None, src=(0, 1), dst=(0, 0))
+
+
+def test_transition_free_unit_vector_outside():
+    # the free unit (0,0,1) -> (1,0,1), whose monoid part is off the A1 lattice
+    with pytest.raises(InvariantViolation, match="sends <0,0,1> outside level 1"):
+        one_step(((1, 0, 1), (0, 1, 0), (0, 0, 1)))
+
+
+def test_building_a_tower_computes_no_support():
+    from ptlab import series
+
+    series._support.cache_clear()
+    build_tower(preset("quadric", 3), 2, Fraction(4), 2)
+    assert series._support.cache_info().currsize == 0
+
+
 def test_tower_descriptor_roundtrip():
     for T in (unram2(), sab_c()[0], perfect_tower()):
         assert TowerDesc.from_descriptor(T.to_descriptor()) == T
