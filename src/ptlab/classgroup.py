@@ -9,14 +9,14 @@ the mixed-characteristic comparison reduces to; computing it needs only SNF.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .intlat import FinAbelianGroup, abelian_quotient, identity
 from .monoid import AffineMonoid, NotSaturated, facet_normals, gp_basis, is_saturated
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class ClassGroupReport:
     group: FinAbelianGroup
     facet_count: int

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .classgroup import class_group, prime_to_p_report
@@ -42,6 +41,7 @@ from .monoid import (
     saturate,
 )
 from .monoid import preset as monoid_preset
+from .record import record
 from .series import InvariantViolation, s_from_terms, term_from_json
 from .tower import (
     frobenius_identities,
@@ -57,7 +57,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     command: str
     p: int = 2

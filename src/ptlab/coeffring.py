@@ -9,7 +9,7 @@ not needed by any preset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 
 class PrimeMismatch(ValueError):
@@ -48,7 +48,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class PrimeFieldElem:
     p: int
     value: int
@@ -74,7 +74,7 @@ class PrimeFieldElem:
             raise PrimeMismatch(f"{self.p} != {other.p}")
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedWittCoeff:
     """An element of C(k)/p^N = Z/p^N, the precision-N Cohen coefficient."""
 
@@ -101,7 +101,7 @@ def carry_normalize(c: int, p: int, N: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Witt2Elem:
     """(a, b) in W2(k) = k x k with the p-typical ring structure."""
 

@@ -9,16 +9,17 @@ algorithms with smallest-pivot selection are entirely adequate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
+
+from .record import record
 
 
 class SubLatticeNotContained(ValueError):
     """The alleged sublattice has a generator outside the ambient lattice."""
 
 
-@dataclass(frozen=True)
+@record
 class FinAbelianGroup:
     """A finitely generated abelian group Z^free_rank + Z/d1 + ... + Z/dk.
 

@@ -11,7 +11,6 @@ characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .coeffring import digit_correction, is_prime
@@ -27,6 +26,7 @@ from .monoid import (
     p_divide,
 )
 from .monoid import preset as monoid_preset
+from .record import record, replace
 from .series import (
     NonMonomialReduction,
     Series,
@@ -49,7 +49,7 @@ class UnsupportedBase(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LogRegPresentation:
     """The Kato normal form: monoid part Q, free rank r, relation p - f."""
 
@@ -173,8 +173,9 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
 
     Per level j: the monomial basis of the tilt modulo its pillar (which the
     truncated tuples see) must equal the basis of the predicted ring modulo
-    f-bar, transitions must agree monomial-by-monomial, the generic transition
-    degree must be the layer-quotient order times p^r, and dimensions match.
+    f-bar, T's transitions must agree with the predicted inclusions on the
+    generators of R_j's exponent monoid, the generic transition degree must
+    be the layer-quotient order times p^r, and dimensions match.
     """
     Tp = predict_tilt(T)
     rows = []
@@ -198,10 +199,12 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
         rows.append({"check": "dimension", "level": j, "pass": dim_src == dim_prd,
                      "source": dim_src, "tilt": dim_prd})
     for j in range(T.depth):
-        Pj, Pj1 = Tp.residue(j), Tp.residue(j + 1)
-        ok = all(Tp.transition_bar(j, make_series(Pj, [(e, 1)]))
-                 == make_series(Pj1, [(Pj1.rescale(e, Pj.level), 1)])
-                 for e in Pj.monomial_basis())
+        # both transitions are additive, so agreeing on the generators of
+        # R_j's exponent monoid is agreeing on every exponent
+        src, dst = T.levels[j], T.levels[j + 1]
+        ok = all(T.transitions[j].image(v, src, dst)
+                 == Tp.transitions[j].image(v, Tp.levels[j], Tp.levels[j + 1])
+                 for v in src.generators)
         deg = layer_quotient(P.Q, j).torsion_order() * P.p ** P.r
         ppow = _is_p_power(deg, P.p)
         rows.append({"check": "transition_match", "level": j, "pass": ok})
@@ -246,7 +249,7 @@ def kato_dim_check(P: LogRegPresentation) -> dict:
 # regularity toolkit: truncated differential module of A = C(k)[[x_1..x_d]]
 
 
-@dataclass(frozen=True)
+@record
 class BaseRing:
     """A = C(F_p)[[x_1..x_d]] (mixed) or F_p[[x_1..x_d]] (equal characteristic)."""
 
@@ -273,7 +276,7 @@ class BaseRing:
         )
 
 
-@dataclass(frozen=True)
+@record
 class OmegaModule:
     """The truncated differential module: dimension and basis labels only."""
 

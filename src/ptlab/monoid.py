@@ -19,13 +19,13 @@ its generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd
 
 from . import intlat
 from .intlat import FinAbelianGroup
+from .record import record
 
 
 class NotSubmonoid(ValueError):
@@ -59,7 +59,7 @@ def _strip(coords: tuple[int, ...], level: int, base: int) -> tuple[tuple[int, .
     return coords, level
 
 
-@dataclass(frozen=True)
+@record
 class MonoidElem:
     """An element of Q_Q: integer coords with denominator base**level.
 
@@ -128,7 +128,7 @@ class MonoidElem:
         return f"<{','.join(map(str, self.coords))}>/{self.base}^{self.level}"
 
 
-@dataclass(frozen=True)
+@record
 class AffineMonoid:
     """A fine monoid given by generators at a common denominator level."""
 
@@ -568,15 +568,15 @@ def exact_embed_Nd(Q: AffineMonoid):
     return facet_normals(Q)
 
 
-@dataclass(frozen=True)
+@record(hidden=("_level", "_basis", "_U", "_diag"))
 class GradedDecomposition:
     """Grading of Z[Q] by G = Q^gp/(Qp)^gp with the degree-zero retraction."""
 
     class_group: FinAbelianGroup
-    _level: int = field(repr=False)
-    _basis: tuple = field(repr=False)
-    _U: tuple = field(repr=False)
-    _diag: tuple = field(repr=False)
+    _level: int
+    _basis: tuple
+    _U: tuple
+    _diag: tuple
 
     def class_of(self, x: MonoidElem):
         """Label of x in G; labels are reduced coordinate tuples, additively."""

@@ -19,7 +19,6 @@ rule.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import floor
@@ -34,6 +33,7 @@ from .monoid import (
     graded_order,
     json_int,
 )
+from .record import record, replace
 
 
 class RingMismatch(ValueError):
@@ -48,7 +48,7 @@ class InvariantViolation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class SeriesRingDesc:
     """Descriptor of one truncated ring C(k)[[Q^(i) + (N^r)^(i)]]/(theta).
 
@@ -344,7 +344,7 @@ def _compositions(r: int, cap: int):
             yield (head,) + tail
 
 
-@dataclass(frozen=True)
+@record
 class Series:
     """An element in canonical form: terms (coordinates at ring.level, coefficient)
     in term order, coefficients reduced."""
@@ -534,7 +534,7 @@ def frobenius_mod_I0(x: Series) -> Series:
     return make_series(x.ring, [(tuple(p * a for a in v), c) for v, c in x.terms])
 
 
-@dataclass(frozen=True)
+@record
 class TorsionReport:
     """Monomials killed by a power of the tested generator, within the cutoff.
 
@@ -581,22 +581,32 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
     m*g^l with deg m + l deg g within the cutoff vanishes, which
     kills_monomial reads off g^l.  A zero generator makes everything
     1-torsion, which the axiom layer handles through the I = (0) remark
-    rather than here.
+    rather than here.  A unit has no torsion; a constant term divisible by
+    p (possible only with Z/p^N coefficients) is not a unit, and there the
+    powers run to (cap - deg m) + N.
     """
     if g.ring != ring:
         raise RingMismatch("generator lives in a different ring")
     found: list[tuple[tuple[int, ...], int]] = []
     if g.is_zero:
         found = [(m, 1) for m in ring.monomial_basis()]
-    elif sum(g.terms[0][0]) > 0:
-        # a degree-0 lowest term carries a unit digit: g is a unit, no torsion
+    elif not is_unit(g):
         gdeg = sum(g.terms[0][0])
         cap = ring.cap
+
+        def reach(m):
+            """The largest power of g worth testing on m."""
+            if gdeg:
+                return (cap - sum(m)) // gdeg
+            # g = c + h with p | c (Z/p^N coefficients): every term of g^l
+            # has c^k with k >= N, which is 0, or h^(l-k) past the cutoff
+            return cap - sum(m) + ring.precision
+
         gpow = [g]
-        while len(gpow) < cap // gdeg:
+        while len(gpow) < reach(ring.zero_exp):
             gpow.append(s_mul(gpow[-1], g))
         for m in ring.monomial_basis():
-            l = next((l for l in range(1, (cap - sum(m)) // gdeg + 1)
+            l = next((l for l in range(1, reach(m) + 1)
                       if kills_monomial(gpow[l - 1], m)), None)
             if l is not None:
                 found.append((m, l))

@@ -14,11 +14,11 @@ degree cutoff is skipped rather than counted, and every report carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import sub
 
 from .monoid import MonoidElem, json_int
+from .record import record, replace
 from .series import (
     InvariantViolation,
     Series,
@@ -50,7 +50,7 @@ class IncompatibleComponents(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     """Exponent-linear transition t_i: R_i -> R_{i+1}.
 
@@ -78,7 +78,7 @@ class Transition:
         return make_series(target, [(self.image(v, x.ring, target), c) for v, c in x.terms])
 
 
-@dataclass(frozen=True)
+@record
 class TowerDesc:
     """R_0 .. R_depth with transitions and the principal base ideal I_0."""
 
@@ -259,7 +259,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
     return {"axioms": rows, "all_pass": all(r["pass"] for r in rows), "cutoff": T.cutoff_info()}
 
 
-@dataclass(frozen=True)
+@record
 class FrobProjection:
     """F_i: S_{i+1} -> S_i, the canonical monomial rule e^g -> e^{pg}."""
 
@@ -340,7 +340,7 @@ def pillar_system(T: TowerDesc):
     return PillarSystem(tower=T, generators=tuple(gens))
 
 
-@dataclass(frozen=True)
+@record
 class PillarSystem:
     tower: TowerDesc
     generators: tuple[Series, ...]
@@ -492,7 +492,7 @@ def verify_tower(T: TowerDesc) -> dict:
 # the small tilt: depth-m compatible tuples
 
 
-@dataclass(frozen=True)
+@record
 class TiltElem:
     """A truncated element of the small tilt at home level j.
 

@@ -7,11 +7,11 @@ transition image, counting shows the Frobenius image set cannot be covered,
 so a lone (b) break is impossible and the expectation records both.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from ptlab.logreg import build_tower, preset_unramified
 from ptlab.monoid import AffineMonoid, MonoidElem
+from ptlab.record import replace
 from ptlab.series import SeriesRingDesc, make_series, s_monomial, s_one
 from ptlab.tower import TowerDesc, Transition
 

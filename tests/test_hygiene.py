@@ -1,7 +1,10 @@
 """Static hygiene of the package: no unused imports, no dead private helpers,
-no Fraction cutoff tests."""
+no Fraction cutoff tests, no generated code and a lean import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ptlab"
@@ -79,3 +82,35 @@ def test_cutoff_is_decided_on_the_ring_scale():
             if any(_calls(s, "degree") for s in sides) and any(_reads(s, "cutoff") for s in sides):
                 sites.append(f"{fname}:{node.lineno}")
     assert sites == []
+
+
+def test_no_dataclasses_and_no_generated_code():
+    """Value classes are records (ptlab.record): nothing imports dataclasses,
+    and nothing builds code from text with exec, compile or eval."""
+    sites = []
+    for fname, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                mods = []
+            if any(m.split(".")[0] == "dataclasses" for m in mods):
+                sites.append(f"{fname}:{node.lineno}: imports dataclasses")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "compile", "eval")):
+                sites.append(f"{fname}:{node.lineno}: calls {node.func.id}")
+    assert sites == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Every ptlab command is a fresh process, so what `import ptlab.cli`
+    loads is paid per verdict; dataclasses (which loads inspect) was most of
+    it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ptlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

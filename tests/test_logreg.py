@@ -22,6 +22,8 @@ from ptlab.logreg import (
 from ptlab.monoid import AffineMonoid, MonoidElem, p_divide
 from ptlab.series import SeriesRingDesc, make_series, s_const, s_from_terms, s_monomial
 
+from fixtures import sab_b
+
 
 def test_presets():
     U = preset("unramified_rlr", 2, d=3)
@@ -118,6 +120,15 @@ def test_verify_tilt_matches(name, p):
     assert kinds == {"basis_match", "dimension", "transition_match", "transition_degree"}
     for c in rep["checks"]:
         assert c["pass"], c
+
+
+def test_verify_tilt_catches_a_transition_that_is_not_the_inclusion():
+    """sab_b's transition sends the generator x2 to x1 x2 on every level."""
+    T, _ = sab_b()
+    rep = verify_tilt(preset("unramified_rlr", 2, d=2), T)
+    failed = {(c["check"], c.get("level")) for c in rep["checks"] if not c["pass"]}
+    assert failed == {("transition_match", j) for j in range(T.depth)}
+    assert not rep["all_pass"]
 
 
 def test_kato_dimension_bookkeeping():

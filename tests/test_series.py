@@ -195,6 +195,18 @@ def test_torsion_annihilator_degenerate_generators():
         torsion_annihilator(CHARP, s_one(WITT))
 
 
+def test_torsion_of_a_constant_divisible_by_p():
+    """In Z/8[[x1,x2]] the constant 2 is no unit: 2^3 = 0 kills every basis
+    monomial, and no lower power kills any; 3 is a unit."""
+    two = s_const(WITT, 2)
+    assert s_pow(two, 3).is_zero
+    rep = torsion_annihilator(WITT, two)
+    assert rep.monomials() == WITT.monomial_basis()
+    assert set(rep.minimal_powers) == {3}
+    assert rep.bounded_exponent == 3
+    assert torsion_annihilator(WITT, s_const(WITT, 3)).is_zero
+
+
 def test_reduced_relation_exp():
     assert reduced_relation_exp(MIXED) == MonoidElem((1, 0), 0, 2)
     two_live = SeriesRingDesc(
@@ -405,13 +417,16 @@ def test_degree_scale_torsion(p, ml, fl, D):
 def torsion_oracle(ring, g):
     if g.is_zero:
         return [(m, 1) for m in ring.monomial_basis()]
-    gdeg = sum(g.terms[0][0])
-    if gdeg == 0:
-        return []
+    gdeg, c0 = sum(g.terms[0][0]), g.terms[0][1]
+    if gdeg == 0 and c0 % ring.p:
+        return []  # a unit
     found = []
     for m in ring.monomial_basis():
         prod, l = make_series(ring, [(m, 1)]), 0
-        while sum(m) + (l + 1) * gdeg <= ring.cap:
+        # a constant term divisible by p dies in the N-th power, so past
+        # (cap - deg m) + N every term of g^l is 0 or beyond the cutoff
+        while (sum(m) + (l + 1) * gdeg <= ring.cap if gdeg
+               else l < ring.cap - sum(m) + ring.precision):
             prod, l = s_mul(prod, g), l + 1
             if prod.is_zero:
                 found.append((m, l))
@@ -435,16 +450,17 @@ TORSION_RINGS = {
 
 @st.composite
 def torsion_generators(draw, ring):
-    """g = zero, a unit, a monomial with coefficient 1, a unit or a multiple
-    of p (at any degree, 0 included), or several terms."""
+    """g = zero, a unit, a multiple of p plus higher terms, a monomial with
+    coefficient 1, a unit or a multiple of p (at any degree, 0 included), or
+    several terms."""
     p, basis = ring.p, ring.monomial_basis()
     positive = [v for v in basis if sum(v) > 0]
     terms = st.tuples(st.sampled_from(positive), st.integers(-9, 9))
-    kind = draw(st.sampled_from(("zero", "unit", "monomial", "multi")))
+    kind = draw(st.sampled_from(("zero", "unit", "p_multiple", "monomial", "multi")))
     if kind == "zero":
         return s_zero(ring)
-    if kind == "unit":
-        c = draw(st.integers(1, 3 * p).filter(lambda c: c % p))
+    if kind in ("unit", "p_multiple"):
+        c = draw(st.integers(1, 3 * p).filter(lambda c: (c % p == 0) == (kind == "p_multiple")))
         return make_series(ring, [(ring.zero_exp, c)] + draw(st.lists(terms, max_size=2)))
     if kind == "monomial":
         c = draw(st.sampled_from((1, draw(st.integers(1, 3 * p).filter(lambda c: c % p)),

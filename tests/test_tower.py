@@ -1,6 +1,5 @@
 """Tower axioms, Frobenius projections, pillars, tilt elements."""
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +7,7 @@ import pytest
 
 from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem
+from ptlab.record import replace
 from ptlab.series import InvariantViolation, SeriesRingDesc, s_monomial, s_one, s_zero
 from ptlab.tower import (
     AxiomViolation,
