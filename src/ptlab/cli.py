@@ -42,7 +42,7 @@ from .monoid import (
 )
 from .monoid import preset as monoid_preset
 from .record import record
-from .series import InvariantViolation, s_from_terms, term_from_json
+from .series import InvariantViolation, parse_cutoff, s_from_terms, term_from_json
 from .tower import (
     frobenius_identities,
     inverse_perfection_is_perfect,
@@ -334,12 +334,12 @@ def main(argv=None) -> int:
             command=args.group,
             p=args.p,
             depth=args.depth,
-            cutoff=Fraction(args.cutoff),
+            cutoff=parse_cutoff(args.cutoff),
             precision=args.precision,
             d=args.d,
             output=args.output,
         )
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return 2
     try:

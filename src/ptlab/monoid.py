@@ -22,6 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd
+from operator import add
 
 from . import intlat
 from .intlat import FinAbelianGroup
@@ -525,32 +526,43 @@ def graded_order(coords: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def enumerate_elements(Q: AffineMonoid, max_degree: Fraction) -> tuple[MonoidElem, ...]:
     """All monoid elements of total degree <= max_degree, in graded_order.
 
-    Q is the N-span of its generators, so the elements are found by a walk
-    up from 0 over generator sums, which visits only elements of Q.
-    The generators must lie in N^d (ValueError otherwise): each nonzero one
-    then has positive degree and the walk ends.  The result is memoised per
-    monoid and degree cap.
+    The MonoidElem form of element_coords, memoised per monoid and degree cap.
     """
     return _elements(Q, floor(Fraction(max_degree) * Q.scale_base ** Q.level))
 
 
 @lru_cache(maxsize=None)
 def _elements(Q: AffineMonoid, cap: int) -> tuple[MonoidElem, ...]:
-    # level-Q.level coordinate tuples of degree <= cap
-    gens = _nonneg_generators(Q)
+    return tuple(Q.elem(v) for v in element_coords(Q, cap))
+
+
+@lru_cache(maxsize=None)
+def element_coords(Q: AffineMonoid, cap: int) -> tuple[tuple[int, ...], ...]:
+    """Level-Q.level coordinates of every element of Q of degree <= cap, in
+    graded_order.
+
+    Q is the N-span of its generators, so the elements are found by a walk
+    up from 0 over generator sums, which visits only elements of Q; each
+    element carries its degree, so a step adds the generator's.  The
+    generators must lie in N^d (ValueError otherwise): each nonzero one then
+    has positive degree and the walk ends.
+    """
+    gens = tuple((g, sum(g)) for g in _nonneg_generators(Q))
     if cap < 0:
         return ()
     zero = (0,) * Q.ambient_rank
-    seen = {zero}
-    stack = [zero]
+    seen = {zero: 0}
+    stack = [(zero, 0)]
     while stack:
-        u = stack.pop()
-        for g in gens:
-            w = tuple(a + b for a, b in zip(u, g))
-            if sum(w) <= cap and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return tuple(Q.elem(v) for v in sorted(seen, key=graded_order))
+        u, du = stack.pop()
+        for g, dg in gens:
+            dw = du + dg
+            if dw <= cap:
+                w = tuple(map(add, u, g))
+                if w not in seen:
+                    seen[w] = dw
+                    stack.append((w, dw))
+    return tuple(v for _, v in sorted((d, v) for v, d in seen.items()))
 
 
 # ---------------------------------------------------------------------------

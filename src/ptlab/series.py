@@ -29,7 +29,7 @@ from .monoid import (
     AffineMonoid,
     MonoidElem,
     contains,
-    enumerate_elements,
+    element_coords,
     graded_order,
     json_int,
 )
@@ -275,21 +275,32 @@ class SeriesRingDesc:
         char_p = d.get("char_p", False)
         if type(char_p) is not bool:
             raise ValueError(f"char_p must be a JSON boolean, got {char_p!r}")
-        num, _, den = str(d["cutoff"]).partition("/")
-        den = int(den) if den else 1
-        if den == 0:
-            raise ValueError(f"cutoff {d['cutoff']!r} has a zero denominator")
         return cls(
             monoid_part=mon,
             free_rank=json_int(d["free_rank"]),
             free_level=json_int(d.get("free_level", mon.level)),
             p=p,
             precision=json_int(d["precision"]),
-            cutoff=Fraction(int(num), den),
+            cutoff=parse_cutoff(d["cutoff"]),
             relation_f=rel,
             char_p=char_p,
             quotient_exps=quot,
         )
+
+
+def parse_cutoff(x) -> Fraction:
+    """The degree cutoff D of a descriptor or of the command line: an integer,
+    or a string such as "4", "7/2" or "1.5"; ValueError naming x otherwise."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is not str:
+        raise ValueError(f"cutoff {x!r} must be an integer or a string like '7/2'")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"cutoff {x!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"cutoff {x!r} is not a rational number") from None
 
 
 def term_json(e: MonoidElem, c: int) -> dict:
@@ -320,28 +331,40 @@ def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Frac
     at the ring's level, in term order, and the same tuples as a set.
 
     The key leaves out the relation and the quotient, so a ring and its
-    residue rings share one support.
+    residue rings share one support.  The monoid elements and the free parts
+    (built one coordinate at a time, in steps of one free-level unit) are
+    grouped by degree; the exponents of degree k join the parts whose degrees
+    add up to k, and one plain sort puts them in coordinate order.
     """
     p = monoid.scale_base
     lv = max(monoid.level, free_level)
     cap = floor(cutoff * p ** lv)
     step = p ** (lv - free_level)  # one free-level unit, in level-lv steps
+    unit = p ** (lv - monoid.level)  # one monoid-level unit
+    free = [(0, ())]
+    for _ in range(free_rank):
+        free = [(d + x, t + (x,)) for d, t in free for x in range(0, cap - d + 1, step)]
+    elems = element_coords(monoid, cap // unit)
+    if unit > 1:
+        elems = [tuple(x * unit for x in m) for m in elems]
+    elems_by_deg, free_by_deg = _by_degree((sum(m), m) for m in elems), _by_degree(free)
     out = []
-    for m in enumerate_elements(monoid, cutoff):
-        mc = m.at_level(lv)
-        for v in _compositions(free_rank, (cap - sum(mc)) // step):
-            out.append(mc + tuple(x * step for x in v))
-    out.sort(key=graded_order)
-    return tuple(out), frozenset(out)
+    for k in range(cap + 1):
+        vs = [m + t for dm, ms in elems_by_deg.items() if k - dm in free_by_deg
+              for m in ms for t in free_by_deg[k - dm]]
+        vs.sort()
+        out += vs
+    terms = tuple(out)
+    return terms, frozenset(terms)
 
 
-def _compositions(r: int, cap: int):
-    if r == 0:
-        yield ()
-        return
-    for head in range(cap + 1):
-        for tail in _compositions(r - 1, cap - head):
-            yield (head,) + tail
+def _by_degree(pairs) -> dict[int, list[tuple[int, ...]]]:
+    """(degree, coordinates) pairs as one list of coordinates per degree, in
+    the order given."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for d, v in pairs:
+        out.setdefault(d, []).append(v)
+    return out
 
 
 @record

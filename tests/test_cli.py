@@ -288,3 +288,22 @@ def test_multi_term_base_ideal_exits_2(tmp_path, capsys):
         err = _one_line_exit_2(capsys, "tower", action, "--input", str(path),
                                "--depth", "1", "--cutoff", "7/2")
         assert "monomial" in err
+
+
+def test_cutoff_has_one_parser(capsys):
+    # a zero denominator or a non-number names the cutoff and exits 2
+    for bad in ("1/0", "abc"):
+        err = _one_line_exit_2(capsys, "tower", "verify", "--preset", "quadric", "--p", "3",
+                               "--cutoff", bad)
+        assert f"cutoff '{bad}'" in err
+    # the command line and a tower descriptor read "1.5" alike
+    code, out, _ = run(capsys, "tower", "build", "--preset", "unramified_rlr", "--depth", "1",
+                       "--cutoff", "1.5")
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report == json.loads(run(capsys, "tower", "build", "--preset", "unramified_rlr",
+                                    "--depth", "1", "--cutoff", "3/2")[1])["report"]
+    for level in report["levels"]:
+        level["cutoff"] = "1.5"
+    T = TowerDesc.from_descriptor(report)
+    assert T == build_tower(preset("unramified_rlr", 2), 1, Fraction(3, 2), 2)

@@ -1,22 +1,25 @@
 """Truncated series arithmetic: carries, relations, residue reduction."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import floor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ptlab.monoid import AffineMonoid, MonoidElem, contains
+from ptlab.monoid import AffineMonoid, MonoidElem, contains, graded_order
 from ptlab.series import (
     InvariantViolation,
     NonMonomialReduction,
     RingMismatch,
     SeriesRingDesc,
+    _support,
     frobenius_mod_I0,
     is_unit,
     kills_monomial,
     make_series,
+    parse_cutoff,
     reduce_mod_I0,
     reduced_relation_exp,
     s_add,
@@ -278,6 +281,19 @@ def test_ring_descriptor_roundtrip():
         d = {**ring.to_descriptor(), key: bad}
         with pytest.raises(ValueError):
             SeriesRingDesc.from_descriptor(d)
+
+
+def test_descriptor_cutoff_parses_like_the_command_line():
+    d = MIXED.to_descriptor()
+    for text, want in (("1.5", Fraction(3, 2)), ("7/2", Fraction(7, 2)), (3, Fraction(3))):
+        assert SeriesRingDesc.from_descriptor({**d, "cutoff": text}).cutoff == want
+    assert parse_cutoff("1.5") == parse_cutoff("3/2") == Fraction(3, 2)
+    for bad, msg in (("7/0", "cutoff '7/0' has a zero denominator"),
+                     ("abc", "cutoff 'abc' is not a rational number"),
+                     (1.5, "cutoff 1.5 must be an integer or a string"),
+                     (True, "cutoff True must be an integer or a string")):
+        with pytest.raises(ValueError, match=msg):
+            SeriesRingDesc.from_descriptor({**d, "cutoff": bad})
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +588,59 @@ def test_ring_and_residue_share_one_support():
     assert S.monomial_basis() and set(S.monomial_basis()) <= set(R.monomial_basis())
     members = {id(v) for v in R.monomial_basis()}
     assert all(id(v) in members for v in S.monomial_basis())
+
+
+# the support: every exponent of the ring within the cutoff, in term order.
+# The oracle walks the whole box [0, cap]^width at the ring's level and keeps
+# what structural_contains (monoid membership and the free-level steps) admits.
+
+@st.composite
+def support_rings(draw):
+    """Generators in N^d (d <= 2, not necessarily saturated), r in {0, 1, 2},
+    monoid and free levels drawn apart, D*p^L often not an integer."""
+    p = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(0, 2))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=3))
+    Q = AffineMonoid(d, p, draw(st.integers(0, 1)), tuple(gens))
+    r = draw(st.integers(0, 2))
+    D = draw(st.fractions(Fraction(1, 3), 4, max_denominator=3))
+    return SeriesRingDesc(monoid_part=Q, free_rank=r, free_level=draw(st.integers(0, 1)),
+                          p=p, precision=2, cutoff=D)
+
+
+@settings(deadline=2000, max_examples=120)
+@given(support_rings())
+@example(SeriesRingDesc(monoid_part=AffineMonoid(1, 2, 1, ((2,), (3,))), free_rank=2,
+                        free_level=0, p=2, precision=2, cutoff=Fraction(7, 3)))
+@example(SeriesRingDesc(monoid_part=AffineMonoid(2, 3, 0, ((1, 0), (0, 1))), free_rank=1,
+                        free_level=0, p=3, precision=2, cutoff=Fraction(2)))
+def test_support_matches_box_enumeration(ring):
+    box = [v for v in itertools.product(range(ring.cap + 1), repeat=ring.width)
+           if sum(v) <= ring.cap and ring.structural_contains(v)]
+    terms, members = _support(ring.monoid_part, ring.free_rank, ring.free_level, ring.cutoff)
+    assert list(terms) == sorted(box, key=graded_order)
+    assert members == frozenset(box)
+
+
+def test_cold_support_builds_no_monoid_elem(monkeypatch):
+    """The support walks the monoid and the free part in int tuples."""
+    from ptlab import monoid, series
+    from ptlab.logreg import build_tower, preset
+
+    R = build_tower(preset("quadric", 3), 2, Fraction(4), 2).levels[-1]
+    R.__dict__.pop("_support", None)
+    series._support.cache_clear()
+    monoid.element_coords.cache_clear()
+    calls = []
+    original = MonoidElem.__post_init__
+
+    def counting(self):
+        calls.append(self.coords)
+        original(self)
+
+    monkeypatch.setattr(MonoidElem, "__post_init__", counting)
+    assert len(R._support[0]) == 2470
+    assert calls == []
 
 
 def test_hot_path_builds_no_monoid_elem(monkeypatch):

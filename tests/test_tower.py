@@ -8,7 +8,15 @@ import pytest
 from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.record import replace
-from ptlab.series import InvariantViolation, SeriesRingDesc, s_monomial, s_one, s_zero
+from ptlab.series import (
+    InvariantViolation,
+    Series,
+    SeriesRingDesc,
+    make_series,
+    s_monomial,
+    s_one,
+    s_zero,
+)
 from ptlab.tower import (
     AxiomViolation,
     FrobProjection,
@@ -75,6 +83,45 @@ def test_frobenius_identities_both_directions():
         r = frobenius_identities(unram2(), i)
         assert r["t_after_F_is_frobenius"] and r["F_after_t_is_frobenius"]
         assert r["witnesses"] == []
+
+
+def series_frobenius_identities(T, i):
+    """The oracle: both identities on one-term series, through FrobProjection.apply
+    and transition_bar, compared with the canonical e^{pd}."""
+    F = FrobProjection(T, i)
+    Si, Si1 = T.residue(i), T.residue(i + 1)
+
+    def failures(ring, via):
+        for g in ring.monomial_basis():
+            pg = tuple(ring.p * x for x in g)
+            if sum(pg) <= ring.cap and via(Series(ring, ((g, 1),))) != make_series(ring, [(pg, 1)]):
+                yield ring.elem(g).to_json()
+
+    bad_tf = list(failures(Si1, lambda x: T.transition_bar(i, F.apply(x))))
+    bad_ft = list(failures(Si, lambda x: F.apply(T.transition_bar(i, x))))
+    return {"level": i, "t_after_F_is_frobenius": not bad_tf,
+            "F_after_t_is_frobenius": not bad_ft, "witnesses": bad_tf + bad_ft,
+            "cutoff": T.cutoff_info()}
+
+
+def test_frobenius_identities_match_the_series_path():
+    """Deciding the identities on exponents gives the series path's report on
+    every sabotaged tower and level; frobenius_projection fails exactly where
+    t-bar after F does."""
+    witnessed = set()
+    for name, build in SABOTAGE.items():
+        T, _ = build()
+        for i in range(T.depth):
+            want = series_frobenius_identities(T, i)
+            assert frobenius_identities(T, i) == want, (name, i)
+            if want["witnesses"]:
+                witnessed.add(name)
+            if want["t_after_F_is_frobenius"]:
+                assert frobenius_projection(T, i).level == i
+            else:
+                with pytest.raises(AxiomViolation):
+                    frobenius_projection(T, i)
+    assert {"b", "c"} <= witnessed
 
 
 def test_frobenius_projection_guards():
