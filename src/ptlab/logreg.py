@@ -263,14 +263,14 @@ class BaseRing:
         if self.d < 0:
             raise UnsupportedBase("negative variable count")
 
-    def series_ring(self, D=Fraction(3), N: int = 2) -> SeriesRingDesc:
+    def series_ring(self) -> SeriesRingDesc:
         return SeriesRingDesc(
             monoid_part=monoid_preset("Nd", self.p),
             free_rank=self.d,
             free_level=0,
             p=self.p,
-            precision=N,
-            cutoff=Fraction(D),
+            precision=2,
+            cutoff=Fraction(3),
             relation_f=None,
             char_p=not self.mixed,
         )

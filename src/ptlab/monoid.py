@@ -151,8 +151,8 @@ class AffineMonoid:
         if self.level < 0:
             raise ValueError("level must be nonnegative")
 
-    def elem(self, coords, level: int | None = None) -> MonoidElem:
-        return MonoidElem(tuple(coords), self.level if level is None else level, self.scale_base)
+    def elem(self, coords) -> MonoidElem:
+        return MonoidElem(tuple(coords), self.level, self.scale_base)
 
     def gen_elems(self) -> tuple[MonoidElem, ...]:
         return tuple(self.elem(g) for g in self.generators)
@@ -582,7 +582,7 @@ def exact_embed_Nd(Q: AffineMonoid):
 
 @record(hidden=("_level", "_basis", "_U", "_diag"))
 class GradedDecomposition:
-    """Grading of Z[Q] by G = Q^gp/(Qp)^gp with the degree-zero retraction."""
+    """Grading of Z[Q] by G = Q^gp/(Qp)^gp; degree zero is is_zero_class."""
 
     class_group: FinAbelianGroup
     _level: int
@@ -606,10 +606,6 @@ class GradedDecomposition:
 
     def is_zero_class(self, x: MonoidElem) -> bool:
         return all(v == 0 for v in self.class_of(x))
-
-    def retract(self, elems):
-        """The degree-zero part: keeps exactly the Qp^gp-indexed elements."""
-        return tuple(e for e in elems if self.is_zero_class(e))
 
 
 def graded_decomposition(Qp: AffineMonoid, Q: AffineMonoid) -> GradedDecomposition:

@@ -136,8 +136,8 @@ class SeriesRingDesc:
     def width(self) -> int:
         return self.monoid_part.ambient_rank + self.free_rank
 
-    def exp(self, coords, level: int = 0) -> MonoidElem:
-        return MonoidElem(tuple(coords), level, self.p)
+    def exp(self, coords) -> MonoidElem:
+        return MonoidElem(tuple(coords), 0, self.p)
 
     @property
     def zero_exp(self) -> tuple[int, ...]:
@@ -533,7 +533,7 @@ def is_unit(x: Series) -> bool:
     return x.constant_coeff % x.ring.p != 0
 
 
-def reduce_mod_I0(x: Series, target: SeriesRingDesc | None = None) -> Series:
+def reduce_mod_I0(x: Series) -> Series:
     """Image of x in the mod-p residue ring R/(p, f) = k[[monoid]]/(f-bar).
 
     The canonical form of a relation ring already has digit coefficients with
@@ -544,9 +544,8 @@ def reduce_mod_I0(x: Series, target: SeriesRingDesc | None = None) -> Series:
     if x.ring.relation_f is None and not x.ring.char_p:
         raise NonMonomialReduction("ring has no relation; nothing to reduce by")
     if x.ring.char_p:
-        return x if target is None else make_series(target, x.terms)
-    ring = target if target is not None else x.ring.residue_ring()
-    return make_series(ring, x.terms)
+        return x
+    return make_series(x.ring.residue_ring(), x.terms)
 
 
 def frobenius_mod_I0(x: Series) -> Series:

@@ -1,10 +1,11 @@
-"""Deliberately broken towers, each violating exactly one axiom.
+"""Deliberately broken towers, each named after the axiom it breaks.
 
 Every fixture returns (tower, expected) where expected maps axiom letters to
 the pass verdict the verification report must show.  The (b) fixture also
 pins its forced (c) failure: once some basis monomial has a vanishing
 transition image, counting shows the Frobenius image set cannot be covered,
-so a lone (b) break is impossible and the expectation records both.
+so a lone (b) break is impossible and the expectation records both (as does
+the f_power fixture, whose transition also breaks (b)).
 """
 
 from fractions import Fraction
@@ -51,6 +52,19 @@ def sab_c():
     T = _unram_tower()
     twist = Transition(((1, 0), (0, 2)))
     return replace(T, transitions=(twist,) * DEPTH), {**ALL_PASS, "c": False}
+
+
+def sab_f_power():
+    """Transition squares x1, the p-direction of the pillar: t(f_i) = f_i^2 is
+    not f_{i+1}^p, so I_{i+1}^p = I_i R_{i+1} fails in (f).
+
+    At level 1, x1^{1/2} goes to x1 in S_2, which kills it: (b) fails, and
+    (c) with it by counting, as in sab_b.
+    """
+    T = _unram_tower()
+    square = Transition(((2, 0), (0, 1)))
+    return (replace(T, transitions=(square,) * DEPTH),
+            {**ALL_PASS, "b": False, "c": False, "f": False})
 
 
 def _half_fixed_levels(monoid_is_relation: bool):
@@ -139,5 +153,6 @@ SABOTAGE = {
     "d": sab_d,
     "e": sab_e,
     "f": sab_f,
+    "f_power": sab_f_power,
     "g": sab_g,
 }

@@ -114,3 +114,50 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(positional index or None for keyword-only, name) of fn's defaulted
+    parameters."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    out = [(k, arg.arg) for k, arg in enumerate(pos) if k >= first]
+    out += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, index: int | None, name: str, bound: bool) -> bool:
+    """call may set the parameter: by keyword, by position (a call through an
+    attribute binds self or cls first), or through *args / **kwargs."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(x, ast.Starred) for x in call.args):
+        return True
+    return index is not None and len(call.args) > index - bound
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter of a function in src/ptlab is passed by some call
+    in src/, tests/ or perfbench/; one that no caller sets is a knob that
+    does nothing and should be the value every caller gets.  Calls are
+    matched by the called name, so a same-named function elsewhere counts."""
+    root = SRC.parents[1]
+    calls: dict[str, list[ast.Call]] = {}
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    called = getattr(f, "id", None) or getattr(f, "attr", None)
+                    calls.setdefault(called, []).append(node)
+    unset = []
+    for fname, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = bool(fn.args.args) and fn.args.args[0].arg in ("self", "cls")
+            for index, name in _defaulted(fn):
+                if not any(_passes(c, index, name, bound) for c in calls.get(fn.name, ())):
+                    unset.append(f"{fname}: {fn.name}({name}=...)")
+    assert unset == []

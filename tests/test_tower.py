@@ -13,6 +13,7 @@ from ptlab.series import (
     Series,
     SeriesRingDesc,
     make_series,
+    reduce_mod_I0,
     s_monomial,
     s_one,
     s_zero,
@@ -22,6 +23,7 @@ from ptlab.tower import (
     FrobProjection,
     IncompatibleComponents,
     PillarNotFound,
+    TiltElem,
     TowerDesc,
     Transition,
     frob_qf,
@@ -33,6 +35,7 @@ from ptlab.tower import (
     te_add,
     te_mul,
     te_one,
+    te_pow,
     te_zero,
     teich_tilt,
     tilt_elem,
@@ -124,6 +127,136 @@ def test_frobenius_identities_match_the_series_path():
     assert {"b", "c"} <= witnessed
 
 
+# The series path the tilt checks took before they were decided on exponents:
+# tuples of one-term series in the residue rings, multiplied and powered as
+# tilt elements.  Only the values that path decided are recomputed here.
+
+
+def series_teich(T, j, mu, depth):
+    """(e^mu, e^{mu/p}, ...) as series, or None when a root is missing."""
+    comps = []
+    for l in range(depth + 1):
+        ring = T.residue(j + l)
+        w = ring.coords(MonoidElem(mu.coords, mu.level + l, T.p))
+        if w is None or not ring.in_ring(w):
+            return None
+        comps.append(make_series(ring, [(w, 1)]))
+    return TiltElem(T, j, tuple(comps))
+
+
+def series_pillar_tilt(T, j, depth):
+    """(f_j mod I0, f_{j+1} mod I0, ...)."""
+    g = T.ideal_exp()
+    return TiltElem(T, j, tuple(
+        make_series(T.residue(j + l), [(T.residue(j + l).coords(
+            MonoidElem(g.coords, g.level + j + l, T.p)), 1)])
+        for l in range(depth + 1)))
+
+
+def series_verify_exactstilt(T, j):
+    rep = verify_exactstilt(T, j)
+    m = T.depth - j
+    rows = []
+    for row in rep["checks"]:
+        if row["check"] == "pillar_power":
+            f_j, f_j1 = series_pillar_tilt(T, j, m - 1), series_pillar_tilt(T, j + 1, m - 1)
+            powed = te_pow(f_j1, T.p)
+            ok = all(powed.components[l] == T.transition_bar(j + l, c)
+                     for l, c in enumerate(f_j.components))
+            row = {**row, "pass": ok}
+        elif row["check"] == "torsion" and not T.base_ideal.is_zero:
+            f = series_pillar_tilt(T, j, m)
+            Sj = T.residue(j)
+            room = Sj.cap - sum(T.pillar_coords(Sj, j))
+            tuples = (series_teich(T, j, Sj.elem(mu), m)
+                      for mu in Sj.monomial_basis() if sum(mu) <= room)
+            empty = not any(te_mul(te, f).is_zero for te in tuples if te is not None)
+            row = {**row, "tilt_empty": empty, "pass": row["source_empty"] == empty}
+        rows.append(row)
+    return {**rep, "checks": rows, "all_pass": all(r["pass"] for r in rows)}
+
+
+def series_tilt_mod_pillar_iso(T, j):
+    rep = tilt_mod_pillar_iso(T, j)
+    Sj = T.residue(j)
+    mismatches, matched = [], 0
+    for mu in Sj.monomial_basis():
+        te = series_teich(T, j, Sj.elem(mu), T.depth - j)
+        if te is None:
+            mismatches.append({"direction": "section", **Sj.elem(mu).to_json()})
+        elif te.project(0) != Series(Sj, ((mu, 1),)):
+            mismatches.append({"direction": "projection", **Sj.elem(mu).to_json()})
+        else:
+            matched += 1
+    mismatches += [x for x in rep["mismatches"] if x["direction"] == "partition"]
+    return {**rep, "bijective": not mismatches, "basis_size": matched,
+            "mismatches": mismatches}
+
+
+def series_compatibility_witnesses(pillars):
+    T = pillars.tower
+    bars = [make_series(T.residue(i), reduce_mod_I0(f).terms)
+            for i, f in enumerate(pillars.generators)]
+    return [{"level": i, "pass": FrobProjection(T, i).apply(bars[i + 1]) == bars[i]}
+            for i in range(T.depth)]
+
+
+def oracle_towers():
+    """Every sabotaged tower, the perfect tower, the two benchmark windows and
+    a tower whose first transition swaps x1 and x2, so t-bar_0 sends the zero
+    f-bar_0 = x1 to the nonzero x2."""
+    towers = {name: build()[0] for name, build in SABOTAGE.items()}
+    swap = Transition(((0, 1), (1, 0)))
+    towers["swap"] = replace(unram2(), transitions=(swap, Transition()))
+    towers["perfect"] = perfect_tower()
+    towers["quadric_p3"] = build_tower(preset("quadric", 3), 2, Fraction(4), 2)
+    towers["rlr_deep"] = build_tower(preset("unramified_rlr", 2, 3), 3, Fraction(5), 2)
+    return towers
+
+
+def test_tilt_checks_match_the_series_path():
+    """verify_exactstilt, tilt_mod_pillar_iso and the pillar compatibility
+    give the series path's reports at every home level."""
+    seen = set()
+    for name, T in oracle_towers().items():
+        for j in range(T.depth + 1):
+            want = series_verify_exactstilt(T, j)
+            assert verify_exactstilt(T, j) == want, (name, j)
+            seen |= {(r["check"], r["pass"]) for r in want["checks"]}
+            seen |= {("tilt_empty", r["tilt_empty"]) for r in want["checks"]
+                     if r["check"] == "torsion"}
+            want = series_tilt_mod_pillar_iso(T, j)
+            assert tilt_mod_pillar_iso(T, j) == want, (name, j)
+            seen |= {("mod_pillar_iso", want["bijective"])}
+        try:
+            pillars = pillar_system(T)
+        except PillarNotFound:
+            continue
+        want = series_compatibility_witnesses(pillars)
+        assert pillars.compatibility_witnesses() == want, name
+    # both verdicts of every row the exponents now decide were compared
+    assert {(c, v) for c in ("pillar_power", "tilt_empty", "mod_pillar_iso")
+            for v in (True, False)} <= seen
+
+
+def test_tilt_checks_build_no_tilt_elem(monkeypatch):
+    built = []
+    init = TiltElem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TiltElem, "__init__", counting)
+    T = oracle_towers()["quadric_p3"]
+    for j in range(T.depth + 1):
+        verify_exactstilt(T, j)
+        tilt_mod_pillar_iso(T, j)
+    assert built == []
+    inverse_perfection_is_perfect(T)  # the counter sees the algebra's samples
+    assert built
+
+
 def test_frobenius_projection_guards():
     T = unram2()
     F = frobenius_projection(T, 0)
@@ -146,6 +279,18 @@ def test_pillar_chain_exponents():
         if i:
             assert e.scale(2) == pillars.exponent(i - 1)
     assert all(w["pass"] for w in pillars.compatibility_witnesses())
+
+
+def test_pillar_chain_row_consults_the_transition():
+    """(f)'s I_{i+1}^p = I_i R_{i+1} compares t_i(f_i) with f_{i+1}^p: a
+    transition squaring the pillar direction breaks it at every level."""
+    T, _ = SABOTAGE["f_power"]()
+    rows = [r for r in verify_tower(T)["axioms"] if r.get("note") == "I_{i+1}^p != I_i R_{i+1}"]
+    assert [(r["level"], r["witness"]) for r in rows] == [
+        (0, {"exponent": [1, 0], "level": 1}), (1, {"exponent": [1, 0], "level": 2})]
+    assert not rows[0]["pass"]
+    # the inclusion sends f_i to f_{i+1}^p
+    assert not any(r.get("note") == rows[0]["note"] for r in verify_tower(unram2())["axioms"])
 
 
 def test_pillar_not_found_on_undividable_ideal():
