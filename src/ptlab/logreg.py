@@ -18,7 +18,6 @@ from .monoid import (
     AffineMonoid,
     MonoidElem,
     dimension,
-    graded_order,
     is_saturated,
     is_sharp,
     json_int,
@@ -182,11 +181,11 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
     for j in range(T.depth + 1):
         Sj = T.residue(j)
         Pj = Tp.residue(j)
-        # both rings read exponents at the same level
-        src = set(Sj.monomial_basis())
-        prd = set(Pj.monomial_basis())
-        missing = sorted(prd - src, key=graded_order)
-        extra = sorted(src - prd, key=graded_order)
+        # both bases are in term order, packed alike at the same level
+        src, prd = Sj.monomial_basis(), Pj.monomial_basis()
+        missing = extra = []
+        if src != prd:
+            missing, extra = sorted(set(prd) - set(src)), sorted(set(src) - set(prd))
         rows.append({
             "check": "basis_match",
             "level": j,
@@ -202,8 +201,8 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
         # both transitions are additive, so agreeing on the generators of
         # R_j's exponent monoid is agreeing on every exponent
         src, dst = T.levels[j], T.levels[j + 1]
-        ok = all(T.transitions[j].image(v, src, dst)
-                 == Tp.transitions[j].image(v, Tp.levels[j], Tp.levels[j + 1])
+        ok = all(dst.vec_at(T.transitions[j].act(v), src.level)
+                 == Tp.levels[j + 1].vec_at(Tp.transitions[j].act(v), Tp.levels[j].level)
                  for v in src.generators)
         deg = layer_quotient(P.Q, j).torsion_order() * P.p ** P.r
         ppow = _is_p_power(deg, P.p)

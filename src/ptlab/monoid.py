@@ -10,10 +10,10 @@ higher level.
 Cones are handled by a small double description pass (dimensions up to 6),
 which yields facet normals; for saturated monoids membership reduces to the
 facet inequalities plus a lattice solve.  Elsewhere membership is decided
-exactly by peeling generators off the target, and enumeration up to a degree
-walks over generator sums; both need the generators in N^d.  Saturation of a
-sharp monoid is decided exactly from the lattice points of a box spanned by
-its generators.
+exactly by peeling generators off the target's facet pairings, and
+enumeration up to a degree walks over generator sums, which needs the
+generators in N^d.  Saturation of a sharp monoid is decided exactly from the
+lattice points of a box spanned by its generators.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import floor, gcd
-from operator import add
 
 from . import intlat
 from .intlat import FinAbelianGroup
@@ -368,19 +367,23 @@ def _generated(gens: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> bool:
 
 
 def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
-    """Monoid membership, decided exactly.
+    """Monoid membership, decided exactly; NotSharp unless Q is sharp.
 
-    Saturated monoids get the cone-and-lattice test.  Any other Q must have
-    its generators in N^d (ValueError otherwise), and x is tested by walking
-    down from x through differences with the generators.  A non-sharp Q
-    raises NotSharp.
+    Saturated monoids get the cone-and-lattice test.  For any other Q, x must
+    lie in Q^gp with nonnegative facet pairings, and then the pairings, which
+    map a sharp Q injectively into N^facets, are peeled down by those of the
+    generators, as in _saturation_gap.
     """
     if x.level > Q.level:
         return False
     v = x.at_level(Q.level)
     if is_saturated(Q):
         return cone_contains(Q, v) and in_gp(Q, x)
-    return _generated(_nonneg_generators(Q), v)
+    _, rays = _cone_data(Q.generators, Q.ambient_rank)
+    pv = _pairings(rays, v)
+    if min(pv, default=0) < 0 or not in_gp(Q, x):
+        return False
+    return _generated(tuple(_pairings(rays, g) for g in Q.generators if any(g)), pv)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +526,39 @@ def graded_order(coords: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return sum(coords), coords
 
 
+# Packed exponents (Kronecker substitution, as in Monagan-Pearce, "Polynomial
+# division using dynamic arrays, heaps, and packed exponent vectors", CASC
+# 2007).  A coordinate vector v of length n becomes the one int
+#     sum(v) << n*field | v[0] << (n-1)*field | ... | v[n-1],
+# with field = W + 1 bits per coordinate: W bits hold any coordinate of
+# degree <= cap when 2^W > cap, and the top bit of each field is a guard that
+# stays clear.  The degree sits in the top field, which has no width limit.
+# Then int order is graded_order, the degree is one shift, and the packing is
+# linear, so a sum of exponents is an int sum and p * v an int product.  It
+# is exact (one vector per int, unpack inverts it) while every coordinate is
+# in [0, 2^field); a sum of two exponents with coordinates below 2^W stays
+# there, and beyond that only its comparison with the packed cutoff
+# (cap + 1) << n*field is meaningful.
+
+
+def pack(v: tuple[int, ...], field: int) -> int:
+    """The packed exponent of the coordinates v, field bits per coordinate."""
+    out = sum(v)
+    for x in v:
+        out = (out << field) + x
+    return out
+
+
+def unpack(code: int, field: int, n: int) -> tuple[int, ...]:
+    """The n coordinates of a packed exponent (inverse of pack)."""
+    mask = (1 << field) - 1
+    out = [0] * n
+    for k in range(n - 1, -1, -1):
+        out[k] = code & mask
+        code >>= field
+    return tuple(out)
+
+
 def enumerate_elements(Q: AffineMonoid, max_degree: Fraction) -> tuple[MonoidElem, ...]:
     """All monoid elements of total degree <= max_degree, in graded_order.
 
@@ -533,36 +569,44 @@ def enumerate_elements(Q: AffineMonoid, max_degree: Fraction) -> tuple[MonoidEle
 
 @lru_cache(maxsize=None)
 def _elements(Q: AffineMonoid, cap: int) -> tuple[MonoidElem, ...]:
-    return tuple(Q.elem(v) for v in element_coords(Q, cap))
+    field = cap.bit_length() + 1
+    return tuple(Q.elem(unpack(c, field, Q.ambient_rank)) for c in element_coords(Q, cap, field))
 
 
 @lru_cache(maxsize=None)
-def element_coords(Q: AffineMonoid, cap: int) -> tuple[tuple[int, ...], ...]:
-    """Level-Q.level coordinates of every element of Q of degree <= cap, in
+def element_coords(Q: AffineMonoid, cap: int, field: int) -> tuple[int, ...]:
+    """Every element of Q of degree <= cap at level Q.level, packed with field
+    bits per coordinate (2^(field-1) > cap), in increasing order, which is
     graded_order.
 
     Q is the N-span of its generators, so the elements are found by a walk
-    up from 0 over generator sums, which visits only elements of Q; each
-    element carries its degree, so a step adds the generator's.  The
-    generators must lie in N^d (ValueError otherwise): each nonzero one then
-    has positive degree and the walk ends.
+    up from 0 over generator sums, which visits only elements of Q.  The
+    generators must lie in N^d (ValueError otherwise); each nonzero one then
+    has positive degree, so the elements of degree k are the generators of
+    degree e added to the elements of degree k - e.  The walk builds one
+    degree at a time, as a set of ints and then one sorted run: only the
+    runs that a generator still reaches are kept apart, and the runs in
+    degree order are the whole answer in graded_order.
     """
-    gens = tuple((g, sum(g)) for g in _nonneg_generators(Q))
+    gens: dict[int, list[int]] = {}
+    for g in _nonneg_generators(Q):
+        gens.setdefault(sum(g), []).append(pack(g, field))
     if cap < 0:
         return ()
-    zero = (0,) * Q.ambient_rank
-    seen = {zero: 0}
-    stack = [(zero, 0)]
-    while stack:
-        u, du = stack.pop()
-        for g, dg in gens:
-            dw = du + dg
-            if dw <= cap:
-                w = tuple(map(add, u, g))
-                if w not in seen:
-                    seen[w] = dw
-                    stack.append((w, dw))
-    return tuple(v for _, v in sorted((d, v) for v, d in seen.items()))
+    runs = {0: [0]}
+    out = [0]
+    reach = max(gens, default=0)
+    for k in range(1, cap + 1):
+        layer = set()
+        for e, gs in gens.items():
+            below = runs.get(k - e)
+            if below:
+                for g in gs:
+                    layer.update(map(g.__add__, below))
+        runs[k] = run = sorted(layer)
+        out += run
+        runs.pop(k - reach, None)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ rule.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import filterfalse
 from math import floor
-from operator import add
 
 from .coeffring import is_prime
 from .monoid import (
@@ -32,6 +33,8 @@ from .monoid import (
     element_coords,
     graded_order,
     json_int,
+    pack,
+    unpack,
 )
 from .record import record, replace
 
@@ -58,12 +61,19 @@ class SeriesRingDesc:
     rings may carry the Kato relation theta = p - f as a term tuple.
 
     Every exponent of the ring lives at or above one level L (the finer of
-    the monoid and free levels).  Inside the ring an exponent is the int
-    tuple of its coordinates at L: its degree in steps of p^-L is the sum,
-    it is within the cutoff iff that sum is <= cap = floor(D p^L), and the
-    term order is (sum, coordinates).  MonoidElem is the API and JSON form;
-    coords() and elem() convert.  Below the cutoff, membership in the ring
-    and in the quotient ideal are lookups in sets computed once per ring.
+    the monoid and free levels).  Its degree in steps of p^-L is the sum of
+    its coordinates at L, and it is within the cutoff iff that sum is
+    <= cap = floor(D p^L).  Inside the ring an exponent is one int, its
+    coordinates at L packed as in monoid.pack with W + 1 bits per
+    coordinate: int order is the term order (degree, coordinates), the
+    cutoff test is one comparison with the packed cutoff, a product of
+    monomials is an int sum and a rescale by p^m an int product.  W is
+    bit_length(cap), or the top level's in a tower (TowerDesc widens its
+    levels to one W).  W is no field: rings that differ in it alone are
+    equal, and series arithmetic between them raises RingMismatch.
+    MonoidElem is the API and JSON form; coords() and elem() convert.
+    Below the cutoff, membership in the ring and in the quotient ideal are
+    lookups in sets computed once per ring.
     """
 
     monoid_part: AffineMonoid
@@ -98,7 +108,7 @@ class SeriesRingDesc:
             for e, c in self.relation_f:
                 if e.degree() <= 0:
                     raise InvariantViolation("relation f must have positive degree terms")
-                v = self.coords(e)
+                v = self._vec(e)
                 if v is None or not self.structural_contains(v):
                     raise InvariantViolation("relation exponent outside the ring monoid")
             terms = tuple(sorted(self.relation_f, key=lambda t: self.key(t[0])))
@@ -116,6 +126,18 @@ class SeriesRingDesc:
                 self, "quotient_exps",
                 tuple(sorted(self.quotient_exps, key=lambda e: graded_order(e.at_level(lv)))),
             )
+        object.__setattr__(self, "_field", self.cap.bit_length() + 1)
+
+    def _refield(self, field: int) -> SeriesRingDesc:
+        """The same ring with field bits per packed coordinate; the fields are
+        copied, not validated again."""
+        if field == self._field:
+            return self
+        out = object.__new__(SeriesRingDesc)
+        for k in self.__record_fields__:
+            object.__setattr__(out, k, getattr(self, k))
+        object.__setattr__(out, "_field", field)
+        return out
 
     @cached_property
     def level(self) -> int:
@@ -136,16 +158,36 @@ class SeriesRingDesc:
     def width(self) -> int:
         return self.monoid_part.ambient_rank + self.free_rank
 
+    @cached_property
+    def _shift(self) -> int:
+        """The position of the degree field in a packed exponent."""
+        return self.width * self._field
+
+    @cached_property
+    def _lim(self) -> int:
+        """The packed cutoff: a packed exponent is within it iff it is below."""
+        return (self.cap + 1) << self._shift
+
+    @cached_property
+    def _guards(self) -> int:
+        """The guard bit of every coordinate field."""
+        return sum(1 << (k * self._field - 1) for k in range(1, self.width + 1))
+
     def exp(self, coords) -> MonoidElem:
         return MonoidElem(tuple(coords), 0, self.p)
 
-    @property
-    def zero_exp(self) -> tuple[int, ...]:
-        return (0,) * self.width
+    zero_exp = 0  # the packed exponent of 1
 
-    def rescale(self, v: tuple[int, ...], level: int) -> tuple[int, ...] | None:
-        """The exponent with coordinates v at the given level, at the ring's
-        level; None if it is finer than the ring."""
+    def pack(self, v: tuple[int, ...]) -> int:
+        """The packed exponent of coordinates v at the ring's level."""
+        return pack(v, self._field)
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        return unpack(v, self._field, self.width)
+
+    def vec_at(self, v: tuple[int, ...], level: int) -> tuple[int, ...] | None:
+        """The coordinates v at the given level, at the ring's level; None if
+        they are finer than the ring."""
         shift = self.level - level
         if shift == 0:
             return v
@@ -154,12 +196,29 @@ class SeriesRingDesc:
             return tuple(x * f for x in v)
         return None if any(x % f for x in v) else tuple(x // f for x in v)
 
-    def coords(self, e: MonoidElem) -> tuple[int, ...] | None:
-        """e at the ring's level; None for the wrong width or an e finer than the ring."""
-        return self.rescale(e.coords, e.level) if len(e.coords) == self.width else None
+    def rescale(self, v: int, level: int) -> int | None:
+        """The packed exponent v of the given level at the ring's level (one
+        int product when the ring is finer); None if it is finer than the ring."""
+        shift = self.level - level
+        if shift == 0:
+            return v
+        if shift > 0:
+            return v * self.p ** shift
+        w = self.vec_at(self.unpack(v), level)
+        return None if w is None else self.pack(w)
 
-    def elem(self, v: tuple[int, ...]) -> MonoidElem:
-        return MonoidElem(v, self.level, self.p)
+    def _vec(self, e: MonoidElem) -> tuple[int, ...] | None:
+        """The coordinates of e at the ring's level; None for the wrong width
+        or an e finer than the ring."""
+        return self.vec_at(e.coords, e.level) if len(e.coords) == self.width else None
+
+    def coords(self, e: MonoidElem) -> int | None:
+        """e packed at the ring's level; None for the wrong width or an e finer than the ring."""
+        v = self._vec(e)
+        return None if v is None else self.pack(v)
+
+    def elem(self, v: int) -> MonoidElem:
+        return MonoidElem(self.unpack(v), self.level, self.p)
 
     def structural_contains(self, v: tuple[int, ...]) -> bool:
         """v is an exponent of the ring, decided from the monoid's generators
@@ -178,11 +237,12 @@ class SeriesRingDesc:
         gens = [(g + (0,) * r, self.monoid_part.level) for g in self.monoid_part.generators]
         gens += [(tuple(int(j == k) for j in range(d + r)), self.free_level)
                  for k in range(d, d + r)]
-        return tuple(self.rescale(v, lv) for v, lv in gens)
+        return tuple(self.vec_at(v, lv) for v, lv in gens)
 
     @cached_property
-    def _support(self) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
-        return _support(self.monoid_part, self.free_rank, self.free_level, self.cutoff)
+    def _support(self) -> tuple[tuple[int, ...], frozenset]:
+        return _support(self.monoid_part, self.free_rank, self.free_level, self.cutoff,
+                        self._field)
 
     @cached_property
     def _ideal(self) -> frozenset:
@@ -190,54 +250,60 @@ class SeriesRingDesc:
         # s and a quotient monomial q (a q finer than the ring dominates no
         # exponent of the ring's level); deg q >= 0 keeps s within the cutoff
         out = set()
+        terms = self._support[0]
         for q in self.quotient_exps:
             w = self.coords(q)
-            if w is None:
-                continue
-            room = self.cap - sum(w)
-            for s in self._support[0]:
-                if sum(s) > room:
-                    break
-                out.add(tuple(map(add, s, w)))
+            if w is not None:
+                out.update(map(w.__add__, terms[:bisect_left(terms, self._lim - w)]))
         return frozenset(out)
 
-    def in_ring(self, v: tuple[int, ...]) -> bool:
-        """v (at the ring's level) is an exponent of the ring, degree cutoff not included."""
-        if sum(v) <= self.cap:
+    def in_ring(self, v: int) -> bool:
+        """The packed exponent v is an exponent of the ring, degree cutoff not included."""
+        if v < self._lim:
             return v in self._support[1]
-        return self.structural_contains(v)
+        return self.structural_contains(self.unpack(v))
 
-    def in_ideal(self, v: tuple[int, ...]) -> bool:
-        """v (at the ring's level, within the cutoff) is in the monomial quotient ideal."""
+    def in_ideal(self, v: int) -> bool:
+        """The packed exponent v (within the cutoff) is in the monomial quotient ideal."""
         return v in self._ideal
+
+    def _code(self, e: MonoidElem) -> int | None:
+        """e packed, when it is within the cutoff with coordinates >= 0 at the
+        ring's level (where packing is exact); else None."""
+        v = self._vec(e)
+        if v is None or min(v, default=0) < 0 or sum(v) > self.cap:
+            return None
+        return self.pack(v)
 
     def exp_in_ring(self, e: MonoidElem) -> bool:
         """Validity of a combined exponent (degree cutoff not included)."""
-        v = self.coords(e)
-        return v is not None and self.in_ring(v)
+        v = self._code(e)
+        if v is not None:
+            return v in self._support[1]
+        v = self._vec(e)
+        return v is not None and self.structural_contains(v)
 
     def dominated(self, e: MonoidElem) -> bool:
         """Membership of e in the monomial quotient ideal."""
-        v = self.coords(e)
-        if v is not None and sum(v) <= self.cap:
+        v = self._code(e)
+        if v is not None:
             return v in self._ideal
         return any(self.exp_in_ring(e - q) for q in self.quotient_exps)
 
-    def monomial_basis(self) -> tuple[tuple[int, ...], ...]:
-        """Exponents within the cutoff outside the quotient ideal, in term order;
-        the tuples are the members of the ring's support set."""
+    def monomial_basis(self) -> tuple[int, ...]:
+        """Packed exponents within the cutoff outside the quotient ideal, in term
+        order; the ints are the members of the ring's support set."""
         return self._basis
 
     @cached_property
-    def _basis(self) -> tuple[tuple[int, ...], ...]:
-        ideal = self._ideal
-        return tuple(v for v in self._support[0] if v not in ideal)
+    def _basis(self) -> tuple[int, ...]:
+        ideal, terms = self._ideal, self._support[0]
+        return tuple(filterfalse(ideal.__contains__, terms)) if ideal else terms
 
     @cached_property
-    def _relation_terms(self) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-        """The relation f as (coordinates, degree, coefficient), in term order."""
-        return tuple((v, sum(v), c) for v, c in
-                     ((self.coords(e), c) for e, c in self.relation_f or ()))
+    def _relation_terms(self) -> tuple[tuple[int, int], ...]:
+        """The relation f as (packed exponent, coefficient), in term order."""
+        return tuple((self.coords(e), c) for e, c in self.relation_f or ())
 
     def residue_ring(self, *extra: MonoidElem) -> SeriesRingDesc:
         """The char-p ring on the same exponents modulo f-bar (when there is a
@@ -245,7 +311,8 @@ class SeriesRingDesc:
         quots = set(self.quotient_exps) | set(extra)
         if self.relation_f is not None:
             quots.add(reduced_relation_exp(self))
-        return replace(self, relation_f=None, char_p=True, quotient_exps=tuple(quots))
+        out = replace(self, relation_f=None, char_p=True, quotient_exps=tuple(quots))
+        return out._refield(self._field)
 
     def to_descriptor(self) -> dict:
         out = {
@@ -326,57 +393,58 @@ def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
 
 
 @lru_cache(maxsize=None)
-def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Fraction):
+def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Fraction,
+             field: int):
     """Every exponent of degree <= cutoff of k[[monoid + (N^r)^(free_level)]],
-    at the ring's level, in term order, and the same tuples as a set.
+    packed at the ring's level with field bits per coordinate, in term order,
+    and the same ints as a set.
 
     The key leaves out the relation and the quotient, so a ring and its
-    residue rings share one support.  The monoid elements and the free parts
-    (built one coordinate at a time, in steps of one free-level unit) are
-    grouped by degree; the exponents of degree k join the parts whose degrees
-    add up to k, and one plain sort puts them in coordinate order.
+    residue rings share one support.  The free parts are built one
+    coordinate at a time, in steps of one free-level unit, into the low
+    fields, and the monoid elements are shifted above them.  Each member of
+    the shorter of the two sorted lists is added to every member of the
+    other that keeps the sum within the cutoff, and one plain sort of the
+    ints puts the sums in term order.
     """
     p = monoid.scale_base
     lv = max(monoid.level, free_level)
     cap = floor(cutoff * p ** lv)
     step = p ** (lv - free_level)  # one free-level unit, in level-lv steps
     unit = p ** (lv - monoid.level)  # one monoid-level unit
-    free = [(0, ())]
+    low = free_rank * field
+    top = (monoid.ambient_rank + free_rank) * field
+    free = [(0, 0)]
     for _ in range(free_rank):
-        free = [(d + x, t + (x,)) for d, t in free for x in range(0, cap - d + 1, step)]
-    elems = element_coords(monoid, cap // unit)
-    if unit > 1:
-        elems = [tuple(x * unit for x in m) for m in elems]
-    elems_by_deg, free_by_deg = _by_degree((sum(m), m) for m in elems), _by_degree(free)
-    out = []
-    for k in range(cap + 1):
-        vs = [m + t for dm, ms in elems_by_deg.items() if k - dm in free_by_deg
-              for m in ms for t in free_by_deg[k - dm]]
-        vs.sort()
-        out += vs
-    terms = tuple(out)
+        free = [(d + x, t << field | x) for d, t in free for x in range(0, cap - d + 1, step)]
+    frees = sorted(d << top | t for d, t in free)
+    elems = element_coords(monoid, cap // unit, field)
+    if unit > 1 or low:
+        elems = [m * unit << low for m in elems]
+    if len(frees) > len(elems):
+        elems, frees = frees, elems
+    if frees == [0]:  # a rank-0 side: the other is the support
+        terms = tuple(elems)
+    else:
+        lim = (cap + 1) << top
+        out = []
+        for m in frees:  # the shorter side
+            out += map(m.__add__, elems[:bisect_left(elems, lim - m)])
+        out.sort()
+        terms = tuple(out)
     return terms, frozenset(terms)
-
-
-def _by_degree(pairs) -> dict[int, list[tuple[int, ...]]]:
-    """(degree, coordinates) pairs as one list of coordinates per degree, in
-    the order given."""
-    out: dict[int, list[tuple[int, ...]]] = {}
-    for d, v in pairs:
-        out.setdefault(d, []).append(v)
-    return out
 
 
 @record
 class Series:
-    """An element in canonical form: terms (coordinates at ring.level, coefficient)
-    in term order, coefficients reduced."""
+    """An element in canonical form: terms (packed exponent at ring.level,
+    coefficient) in term order, coefficients reduced."""
 
     ring: SeriesRingDesc
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    terms: tuple[tuple[int, int], ...]
 
     def coeff(self, e: MonoidElem) -> int:
-        return dict(self.terms).get(self.ring.coords(e), 0)
+        return dict(self.terms).get(self.ring._code(e), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -400,19 +468,19 @@ class Series:
 
 
 def make_series(ring: SeriesRingDesc, raw) -> Series:
-    """Canonicalize raw (coordinates, coefficient) data into a Series.
+    """Canonicalize raw (packed exponent, coefficient) data into a Series.
 
-    Coordinates are int tuples at the ring's level.  Truncation drops
-    exponents beyond D and the quotient ideal; nothing is validated, since
-    internal arithmetic only produces exponents of the ring (s_from_terms is
-    the validating entry for MonoidElem exponents).
+    Exponents are packed at the ring's level.  Truncation drops exponents
+    beyond D and the quotient ideal; nothing is validated, since internal
+    arithmetic only produces exponents of the ring (s_from_terms is the
+    validating entry for MonoidElem exponents).
     """
-    cap = ring.cap
+    lim = ring._lim
     ideal = ring._ideal if ring.quotient_exps else ()
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     items = raw.items() if isinstance(raw, dict) else raw
     for v, c in items:
-        if c == 0 or sum(v) > cap or v in ideal:
+        if c == 0 or v >= lim or v in ideal:
             continue
         acc[v] = acc.get(v, 0) + c
 
@@ -421,8 +489,7 @@ def make_series(ring: SeriesRingDesc, raw) -> Series:
         norm = {v: c % m for v, c in acc.items()}
     else:
         norm = _digit_normalize(ring, acc)
-    terms = sorted(((v, c) for v, c in norm.items() if c), key=lambda t: (sum(t[0]), t[0]))
-    return Series(ring, tuple(terms))
+    return Series(ring, tuple(sorted((v, c) for v, c in norm.items() if c)))
 
 
 def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
@@ -434,23 +501,23 @@ def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
     the result is independent of the input order.
     """
     p = ring.p
-    cap = ring.cap
+    lim = ring._lim
     work = dict(acc)
-    heap = [(sum(v), v) for v in work]
+    heap = list(work)
     heapq.heapify(heap)
     while heap:
-        dv, v = heapq.heappop(heap)
+        v = heapq.heappop(heap)
         c = work[v]
         if 0 <= c < p:
             continue
         d0 = c % p
         work[v] = d0
-        for fv, fd, fc in ring._relation_terms:
-            if dv + fd > cap:
-                break  # relation terms come in degree order
-            v2 = tuple(map(add, v, fv))
+        for fv, fc in ring._relation_terms:
+            v2 = v + fv
+            if v2 >= lim:
+                break  # relation terms come in term order
             if v2 not in work:
-                heapq.heappush(heap, (dv + fd, v2))
+                heapq.heappush(heap, v2)
             work[v2] = work.get(v2, 0) + (c - d0) // p * fc
     return work
 
@@ -470,10 +537,11 @@ def s_from_terms(ring: SeriesRingDesc, terms) -> Series:
     """
     raw = []
     for e, c in terms:
-        v = ring.coords(e)
-        if v is None or not ring.in_ring(v):
+        if not ring.exp_in_ring(e):
             raise InvariantViolation(f"exponent {e} is not in the ring monoid")
-        raw.append((v, c))
+        v = ring._code(e)
+        if v is not None:  # else beyond the cutoff
+            raw.append((v, c))
     return make_series(ring, raw)
 
 
@@ -485,13 +553,15 @@ def s_const(ring: SeriesRingDesc, c: int) -> Series:
     return make_series(ring, [(ring.zero_exp, c)])
 
 
-def _same_ring(x: Series, y: Series):
-    if x.ring != y.ring:
+def _same_ring(x: Series, ring: SeriesRingDesc):
+    if x.ring != ring:
         raise RingMismatch("series live in different rings")
+    if x.ring._field != ring._field:
+        raise RingMismatch("series of one ring packed for different towers")
 
 
 def s_add(x: Series, y: Series) -> Series:
-    _same_ring(x, y)
+    _same_ring(y, x.ring)
     acc = dict(x.terms)
     for v, c in y.terms:
         acc[v] = acc.get(v, 0) + c
@@ -507,16 +577,15 @@ def s_sub(x: Series, y: Series) -> Series:
 
 
 def s_mul(x: Series, y: Series) -> Series:
-    _same_ring(x, y)
-    cap = x.ring.cap
-    ys = [(sum(v), v, c) for v, c in y.terms]
-    acc: dict[tuple[int, ...], int] = {}
+    _same_ring(y, x.ring)
+    lim = x.ring._lim
+    acc: dict[int, int] = {}
     for v1, c1 in x.terms:
-        room = cap - sum(v1)
-        for d2, v2, c2 in ys:
-            if d2 > room:
-                break  # y's terms come in degree order
-            v = tuple(map(add, v1, v2))
+        room = lim - v1
+        for v2, c2 in y.terms:
+            if v2 >= room:
+                break  # y's terms come in term order
+            v = v1 + v2
             acc[v] = acc.get(v, 0) + c1 * c2
     return make_series(x.ring, acc)
 
@@ -553,7 +622,7 @@ def frobenius_mod_I0(x: Series) -> Series:
     if not x.ring.char_p:
         raise InvariantViolation("Frobenius acts on the mod-I0 residue rings")
     p = x.ring.p
-    return make_series(x.ring, [(tuple(p * a for a in v), c) for v, c in x.terms])
+    return make_series(x.ring, [(p * v, c) for v, c in x.terms])
 
 
 @record
@@ -570,27 +639,28 @@ class TorsionReport:
     bounded_exponent: int | None
     minimal_powers: tuple[int, ...] = ()
 
-    def monomials(self) -> tuple[tuple[int, ...], ...]:
-        """The torsion monomials, coordinates at the ring's level."""
+    def monomials(self) -> tuple[int, ...]:
+        """The torsion monomials, packed at the ring's level."""
         return tuple(s.terms[0][0] for s in self.annihilator_basis)
 
     def monomial_exps(self) -> tuple[MonoidElem, ...]:
         return tuple(s.ring.elem(s.terms[0][0]) for s in self.annihilator_basis)
 
 
-def kills_monomial(x: Series, m: tuple[int, ...]) -> bool:
-    """e^m * x = 0 for an exponent m of x's ring, by lookup.
+def kills_monomial(x: Series, m: int) -> bool:
+    """e^m * x = 0 for a packed exponent m of x's ring, by lookup.
 
     Shifting a canonical series by a coefficient-1 monomial keeps it canonical
     apart from the terms it pushes past the cutoff or into the quotient
     ideal, so the product vanishes exactly when every term does.
     """
     ring = x.ring
-    room = ring.cap - sum(m)
+    room = ring._lim - m
+    ideal = ring._ideal
     for v, _ in x.terms:
-        if sum(v) > room:
-            return True  # terms come in degree order
-        if tuple(map(add, m, v)) not in ring._ideal:
+        if v >= room:
+            return True  # terms come in term order
+        if m + v not in ideal:
             return False
     return True
 
@@ -607,31 +677,33 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
     p (possible only with Z/p^N coefficients) is not a unit, and there the
     powers run to (cap - deg m) + N.
     """
-    if g.ring != ring:
-        raise RingMismatch("generator lives in a different ring")
-    found: list[tuple[tuple[int, ...], int]] = []
+    _same_ring(g, ring)
+    found: list[tuple[int, int]] = []
     if g.is_zero:
         found = [(m, 1) for m in ring.monomial_basis()]
     elif not is_unit(g):
-        gdeg = sum(g.terms[0][0])
-        cap = ring.cap
+        shift, cap = ring._shift, ring.cap
+        gdeg = g.terms[0][0] >> shift
 
         def reach(m):
             """The largest power of g worth testing on m."""
             if gdeg:
-                return (cap - sum(m)) // gdeg
+                return (cap - (m >> shift)) // gdeg
             # g = c + h with p | c (Z/p^N coefficients): every term of g^l
             # has c^k with k >= N, which is 0, or h^(l-k) past the cutoff
-            return cap - sum(m) + ring.precision
+            return cap - (m >> shift) + ring.precision
 
         gpow = [g]
         while len(gpow) < reach(ring.zero_exp):
             gpow.append(s_mul(gpow[-1], g))
         for m in ring.monomial_basis():
-            l = next((l for l in range(1, reach(m) + 1)
-                      if kills_monomial(gpow[l - 1], m)), None)
-            if l is not None:
-                found.append((m, l))
+            top = reach(m)
+            if not top:
+                break  # reach only falls along the term order
+            for l, gl in enumerate(gpow[:top], 1):
+                if kills_monomial(gl, m):
+                    found.append((m, l))
+                    break
     powers = tuple(l for _, l in found)
     return TorsionReport(
         annihilator_basis=tuple(Series(ring, ((m, 1),)) for m, _ in found),

@@ -15,10 +15,9 @@ degree cutoff is skipped rather than counted, and every report carries
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, sub
 
 from .monoid import MonoidElem, json_int
-from .record import record, replace
+from .record import record
 from .series import (
     InvariantViolation,
     Series,
@@ -68,10 +67,12 @@ class Transition:
     def apply_exp(self, e: MonoidElem) -> MonoidElem:
         return MonoidElem(self.act(e.coords), e.level, e.base)
 
-    def image(self, v: tuple[int, ...], source: SeriesRingDesc,
-              target: SeriesRingDesc) -> tuple[int, ...] | None:
-        """t(v) for v at source's level, at target's level (None if finer than target)."""
-        return target.rescale(self.act(v), source.level)
+    def image(self, v: int, source: SeriesRingDesc, target: SeriesRingDesc) -> int | None:
+        """t(v) for a packed exponent v of source, packed at target's level
+        (None if finer than target); a matrix acts on the unpacked coordinates."""
+        if self.matrix is not None:
+            v = target.pack(self.act(source.unpack(v)))
+        return target.rescale(v, source.level)
 
     def apply(self, x: Series, target: SeriesRingDesc) -> Series:
         return make_series(target, [(self.image(v, x.ring, target), c) for v, c in x.terms])
@@ -79,7 +80,12 @@ class Transition:
 
 @record
 class TowerDesc:
-    """R_0 .. R_depth with transitions and the principal base ideal I_0."""
+    """R_0 .. R_depth with transitions and the principal base ideal I_0.
+
+    The levels share one packed exponent layout, sized from the largest cap
+    (the top level's), so a map between levels is an int product; the
+    levels given are widened to it, and the base ideal is repacked.
+    """
 
     levels: tuple[SeriesRingDesc, ...]
     transitions: tuple[Transition, ...]
@@ -97,15 +103,24 @@ class TowerDesc:
             raise InvariantViolation("all levels must share the degree cutoff D")
         if len(self.base_ideal.terms) > 1:
             raise InvariantViolation("the base ideal generator must be a monomial or zero")
+        field = max(R.cap for R in self.levels).bit_length() + 1
+        if any(R._field != field for R in self.levels):
+            levels = tuple(R._refield(field) for R in self.levels)
+            old = self.base_ideal
+            base = Series(levels[0], tuple((levels[0].coords(old.ring.elem(v)), c)
+                                           for v, c in old.terms))
+            object.__setattr__(self, "levels", levels)
+            object.__setattr__(self, "base_ideal", base)
         for i, t in enumerate(self.transitions):
             src, dst = self.levels[i], self.levels[i + 1]
             # t is additive, so the images of R_i's generators decide where it
             # sends every exponent, at every degree
             for v in src.generators:
-                w = t.image(v, src, dst)
+                w = dst.vec_at(t.act(v), src.level)
                 if w is None or not dst.structural_contains(w):
                     raise InvariantViolation(
-                        f"transition {i} sends {src.elem(v)} outside level {i + 1}"
+                        f"transition {i} sends {MonoidElem(v, src.level, src.p)} "
+                        f"outside level {i + 1}"
                     )
 
     @property
@@ -126,8 +141,8 @@ class TowerDesc:
             return None
         return self.base_ideal.exp_terms()[0][0]
 
-    def pillar_coords(self, ring: SeriesRingDesc, i: int) -> tuple[int, ...] | None:
-        """The I_0 generator exponent divided by p^i, at ring's level; None for
+    def pillar_coords(self, ring: SeriesRingDesc, i: int) -> int | None:
+        """The I_0 generator exponent divided by p^i, packed at ring's level; None for
         I_0 = (0) or when it is finer than ring (then it divides no exponent of ring)."""
         if self.base_ideal.is_zero:
             return None
@@ -185,23 +200,37 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
     return out
 
 
-def _live(ring: SeriesRingDesc, v: tuple[int, ...]) -> tuple[int, ...] | None:
+# Exponents below are packed in the tower's one layout (see SeriesRingDesc).
+
+def _live(ring: SeriesRingDesc, v: int) -> int | None:
     """v if e^v is a nonzero monomial of ring (within the cutoff and outside
     the quotient ideal), else None."""
-    return v if sum(v) <= ring.cap and not ring.in_ideal(v) else None
+    return v if v < ring._lim and v not in ring._ideal else None
 
 
-def _into(ring: SeriesRingDesc, v: tuple[int, ...], level: int) -> tuple[int, ...]:
-    """v (coordinates at level) at ring's level, for a map into ring; an image
+def _into(ring: SeriesRingDesc, v: int, level: int) -> int:
+    """v (packed at level) at ring's level, for a map into ring; an image
     finer than ring is a ValueError, as in MonoidElem.at_level."""
     w = ring.rescale(v, level)
     if w is None:
-        raise ValueError(f"{MonoidElem(v, level, ring.p)} is finer than the target ring")
+        raise ValueError(f"{MonoidElem(ring.unpack(v), level, ring.p)} "
+                         "is finer than the target ring")
     return w
 
 
-def _sub(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(sub, v, w))
+def _sub(ring: SeriesRingDesc, v: int, w: int) -> int | None:
+    """v - w for exponents of ring within its cutoff; None when a coordinate
+    goes negative.  Each field of (v | guards) - w keeps its guard bit
+    exactly when it does not borrow."""
+    g = ring._guards
+    t = (v | g) - w
+    return t - g if t & g == g else None
+
+
+def _divides(ring: SeriesRingDesc, w: int, v: int) -> bool:
+    """e^w divides e^v in ring, for exponents within its cutoff."""
+    d = _sub(ring, v, w)
+    return d is not None and ring.in_ring(d)
 
 
 def verify_purely_inseparable(T: TowerDesc) -> dict:
@@ -216,7 +245,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
                          note="I0 = (0): p must vanish in R0"))
     else:
         g = T.pillar_coords(R0, 0)
-        bad = [v for v, _ in p_series.terms if not R0.in_ring(_sub(v, g))]
+        bad = [v for v, _ in p_series.terms if not _divides(R0, g, v)]
         rows.append(_row("a", 0, not bad, R0.elem(bad[0]).to_json() if bad else None))
 
     for i in range(T.depth):
@@ -224,9 +253,10 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
         t = T.transitions[i]
         images = set()
         bad_b = None
+        lim1 = Si1._lim
         for v in Si.monomial_basis():
             w = t.image(v, Si, Si1)
-            if sum(w) > Si1.cap:
+            if w >= lim1:
                 continue  # image leaves the cutoff: no claim at this truncation
             if Si1.in_ideal(w):
                 bad_b = ("vanishes", v)
@@ -243,8 +273,8 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
 
         bad_c = None
         for d in Si1.monomial_basis():
-            pd = tuple(p * x for x in d)
-            if sum(pd) > Si1.cap or Si1.in_ideal(pd):
+            pd = p * d
+            if pd >= lim1 or Si1.in_ideal(pd):
                 continue  # Frobenius image already zero, trivially in the image
             if pd not in images:
                 bad_c = Si1.elem(d).to_json()
@@ -287,7 +317,7 @@ def frobenius_projection(T: TowerDesc, i: int) -> FrobProjection:
 # or to zero, so the identities are decided on exponents: a map takes the
 # exponent of a nonzero monomial (or None for zero) to that of its image.
 
-def _frob_down(T: TowerDesc, i: int, v: tuple[int, ...] | None) -> tuple[int, ...] | None:
+def _frob_down(T: TowerDesc, i: int, v: int | None) -> int | None:
     """F_i on e^v of S_{i+1}; ValueError for an image finer than S_i."""
     if v is None:
         return None
@@ -295,25 +325,28 @@ def _frob_down(T: TowerDesc, i: int, v: tuple[int, ...] | None) -> tuple[int, ..
     return _live(Si, _into(Si, v, T.residue(i + 1).level - 1))
 
 
-def _t_bar(T: TowerDesc, i: int, v: tuple[int, ...] | None) -> tuple[int, ...] | None:
+def _t_bar(T: TowerDesc, i: int, v: int | None) -> int | None:
     """t-bar_i on e^v of S_i; ValueError for an image finer than S_{i+1}."""
     if v is None:
         return None
     Si, Si1 = T.residue(i), T.residue(i + 1)
-    return _live(Si1, _into(Si1, T.transitions[i].act(v), Si.level))
+    w = T.transitions[i].image(v, Si, Si1)
+    if w is None:
+        raise ValueError(f"the image of {Si.elem(v)} is finer than level {i + 1}")
+    return _live(Si1, w)
 
 
-def _frob(ring: SeriesRingDesc, v: tuple[int, ...] | None) -> tuple[int, ...] | None:
+def _frob(ring: SeriesRingDesc, v: int | None) -> int | None:
     """Frobenius of ring on e^v: e^{pv}."""
-    return None if v is None else _live(ring, tuple(ring.p * x for x in v))
+    return None if v is None else _live(ring, ring.p * v)
 
 
 def _frobenius_failures(ring: SeriesRingDesc, via):
     """Basis monomials g of ring with via(g) != e^{pg}, within the cutoff."""
-    p = ring.p
+    p, lim = ring.p, ring._lim
     for g in ring.monomial_basis():
-        if p * sum(g) > ring.cap:
-            continue
+        if p * g >= lim:
+            break  # p deg g grows along the term order
         if via(g) != _frob(ring, g):
             yield g
 
@@ -419,7 +452,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             # t_i(f_i) = f_{i+1}^p, compared as exponents at R_{i+1}'s level
             R0, R1 = T.levels[i], T.levels[i + 1]
             v0, v1 = T.pillar_coords(R0, i), T.pillar_coords(R1, i + 1)
-            if v0 is not None and T.transitions[i].image(v0, R0, R1) != tuple(p * x for x in v1):
+            if v0 is not None and T.transitions[i].image(v0, R0, R1) != p * v1:
                 rows.append(_row("f", i, False, R1.elem(v1).to_json(),
                                  note="I_{i+1}^p != I_i R_{i+1}"))
                 ok_f = False
@@ -441,8 +474,8 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         note_g = "I0 = (0): axiom follows from (c) and (f); torsion is the whole ring"
     else:
         for R, g, ms in zip(T.levels, gens, tors):
-            room = R.cap - sum(T.pillar_coords(R, 0))
-            bad = next((m for m in ms if sum(m) <= room and not kills_monomial(g, m)), None)
+            room = R._lim - T.pillar_coords(R, 0)
+            bad = next((m for m in ms if m < room and not kills_monomial(g, m)), None)
             if bad is not None:
                 witness_g = R.elem(bad).to_json()
                 break
@@ -452,7 +485,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             up, down = set(tors[i + 1]), set(tors[i])
             for m in tors[i + 1]:
                 mp = Ri.rescale(m, Ri1.level - 1)  # p * m
-                if mp is not None and sum(mp) <= Ri.cap and mp not in down and Ri.in_ring(mp):
+                if mp is not None and mp < Ri._lim and mp not in down and Ri.in_ring(mp):
                     witness_g = Ri1.elem(m).to_json()
                     note_g = "p-scaling does not land in the lower torsion basis"
                     break
@@ -481,17 +514,18 @@ def _kernel_mismatch(T: TowerDesc, i: int, pillars: PillarSystem) -> MonoidElem 
     any quotients baked into an equal-characteristic level behave like the
     ideal generator here), so only a genuine discrepancy is reported.
     """
-    Si, Si1 = T.residue(i), T.residue(i + 1)
+    Si1 = T.residue(i + 1)
+    lim = Si1._lim
     # the quotient exponents and the generator, divided by p, at Si1's level
-    # (one finer than Si1 divides no exponent of Si1)
-    shifted = [Si1.rescale(q.coords, q.level + 1) for q in Si1.quotient_exps]
+    # (one finer than Si1, or past its cutoff, divides no exponent of Si1)
+    shifted = [Si1.coords(q.divide(1)) for q in Si1.quotient_exps]
     shifted.append(T.pillar_coords(Si1, 1))
-    shifted = [q for q in shifted if q is not None]
+    shifted = [q for q in shifted if q is not None and q < lim]
     for d in Si1.monomial_basis():
-        if T.p * sum(d) > Si1.cap:
-            continue  # truncation kill, not kernel
+        if T.p * d >= lim:
+            break  # truncation kill, not kernel, from here on
         in_ker = _frob_down(T, i, d) is None  # e^(p d)
-        predicted = any(Si1.in_ring(_sub(d, q)) for q in shifted)
+        predicted = any(_divides(Si1, q, d) for q in shifted)
         if in_ker != predicted:
             return Si1.elem(d)
     return None
@@ -576,7 +610,11 @@ def _te_match(x: TiltElem, y: TiltElem):
 
 def teich_tilt(T: TowerDesc, j: int, mu: MonoidElem, depth: int) -> TiltElem:
     """The monomial tilt (e^mu, e^{mu/p}, ...): p-division tuples."""
-    roots = _roots(T, j, mu.coords, mu.level, depth)
+    Sj = T.residue(j)
+    v = Sj.coords(mu)
+    if v is None:
+        raise IncompatibleComponents(f"{mu} has no p^0-th root at level {j}")
+    roots = _roots(T, j, v, Sj.level, depth)
     return TiltElem(T, j, tuple(make_series(T.residue(j + l), [(w, 1)])
                                 for l, w in enumerate(roots)))
 
@@ -585,22 +623,21 @@ def teich_tilt(T: TowerDesc, j: int, mu: MonoidElem, depth: int) -> TiltElem:
 # the tilt pillar), so they are decided on exponents like the Frobenius
 # identities: component l of a tuple at home level j is an exponent of S_{j+l}.
 
-def _roots(T: TowerDesc, j: int, v: tuple[int, ...], level: int,
-           depth: int) -> tuple[tuple[int, ...], ...]:
-    """The exponents of teich_tilt: v/p^l (v at the given level) at S_{j+l}'s
-    level, l = 0..depth; IncompatibleComponents when a root is missing."""
+def _roots(T: TowerDesc, j: int, v: int, level: int, depth: int) -> tuple[int, ...]:
+    """The exponents of teich_tilt: v/p^l (v packed at the given level) at
+    S_{j+l}'s level, l = 0..depth; IncompatibleComponents when a root is missing."""
     roots = []
     for l in range(depth + 1):
         ring = T.residue(j + l)
         w = ring.rescale(v, level + l)  # v / p^l
         if w is None or not ring.in_ring(w):
-            mu = MonoidElem(v, level, T.p)
+            mu = MonoidElem(ring.unpack(v), level, T.p)
             raise IncompatibleComponents(f"{mu} has no p^{l}-th root at level {j + l}")
         roots.append(w)
     return tuple(roots)
 
 
-def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[tuple[int, ...]]:
+def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[int]:
     """The exponents of the tilt pillar f^{s.flat}_j = (f_j mod I0, f_{j+1}
     mod I0, ...) for a nonzero I_0; ValueError for one finer than its ring."""
     g, lv = T.base_ideal.terms[0][0], T.levels[0].level + j
@@ -628,15 +665,16 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     matched = len(Sj.monomial_basis()) - len(mismatches)
     # completeness: classify every depth-m monomial tuple inside the cutoff
     top_ring = T.residue(j + m)
-    basis_set = set(Sj.monomial_basis())
+    lim = Sj._lim
     # top exponent of the tilt-side ideal generator is gexp / p^m
     g_top = T.pillar_coords(top_ring, m)
     for d in top_ring.monomial_basis():
         mu = _into(Sj, d, top_ring.level - m)  # d * p^m
-        if sum(mu) > Sj.cap:
-            continue
-        in_ideal = g_top is not None and top_ring.in_ring(_sub(d, g_top))
-        if (mu in basis_set) == in_ideal:
+        if mu >= lim:
+            break  # deg mu = p^m deg d grows along the term order
+        in_basis = Sj.in_ring(mu) and not Sj.in_ideal(mu)
+        in_ideal = g_top is not None and _divides(top_ring, g_top, d)
+        if in_basis == in_ideal:
             mismatches.append({"direction": "partition", **top_ring.elem(d).to_json()})
     return {
         "home_level": j,
@@ -664,25 +702,27 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
         rows.append({"check": "principal", "pass": True,
                      "note": "I = (0): the tilt ideal is zero"})
     else:
-        Sj = T.residue(j)
-        full_top = replace(T.residue(j + m), quotient_exps=())
+        Sj, top = T.residue(j), T.residue(j + m)
         # top component exponent of the tilt pillar, and the level-j pillar
-        pe_top = T.pillar_coords(full_top, j + m)
+        pe_top = T.pillar_coords(top, j + m)
         pe_home = T.pillar_coords(Sj, j)
+        lim = Sj._lim
         bad = None
-        for d in full_top.monomial_basis():
-            mu = _into(Sj, d, full_top.level - m)  # d * p^m
-            if sum(mu) > Sj.cap:
-                continue
+        # every exponent of S_{j+m}'s ring, quotient ideal included, in term
+        # order, up to the first whose image leaves S_j's cutoff
+        for d in top._support[0]:
+            mu = _into(Sj, d, top.level - m)  # d * p^m
+            if mu >= lim:
+                break  # deg mu = p^m deg d grows along the term order
             # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
             in_ker = (not Sj.in_ring(mu) or Sj.in_ideal(mu)
-                      or (pe_home is not None and Sj.in_ring(_sub(mu, pe_home))))
-            in_ideal = pe_top is not None and full_top.in_ring(_sub(d, pe_top))
+                      or (pe_home is not None and _divides(Sj, pe_home, mu)))
+            in_ideal = pe_top is not None and _divides(top, pe_top, d)
             if in_ker != in_ideal:
                 bad = d
                 break
         rows.append({"check": "principal", "pass": bad is None,
-                     **({"witness": full_top.elem(bad).to_json()} if bad is not None else {})})
+                     **({"witness": top.elem(bad).to_json()} if bad is not None else {})})
 
         if j + 1 <= T.depth:
             mj1 = T.depth - j - 1
@@ -721,16 +761,16 @@ def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
     m = T.depth - j
     f = _pillar_tilt(T, j, m)
     Sj = T.residue(j)
-    room = Sj.cap - sum(T.pillar_coords(Sj, j))
+    room = Sj._lim - T.pillar_coords(Sj, j)
     for mu in Sj.monomial_basis():
-        if sum(mu) > room:
-            continue
+        if mu >= room:
+            break  # mu times the pillar leaves the cutoff from here on
         try:
             roots = _roots(T, j, mu, Sj.level, m)
         except IncompatibleComponents:
             continue
         # the tuple times the tilt pillar is zero in every component
-        if all(_live(T.residue(j + l), tuple(map(add, w, g))) is None
+        if all(_live(T.residue(j + l), w + g) is None
                for l, (w, g) in enumerate(zip(roots, f))):
             return False
     return True

@@ -254,9 +254,23 @@ def test_enumeration_is_memoised_and_needs_Nd():
     assert enumerate_elements(QUADRIC, 2) is enumerate_elements(QUADRIC, Fraction(5, 2))
     with pytest.raises(ValueError):
         enumerate_elements(AffineMonoid(2, 2, 0, ((1, 0), (-1, 1))), 2)
-    # a non-saturated monoid outside N^d has no exact membership walk
-    with pytest.raises(ValueError):
-        contains(AffineMonoid(1, 2, 0, ((-2,), (-3,))), MonoidElem((-5,), 0, 2))
+    # membership needs no N^d: a non-saturated monoid outside it peels its
+    # facet pairings
+    assert contains(AffineMonoid(1, 2, 0, ((-2,), (-3,))), MonoidElem((-5,), 0, 2))
+
+
+def test_membership_outside_Nd_on_facet_pairings():
+    """Q = <(1,-1),(0,2),(0,3)> is sharp, not saturated ((0,1) is missing),
+    and leaves N^d; membership is decided on its facet pairings."""
+    Q = AffineMonoid(2, 2, 0, ((1, -1), (0, 2), (0, 3)))
+    assert not is_saturated(Q)
+    assert contains(Q, MonoidElem((0, 5), 0, 2))
+    assert not contains(Q, MonoidElem((0, 1), 0, 2))
+    assert contains(Q, MonoidElem((2, 0), 0, 2))          # 2(1,-1) + (0,2)
+    assert not contains(Q, MonoidElem((-1, 1), 0, 2))     # outside the cone
+    assert not contains(Q, MonoidElem((1, 0), 1, 2))      # off the lattice
+    with pytest.raises(NotSaturated):
+        is_exact_submonoid(AffineMonoid(2, 2, 0, ((1, -1),)), Q)
 
 
 def test_json_int_rejects_non_integers():

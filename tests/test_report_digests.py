@@ -30,6 +30,11 @@ CLI_DIGESTS = {
     ("verify", "unramified_rlr", 2): "3b9a4d8d6d2183d83a71113417d42a23977efea2050669f8623d8f88293efe9f",
     ("tilt", "unramified_rlr", 2): "34627f9e37ccbe35304d3a76062b99d8f9aba580603f7ba601341d40d28b502d",
     ("exactstilt", "unramified_rlr", 2): "837accd1b3d735e5359098065d478f35d2d2235a48403b57681852e50ca95cfa",
+    # cap 100: a packed exponent of this window (degree and four coordinate
+    # fields) is wider than one 30-bit CPython digit
+    ("verify", "quadric", 5): "3b9a4d8d6d2183d83a71113417d42a23977efea2050669f8623d8f88293efe9f",
+    ("tilt", "quadric", 5): "7bcab119b4f4efd195d29b69cf47cc23203628c873cdeaf93d2370519d426eae",
+    ("exactstilt", "quadric", 5): "837accd1b3d735e5359098065d478f35d2d2235a48403b57681852e50ca95cfa",
 }
 
 # sabotage letter -> sha256 of the tower descriptor, its verify_tower report

@@ -36,6 +36,7 @@ from ptlab.series import (
     term_json,
     torsion_annihilator,
 )
+from ptlab.tower import _sub
 
 TRIV = AffineMonoid(0, 2, 0, ())
 
@@ -433,7 +434,7 @@ def test_degree_scale_torsion(p, ml, fl, D):
 def torsion_oracle(ring, g):
     if g.is_zero:
         return [(m, 1) for m in ring.monomial_basis()]
-    gdeg, c0 = sum(g.terms[0][0]), g.terms[0][1]
+    gdeg, c0 = ring.deg(ring.elem(g.terms[0][0])), g.terms[0][1]
     if gdeg == 0 and c0 % ring.p:
         return []  # a unit
     found = []
@@ -441,8 +442,9 @@ def torsion_oracle(ring, g):
         prod, l = make_series(ring, [(m, 1)]), 0
         # a constant term divisible by p dies in the N-th power, so past
         # (cap - deg m) + N every term of g^l is 0 or beyond the cutoff
-        while (sum(m) + (l + 1) * gdeg <= ring.cap if gdeg
-               else l < ring.cap - sum(m) + ring.precision):
+        dm = ring.deg(ring.elem(m))
+        while (dm + (l + 1) * gdeg <= ring.cap if gdeg
+               else l < ring.cap - dm + ring.precision):
             prod, l = s_mul(prod, g), l + 1
             if prod.is_zero:
                 found.append((m, l))
@@ -470,7 +472,7 @@ def torsion_generators(draw, ring):
     coefficient 1, a unit or a multiple of p (at any degree, 0 included), or
     several terms."""
     p, basis = ring.p, ring.monomial_basis()
-    positive = [v for v in basis if sum(v) > 0]
+    positive = [v for v in basis if ring.deg(ring.elem(v)) > 0]
     terms = st.tuples(st.sampled_from(positive), st.integers(-9, 9))
     kind = draw(st.sampled_from(("zero", "unit", "p_multiple", "monomial", "multi")))
     if kind == "zero":
@@ -617,9 +619,86 @@ def support_rings(draw):
 def test_support_matches_box_enumeration(ring):
     box = [v for v in itertools.product(range(ring.cap + 1), repeat=ring.width)
            if sum(v) <= ring.cap and ring.structural_contains(v)]
-    terms, members = _support(ring.monoid_part, ring.free_rank, ring.free_level, ring.cutoff)
-    assert list(terms) == sorted(box, key=graded_order)
-    assert members == frozenset(box)
+    terms, members = _support(ring.monoid_part, ring.free_rank, ring.free_level, ring.cutoff,
+                              ring._field)
+    assert [ring.elem(v).at_level(ring.level) for v in terms] == sorted(box, key=graded_order)
+    assert frozenset(ring.elem(v).at_level(ring.level) for v in members) == frozenset(box)
+
+
+@settings(deadline=2000, max_examples=60)
+@given(support_rings(), st.integers(1, 3))
+def test_widened_support_unpacks_to_the_same_exponents(ring, extra):
+    """A tower packs its levels with its top level's wider fields; the
+    exponents, their order and the set stay those of the ring's own layout."""
+    terms, members = ring._support
+    wide = ring._refield(ring._field + extra)
+    wterms, wmembers = wide._support
+    assert [wide.elem(v) for v in wterms] == [ring.elem(v) for v in terms]
+    assert {wide.elem(v) for v in wmembers} == {ring.elem(v) for v in members}
+
+
+# packed exponents against the tuple oracle.  A ring N^n at one level packs
+# its coordinates with field = W + 1 bits each, W >= bit_length(cap) (a tower
+# may widen W past the ring's own); below, "within" means degree <= cap.
+
+@st.composite
+def packed_rings(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = SeriesRingDesc(monoid_part=AffineMonoid(0, p, 0, ()), free_rank=draw(st.integers(1, 4)),
+                          free_level=draw(st.integers(0, 2)), p=p, precision=2,
+                          cutoff=draw(st.fractions(Fraction(1, 2), 9, max_denominator=3)))
+    return ring._refield(ring._field + draw(st.integers(0, 2)))
+
+
+def vectors(ring, room, hi=None):
+    """Coordinate vectors with entries in [0, hi] (default room) and sum <= room."""
+    hi = room if hi is None else hi
+    return st.lists(st.integers(0, hi), min_size=ring.width, max_size=ring.width).map(
+        lambda v: tuple(v) if sum(v) <= room else _shrink(v, room))
+
+
+def _shrink(v, room):
+    while sum(v) > room:
+        v[v.index(max(v))] -= 1
+    return tuple(v)
+
+
+@settings(deadline=None, max_examples=150)
+@given(packed_rings(), st.data())
+def test_packed_exponents_match_the_tuple_oracle(ring, data):
+    cap, p, L = ring.cap, ring.p, ring.level
+    W = ring._field - 1
+    v, w = data.draw(vectors(ring, cap)), data.draw(vectors(ring, cap))
+    pv, pw = ring.pack(v), ring.pack(w)
+    # round trip through the boundary, and term order
+    assert ring.unpack(pv) == v and ring.elem(pv) == MonoidElem(v, L, p)
+    assert ring.coords(ring.elem(pv)) == pv and (pv >> ring._shift) == sum(v)
+    assert (pv < pw) == (graded_order(v) < graded_order(w))
+    assert (pv < ring._lim) and ring.pack(tuple(x + (k == 0) * (cap + 1 - sum(v))
+                                             for k, x in enumerate(v))) >= ring._lim
+    # add, within the fields' W bits, and the cutoff test on the sum
+    a, b = data.draw(vectors(ring, 10 ** 9, 2 ** W - 1)), data.draw(vectors(ring, 10 ** 9, 2 ** W - 1))
+    s = tuple(x + y for x, y in zip(a, b))
+    assert ring.pack(a) + ring.pack(b) == ring.pack(s) and ring.unpack(ring.pack(s)) == s
+    assert (ring.pack(a) + ring.pack(b) < ring._lim) == (sum(s) <= cap)
+    # subtraction: a borrow in any field is "not in the ring"
+    if data.draw(st.booleans()):
+        w = tuple(data.draw(st.integers(0, x)) for x in v)
+        pw = ring.pack(w)
+    diff = tuple(x - y for x, y in zip(v, w))
+    assert _sub(ring, pv, pw) == (ring.pack(diff) if min(diff) >= 0 else None)
+    # rescale by p^k from a coarser level (an int product) and from a finer
+    # one (exact division, or None for an image finer than the ring)
+    k = data.draw(st.integers(1, 2))
+    if L >= k:
+        u = data.draw(vectors(ring, cap // p ** k))
+        assert ring.rescale(ring.pack(u), L - k) == ring.pack(ring.vec_at(u, L - k))
+        assert ring.vec_at(u, L - k) == tuple(x * p ** k for x in u)
+    u = v if data.draw(st.booleans()) else tuple(x - x % p ** k for x in v)
+    want = ring.vec_at(u, L + k)
+    got = ring.rescale(ring.pack(u), L + k)
+    assert got == (None if want is None else ring.pack(want))
+    assert (want is None) == any(x % p ** k for x in u)
 
 
 def test_cold_support_builds_no_monoid_elem(monkeypatch):
