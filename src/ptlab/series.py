@@ -631,20 +631,25 @@ class TorsionReport:
 
     Products that would leave the degree cutoff are skipped rather than
     counted, so cutoff artifacts never masquerade as torsion; is_zero reports
-    whether any honest torsion was found.
+    whether any honest torsion was found.  monomials are packed at the
+    ring's level, in term order, and minimal_powers[k] is the least power of
+    the generator that kills monomials[k].
     """
 
-    annihilator_basis: tuple[Series, ...]
-    is_zero: bool
-    bounded_exponent: int | None
-    minimal_powers: tuple[int, ...] = ()
+    ring: SeriesRingDesc
+    monomials: tuple[int, ...]
+    minimal_powers: tuple[int, ...]
 
-    def monomials(self) -> tuple[int, ...]:
-        """The torsion monomials, packed at the ring's level."""
-        return tuple(s.terms[0][0] for s in self.annihilator_basis)
+    @property
+    def is_zero(self) -> bool:
+        return not self.monomials
+
+    @property
+    def bounded_exponent(self) -> int | None:
+        return max(self.minimal_powers, default=None)
 
     def monomial_exps(self) -> tuple[MonoidElem, ...]:
-        return tuple(s.ring.elem(s.terms[0][0]) for s in self.annihilator_basis)
+        return tuple(map(self.ring.elem, self.monomials))
 
 
 def kills_monomial(x: Series, m: int) -> bool:
@@ -704,10 +709,4 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
                 if kills_monomial(gl, m):
                     found.append((m, l))
                     break
-    powers = tuple(l for _, l in found)
-    return TorsionReport(
-        annihilator_basis=tuple(Series(ring, ((m, 1),)) for m, _ in found),
-        is_zero=not found,
-        bounded_exponent=max(powers) if powers else None,
-        minimal_powers=powers,
-    )
+    return TorsionReport(ring, tuple(m for m, _ in found), tuple(l for _, l in found))

@@ -1,5 +1,6 @@
-"""Static hygiene of the package: no unused imports, no dead private helpers,
-no Fraction cutoff tests, no generated code and a lean import."""
+"""Static hygiene of the package: stdlib-only imports, no unused imports, no
+dead private helpers, no Fraction cutoff tests, no generated code and a lean
+import."""
 
 import ast
 import os
@@ -42,6 +43,23 @@ def test_no_unused_imports():
                 if bound not in read:
                     unused.append(f"{fname}:{node.lineno}: {bound}")
     assert unused == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every import in src/ptlab is ptlab itself (relative or by name) or a
+    module of the standard library: the runtime is stdlib-only."""
+    foreign = []
+    for fname, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                mods = [node.module]
+            else:
+                continue  # a relative import stays inside ptlab
+            foreign += [f"{fname}:{node.lineno}: {m}" for m in mods
+                        if m.split(".")[0] not in sys.stdlib_module_names | {"ptlab"}]
+    assert foreign == []
 
 
 def test_no_unreferenced_private_functions():

@@ -1,4 +1,4 @@
-"""Tower axioms, Frobenius projections, pillars, tilt elements."""
+"""Tower axioms, Frobenius projections, pillars, small tilts."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -14,33 +14,21 @@ from ptlab.series import (
     SeriesRingDesc,
     make_series,
     reduce_mod_I0,
+    s_add,
     s_monomial,
+    s_mul,
     s_one,
+    s_pow,
     s_zero,
 )
 from ptlab.tower import (
-    AxiomViolation,
-    FrobProjection,
-    IncompatibleComponents,
     PillarNotFound,
-    TiltElem,
     TowerDesc,
     Transition,
-    frob_qf,
     frobenius_identities,
-    frobenius_projection,
     inverse_perfection_is_perfect,
     pillar_system,
-    shift_tilt,
-    te_add,
-    te_mul,
-    te_one,
-    te_pow,
-    te_zero,
-    teich_tilt,
-    tilt_elem,
     tilt_mod_pillar_iso,
-    truncate_tilt,
     verify_exactstilt,
     verify_tower,
 )
@@ -88,10 +76,36 @@ def test_frobenius_identities_both_directions():
         assert r["witnesses"] == []
 
 
+# The Series-level tower maps, the oracle of the checks decided on exponents.
+# F_i: S_{i+1} -> S_i sends c e^v to c^p e^{pv}, and t-bar_i: S_i -> S_{i+1}
+# applies the transition term by term.  A tuple of the small tilt at home
+# level j is a plain tuple of series, component l in S_{j+l}.
+
+
+def series_frob(T, i, x):
+    """F_i on a series of S_{i+1}."""
+    Si = T.residue(i)
+    if x.ring != T.residue(i + 1):
+        raise InvariantViolation("argument must live in S_{i+1}")
+    # p * v at S_{i+1}'s level is v at one level coarser
+    return make_series(Si, [(Si.rescale(v, x.ring.level - 1), pow(c, T.p, T.p))
+                            for v, c in x.terms])
+
+
+def series_t_bar(T, i, x):
+    """t-bar_i on a series of S_i."""
+    t, Si1 = T.transitions[i], T.residue(i + 1)
+    return make_series(Si1, [(t.image(v, x.ring, Si1), c) for v, c in x.terms])
+
+
+def tuple_frob(T, x, home):
+    """F componentwise on a tuple at the given home level, landing one level lower."""
+    return tuple(series_frob(T, home - 1 + l, c) for l, c in enumerate(x))
+
+
 def series_frobenius_identities(T, i):
-    """The oracle: both identities on one-term series, through FrobProjection.apply
-    and transition_bar, compared with the canonical e^{pd}."""
-    F = FrobProjection(T, i)
+    """The oracle: both identities on one-term series, through series_frob and
+    series_t_bar, compared with the canonical e^{pd}."""
     Si, Si1 = T.residue(i), T.residue(i + 1)
 
     def failures(ring, via):
@@ -101,8 +115,8 @@ def series_frobenius_identities(T, i):
                     and via(Series(ring, ((g, 1),))) != make_series(ring, [(ring.coords(pg), 1)])):
                 yield ring.elem(g).to_json()
 
-    bad_tf = list(failures(Si1, lambda x: T.transition_bar(i, F.apply(x))))
-    bad_ft = list(failures(Si, lambda x: F.apply(T.transition_bar(i, x))))
+    bad_tf = list(failures(Si1, lambda x: series_t_bar(T, i, series_frob(T, i, x))))
+    bad_ft = list(failures(Si, lambda x: series_frob(T, i, series_t_bar(T, i, x))))
     return {"level": i, "t_after_F_is_frobenius": not bad_tf,
             "F_after_t_is_frobenius": not bad_ft, "witnesses": bad_tf + bad_ft,
             "cutoff": T.cutoff_info()}
@@ -110,8 +124,7 @@ def series_frobenius_identities(T, i):
 
 def test_frobenius_identities_match_the_series_path():
     """Deciding the identities on exponents gives the series path's report on
-    every sabotaged tower and level; frobenius_projection fails exactly where
-    t-bar after F does."""
+    every sabotaged tower and level."""
     witnessed = set()
     for name, build in SABOTAGE.items():
         T, _ = build()
@@ -120,21 +133,16 @@ def test_frobenius_identities_match_the_series_path():
             assert frobenius_identities(T, i) == want, (name, i)
             if want["witnesses"]:
                 witnessed.add(name)
-            if want["t_after_F_is_frobenius"]:
-                assert frobenius_projection(T, i).level == i
-            else:
-                with pytest.raises(AxiomViolation):
-                    frobenius_projection(T, i)
     assert {"b", "c"} <= witnessed
 
 
 # The series path the tilt checks took before they were decided on exponents:
-# tuples of one-term series in the residue rings, multiplied and powered as
-# tilt elements.  Only the values that path decided are recomputed here.
+# tuples of one-term series in the residue rings, multiplied and powered
+# componentwise.  Only the values that path decided are recomputed here.
 
 
 def series_teich(T, j, mu, depth):
-    """(e^mu, e^{mu/p}, ...) as series, or None when a root is missing."""
+    """(e^mu, e^{mu/p}, ...) as a tuple of series, or None when a root is missing."""
     comps = []
     for l in range(depth + 1):
         ring = T.residue(j + l)
@@ -142,16 +150,14 @@ def series_teich(T, j, mu, depth):
         if w is None or not ring.in_ring(w):
             return None
         comps.append(make_series(ring, [(w, 1)]))
-    return TiltElem(T, j, tuple(comps))
+    return tuple(comps)
 
 
 def series_pillar_tilt(T, j, depth):
     """(f_j mod I0, f_{j+1} mod I0, ...)."""
     g = T.ideal_exp()
-    return TiltElem(T, j, tuple(
-        make_series(T.residue(j + l), [(T.residue(j + l).coords(
-            MonoidElem(g.coords, g.level + j + l, T.p)), 1)])
-        for l in range(depth + 1)))
+    return tuple(make_series(T.residue(j + l), [(T.residue(j + l).coords(
+        MonoidElem(g.coords, g.level + j + l, T.p)), 1)]) for l in range(depth + 1))
 
 
 def full_walk_principal(T, j):
@@ -186,9 +192,8 @@ def series_verify_exactstilt(T, j):
             row = full_walk_principal(T, j)
         elif row["check"] == "pillar_power":
             f_j, f_j1 = series_pillar_tilt(T, j, m - 1), series_pillar_tilt(T, j + 1, m - 1)
-            powed = te_pow(f_j1, T.p)
-            ok = all(powed.components[l] == T.transition_bar(j + l, c)
-                     for l, c in enumerate(f_j.components))
+            ok = all(s_pow(c1, T.p) == series_t_bar(T, j + l, c)
+                     for l, (c, c1) in enumerate(zip(f_j, f_j1)))
             row = {**row, "pass": ok}
         elif row["check"] == "torsion" and not T.base_ideal.is_zero:
             f = series_pillar_tilt(T, j, m)
@@ -196,7 +201,8 @@ def series_verify_exactstilt(T, j):
             room = Sj.cap - Sj.deg(Sj.elem(T.pillar_coords(Sj, j)))
             tuples = (series_teich(T, j, Sj.elem(mu), m)
                       for mu in Sj.monomial_basis() if Sj.deg(Sj.elem(mu)) <= room)
-            empty = not any(te_mul(te, f).is_zero for te in tuples if te is not None)
+            empty = not any(all(s_mul(a, b).is_zero for a, b in zip(te, f))
+                            for te in tuples if te is not None)
             row = {**row, "tilt_empty": empty, "pass": row["source_empty"] == empty}
         rows.append(row)
     return {**rep, "checks": rows, "all_pass": all(r["pass"] for r in rows)}
@@ -210,7 +216,7 @@ def series_tilt_mod_pillar_iso(T, j):
         te = series_teich(T, j, Sj.elem(mu), T.depth - j)
         if te is None:
             mismatches.append({"direction": "section", **Sj.elem(mu).to_json()})
-        elif te.project(0) != Series(Sj, ((mu, 1),)):
+        elif te[0] != Series(Sj, ((mu, 1),)):
             mismatches.append({"direction": "projection", **Sj.elem(mu).to_json()})
         else:
             matched += 1
@@ -223,7 +229,7 @@ def series_compatibility_witnesses(pillars):
     T = pillars.tower
     bars = [make_series(T.residue(i), reduce_mod_I0(f).terms)
             for i, f in enumerate(pillars.generators)]
-    return [{"level": i, "pass": FrobProjection(T, i).apply(bars[i + 1]) == bars[i]}
+    return [{"level": i, "pass": series_frob(T, i, bars[i + 1]) == bars[i]}
             for i in range(T.depth)]
 
 
@@ -266,35 +272,81 @@ def test_tilt_checks_match_the_series_path():
             for v in (True, False)} <= seen
 
 
-def test_tilt_checks_build_no_tilt_elem(monkeypatch):
+def series_inverse_perfection(T):
+    """inverse_perfection_is_perfect on tuples of series, with both halves of
+    the ring-map row and F(0) = 0 computed."""
+    if T.depth < 1:
+        return {"checks": [], "all_pass": True, "cutoff": T.cutoff_info()}
+    j, m = 1, T.depth - 1
+    Sj = T.residue(j)
+    samples = [x for x in (series_teich(T, j, Sj.elem(mu), m)
+                           for mu in Sj.monomial_basis()[:6]) if x is not None]
+    if len(samples) >= 2:
+        samples.append(tuple(map(s_add, samples[0], samples[1])))
+    ok_shift = all(tuple_frob(T, x, j)[1:] == x[:-1] for x in samples)
+    ok_pow = all(tuple(s_pow(c, T.p) for c in x[1:])
+                 == tuple(series_t_bar(T, j + l, c) for l, c in enumerate(x[:-1]))
+                 for x in samples)
+    ok_ring = all(
+        tuple_frob(T, tuple(map(op, a, b)), j)
+        == tuple(map(op, tuple_frob(T, a, j), tuple_frob(T, b, j)))
+        for a in samples[:2] for b in samples[:2] for op in (s_mul, s_add))
+    zero = tuple(s_zero(T.residue(j + l)) for l in range(m + 1))
+    checks = [
+        {"check": "shift_is_inverse_up_to_truncation", "pass": ok_shift},
+        {"check": "pth_power_then_shift_is_transition", "pass": ok_pow},
+        {"check": "projection_is_ring_map", "pass": ok_ring},
+        {"check": "zero_maps_to_zero", "pass": all(c.is_zero for c in tuple_frob(T, zero, j))},
+    ]
+    return {"checks": checks, "all_pass": all(c["pass"] for c in checks),
+            "samples": len(samples), "cutoff": T.cutoff_info()}
+
+
+def test_inverse_perfection_matches_the_series_path():
+    """The exponent sets give the series tuples' report, as a whole dict, on
+    the oracle towers and unramified towers of depth 1 and 3; the p-th power
+    row both passes and fails among them."""
+    towers = oracle_towers()
+    for depth in (1, 3):
+        towers[f"unramified_depth{depth}"] = build_tower(
+            preset("unramified_rlr", 3), depth, Fraction(4), 2)
+    seen = set()
+    for name, T in towers.items():
+        want = series_inverse_perfection(T)
+        assert inverse_perfection_is_perfect(T) == want, name
+        seen |= {(c["check"], c["pass"]) for c in want["checks"]}
+    assert {("pth_power_then_shift_is_transition", v) for v in (True, False)} <= seen
+
+
+def test_tilt_checks_build_no_series(monkeypatch):
+    """inverse_perfection_is_perfect and tilt_mod_pillar_iso decide on
+    exponents: past the residue rings, they construct no Series."""
+    T = oracle_towers()["quadric_p3"]
+    for j in range(T.depth + 1):
+        T.residue(j).monomial_basis()
     built = []
-    init = TiltElem.__init__
+    init = Series.__init__
 
     def counting(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(TiltElem, "__init__", counting)
-    T = oracle_towers()["quadric_p3"]
+    monkeypatch.setattr(Series, "__init__", counting)
+    inverse_perfection_is_perfect(T)
     for j in range(T.depth + 1):
-        verify_exactstilt(T, j)
         tilt_mod_pillar_iso(T, j)
     assert built == []
-    inverse_perfection_is_perfect(T)  # the counter sees the algebra's samples
-    assert built
 
 
 def test_frobenius_projection_guards():
+    """The oracle's F_i sends e^v to e^{pv} and rejects a series of the
+    wrong ring."""
     T = unram2()
-    F = frobenius_projection(T, 0)
-    e = T.residue(1).elem(T.residue(1).monomial_basis()[0])
-    out = F.apply(s_monomial(T.residue(1), e))
+    e = T.residue(1).elem(T.residue(1).monomial_basis()[1])
+    out = series_frob(T, 0, s_monomial(T.residue(1), e))
     assert out.terms and out.exp_terms()[0][0] == e.scale(2)
     with pytest.raises(InvariantViolation):
-        F.apply(s_one(T.residue(0)))    # wrong source ring
-    Tc, _ = sab_c()
-    with pytest.raises(AxiomViolation):
-        frobenius_projection(Tc, 0)
+        series_frob(T, 0, s_one(T.residue(0)))    # wrong source ring
 
 
 def test_pillar_chain_exponents():
@@ -346,33 +398,6 @@ def test_sabotage_towers_fail_their_axiom():
             assert "witness" in row or "note" in row, row
 
 
-def test_tilt_elements_algebra():
-    T = unram2()
-    mu = MonoidElem((0, 1), 0, 2)
-    nu = MonoidElem((0, 2), 0, 2)
-    a = teich_tilt(T, 0, mu, 2)
-    b = teich_tilt(T, 0, nu, 2)
-    assert te_mul(a, b) == teich_tilt(T, 0, mu + nu, 2)
-    assert te_mul(a, te_one(T, 0, 2)) == a
-    assert te_add(a, te_zero(T, 0, 2)) == a
-    s = te_add(a, b)
-    assert s.project(0).coeff(mu) == 1 and s.project(0).coeff(nu) == 1
-    # the pillar direction itself projects to zero at home level
-    pil = teich_tilt(T, 0, MonoidElem((1, 0), 0, 2), 2)
-    assert pil.project(0).is_zero and not pil.is_zero
-
-
-def test_tilt_elem_compatibility_enforced():
-    T = unram2()
-    good = teich_tilt(T, 0, MonoidElem((1, 0), 0, 2), 2)
-    tilt_elem(T, 0, good.components)    # revalidates
-    bad = (good.components[0], s_zero(T.residue(1)), good.components[2])
-    with pytest.raises(IncompatibleComponents):
-        tilt_elem(T, 0, bad)
-    with pytest.raises(IncompatibleComponents):
-        te_mul(good, truncate_tilt(good, 1))
-
-
 def test_shift_and_qf_frobenius_are_inverse():
     rep = inverse_perfection_is_perfect(unram2())
     assert rep["all_pass"]
@@ -380,17 +405,6 @@ def test_shift_and_qf_frobenius_are_inverse():
     assert names == {"shift_is_inverse_up_to_truncation", "pth_power_then_shift_is_transition",
                      "projection_is_ring_map", "zero_maps_to_zero"}
     assert rep["samples"] >= 2
-
-
-def test_shift_guards():
-    T = unram2()
-    x = teich_tilt(T, 1, MonoidElem((1, 0), 1, 2), 1)
-    y = shift_tilt(x)
-    assert y.home == 2 and y.depth == 0
-    with pytest.raises(IncompatibleComponents):
-        shift_tilt(y)
-    with pytest.raises(IncompatibleComponents):
-        frob_qf(teich_tilt(T, 0, MonoidElem((1, 0), 0, 2), 2))
 
 
 def test_tilt_mod_pillar_iso_sizes():
