@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .classgroup import class_group, prime_to_p_report
 from .coeffring import is_prime
@@ -41,7 +40,6 @@ from .monoid import (
     saturate,
 )
 from .monoid import preset as monoid_preset
-from .record import record
 from .series import InvariantViolation, parse_cutoff, s_from_terms, term_from_json
 from .tower import (
     frobenius_identities,
@@ -57,27 +55,17 @@ class ParseError(ValueError):
     pass
 
 
-@record
-class RunConfig:
-    command: str
-    p: int = 2
-    depth: int = 2
-    cutoff: Fraction = Fraction(4)
-    precision: int = 2
-    d: int = 2
-    output: str | None = None
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ParseError("p must be a prime")
-        if self.depth < 0:
+def _check(args) -> None:
+    """Validate the flags and parse --cutoff; SeriesRingDesc rejects a
+    nonpositive cutoff or precision."""
+    if not is_prime(args.p):
+        raise ParseError("p must be a prime")
+    if args.d < 0:
+        raise ParseError("d must be nonnegative")
+    if args.group == "tower":
+        if args.depth < 0:
             raise ParseError("depth must be nonnegative")
-        if self.cutoff <= 0:
-            raise ParseError("cutoff must be positive")
-        if self.precision < 1:
-            raise ParseError("precision must be at least 1")
-        if self.d < 0:
-            raise ParseError("d must be nonnegative")
+        args.cutoff = parse_cutoff(args.cutoff)
 
 
 def load_descriptor(path: str) -> dict:
@@ -102,7 +90,7 @@ def _monoid_descriptor(payload, origin: str) -> AffineMonoid:
         raise ParseError(f"{origin}: bad monoid descriptor ({exc!r})") from exc
 
 
-def _monoid_from_args(args, cfg: RunConfig) -> AffineMonoid:
+def _monoid_from_args(args) -> AffineMonoid:
     if args.input:
         return _monoid_descriptor(load_descriptor(args.input), args.input)
     if args.json:
@@ -112,33 +100,33 @@ def _monoid_from_args(args, cfg: RunConfig) -> AffineMonoid:
             raise ParseError(f"--json:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
         return _monoid_descriptor(payload, "--json")
     if args.preset:
-        return monoid_preset(args.preset, cfg.p, cfg.d)
+        return monoid_preset(args.preset, args.p, args.d)
     raise ParseError("provide --input, --json, or --preset")
 
 
-def _presentation_from_args(args, cfg: RunConfig) -> LogRegPresentation:
-    if getattr(args, "input", None):
-        custom = load_descriptor(args.input)
+def _presentation_from_args(args) -> LogRegPresentation:
+    if args.input:
+        payload = load_descriptor(args.input)
         try:
-            return preset("custom", cfg.p, custom=custom)
+            return LogRegPresentation.from_descriptor(payload)
         except InvalidPresentation:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{args.input}: bad presentation descriptor ({exc!r})") from exc
-    return preset(args.preset, cfg.p, d=cfg.d)
+    return preset(args.preset, args.p, d=args.d)
 
 
-def _emit(payload, cfg: RunConfig) -> None:
+def _emit(payload, args) -> None:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_monoid(args, cfg: RunConfig) -> int:
-    Q = _monoid_from_args(args, cfg)
+def _cmd_monoid(args) -> int:
+    Q = _monoid_from_args(args)
     if args.action == "check":
         sharp = is_sharp(Q)
         sat = is_saturated(Q) if sharp else None
@@ -148,11 +136,11 @@ def _cmd_monoid(args, cfg: RunConfig) -> int:
             "dimension": dimension(Q),
             "generators": [list(g) for g in Q.generators],
         }
-        _emit({"command": "monoid check", "report": report}, cfg)
+        _emit({"command": "monoid check", "report": report}, args)
         return 0 if (sharp and sat) else 1
     if args.action == "saturate":
         S = saturate(Q)
-        _emit({"command": "monoid saturate", "report": S.to_descriptor()}, cfg)
+        _emit({"command": "monoid saturate", "report": S.to_descriptor()}, args)
         return 0
     if args.action == "divide":
         try:
@@ -168,40 +156,38 @@ def _cmd_monoid(args, cfg: RunConfig) -> int:
                 "order": G.torsion_order(),
             },
         }
-        _emit({"command": "monoid divide", "report": report}, cfg)
+        _emit({"command": "monoid divide", "report": report}, args)
         return 0
     if args.action == "embed":
         rows = exact_embed_Nd(Q)
         _emit({"command": "monoid embed",
                "report": {"facet_valuations": [list(r) for r in rows],
-                          "target_rank": len(rows)}}, cfg)
+                          "target_rank": len(rows)}}, args)
         return 0
-    if args.action == "classgroup":
-        rep = class_group(Q)
-        payload = rep.to_json()
-        payload["prime_to_p"] = prime_to_p_report(rep.group, cfg.p)
-        _emit({"command": "monoid classgroup", "report": payload}, cfg)
-        return 0
-    raise ParseError(f"unknown monoid action {args.action!r}")
+    rep = class_group(Q)
+    payload = rep.to_json()
+    payload["prime_to_p"] = prime_to_p_report(rep.group, args.p)
+    _emit({"command": "monoid classgroup", "report": payload}, args)
+    return 0
 
 
-def _cmd_tower(args, cfg: RunConfig) -> int:
+def _cmd_tower(args) -> int:
     # exactstilt's home levels j < depth have tilt depth >= 1; at j = depth no
     # compatibility constraint survives and the annihilator comparison degenerates
-    if args.action == "exactstilt" and cfg.depth < 1:
+    if args.action == "exactstilt" and args.depth < 1:
         raise ParseError("exactstilt needs --depth >= 1")
-    P = _presentation_from_args(args, cfg)
+    P = _presentation_from_args(args)
     if args.action == "build":
-        T = build_tower(P, cfg.depth, cfg.cutoff, cfg.precision)
+        T = build_tower(P, args.depth, args.cutoff, args.precision)
         report = T.to_descriptor()
         report["kato_dimensions"] = kato_dim_check(P)
-        _emit({"command": "tower build", "report": report}, cfg)
+        _emit({"command": "tower build", "report": report}, args)
         return 0
-    T = build_tower(P, cfg.depth, cfg.cutoff, cfg.precision)
+    T = build_tower(P, args.depth, args.cutoff, args.precision)
     if args.action == "verify":
         a = verify_purely_inseparable(T)
         b = verify_perfectoid(T)
-        frob = [frobenius_identities(T, i) for i in range(cfg.depth)]
+        frob = [frobenius_identities(T, i) for i in range(args.depth)]
         report = {
             "axioms": a["axioms"] + b["axioms"],
             "frobenius_identities": [
@@ -213,29 +199,23 @@ def _cmd_tower(args, cfg: RunConfig) -> int:
         }
         ok = a["all_pass"] and b["all_pass"] and all(r["pass"] for r in report["frobenius_identities"])
         report["all_pass"] = ok
-        _emit({"command": "tower verify", "report": report}, cfg)
+        _emit({"command": "tower verify", "report": report}, args)
         return 0 if ok else 1
     if args.action == "tilt":
         rep = verify_tilt(P, T)
-        isos = [tilt_mod_pillar_iso(T, j) for j in range(min(2, cfg.depth + 1))]
+        isos = [tilt_mod_pillar_iso(T, j) for j in range(min(2, args.depth + 1))]
         rep["mod_pillar_iso"] = isos
         ok = rep["all_pass"] and all(x["bijective"] for x in isos)
         rep["all_pass"] = ok
-        _emit({"command": "tower tilt", "report": rep}, cfg)
+        _emit({"command": "tower tilt", "report": rep}, args)
         return 0 if ok else 1
-    if args.action == "exactstilt":
-        rows = [verify_exactstilt(T, j) for j in range(cfg.depth)]
-        inv = inverse_perfection_is_perfect(T)
-        ok = all(r["all_pass"] for r in rows) and inv["all_pass"]
-        report = {"levels": rows, "inverse_perfection": inv, "all_pass": ok,
-                  "cutoff": T.cutoff_info()}
-        _emit({"command": "tower exactstilt", "report": report}, cfg)
-        return 0 if ok else 1
-    raise ParseError(f"unknown tower action {args.action!r}")
-
-
-def _base_from_args(args, cfg: RunConfig) -> BaseRing:
-    return BaseRing(p=cfg.p, d=cfg.d, mixed=not args.equal_char)
+    rows = [verify_exactstilt(T, j) for j in range(args.depth)]
+    inv = inverse_perfection_is_perfect(T)
+    ok = all(r["all_pass"] for r in rows) and inv["all_pass"]
+    report = {"levels": rows, "inverse_perfection": inv, "all_pass": ok,
+              "cutoff": T.cutoff_info()}
+    _emit({"command": "tower exactstilt", "report": report}, args)
+    return 0 if ok else 1
 
 
 def _series_list(arg: str, A: BaseRing):
@@ -260,29 +240,27 @@ def _series_list(arg: str, A: BaseRing):
     return out
 
 
-def _cmd_regularity(args, cfg: RunConfig) -> int:
-    A = _base_from_args(args, cfg)
+def _cmd_regularity(args) -> int:
+    A = BaseRing(p=args.p, d=args.d, mixed=not args.equal_char)
     if args.action == "omega":
         om = omega_dim(A)
         _emit({"command": "regularity omega",
                "report": {"dimension": om.dim, "basis": list(om.basis_labels),
-                          "mixed": om.mixed}}, cfg)
+                          "mixed": om.mixed}}, args)
         return 0
     if args.action == "maximal":
         elems = _series_list(args.elems, A)
         verdict = is_maximal_sequence(A, elems)
-        _emit({"command": "regularity maximal", "report": {"maximal": verdict}}, cfg)
+        _emit({"command": "regularity maximal", "report": {"maximal": verdict}}, args)
         return 0 if verdict else 1
-    if args.action == "kummer":
-        f_list = _series_list(args.f, A)
-        try:
-            e_list = [int(x) for x in args.e.split(",") if x]
-        except ValueError as exc:
-            raise ParseError("exponent list must be comma-separated integers") from exc
-        verdict = kummer_regularity(A, f_list, e_list)
-        _emit({"command": "regularity kummer", "report": {"regular": verdict}}, cfg)
-        return 0 if verdict else 1
-    raise ParseError(f"unknown regularity action {args.action!r}")
+    f_list = _series_list(args.f, A)
+    try:
+        e_list = [int(x) for x in args.e.split(",") if x]
+    except ValueError as exc:
+        raise ParseError("exponent list must be comma-separated integers") from exc
+    verdict = kummer_regularity(A, f_list, e_list)
+    _emit({"command": "regularity kummer", "report": {"regular": verdict}}, args)
+    return 0 if verdict else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,9 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--p", type=int, default=2)
         sp.add_argument("--d", type=int, default=2)
-        sp.add_argument("--depth", type=int, default=2)
-        sp.add_argument("--cutoff", default="4")
-        sp.add_argument("--precision", type=int, default=2)
         sp.add_argument("--output", default=None)
 
     mon = sub.add_parser("monoid", help="monoid predicates and invariants")
@@ -311,6 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--preset", default="unramified_rlr",
                     choices=["unramified_rlr", "quadric"])
     tw.add_argument("--input", default=None, help="custom presentation file")
+    tw.add_argument("--depth", type=int, default=2)
+    tw.add_argument("--cutoff", default="4")
+    tw.add_argument("--precision", type=int, default=2)
     common(tw)
 
     rg = sub.add_parser("regularity", help="differential-module regularity toolkit")
@@ -330,26 +308,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        cfg = RunConfig(
-            command=args.group,
-            p=args.p,
-            depth=args.depth,
-            cutoff=parse_cutoff(args.cutoff),
-            precision=args.precision,
-            d=args.d,
-            output=args.output,
-        )
+        _check(args)
     except ValueError as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return 2
     try:
         if args.group == "monoid":
-            return _cmd_monoid(args, cfg)
+            return _cmd_monoid(args)
         if args.group == "tower":
-            return _cmd_tower(args, cfg)
-        if args.group == "regularity":
-            return _cmd_regularity(args, cfg)
-        raise ParseError(f"unknown command {args.group!r}")
+            return _cmd_tower(args)
+        return _cmd_regularity(args)
     except (ParseError, InvalidPresentation, UnsupportedBase, InvariantViolation,
             NotSharp, NotSaturated) as exc:
         print(f"ptlab: {exc}", file=sys.stderr)

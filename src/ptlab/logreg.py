@@ -121,15 +121,11 @@ def preset_quadric(p: int) -> LogRegPresentation:
                               labels=("x", "y", "z", "w"))
 
 
-def preset(name: str, p: int, d: int = 2, custom: dict | None = None) -> LogRegPresentation:
+def preset(name: str, p: int, d: int = 2) -> LogRegPresentation:
     if name == "unramified_rlr":
         return preset_unramified(p, d)
     if name == "quadric":
         return preset_quadric(p)
-    if name == "custom":
-        if custom is None:
-            raise InvalidPresentation("custom preset needs a presentation descriptor")
-        return LogRegPresentation.from_descriptor(custom)
     raise InvalidPresentation(f"unknown preset {name!r}")
 
 

@@ -72,8 +72,9 @@ class SeriesRingDesc:
     levels to one W).  W is no field: rings that differ in it alone are
     equal, and series arithmetic between them raises RingMismatch.
     MonoidElem is the API and JSON form; coords() and elem() convert.
-    Below the cutoff, membership in the ring and in the quotient ideal are
-    lookups in sets computed once per ring.
+    Below the cutoff, membership in the ring is a binary search in the
+    sorted support and membership in the quotient ideal a lookup in a set,
+    both computed once per ring.
     """
 
     monoid_part: AffineMonoid
@@ -222,7 +223,7 @@ class SeriesRingDesc:
 
     def structural_contains(self, v: tuple[int, ...]) -> bool:
         """v is an exponent of the ring, decided from the monoid's generators
-        without the support set (descriptor checks use this)."""
+        without the support (descriptor checks use this)."""
         d = self.monoid_part.ambient_rank
         step = self.p ** (self.level - self.free_level)
         if len(v) != self.width or any(x < 0 or x % step for x in v[d:]):
@@ -240,7 +241,7 @@ class SeriesRingDesc:
         return tuple(self.vec_at(v, lv) for v, lv in gens)
 
     @cached_property
-    def _support(self) -> tuple[tuple[int, ...], frozenset]:
+    def _support(self) -> tuple[int, ...]:
         return _support(self.monoid_part, self.free_rank, self.free_level, self.cutoff,
                         self._field)
 
@@ -250,7 +251,7 @@ class SeriesRingDesc:
         # s and a quotient monomial q (a q finer than the ring dominates no
         # exponent of the ring's level); deg q >= 0 keeps s within the cutoff
         out = set()
-        terms = self._support[0]
+        terms = self._support
         for q in self.quotient_exps:
             w = self.coords(q)
             if w is not None:
@@ -260,7 +261,7 @@ class SeriesRingDesc:
     def in_ring(self, v: int) -> bool:
         """The packed exponent v is an exponent of the ring, degree cutoff not included."""
         if v < self._lim:
-            return v in self._support[1]
+            return _has(self._support, v)
         return self.structural_contains(self.unpack(v))
 
     def in_ideal(self, v: int) -> bool:
@@ -279,7 +280,7 @@ class SeriesRingDesc:
         """Validity of a combined exponent (degree cutoff not included)."""
         v = self._code(e)
         if v is not None:
-            return v in self._support[1]
+            return _has(self._support, v)
         v = self._vec(e)
         return v is not None and self.structural_contains(v)
 
@@ -292,12 +293,12 @@ class SeriesRingDesc:
 
     def monomial_basis(self) -> tuple[int, ...]:
         """Packed exponents within the cutoff outside the quotient ideal, in term
-        order; the ints are the members of the ring's support set."""
+        order; the ints are the members of the ring's support."""
         return self._basis
 
     @cached_property
     def _basis(self) -> tuple[int, ...]:
-        ideal, terms = self._ideal, self._support[0]
+        ideal, terms = self._ideal, self._support
         return tuple(filterfalse(ideal.__contains__, terms)) if ideal else terms
 
     @cached_property
@@ -396,8 +397,7 @@ def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
 def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Fraction,
              field: int):
     """Every exponent of degree <= cutoff of k[[monoid + (N^r)^(free_level)]],
-    packed at the ring's level with field bits per coordinate, in term order,
-    and the same ints as a set.
+    packed at the ring's level with field bits per coordinate, in term order.
 
     The key leaves out the relation and the quotient, so a ring and its
     residue rings share one support.  The free parts are built one
@@ -424,15 +424,19 @@ def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Frac
     if len(frees) > len(elems):
         elems, frees = frees, elems
     if frees == [0]:  # a rank-0 side: the other is the support
-        terms = tuple(elems)
-    else:
-        lim = (cap + 1) << top
-        out = []
-        for m in frees:  # the shorter side
-            out += map(m.__add__, elems[:bisect_left(elems, lim - m)])
-        out.sort()
-        terms = tuple(out)
-    return terms, frozenset(terms)
+        return tuple(elems)
+    lim = (cap + 1) << top
+    out = []
+    for m in frees:  # the shorter side
+        out += map(m.__add__, elems[:bisect_left(elems, lim - m)])
+    out.sort()
+    return tuple(out)
+
+
+def _has(terms: tuple[int, ...], v: int) -> bool:
+    """v is a member of the sorted tuple terms."""
+    i = bisect_left(terms, v)
+    return i < len(terms) and terms[i] == v
 
 
 @record
@@ -681,12 +685,17 @@ def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
     rather than here.  A unit has no torsion; a constant term divisible by
     p (possible only with Z/p^N coefficients) is not a unit, and there the
     powers run to (cap - deg m) + N.
+
+    A ring with digit coefficients (char p or a relation) and no quotient
+    monomials has no torsion to scan for: the term order is a monomial
+    order and a product of nonzero digits is nonzero mod p, so the lowest
+    term of m*g^l survives wherever the scan would test it.
     """
     _same_ring(g, ring)
     found: list[tuple[int, int]] = []
     if g.is_zero:
         found = [(m, 1) for m in ring.monomial_basis()]
-    elif not is_unit(g):
+    elif not is_unit(g) and (ring.quotient_exps or (ring.relation_f is None and not ring.char_p)):
         shift, cap = ring._shift, ring.cap
         gdeg = g.terms[0][0] >> shift
 

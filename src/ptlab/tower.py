@@ -37,10 +37,6 @@ class PillarNotFound(ValueError):
     pass
 
 
-class IncompatibleComponents(ValueError):
-    pass
-
-
 @record
 class Transition:
     """Exponent-linear transition t_i: R_i -> R_{i+1}.
@@ -413,7 +409,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
                                  note="I_{i+1}^p != I_i R_{i+1}"))
                 ok_f = False
         for i in range(T.depth):
-            mism = _kernel_mismatch(T, i, pillars)
+            mism = _kernel_mismatch(T, i)
             if mism is not None:
                 rows.append(_row("f", i, False, mism.to_json(),
                                  note="ker F_i differs from pillar multiples"))
@@ -460,7 +456,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
     return {"axioms": rows, "all_pass": all(r["pass"] for r in rows), "cutoff": T.cutoff_info()}
 
 
-def _kernel_mismatch(T: TowerDesc, i: int, pillars: PillarSystem) -> MonoidElem | None:
+def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
     """First basis monomial violating ker(F_i) = I_1 (R_{i+1}/I_0).
 
     The kernel of every Frobenius projection is the level-1 pillar ideal: the
@@ -504,16 +500,15 @@ def verify_tower(T: TowerDesc) -> dict:
 # like the Frobenius identities: component l of a tuple at home level j is an
 # exponent of S_{j+l}.
 
-def _roots(T: TowerDesc, j: int, v: int, level: int, depth: int) -> tuple[int, ...]:
+def _roots(T: TowerDesc, j: int, v: int, level: int, depth: int) -> tuple[int, ...] | None:
     """The exponents of the monomial tuple of e^v: v/p^l (v packed at the given level) at
-    S_{j+l}'s level, l = 0..depth; IncompatibleComponents when a root is missing."""
+    S_{j+l}'s level, l = 0..depth; None when a root is missing."""
     roots = []
     for l in range(depth + 1):
         ring = T.residue(j + l)
         w = ring.rescale(v, level + l)  # v / p^l
         if w is None or not ring.in_ring(w):
-            mu = MonoidElem(ring.unpack(v), level, T.p)
-            raise IncompatibleComponents(f"{mu} has no p^{l}-th root at level {j + l}")
+            return None
         roots.append(w)
     return tuple(roots)
 
@@ -539,9 +534,7 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     Sj = T.residue(j)
     mismatches = []
     for mu in Sj.monomial_basis():
-        try:
-            _roots(T, j, mu, Sj.level, m)
-        except IncompatibleComponents:
+        if _roots(T, j, mu, Sj.level, m) is None:
             mismatches.append({"direction": "section", **Sj.elem(mu).to_json()})
     matched = len(Sj.monomial_basis()) - len(mismatches)
     # completeness: classify every depth-m monomial tuple inside the cutoff
@@ -591,7 +584,7 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
         bad = None
         # every exponent of S_{j+m}'s ring, quotient ideal included, in term
         # order, up to the first whose image leaves S_j's cutoff
-        for d in top._support[0]:
+        for d in top._support:
             mu = _into(Sj, d, top.level - m)  # d * p^m
             if mu >= lim:
                 break  # deg mu = p^m deg d grows along the term order
@@ -646,9 +639,8 @@ def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
     for mu in Sj.monomial_basis():
         if mu >= room:
             break  # mu times the pillar leaves the cutoff from here on
-        try:
-            roots = _roots(T, j, mu, Sj.level, m)
-        except IncompatibleComponents:
+        roots = _roots(T, j, mu, Sj.level, m)
+        if roots is None:
             continue
         # the tuple times the tilt pillar is zero in every component
         if all(_live(T.residue(j + l), w + g) is None
@@ -684,9 +676,8 @@ def inverse_perfection_is_perfect(T: TowerDesc) -> dict:
     Sj = T.residue(j)
     samples = []
     for mu in Sj.monomial_basis()[:6]:
-        try:
-            roots = _roots(T, j, mu, Sj.level, m)
-        except IncompatibleComponents:
+        roots = _roots(T, j, mu, Sj.level, m)
+        if roots is None:
             continue
         samples.append(tuple(_images(partial(_live, T.residue(j + l)), [w])
                              for l, w in enumerate(roots)))

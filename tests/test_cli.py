@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, determinism, descriptor round-trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ptlab.cli import load_descriptor, main
+from ptlab.cli import _build_parser, load_descriptor, main
 from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid
 from ptlab.tower import TowerDesc
@@ -296,6 +297,11 @@ def test_cutoff_has_one_parser(capsys):
         err = _one_line_exit_2(capsys, "tower", "verify", "--preset", "quadric", "--p", "3",
                                "--cutoff", bad)
         assert f"cutoff '{bad}'" in err
+    # a nonpositive cutoff or precision is refused by the ring descriptor
+    err = _one_line_exit_2(capsys, "tower", "verify", "--cutoff", "0")
+    assert err == "ptlab: degree cutoff must be positive\n"
+    err = _one_line_exit_2(capsys, "tower", "verify", "--precision", "0")
+    assert err == "ptlab: precision must be >= 1\n"
     # the command line and a tower descriptor read "1.5" alike
     code, out, _ = run(capsys, "tower", "build", "--preset", "unramified_rlr", "--depth", "1",
                        "--cutoff", "1.5")
@@ -307,3 +313,60 @@ def test_cutoff_has_one_parser(capsys):
         level["cutoff"] = "1.5"
     T = TowerDesc.from_descriptor(report)
     assert T == build_tower(preset("unramified_rlr", 2), 1, Fraction(3, 2), 2)
+
+
+def test_tower_flags_are_refused_elsewhere(capsys):
+    for argv in (["monoid", "check", "--preset", "Nd"], ["regularity", "omega"]):
+        assert run(capsys, *argv)[0] == 0
+        for flag in (["--depth", "1"], ["--cutoff", "3"], ["--precision", "3"]):
+            code, out, err = run(capsys, *argv, *flag)
+            assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
+def test_every_declared_flag_is_read(tmp_path, capsys):
+    """Each option of each subcommand changes stdout or the exit code of one
+    invocation when only that option is added, so no flag goes unread."""
+    numeric = tmp_path / "numeric.json"
+    numeric.write_text(json.dumps(NUMERIC))
+    presentation = tmp_path / "rlr_d1.json"
+    presentation.write_text(json.dumps(preset("unramified_rlr", 2, d=1).to_descriptor()))
+    report = str(tmp_path / "report.json")
+    build = ["tower", "build", "--depth", "0"]
+    table = {
+        "monoid": {
+            "--p": (["monoid", "saturate", "--preset", "Nd"], ["--p", "3"]),
+            "--d": (["monoid", "check", "--preset", "Nd"], ["--d", "3"]),
+            "--output": (["monoid", "check", "--preset", "Nd"], ["--output", report]),
+            "--input": (["monoid", "check", "--preset", "Nd"], ["--input", str(numeric)]),
+            "--json": (["monoid", "check", "--preset", "Nd"], ["--json", json.dumps(NUMERIC)]),
+            "--preset": (["monoid", "check", "--preset", "Nd"], ["--preset", "quadric"]),
+            "--i": (["monoid", "divide", "--preset", "A1"], ["--i", "2"]),
+        },
+        "tower": {
+            "--p": (build, ["--p", "3"]),
+            "--d": (build, ["--d", "1"]),
+            "--output": (build, ["--output", report]),
+            "--preset": (build, ["--preset", "quadric"]),
+            "--input": (build, ["--input", str(presentation)]),
+            "--depth": (build, ["--depth", "1"]),
+            "--cutoff": (build, ["--cutoff", "3"]),
+            "--precision": (build, ["--precision", "3"]),
+        },
+        "regularity": {
+            "--p": (["regularity", "maximal", "--d", "0", "--elems", "[4]"], ["--p", "3"]),
+            "--d": (["regularity", "omega"], ["--d", "1"]),
+            "--output": (["regularity", "omega"], ["--output", report]),
+            "--equal-char": (["regularity", "omega"], ["--equal-char"]),
+            "--elems": (["regularity", "maximal", "--d", "0"], ["--elems", "[2]"]),
+            "--f": (["regularity", "kummer", "--d", "0", "--e", "2"], ["--f", "[2]"]),
+            "--e": (["regularity", "kummer", "--d", "0", "--f", "[2]"], ["--e", "2"]),
+        },
+    }
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(table)
+    for group, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings if s != "-h"}
+        assert flags - {"--help"} == set(table[group]), group
+        for flag, (argv, extra) in table[group].items():
+            before = run(capsys, *argv)[:2]
+            assert run(capsys, *argv, *extra)[:2] != before, (group, flag)

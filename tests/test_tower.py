@@ -167,7 +167,7 @@ def full_walk_principal(T, j):
     g = T.ideal_exp()
     Sj, top = T.residue(j), T.residue(j + m)
     bad = None
-    for d in top._support[0]:
+    for d in top._support:
         e = top.elem(d)
         mu = e.scale(T.p ** m)
         if Sj.deg(mu) > Sj.cap:
