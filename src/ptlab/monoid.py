@@ -7,13 +7,16 @@ whole point: the division monoids Q^(i) = {g : c^i g in Q} of a fine sharp
 saturated monoid are then literally the same generator vectors read at a
 higher level.
 
-Cones are handled by a small double description pass (dimensions up to 6),
+Cones are handled by a double description pass with an adjacency test,
 which yields facet normals; for saturated monoids membership reduces to the
 facet inequalities plus a lattice solve.  Elsewhere membership is decided
-exactly by peeling generators off the target's facet pairings, and
-enumeration up to a degree walks over generator sums, which needs the
-generators in N^d.  Saturation of a sharp monoid is decided exactly from the
-lattice points of a box spanned by its generators.
+exactly by peeling generators off the target's facet pairings.  A sharp
+cone is triangulated into simplicial cones spanned by extreme generators:
+saturation is decided exactly from the lattice points of their fundamental
+parallelepipeds, and the elements of a saturated monoid up to a degree are
+enumerated once each from the half-open cones.  A non-saturated monoid's
+elements come from a walk over generator sums.  Enumeration needs the
+generators in N^d.
 """
 
 from __future__ import annotations
@@ -212,10 +215,16 @@ def _dot(a, b) -> int:
 
 
 def _rank_of(rows) -> int:
+    """Rank of a list of integer vectors, by fraction-free elimination."""
     rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    return len(intlat.snf_diagonal(intlat.intmatrix(rows)))
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        c = next(k for k, x in enumerate(piv) if x)
+        rows = [_primitive(tuple(piv[c] * x - r[c] * y for x, y in zip(r, piv))) for r in rows]
+        rows = [r for r in rows if any(r)]
+        rank += 1
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -225,15 +234,20 @@ def _ineq_cone_rays(constraints: tuple[tuple[int, ...], ...], n: int):
     Returns (lineality basis, extreme rays), rays primitive.  When a new
     constraint meets the lineality space, one lineality direction becomes a
     ray and everything else is projected onto the constraint hyperplane;
-    otherwise the usual positive/negative combination step runs.  All pairs
-    are combined (no adjacency test) and extremality is restored by a final
-    tight-rank filter; fine for n <= 6.
+    otherwise a ray on the positive side is combined with one on the
+    negative side only when the two are adjacent.  The rays stay exactly the
+    extreme rays after every step, so adjacency is the combinatorial test of
+    Fukuda-Prodon ("Double description method revisited", 1996): no third
+    ray is tight at every constraint at which both are tight.  Each ray
+    carries that zero set as a bit mask over the constraints.
     """
     lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays: list[tuple[int, ...]] = []
-    for a in constraints:
+    rays: list[tuple[tuple[int, ...], int]] = []
+    seen = 0  # the constraints so far, all tight on the lineality space
+    for idx, a in enumerate(constraints):
         if not any(a):
             continue
+        bit = 1 << idx
         pivot = next((l for l in lin if _dot(a, l) != 0), None)
         if pivot is not None:
             pa = _dot(a, pivot)
@@ -248,44 +262,30 @@ def _ineq_cone_rays(constraints: tuple[tuple[int, ...], ...], n: int):
                 if any(proj):
                     new_lin.append(proj)
             lin = new_lin
-            rays = [
-                _primitive(tuple(r[k] * pa - pivot[k] * _dot(a, r) for k in range(n)))
-                for r in rays
-            ]
-            rays = [r for r in rays if any(r)] + [pivot]
+            rays = [(_primitive(tuple(r[k] * pa - pivot[k] * _dot(a, r) for k in range(n))),
+                     z | bit) for r, z in rays]
+            rays.append((pivot, seen))
         else:
-            pos = [r for r in rays if _dot(a, r) > 0]
-            neg = [r for r in rays if _dot(a, r) < 0]
-            zero = [r for r in rays if _dot(a, r) == 0]
+            pos, neg, zero = [], [], []
+            for r, z in rays:
+                w = _dot(a, r)
+                if w > 0:
+                    pos.append((r, z, w))
+                elif w < 0:
+                    neg.append((r, z, w))
+                else:
+                    zero.append((r, z | bit))
             combined = []
-            for rp in pos:
-                for rn in neg:
-                    wp, wn = _dot(a, rp), -_dot(a, rn)
-                    cand = _primitive(tuple(wn * rp[k] + wp * rn[k] for k in range(n)))
-                    if any(cand):
-                        combined.append(cand)
-            rays = pos + zero + combined
-        # dedup; full extremality is restored at the end
-        uniq = []
-        for r in rays:
-            if r not in uniq:
-                uniq.append(r)
-        rays = uniq
-    rays = _extreme_filter(rays, [a for a in constraints if any(a)], lin, n)
-    return tuple(lin), tuple(sorted(rays))
-
-
-def _extreme_filter(rays, constraints, lin, n):
-    out = []
-    for r in rays:
-        if lin and _rank_of(list(lin) + [r]) == _rank_of(lin):
-            continue  # inside the lineality space, not a ray
-        tight = [a for a in constraints if _dot(a, r) == 0]
-        if _rank_of(tight + list(lin)) == n - 1:
-            out.append(r)
-        elif not constraints and not lin:
-            out.append(r)
-    return out
+            for rp, zp, wp in pos:
+                for rn, zn, wn in neg:
+                    common = zp & zn
+                    if any(z & common == common for r, z in rays if r is not rp and r is not rn):
+                        continue
+                    combined.append((_primitive(tuple(-wn * rp[k] + wp * rn[k] for k in range(n))),
+                                     common | bit))
+            rays = [(r, z) for r, z, _ in pos] + zero + combined
+        seen |= bit
+    return tuple(lin), tuple(sorted(r for r, _ in rays))
 
 
 @lru_cache(maxsize=None)
@@ -387,6 +387,119 @@ def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# triangulation
+
+
+@lru_cache(maxsize=None)
+def _triangulation(gens: tuple[tuple[int, ...], ...], n: int):
+    """Simplicial cones that triangulate cone(gens), spanned by its extreme
+    generators; gens must span a sharp monoid.
+
+    Returns (cones, xi).  Each cone is a pair: its r generators in ambient
+    coordinates, and the r x r matrix with their coordinates in gp_basis as
+    columns.  In those coordinates cone(gens) is full-dimensional of rank r,
+    and xi, the sum of the extreme generators there, is an interior point.
+    A generator is extreme iff the facets at which it pairs to 0 have rank
+    r - 1 on Q^gp, and the shortest generator stands for its ray.  The cones
+    are those of the pulling triangulation: a face spanned by more extreme
+    generators than its dimension is the union of the cones over its first
+    generator and the triangulated facets of the face that miss it.  A
+    face's facets are its intersections with the facets of cone(gens) that
+    lower its rank by one.  Rank 0 gives one cone with no generators.
+    """
+    _, facets = _cone_data(gens, n)
+    basis = _gp_basis(gens, n)
+    r = intlat.dims(basis)[1]
+    basis_rows = intlat.transpose(basis)
+    on_gp = [intlat.mat_vec(basis_rows, f) for f in facets]
+    ext: dict[tuple[bool, ...], tuple[int, ...]] = {}  # zero pattern -> generator
+    for g in gens:
+        pg = _pairings(facets, g)
+        zero = tuple(x == 0 for x in pg)
+        if zero in ext:
+            if sum(pg) < sum(_pairings(facets, ext[zero])):
+                ext[zero] = g
+        elif _rank_of([row for row, z in zip(on_gp, zero) if z]) == r - 1:
+            ext[zero] = g
+    ext_gens = sorted(ext.values())
+    coords = [intlat.in_lattice(basis, g) for g in ext_gens]
+    incidence = [frozenset(i for i, g in enumerate(ext_gens) if _dot(f, g) == 0)
+                 for f in facets]
+    memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def pull(face: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+        if len(face) == k:
+            return [face]
+        if face not in memo:
+            subs = set()
+            for inc in incidence:
+                t = tuple(i for i in face if i in inc)
+                if (len(t) >= k - 1 and face[0] not in t and t not in subs
+                        and _rank_of([coords[i] for i in t]) == k - 1):
+                    subs.add(t)
+            memo[face] = [(face[0],) + s for t in sorted(subs) for s in pull(t, k - 1)]
+        return memo[face]
+
+    cones = tuple((tuple(ext_gens[i] for i in s), intlat.transpose([coords[i] for i in s]))
+                  for s in pull(tuple(range(len(ext_gens))), r))
+    return cones, tuple(sum(c) for c in zip(*coords))
+
+
+@lru_cache(maxsize=None)
+def _parallelepiped(M: tuple[tuple[int, ...], ...]):
+    """Lattice points of the fundamental parallelepiped of the simplicial cone
+    spanned by the columns M_j of M in Z^r: the points sum_j (q_j / d) M_j
+    with 0 <= q_j < d.
+
+    Returns (d, normals, qs): d is the largest invariant factor of M, the
+    rows of normals = d M^-1 are the inner normals of the cone's facets
+    (row j for the facet opposite M_j), and qs holds one numerator vector q
+    per point.  With U M V = D the Smith form, Z^r / M Z^r is the image of
+    the box prod_i [0, D_ii) under U^-1, and U^-1 w reduces to the point with
+    q = (V diag(d / D_ii) w) mod d.
+    """
+    if not M:
+        return 1, (), ((),)
+    U, D, V = intlat.snf(M)
+    diag = [D[i][i] for i in range(len(M))]
+    d = diag[-1]
+    scale = [d // x for x in diag]
+    normals = intlat.mat_mul(V, tuple(tuple(s * x for x in row) for s, row in zip(scale, U)))
+    qs = tuple(tuple(x % d for x in intlat.mat_vec(V, [s * x for s, x in zip(scale, w)]))
+               for w in itertools.product(*map(range, diag)))
+    return d, normals, qs
+
+
+def _combine(q, gens, d: int, n: int) -> tuple[int, ...]:
+    """sum_j (q_j / d) gens_j, an integer vector of length n."""
+    return tuple(sum(x * g[k] for x, g in zip(q, gens)) // d for k in range(n))
+
+
+@lru_cache(maxsize=None)
+def _half_open(gens: tuple[tuple[int, ...], ...], n: int):
+    """cone(gens) cap Q^gp as a disjoint union of translates p + N-span(G).
+
+    Returns pairs (G, points), one per cone of _triangulation: the cone is
+    made half-open by leaving out each facet that a generic interior point
+    lies strictly beyond (Koeppe-Verdoolaege, "Computing parametric rational
+    generating functions with a primal Barvinok algorithm", Electron. J.
+    Combin. 15, 2008).  The point is xi + eps e_1 + eps^2 e_2 + ..., so a
+    facet with inner normal a is left out iff the first nonzero entry of
+    (<a, xi>, a_1, ..., a_r) is negative; a facet shared by two cones has
+    opposite normals there, so exactly one of them keeps it.  The points are
+    the parallelepiped's with each q_j = 0 of a left-out facet j raised to d.
+    """
+    cones, xi = _triangulation(gens, n)
+    out = []
+    for G, M in cones:
+        d, normals, qs = _parallelepiped(M)
+        left_out = [next(x for x in (_dot(a, xi),) + a if x) < 0 for a in normals]
+        lifted = (tuple(d if x == 0 and lo else x for x, lo in zip(q, left_out)) for q in qs)
+        out.append((G, tuple(_combine(q, G, d, n) for q in lifted)))
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # predicates
 
 
@@ -406,29 +519,33 @@ def _pairings(rays, v) -> tuple[int, ...]:
 def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     """Points of cone(Q) cap Q^gp outside Q, in lexicographic order.
 
-    Every x in cone(Q) cap Q^gp is a sum of lam_g * g with lam_g >= 0, and
-    x - sum floor(lam_g) g is a lattice point of cone(Q) cap Q^gp in the box
-    prod_k [sum_g min(g_k, 0), sum_g max(g_k, 0)].  So Q is saturated iff
-    every nonzero such box point is in Q, and the generators together with
-    the box points outside Q generate the saturation.  Membership is the
-    generator walk on facet pairings, which map a sharp Q injectively into
-    N^facets; Q is not sharp (NotSharp) iff a nonzero generator pairs to 0
-    with every facet.  The result is level-free, the same for every level.
+    Every x in cone(Q) cap Q^gp lies in a cone of _triangulation, so x - p is
+    an N-combination of that cone's generators for some point p of its
+    fundamental parallelepiped.  So Q is saturated iff every nonzero
+    parallelepiped point is in Q, and the generators together with the
+    points outside Q generate the saturation (the primal algorithm of
+    Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
+    cones", J. Algebra 324, 2010).  A cone of volume |det| = 1 has only the
+    point 0; a point on a face that two cones share is kept once.
+    Membership is the generator walk on facet pairings, which map a sharp Q
+    injectively into N^facets; Q is not sharp (NotSharp) iff a nonzero
+    generator pairs to 0 with every facet.  The result is level-free, the
+    same for every level.
     """
     _, rays = _cone_data(gens, n)
     images = tuple(_pairings(rays, g) for g in gens if any(g))
     if not all(any(v) for v in images):
         raise NotSharp("monoid is not sharp")
-    basis = _gp_basis(gens, n)
-    box = [range(sum(min(g[k], 0) for g in gens), sum(max(g[k], 0) for g in gens) + 1)
-           for k in range(n)]
-    gap = []
-    for v in itertools.product(*box):
-        pv = _pairings(rays, v)
-        if (any(v) and min(pv, default=0) >= 0 and intlat.in_lattice(basis, v) is not None
-                and not _generated(images, pv)):
-            gap.append(v)
-    return tuple(gap)
+    gap = set()
+    for G, M in _triangulation(gens, n)[0]:
+        if abs(intlat.det(M)) == 1:
+            continue
+        d, _, qs = _parallelepiped(M)
+        for q in qs:
+            v = _combine(q, G, d, n)
+            if any(v) and not _generated(images, _pairings(rays, v)):
+                gap.add(v)
+    return tuple(sorted(gap))
 
 
 def is_saturated(Q: AffineMonoid) -> bool:
@@ -579,33 +696,50 @@ def element_coords(Q: AffineMonoid, cap: int, field: int) -> tuple[int, ...]:
     bits per coordinate (2^(field-1) > cap), in increasing order, which is
     graded_order.
 
-    Q is the N-span of its generators, so the elements are found by a walk
-    up from 0 over generator sums, which visits only elements of Q.  The
-    generators must lie in N^d (ValueError otherwise); each nonzero one then
-    has positive degree, so the elements of degree k are the generators of
-    degree e added to the elements of degree k - e.  The walk builds one
-    degree at a time, as a set of ints and then one sorted run: only the
-    runs that a generator still reaches are kept apart, and the runs in
+    The generators must lie in N^d (ValueError otherwise); each nonzero one
+    then has positive degree.  A saturated Q is the disjoint union of the
+    translates p + N-span(G) of _half_open, so each element is emitted
+    exactly once: per cone, the points p of degree k seed run k, and each
+    generator g of degree e, in turn, adds itself to run k into run k + e,
+    for k upwards.  Any other Q is the N-span of its generators, found by a
+    walk up from 0 over generator sums: the elements of degree k are the
+    generators of degree e added to the elements of degree k - e, as a set
+    of ints.  Either way each degree is one sorted run, and the runs in
     degree order are the whole answer in graded_order.
     """
-    gens: dict[int, list[int]] = {}
-    for g in _nonneg_generators(Q):
-        gens.setdefault(sum(g), []).append(pack(g, field))
+    nonzero = _nonneg_generators(Q)
     if cap < 0:
         return ()
-    runs = {0: [0]}
-    out = [0]
-    reach = max(gens, default=0)
-    for k in range(1, cap + 1):
-        layer = set()
-        for e, gs in gens.items():
-            below = runs.get(k - e)
-            if below:
-                for g in gs:
-                    layer.update(map(g.__add__, below))
-        runs[k] = run = sorted(layer)
-        out += run
-        runs.pop(k - reach, None)
+    if is_saturated(Q):
+        layers: list[list[int]] = [[] for _ in range(cap + 1)]
+        for G, points in _half_open(Q.generators, Q.ambient_rank):
+            runs: list[list[int]] = [[] for _ in range(cap + 1)]
+            for v in points:
+                if sum(v) <= cap:
+                    runs[sum(v)].append(pack(v, field))
+            for g in G:
+                e, c = sum(g), pack(g, field)
+                for k in range(cap + 1 - e):
+                    if runs[k]:
+                        runs[k + e] += map(c.__add__, runs[k])
+            for layer, run in zip(layers, runs):
+                layer += run
+    else:
+        gens: dict[int, list[int]] = {}
+        for g in nonzero:
+            gens.setdefault(sum(g), []).append(pack(g, field))
+        layers = [[0]]
+        for k in range(1, cap + 1):
+            layer = set()
+            for e, gs in gens.items():
+                if k >= e and layers[k - e]:
+                    for g in gs:
+                        layer.update(map(g.__add__, layers[k - e]))
+            layers.append(list(layer))
+    out = []
+    for layer in layers:
+        layer.sort()
+        out += layer
     return tuple(out)
 
 

@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, determinism, descriptor round-trips."""
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from ptlab.cli import _build_parser, load_descriptor, main
 from ptlab.logreg import build_tower, preset
@@ -261,6 +264,21 @@ def test_thin_cone_saturates_in_a_subprocess():
     assert proc.returncode == 0, proc.stderr
     gens = json.loads(proc.stdout)["report"]["generators"]
     assert sorted(map(tuple, gens)) == [(1, k) for k in range(9)]
+
+
+@pytest.mark.parametrize("d, n, group", [(3, 6, "Z/6"), (4, 3, "Z/3"), (5, 3, "Z/3")])
+def test_large_veronese_classgroup_in_a_subprocess(d, n, group):
+    """V(d, n), generated by the degree-n monomials in d variables, has class
+    group Z/n; a fresh process, with the hang guard of the thin cone above."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    gens = [list(c) for c in itertools.product(range(n + 1), repeat=d) if sum(c) == n]
+    desc = {"ambient_rank": d, "scale_base": 2, "generators": gens}
+    proc = subprocess.run([sys.executable, "-m", "ptlab.cli", "monoid", "classgroup",
+                           "--json", json.dumps(desc)],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["group"] == group
 
 
 def test_negative_division_index_exits_2(capsys):

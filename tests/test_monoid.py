@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptlab import intlat, monoid
 from ptlab.classgroup import class_group
 from ptlab.monoid import (
     AffineMonoid,
@@ -18,6 +19,7 @@ from ptlab.monoid import (
     cone_contains,
     contains,
     dimension,
+    element_coords,
     enumerate_elements,
     exact_embed_Nd,
     facet_normals,
@@ -30,6 +32,7 @@ from ptlab.monoid import (
     is_sharp,
     layer_quotient,
     p_divide,
+    pack,
     preset,
     saturate,
 )
@@ -304,6 +307,11 @@ def _minors(cols, r, d):
             yield _det([[c[i] for c in cs] for i in rows])
 
 
+def _linear(f, d):
+    """The coefficient vector of a function of x in Z^d that is linear in x."""
+    return [f(tuple(int(i == k) for k in range(d))) for i in range(d)]
+
+
 def cone_gp_points(gens, d, cap):
     """Points of cone(gens) cap Z-span(gens) of degree <= cap, for gens in N^d.
 
@@ -312,7 +320,9 @@ def cone_gp_points(gens, d, cap):
     solved by Cramer's rule.  For x in the span, the lattice spanned by the
     generators and x contains Z-span(gens) with the same rank and index
     gcd of r x r minors without x / gcd with x, so x is in Z-span(gens) iff
-    the two gcds agree.
+    the two gcds agree.  The Cramer numerators and the minors with x are
+    linear in x, so each is one coefficient vector, found once by cofactor
+    expansion, and a point costs a few dot products.
     """
     gens = [g for g in gens if any(g)]
     r = max((k for k in range(1, d + 1) if any(_minors(gens, k, d))), default=0)
@@ -324,20 +334,31 @@ def cone_gp_points(gens, d, cap):
         for R in itertools.combinations(range(d), r):
             D = _det([[t[i] for t in T] for i in R])
             if D:
-                pieces.append((T, R, D))
+                nums = [_linear(lambda x, j=j: _det([[x[i] if k == j else t[i]
+                                                      for k, t in enumerate(T)] for i in R]), d)
+                        for j in range(r)]
+                pieces.append((T, D, nums))
                 break
+    # gcd of every minor with x: index and the distinct nonzero linear forms
+    forms = {tuple(_linear(lambda x: _det([[c[i] for c in S + (x,)] for i in rows]), d))
+             for rows in itertools.combinations(range(d), r)
+             for S in itertools.combinations(gens, r - 1)}
+    forms = [f for f in forms if any(f)]
 
     def in_cone(x):
-        for T, R, D in pieces:
-            nums = [_det([[x[i] if k == j else t[i] for k, t in enumerate(T)] for i in R])
-                    for j in range(r)]
+        for T, D, cofs in pieces:
+            nums = [_dot(c, x) for c in cofs]
             if all(n * D >= 0 for n in nums) and all(
                     D * x[i] == sum(n * t[i] for n, t in zip(nums, T)) for i in range(d)):
                 return True
         return False
 
     return {x for x in itertools.product(range(cap + 1), repeat=d)
-            if sum(x) <= cap and in_cone(x) and gcd(*_minors(gens + [x], r, d)) == index}
+            if sum(x) <= cap and in_cone(x) and gcd(index, *(_dot(f, x) for f in forms)) == index}
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 def _coords(Q, cap):
@@ -393,3 +414,165 @@ def test_saturation_needs_sharp():
         is_saturated(Z)
     with pytest.raises(NotSharp):
         saturate(Z)
+
+
+# -- the triangulation against the algorithms it replaced -----------------------
+
+# the cones outside N^d used above
+OUTSIDE_ND = (((1, -1), (0, 2), (0, 3)), ((1, -1), (1, 1), (1, 0)), ((-2,), (-3,)),
+              ((1, 0), (-1, 1)), ((1,), (-1,)))
+# saturated cones that the triangulation splits into several simplicial cones
+# (the quadric, the Segre cone of P^1 x P^2, the cone over a lattice hexagon
+# with its centre) or into cones of volume > 1 (the Veronese cone V(3,2))
+HEXAGON = ((2, 1, 1), (1, 2, 1), (0, 2, 1), (0, 1, 1), (1, 0, 1), (2, 0, 1))
+SATURATED = (QUADRIC.generators,
+             tuple(c for c in itertools.product(range(3), repeat=3) if sum(c) == 2),
+             tuple(tuple(int(k in (i, 2 + j)) for k in range(5))
+                   for i in range(2) for j in range(3)),
+             HEXAGON + ((1, 1, 1),))
+# not saturated: the hexagon without its centre, and a thin cone
+NOT_SATURATED = (HEXAGON, ((1, 0), (1, 8), (2, 9)))
+
+
+def _monoid(gens):
+    return AffineMonoid(len(gens[0]), 2, 0, tuple(gens))
+
+
+def cones():
+    return st.one_of(small_monoids(),
+                     st.sampled_from(OUTSIDE_ND + SATURATED + NOT_SATURATED).map(_monoid))
+
+
+def _rank(rows):
+    rows = [r for r in rows if any(r)]
+    return len(intlat.snf_diagonal(intlat.intmatrix(rows))) if rows else 0
+
+
+def all_pairs_rays(constraints, n):
+    """Double description without an adjacency test: every positive ray is
+    combined with every negative one, and a final filter keeps the rays whose
+    tight constraints, with the lineality space, have rank n - 1."""
+    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []
+    live = [a for a in constraints if any(a)]
+    for a in live:
+        pivot = next((l for l in lin if _dot(a, l) != 0), None)
+        if pivot is not None:
+            pa = _dot(a, pivot)
+            if pa < 0:
+                pivot, pa = tuple(-x for x in pivot), -pa
+
+            def project(v):
+                return _primitive(tuple(v[k] * pa - pivot[k] * _dot(a, v) for k in range(n)))
+
+            lin = [w for w in (project(l) for l in lin
+                               if l is not pivot and l != tuple(-x for x in pivot)) if any(w)]
+            rays = [w for w in map(project, rays) if any(w)] + [pivot]
+        else:
+            pos = [r for r in rays if _dot(a, r) > 0]
+            neg = [r for r in rays if _dot(a, r) < 0]
+            rays = pos + [r for r in rays if _dot(a, r) == 0] + [
+                _primitive(tuple(-_dot(a, rn) * rp[k] + _dot(a, rp) * rn[k] for k in range(n)))
+                for rp in pos for rn in neg]
+        rays = list(dict.fromkeys(rays))
+    base = _rank(lin)
+    rays = [r for r in rays if not (lin and _rank(lin + [r]) == base)
+            and _rank([a for a in live if _dot(a, r) == 0] + lin) == n - 1]
+    return tuple(lin), tuple(sorted(rays))
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def box_gap(gens, n):
+    """Every nonzero lattice point of cone cap Q^gp in the generator box
+    prod_k [sum_g min(g_k, 0), sum_g max(g_k, 0)] that is outside Q, in
+    lexicographic order; facets from all_pairs_rays."""
+    _, rays = all_pairs_rays(gens, n)
+    images = tuple(tuple(_dot(r, g) for r in rays) for g in gens if any(g))
+    if not all(map(any, images)):
+        raise NotSharp("monoid is not sharp")
+    basis = intlat.lattice_basis(tuple(tuple(g[i] for g in gens) for i in range(n)))
+    box = [range(sum(min(g[k], 0) for g in gens), sum(max(g[k], 0) for g in gens) + 1)
+           for k in range(n)]
+    gap = []
+    for v in itertools.product(*box):
+        pv = tuple(_dot(r, v) for r in rays)
+        if (any(v) and min(pv, default=0) >= 0 and intlat.in_lattice(basis, v) is not None
+                and not monoid._generated(images, pv)):
+            gap.append(v)
+    return gap
+
+
+def box_saturate(Q):
+    """The Hilbert basis of cone cap Q^gp from Q's generators and box_gap."""
+    gap = box_gap(Q.generators, Q.ambient_rank)
+    if not gap:
+        return Q
+    _, rays = all_pairs_rays(Q.generators, Q.ambient_rank)
+    cands = list(dict.fromkeys(g for g in Q.generators if any(g))) + gap
+    images = [tuple(_dot(r, c) for r in rays) for c in cands]
+    keep = tuple(c for i, c in enumerate(cands)
+                 if not monoid._generated(tuple(images[:i] + images[i + 1:]), images[i]))
+    return AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level, keep)
+
+
+def walk_coords(gens, cap, field):
+    """Packed elements of the N-span of gens (in N^d) of degree <= cap, in
+    increasing order: the elements of degree k are those of degree k - e
+    plus the generators of degree e."""
+    layers = [{0}]
+    for k in range(1, cap + 1):
+        layers.append({x + pack(g, field) for g in gens if any(g) and sum(g) <= k
+                       for x in layers[k - sum(g)]})
+    return tuple(x for layer in layers for x in sorted(layer))
+
+
+@st.composite
+def constraint_systems(draw):
+    """Up to 6 constraints in Z^n, n <= 4, entries in [-2, 2], sometimes
+    with an equation (a constraint and its negation)."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append(tuple(-x for x in rows[0]))
+    return tuple(rows), n
+
+
+@settings(deadline=None, max_examples=150)
+@given(cones())
+def test_facets_match_all_pairs_double_description(Q):
+    n = Q.ambient_rank
+    assert monoid._cone_data(Q.generators, n) == all_pairs_rays(Q.generators, n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(constraint_systems())
+def test_double_description_matches_all_pairs(system):
+    assert monoid._ineq_cone_rays(*system) == all_pairs_rays(*system)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cones())
+def test_gap_and_saturation_match_the_box_oracle(Q):
+    n = Q.ambient_rank
+    try:
+        box = box_gap(Q.generators, n)
+    except NotSharp:
+        with pytest.raises(NotSharp):
+            monoid._saturation_gap(Q.generators, n)
+        return
+    gap = monoid._saturation_gap(Q.generators, n)
+    assert list(gap) == sorted(set(gap)) and set(gap) <= set(box)
+    assert is_saturated(Q) == (not box)
+    assert saturate(Q) == box_saturate(Q)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cones().filter(lambda Q: min(map(min, Q.generators)) >= 0 and is_saturated(Q)),
+       st.integers(0, 7))
+def test_saturated_enumeration_matches_the_walk(Q, cap):
+    field = cap.bit_length() + 1
+    assert element_coords(Q, cap, field) == walk_coords(Q.generators, cap, field)
