@@ -11,12 +11,10 @@ Cones are handled by a double description pass with an adjacency test,
 which yields facet normals; for saturated monoids membership reduces to the
 facet inequalities plus a lattice solve.  Elsewhere membership is decided
 exactly by peeling generators off the target's facet pairings.  A sharp
-cone is triangulated into simplicial cones spanned by extreme generators:
-saturation is decided exactly from the lattice points of their fundamental
-parallelepipeds, and the elements of a saturated monoid up to a degree are
-enumerated once each from the half-open cones.  A non-saturated monoid's
-elements come from a walk over generator sums.  Enumeration needs the
-generators in N^d.
+cone is triangulated into simplicial cones spanned by extreme generators,
+and saturation is decided exactly from the lattice points of their
+fundamental parallelepipeds.  Elements up to a degree come from a walk over
+generator sums, which needs the generators in N^d.
 """
 
 from __future__ import annotations
@@ -395,12 +393,11 @@ def _triangulation(gens: tuple[tuple[int, ...], ...], n: int):
     """Simplicial cones that triangulate cone(gens), spanned by its extreme
     generators; gens must span a sharp monoid.
 
-    Returns (cones, xi).  Each cone is a pair: its r generators in ambient
-    coordinates, and the r x r matrix with their coordinates in gp_basis as
-    columns.  In those coordinates cone(gens) is full-dimensional of rank r,
-    and xi, the sum of the extreme generators there, is an interior point.
-    A generator is extreme iff the facets at which it pairs to 0 have rank
-    r - 1 on Q^gp, and the shortest generator stands for its ray.  The cones
+    Each cone is a pair: its r generators in ambient coordinates, and the
+    r x r matrix with their coordinates in gp_basis as columns, where
+    cone(gens) is full-dimensional of rank r.  A generator is extreme iff
+    the facets at which it pairs to 0 have rank r - 1 on Q^gp, and the
+    shortest generator stands for its ray.  The cones
     are those of the pulling triangulation: a face spanned by more extreme
     generators than its dimension is the union of the cones over its first
     generator and the triangulated facets of the face that miss it.  A
@@ -440,9 +437,8 @@ def _triangulation(gens: tuple[tuple[int, ...], ...], n: int):
             memo[face] = [(face[0],) + s for t in sorted(subs) for s in pull(t, k - 1)]
         return memo[face]
 
-    cones = tuple((tuple(ext_gens[i] for i in s), intlat.transpose([coords[i] for i in s]))
-                  for s in pull(tuple(range(len(ext_gens))), r))
-    return cones, tuple(sum(c) for c in zip(*coords))
+    return tuple((tuple(ext_gens[i] for i in s), intlat.transpose([coords[i] for i in s]))
+                 for s in pull(tuple(range(len(ext_gens))), r))
 
 
 @lru_cache(maxsize=None)
@@ -451,52 +447,28 @@ def _parallelepiped(M: tuple[tuple[int, ...], ...]):
     spanned by the columns M_j of M in Z^r: the points sum_j (q_j / d) M_j
     with 0 <= q_j < d.
 
-    Returns (d, normals, qs): d is the largest invariant factor of M, the
-    rows of normals = d M^-1 are the inner normals of the cone's facets
-    (row j for the facet opposite M_j), and qs holds one numerator vector q
-    per point.  With U M V = D the Smith form, Z^r / M Z^r is the image of
-    the box prod_i [0, D_ii) under U^-1, and U^-1 w reduces to the point with
-    q = (V diag(d / D_ii) w) mod d.
+    Returns (d, qs): d is the largest invariant factor of M, and qs holds
+    one numerator vector q per point, |det M| of them.  With U M V = D the
+    Smith form, Z^r / M Z^r is the image of the box prod_i [0, D_ii) under
+    U^-1, and U^-1 w reduces to the point with q = (V diag(d / D_ii) w) mod d.
     """
-    if not M:
-        return 1, (), ((),)
-    U, D, V = intlat.snf(M)
+    if abs(intlat.det(M)) == 1:
+        # volume 1, only the point 0: Bareiss costs under a tenth of the
+        # Smith form, and 7 of the 16 cones of the benchmark monoids
+        # (monoid_known and the quadric) are unimodular
+        return 1, ((0,) * len(M),)
+    _, D, V = intlat.snf(M)
     diag = [D[i][i] for i in range(len(M))]
     d = diag[-1]
     scale = [d // x for x in diag]
-    normals = intlat.mat_mul(V, tuple(tuple(s * x for x in row) for s, row in zip(scale, U)))
     qs = tuple(tuple(x % d for x in intlat.mat_vec(V, [s * x for s, x in zip(scale, w)]))
                for w in itertools.product(*map(range, diag)))
-    return d, normals, qs
+    return d, qs
 
 
 def _combine(q, gens, d: int, n: int) -> tuple[int, ...]:
     """sum_j (q_j / d) gens_j, an integer vector of length n."""
     return tuple(sum(x * g[k] for x, g in zip(q, gens)) // d for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def _half_open(gens: tuple[tuple[int, ...], ...], n: int):
-    """cone(gens) cap Q^gp as a disjoint union of translates p + N-span(G).
-
-    Returns pairs (G, points), one per cone of _triangulation: the cone is
-    made half-open by leaving out each facet that a generic interior point
-    lies strictly beyond (Koeppe-Verdoolaege, "Computing parametric rational
-    generating functions with a primal Barvinok algorithm", Electron. J.
-    Combin. 15, 2008).  The point is xi + eps e_1 + eps^2 e_2 + ..., so a
-    facet with inner normal a is left out iff the first nonzero entry of
-    (<a, xi>, a_1, ..., a_r) is negative; a facet shared by two cones has
-    opposite normals there, so exactly one of them keeps it.  The points are
-    the parallelepiped's with each q_j = 0 of a left-out facet j raised to d.
-    """
-    cones, xi = _triangulation(gens, n)
-    out = []
-    for G, M in cones:
-        d, normals, qs = _parallelepiped(M)
-        left_out = [next(x for x in (_dot(a, xi),) + a if x) < 0 for a in normals]
-        lifted = (tuple(d if x == 0 and lo else x for x, lo in zip(q, left_out)) for q in qs)
-        out.append((G, tuple(_combine(q, G, d, n) for q in lifted)))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +489,17 @@ def _pairings(rays, v) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
-    """Points of cone(Q) cap Q^gp outside Q, in lexicographic order.
+    """The fundamental parallelepiped points of the cones of _triangulation
+    that lie outside Q, in lexicographic order.
 
     Every x in cone(Q) cap Q^gp lies in a cone of _triangulation, so x - p is
     an N-combination of that cone's generators for some point p of its
-    fundamental parallelepiped.  So Q is saturated iff every nonzero
-    parallelepiped point is in Q, and the generators together with the
-    points outside Q generate the saturation (the primal algorithm of
-    Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
-    cones", J. Algebra 324, 2010).  A cone of volume |det| = 1 has only the
-    point 0; a point on a face that two cones share is kept once.
+    fundamental parallelepiped.  So the result is empty iff Q is saturated,
+    and with Q's generators it generates the saturation (the primal
+    algorithm of Bruns-Ichim, "Normaliz: algorithms for affine monoids and
+    rational cones", J. Algebra 324, 2010).  It is in general a proper part
+    of cone(Q) cap Q^gp minus Q.  A cone of volume 1 has only the point 0;
+    a point on a face that two cones share is kept once.
     Membership is the generator walk on facet pairings, which map a sharp Q
     injectively into N^facets; Q is not sharp (NotSharp) iff a nonzero
     generator pairs to 0 with every facet.  The result is level-free, the
@@ -537,10 +510,8 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     if not all(any(v) for v in images):
         raise NotSharp("monoid is not sharp")
     gap = set()
-    for G, M in _triangulation(gens, n)[0]:
-        if abs(intlat.det(M)) == 1:
-            continue
-        d, _, qs = _parallelepiped(M)
+    for G, M in _triangulation(gens, n):
+        d, qs = _parallelepiped(M)
         for q in qs:
             v = _combine(q, G, d, n)
             if any(v) and not _generated(images, _pairings(rays, v)):
@@ -696,50 +667,33 @@ def element_coords(Q: AffineMonoid, cap: int, field: int) -> tuple[int, ...]:
     bits per coordinate (2^(field-1) > cap), in increasing order, which is
     graded_order.
 
-    The generators must lie in N^d (ValueError otherwise); each nonzero one
-    then has positive degree.  A saturated Q is the disjoint union of the
-    translates p + N-span(G) of _half_open, so each element is emitted
-    exactly once: per cone, the points p of degree k seed run k, and each
-    generator g of degree e, in turn, adds itself to run k into run k + e,
-    for k upwards.  Any other Q is the N-span of its generators, found by a
-    walk up from 0 over generator sums: the elements of degree k are the
-    generators of degree e added to the elements of degree k - e, as a set
-    of ints.  Either way each degree is one sorted run, and the runs in
+    Q is the N-span of its generators, so the elements are found by a walk
+    up from 0 over generator sums, which visits only elements of Q.  The
+    generators must lie in N^d (ValueError otherwise); each nonzero one then
+    has positive degree, so the elements of degree k are the generators of
+    degree e added to the elements of degree k - e.  The walk builds one
+    degree at a time, as a set of ints and then one sorted run: only the
+    runs that a generator still reaches are kept apart, and the runs in
     degree order are the whole answer in graded_order.
     """
-    nonzero = _nonneg_generators(Q)
+    gens: dict[int, list[int]] = {}
+    for g in _nonneg_generators(Q):
+        gens.setdefault(sum(g), []).append(pack(g, field))
     if cap < 0:
         return ()
-    if is_saturated(Q):
-        layers: list[list[int]] = [[] for _ in range(cap + 1)]
-        for G, points in _half_open(Q.generators, Q.ambient_rank):
-            runs: list[list[int]] = [[] for _ in range(cap + 1)]
-            for v in points:
-                if sum(v) <= cap:
-                    runs[sum(v)].append(pack(v, field))
-            for g in G:
-                e, c = sum(g), pack(g, field)
-                for k in range(cap + 1 - e):
-                    if runs[k]:
-                        runs[k + e] += map(c.__add__, runs[k])
-            for layer, run in zip(layers, runs):
-                layer += run
-    else:
-        gens: dict[int, list[int]] = {}
-        for g in nonzero:
-            gens.setdefault(sum(g), []).append(pack(g, field))
-        layers = [[0]]
-        for k in range(1, cap + 1):
-            layer = set()
-            for e, gs in gens.items():
-                if k >= e and layers[k - e]:
-                    for g in gs:
-                        layer.update(map(g.__add__, layers[k - e]))
-            layers.append(list(layer))
-    out = []
-    for layer in layers:
-        layer.sort()
-        out += layer
+    runs = {0: [0]}
+    out = [0]
+    reach = max(gens, default=0)
+    for k in range(1, cap + 1):
+        layer = set()
+        for e, gs in gens.items():
+            below = runs.get(k - e)
+            if below:
+                for g in gs:
+                    layer.update(map(g.__add__, below))
+        runs[k] = run = sorted(layer)
+        out += run
+        runs.pop(k - reach, None)
     return tuple(out)
 
 

@@ -19,7 +19,6 @@ from ptlab.monoid import (
     cone_contains,
     contains,
     dimension,
-    element_coords,
     enumerate_elements,
     exact_embed_Nd,
     facet_normals,
@@ -32,7 +31,6 @@ from ptlab.monoid import (
     is_sharp,
     layer_quotient,
     p_divide,
-    pack,
     preset,
     saturate,
 )
@@ -519,17 +517,6 @@ def box_saturate(Q):
     return AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level, keep)
 
 
-def walk_coords(gens, cap, field):
-    """Packed elements of the N-span of gens (in N^d) of degree <= cap, in
-    increasing order: the elements of degree k are those of degree k - e
-    plus the generators of degree e."""
-    layers = [{0}]
-    for k in range(1, cap + 1):
-        layers.append({x + pack(g, field) for g in gens if any(g) and sum(g) <= k
-                       for x in layers[k - sum(g)]})
-    return tuple(x for layer in layers for x in sorted(layer))
-
-
 @st.composite
 def constraint_systems(draw):
     """Up to 6 constraints in Z^n, n <= 4, entries in [-2, 2], sometimes
@@ -541,15 +528,8 @@ def constraint_systems(draw):
     return tuple(rows), n
 
 
-@settings(deadline=None, max_examples=150)
-@given(cones())
-def test_facets_match_all_pairs_double_description(Q):
-    n = Q.ambient_rank
-    assert monoid._cone_data(Q.generators, n) == all_pairs_rays(Q.generators, n)
-
-
-@settings(deadline=None, max_examples=150)
-@given(constraint_systems())
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(constraint_systems(), cones().map(lambda Q: (Q.generators, Q.ambient_rank))))
 def test_double_description_matches_all_pairs(system):
     assert monoid._ineq_cone_rays(*system) == all_pairs_rays(*system)
 
@@ -568,11 +548,3 @@ def test_gap_and_saturation_match_the_box_oracle(Q):
     assert list(gap) == sorted(set(gap)) and set(gap) <= set(box)
     assert is_saturated(Q) == (not box)
     assert saturate(Q) == box_saturate(Q)
-
-
-@settings(deadline=None, max_examples=100)
-@given(cones().filter(lambda Q: min(map(min, Q.generators)) >= 0 and is_saturated(Q)),
-       st.integers(0, 7))
-def test_saturated_enumeration_matches_the_walk(Q, cap):
-    field = cap.bit_length() + 1
-    assert element_coords(Q, cap, field) == walk_coords(Q.generators, cap, field)
