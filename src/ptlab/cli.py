@@ -57,8 +57,11 @@ class ParseError(ValueError):
 
 def _check(args) -> None:
     """Validate the flags and parse --cutoff; SeriesRingDesc rejects a
-    nonpositive cutoff or precision."""
-    if not is_prime(args.p):
+    nonpositive cutoff or precision.  Without a descriptor the run's prime
+    is --p, 2 by default."""
+    if args.p is None and not (getattr(args, "input", None) or getattr(args, "json", None)):
+        args.p = 2
+    if args.p is not None and not is_prime(args.p):
         raise ParseError("p must be a prime")
     if args.d < 0:
         raise ParseError("d must be nonnegative")
@@ -66,6 +69,19 @@ def _check(args) -> None:
         if args.depth < 0:
             raise ParseError("depth must be nonnegative")
         args.cutoff = parse_cutoff(args.cutoff)
+
+
+def _descriptor_prime(args, p: int) -> None:
+    """The descriptor's prime p is the run's prime; a --p that differs is a usage error."""
+    if args.p not in (None, p):
+        raise ParseError(f"--p {args.p} differs from the descriptor's prime {p}")
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # p beyond the range is_prime decides
+        raise ParseError(str(exc)) from None
+    if not prime:
+        raise ParseError("p must be a prime")
+    args.p = p
 
 
 def load_descriptor(path: str) -> dict:
@@ -83,22 +99,24 @@ def load_descriptor(path: str) -> dict:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def _monoid_descriptor(payload, origin: str) -> AffineMonoid:
+def _monoid_descriptor(payload, origin: str, args) -> AffineMonoid:
     try:
-        return AffineMonoid.from_descriptor(payload)
+        Q = AffineMonoid.from_descriptor(payload)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{origin}: bad monoid descriptor ({exc!r})") from exc
+    _descriptor_prime(args, Q.scale_base)
+    return Q
 
 
 def _monoid_from_args(args) -> AffineMonoid:
     if args.input:
-        return _monoid_descriptor(load_descriptor(args.input), args.input)
+        return _monoid_descriptor(load_descriptor(args.input), args.input, args)
     if args.json:
         try:
             payload = json.loads(args.json)
         except json.JSONDecodeError as exc:
             raise ParseError(f"--json:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        return _monoid_descriptor(payload, "--json")
+        return _monoid_descriptor(payload, "--json", args)
     if args.preset:
         return monoid_preset(args.preset, args.p, args.d)
     raise ParseError("provide --input, --json, or --preset")
@@ -108,11 +126,13 @@ def _presentation_from_args(args) -> LogRegPresentation:
     if args.input:
         payload = load_descriptor(args.input)
         try:
-            return LogRegPresentation.from_descriptor(payload)
+            P = LogRegPresentation.from_descriptor(payload)
         except InvalidPresentation:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{args.input}: bad presentation descriptor ({exc!r})") from exc
+        _descriptor_prime(args, P.p)
+        return P
     return preset(args.preset, args.p, d=args.d)
 
 
@@ -269,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="group", required=True)
 
     def common(sp):
-        sp.add_argument("--p", type=int, default=2)
+        sp.add_argument("--p", type=int, help="the prime: a descriptor's own, else 2")
         sp.add_argument("--d", type=int, default=2)
         sp.add_argument("--output", default=None)
 

@@ -325,11 +325,6 @@ def lattice_basis(gens):
     return tuple(tuple(H[i][j] for j in keep) for i in range(rows))
 
 
-def lattice_rank(gens) -> int:
-    _, c = dims(lattice_basis(gens))
-    return c
-
-
 def kernel(M):
     """Columns spanning the integer null space of M."""
     M = intmatrix(M)

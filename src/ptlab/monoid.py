@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import floor, gcd
+from math import gcd
 
 from . import intlat
 from .intlat import FinAbelianGroup
@@ -286,22 +286,16 @@ def _ineq_cone_rays(constraints: tuple[tuple[int, ...], ...], n: int):
     return tuple(lin), tuple(sorted(r for r, _ in rays))
 
 
-@lru_cache(maxsize=None)
-def _cone_data(gens: tuple[tuple[int, ...], ...], n: int):
-    """Lineality and extreme rays of the dual cone of cone(gens)."""
-    return _ineq_cone_rays(gens, n)
-
-
 def cone_contains(Q: AffineMonoid, coords) -> bool:
     """Membership in the rational cone of Q's generators (scale-free)."""
-    lin, rays = _cone_data(Q.generators, Q.ambient_rank)
+    lin, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
     v = coords.coords if isinstance(coords, MonoidElem) else tuple(coords)
     return all(_dot(l, v) == 0 for l in lin) and all(_dot(r, v) >= 0 for r in rays)
 
 
 def facet_normals(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
     """Primitive inner normals of the facets of cone(Q), ambient coordinates."""
-    _, rays = _cone_data(Q.generators, Q.ambient_rank)
+    _, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
     return rays
 
 
@@ -367,21 +361,19 @@ def _generated(gens: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> bool:
 def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
     """Monoid membership, decided exactly; NotSharp unless Q is sharp.
 
-    Saturated monoids get the cone-and-lattice test.  For any other Q, x must
-    lie in Q^gp with nonnegative facet pairings, and then the pairings, which
-    map a sharp Q injectively into N^facets, are peeled down by those of the
+    x must lie in Q^gp with nonnegative facet pairings, which for a
+    saturated Q is membership.  For any other Q the pairings, which map a
+    sharp Q injectively into N^facets, are then peeled down by those of the
     generators, as in _saturation_gap.
     """
+    saturated = is_saturated(Q)
     if x.level > Q.level:
         return False
-    v = x.at_level(Q.level)
-    if is_saturated(Q):
-        return cone_contains(Q, v) and in_gp(Q, x)
-    _, rays = _cone_data(Q.generators, Q.ambient_rank)
-    pv = _pairings(rays, v)
+    _, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
+    pv = _pairings(rays, x.at_level(Q.level))
     if min(pv, default=0) < 0 or not in_gp(Q, x):
         return False
-    return _generated(tuple(_pairings(rays, g) for g in Q.generators if any(g)), pv)
+    return saturated or _generated(tuple(_pairings(rays, g) for g in Q.generators if any(g)), pv)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +396,7 @@ def _triangulation(gens: tuple[tuple[int, ...], ...], n: int):
     face's facets are its intersections with the facets of cone(gens) that
     lower its rank by one.  Rank 0 gives one cone with no generators.
     """
-    _, facets = _cone_data(gens, n)
+    _, facets = _ineq_cone_rays(gens, n)
     basis = _gp_basis(gens, n)
     r = intlat.dims(basis)[1]
     basis_rows = intlat.transpose(basis)
@@ -505,7 +497,7 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     generator pairs to 0 with every facet.  The result is level-free, the
     same for every level.
     """
-    _, rays = _cone_data(gens, n)
+    _, rays = _ineq_cone_rays(gens, n)
     images = tuple(_pairings(rays, g) for g in gens if any(g))
     if not all(any(v) for v in images):
         raise NotSharp("monoid is not sharp")
@@ -534,7 +526,7 @@ def saturate(Q: AffineMonoid) -> AffineMonoid:
     gap = _saturation_gap(Q.generators, Q.ambient_rank)
     if not gap:
         return Q
-    _, rays = _cone_data(Q.generators, Q.ambient_rank)
+    _, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
     cands = list(dict.fromkeys(g for g in Q.generators if any(g))) + list(gap)
     images = [_pairings(rays, c) for c in cands]
     keep = tuple(c for i, c in enumerate(cands)
@@ -645,20 +637,6 @@ def unpack(code: int, field: int, n: int) -> tuple[int, ...]:
         out[k] = code & mask
         code >>= field
     return tuple(out)
-
-
-def enumerate_elements(Q: AffineMonoid, max_degree: Fraction) -> tuple[MonoidElem, ...]:
-    """All monoid elements of total degree <= max_degree, in graded_order.
-
-    The MonoidElem form of element_coords, memoised per monoid and degree cap.
-    """
-    return _elements(Q, floor(Fraction(max_degree) * Q.scale_base ** Q.level))
-
-
-@lru_cache(maxsize=None)
-def _elements(Q: AffineMonoid, cap: int) -> tuple[MonoidElem, ...]:
-    field = cap.bit_length() + 1
-    return tuple(Q.elem(unpack(c, field, Q.ambient_rank)) for c in element_coords(Q, cap, field))
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import filterfalse
 from math import floor
 
@@ -98,6 +98,9 @@ class SeriesRingDesc:
             raise InvariantViolation("p must be a prime")
         if self.free_rank < 0 or self.free_level < 0:
             raise InvariantViolation("free part data must be nonnegative")
+        if any(x < 0 for g in self.monoid_part.generators for x in g):
+            raise InvariantViolation("the support walk needs monoid generators in N^d; "
+                                     "`ptlab monoid embed` maps a saturated Q into N^facets")
         if self.precision < 1:
             raise InvariantViolation("precision must be >= 1")
         object.__setattr__(self, "cutoff", Fraction(self.cutoff))
@@ -242,8 +245,10 @@ class SeriesRingDesc:
 
     @cached_property
     def _support(self) -> tuple[int, ...]:
-        return _support(self.monoid_part, self.free_rank, self.free_level, self.cutoff,
-                        self._field)
+        """The packed exponents within the cutoff, in term order: one walk over
+        the generators, which a ring shares with its residue rings."""
+        Q = AffineMonoid(self.width, self.p, self.level, self.generators)
+        return element_coords(Q, self.cap, self._field)
 
     @cached_property
     def _ideal(self) -> frozenset:
@@ -259,10 +264,8 @@ class SeriesRingDesc:
         return frozenset(out)
 
     def in_ring(self, v: int) -> bool:
-        """The packed exponent v is an exponent of the ring, degree cutoff not included."""
-        if v < self._lim:
-            return _has(self._support, v)
-        return self.structural_contains(self.unpack(v))
+        """The packed exponent v is an exponent of the ring within the cutoff."""
+        return _has(self._support, v)
 
     def in_ideal(self, v: int) -> bool:
         """The packed exponent v (within the cutoff) is in the monomial quotient ideal."""
@@ -391,46 +394,6 @@ def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
             "f mod p is not a monomial; declare a monomial order to proceed"
         )
     return live[0][0]
-
-
-@lru_cache(maxsize=None)
-def _support(monoid: AffineMonoid, free_rank: int, free_level: int, cutoff: Fraction,
-             field: int):
-    """Every exponent of degree <= cutoff of k[[monoid + (N^r)^(free_level)]],
-    packed at the ring's level with field bits per coordinate, in term order.
-
-    The key leaves out the relation and the quotient, so a ring and its
-    residue rings share one support.  The free parts are built one
-    coordinate at a time, in steps of one free-level unit, into the low
-    fields, and the monoid elements are shifted above them.  Each member of
-    the shorter of the two sorted lists is added to every member of the
-    other that keeps the sum within the cutoff, and one plain sort of the
-    ints puts the sums in term order.
-    """
-    p = monoid.scale_base
-    lv = max(monoid.level, free_level)
-    cap = floor(cutoff * p ** lv)
-    step = p ** (lv - free_level)  # one free-level unit, in level-lv steps
-    unit = p ** (lv - monoid.level)  # one monoid-level unit
-    low = free_rank * field
-    top = (monoid.ambient_rank + free_rank) * field
-    free = [(0, 0)]
-    for _ in range(free_rank):
-        free = [(d + x, t << field | x) for d, t in free for x in range(0, cap - d + 1, step)]
-    frees = sorted(d << top | t for d, t in free)
-    elems = element_coords(monoid, cap // unit, field)
-    if unit > 1 or low:
-        elems = [m * unit << low for m in elems]
-    if len(frees) > len(elems):
-        elems, frees = frees, elems
-    if frees == [0]:  # a rank-0 side: the other is the support
-        return tuple(elems)
-    lim = (cap + 1) << top
-    out = []
-    for m in frees:  # the shorter side
-        out += map(m.__add__, elems[:bisect_left(elems, lim - m)])
-    out.sort()
-    return tuple(out)
 
 
 def _has(terms: tuple[int, ...], v: int) -> bool:
@@ -576,10 +539,6 @@ def s_neg(x: Series) -> Series:
     return make_series(x.ring, [(v, -c) for v, c in x.terms])
 
 
-def s_sub(x: Series, y: Series) -> Series:
-    return s_add(x, s_neg(y))
-
-
 def s_mul(x: Series, y: Series) -> Series:
     _same_ring(y, x.ring)
     lim = x.ring._lim
@@ -647,10 +606,6 @@ class TorsionReport:
     @property
     def is_zero(self) -> bool:
         return not self.monomials
-
-    @property
-    def bounded_exponent(self) -> int | None:
-        return max(self.minimal_powers, default=None)
 
     def monomial_exps(self) -> tuple[MonoidElem, ...]:
         return tuple(map(self.ring.elem, self.monomials))

@@ -53,9 +53,6 @@ class Transition:
             return v
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.matrix)
 
-    def apply_exp(self, e: MonoidElem) -> MonoidElem:
-        return MonoidElem(self.act(e.coords), e.level, e.base)
-
     def image(self, v: int, source: SeriesRingDesc, target: SeriesRingDesc) -> int | None:
         """t(v) for a packed exponent v of source, packed at target's level
         (None if finer than target); a matrix acts on the unpacked coordinates."""

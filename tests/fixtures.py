@@ -6,12 +6,15 @@ pins its forced (c) failure: once some basis monomial has a vanishing
 transition image, counting shows the Frobenius image set cannot be covered,
 so a lone (b) break is impossible and the expectation records both (as does
 the f_power fixture, whose transition also breaks (b)).
+
+elements() lists a monoid's elements for the monoid tests.
 """
 
 from fractions import Fraction
+from math import floor
 
 from ptlab.logreg import build_tower, preset_unramified
-from ptlab.monoid import AffineMonoid, MonoidElem
+from ptlab.monoid import AffineMonoid, MonoidElem, element_coords, unpack
 from ptlab.record import replace
 from ptlab.series import SeriesRingDesc, make_series, s_monomial, s_one
 from ptlab.tower import TowerDesc, Transition
@@ -21,6 +24,13 @@ D = Fraction(4)
 N = 2
 
 ALL_PASS = {a: True for a in "abcdefg"}
+
+
+def elements(Q, max_degree):
+    """The elements of Q of degree <= max_degree, in graded_order, as MonoidElem."""
+    cap = floor(Fraction(max_degree) * Q.scale_base ** Q.level)
+    field = cap.bit_length() + 1
+    return [Q.elem(unpack(c, field, Q.ambient_rank)) for c in element_coords(Q, cap, field)]
 
 
 def _unram_tower(p=2):

@@ -31,7 +31,6 @@ from ptlab.logreg import (
 from ptlab.monoid import (
     AffineMonoid,
     contains,
-    enumerate_elements,
     graded_decomposition,
     is_exact_submonoid,
     is_saturated,
@@ -48,7 +47,7 @@ from ptlab.tower import (
     verify_tower,
 )
 
-from fixtures import SABOTAGE
+from fixtures import SABOTAGE, elements
 
 DEPTH = 2
 D = Fraction(4)
@@ -136,7 +135,7 @@ def test_criterion_02_exactness_suite():
     for Q, bound in ((Nd_monoid(2, 2), Fraction(2)),
                      (AffineMonoid(4, 2, 0, QUADRIC_GENS), Fraction(1))):
         dec = graded_decomposition(Q, p_divide(Q, 1))
-        for v in enumerate_elements(p_divide(Q, 1), bound):
+        for v in elements(p_divide(Q, 1), bound):
             assert dec.is_zero_class(v) == contains(Q, v)
     done(2, "exactness suite")
 

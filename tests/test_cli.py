@@ -388,3 +388,50 @@ def test_every_declared_flag_is_read(tmp_path, capsys):
         for flag, (argv, extra) in table[group].items():
             before = run(capsys, *argv)[:2]
             assert run(capsys, *argv, *extra)[:2] != before, (group, flag)
+
+
+def test_generators_outside_Nd_exit_2_on_every_tower_action(tmp_path, capsys):
+    # a sharp saturated Q whose generators leave N^2: the support walk needs
+    # them in N^d, so the ring refuses the presentation before any action runs
+    P = {"monoid": {"ambient_rank": 2, "scale_base": 2, "level": 0,
+                    "generators": [[1, -1], [1, 1], [1, 0]]},
+         "free_rank": 0, "p": 2, "f": [{"exponent": [1, 1], "coeff": 1}]}
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(P))
+    for action in ("build", "verify", "tilt", "exactstilt"):
+        err = _one_line_exit_2(capsys, "tower", action, "--input", str(path),
+                               "--depth", "1", "--cutoff", "3")
+        assert "N^d" in err and "monoid embed" in err
+
+
+def test_monoid_descriptor_prime_is_the_run_prime(tmp_path, capsys):
+    # A1 at scale base 3: Cl = Z/2, whose prime-to-3 part is all of it
+    desc = {"ambient_rank": 2, "scale_base": 3, "level": 0, "generators": [[2, 0], [1, 1], [0, 2]]}
+    path = tmp_path / "a1_p3.json"
+    path.write_text(json.dumps(desc))
+    code, out, _ = run(capsys, "monoid", "classgroup", "--json", json.dumps(desc))
+    assert code == 0
+    assert json.loads(out)["report"]["prime_to_p"]["prime_to_p_order"] == 2
+    assert run(capsys, "monoid", "classgroup", "--input", str(path), "--p", "3")[:2] == (0, out)
+    for action in ("classgroup", "divide"):
+        err = _one_line_exit_2(capsys, "monoid", action, "--input", str(path), "--p", "2")
+        assert err == "ptlab: --p 2 differs from the descriptor's prime 3\n"
+    # a preset still takes --p, 2 by default
+    code, out, _ = run(capsys, "monoid", "divide", "--preset", "A1", "--p", "3")
+    assert json.loads(out)["report"]["layer_quotient"]["order"] == 9
+    code, out, _ = run(capsys, "monoid", "divide", "--preset", "A1")
+    assert json.loads(out)["report"]["layer_quotient"]["order"] == 4
+
+
+def test_presentation_prime_is_the_run_prime(tmp_path, capsys):
+    path = tmp_path / "quadric_p3.json"
+    path.write_text(json.dumps(preset("quadric", 3).to_descriptor()))
+    window = ["--depth", "1", "--cutoff", "2"]
+    code, out, _ = run(capsys, "tower", "tilt", "--input", str(path), *window)
+    assert code == 0
+    assert run(capsys, "tower", "tilt", "--input", str(path), "--p", "3", *window)[:2] == (0, out)
+    for action in ("build", "verify", "tilt", "exactstilt"):
+        for p in ("2", "5"):
+            err = _one_line_exit_2(capsys, "tower", action, "--input", str(path), "--p", p,
+                                   *window)
+            assert err == f"ptlab: --p {p} differs from the descriptor's prime 3\n"

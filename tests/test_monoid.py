@@ -19,7 +19,7 @@ from ptlab.monoid import (
     cone_contains,
     contains,
     dimension,
-    enumerate_elements,
+    element_coords,
     exact_embed_Nd,
     facet_normals,
     graded_decomposition,
@@ -34,6 +34,8 @@ from ptlab.monoid import (
     preset,
     saturate,
 )
+
+from fixtures import elements
 
 QUADRIC = AffineMonoid(4, 2, 0, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)))
 
@@ -132,7 +134,7 @@ def test_graded_zero_component_is_submonoid():
     """The degree-zero piece of Q^(1) over Q is Q itself."""
     for Q, bound in ((Nd(2), Fraction(2)), (QUADRIC, Fraction(1))):
         dec = graded_decomposition(Q, p_divide(Q, 1))
-        for v in enumerate_elements(p_divide(Q, 1), bound):
+        for v in elements(p_divide(Q, 1), bound):
             assert dec.is_zero_class(v) == contains(Q, v)
 
 
@@ -228,7 +230,7 @@ def simplex_walk(Q, max_degree):
 @settings(deadline=None, max_examples=150)
 @given(small_monoids(), st.fractions(0, 3, max_denominator=3))
 def test_enumerate_matches_simplex_walk(Q, max_degree):
-    assert list(enumerate_elements(Q, max_degree)) == simplex_walk(Q, max_degree)
+    assert elements(Q, max_degree) == simplex_walk(Q, max_degree)
 
 
 @settings(deadline=None, max_examples=100)
@@ -246,15 +248,15 @@ def test_numerical_semigroup_membership_is_exact():
     Q = AffineMonoid(1, 2, 0, ((2,), (3,)))
     assert contains(Q, MonoidElem((30,), 0, 2))
     assert not contains(Q, MonoidElem((1,), 0, 2))
-    elems = enumerate_elements(Q, 30)
+    elems = elements(Q, 30)
     assert len(elems) == 30
     assert [e.coords[0] for e in elems] == [0] + list(range(2, 31))
 
 
 def test_enumeration_is_memoised_and_needs_Nd():
-    assert enumerate_elements(QUADRIC, 2) is enumerate_elements(QUADRIC, Fraction(5, 2))
+    assert element_coords(QUADRIC, 2, 3) is element_coords(QUADRIC, 2, 3)
     with pytest.raises(ValueError):
-        enumerate_elements(AffineMonoid(2, 2, 0, ((1, 0), (-1, 1))), 2)
+        element_coords(AffineMonoid(2, 2, 0, ((1, 0), (-1, 1))), 2, 3)
     # membership needs no N^d: a non-saturated monoid outside it peels its
     # facet pairings
     assert contains(AffineMonoid(1, 2, 0, ((-2,), (-3,))), MonoidElem((-5,), 0, 2))
@@ -361,7 +363,7 @@ def _dot(a, b):
 
 def _coords(Q, cap):
     """Level-Q.level coordinates of the elements of Q of degree <= cap there."""
-    return {e.at_level(Q.level) for e in enumerate_elements(Q, Fraction(cap, Q.scale_base ** Q.level))}
+    return {e.at_level(Q.level) for e in elements(Q, Fraction(cap, Q.scale_base ** Q.level))}
 
 
 @settings(deadline=None, max_examples=100)

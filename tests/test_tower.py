@@ -425,9 +425,8 @@ def test_exactstilt_report_shape():
 
 def test_transition_matrix_action():
     t = Transition(((1, 1), (0, 1)))
-    e = MonoidElem((2, 3), 1, 2)
-    assert t.apply_exp(e) == MonoidElem((5, 3), 1, 2)
-    assert Transition().apply_exp(e) == e
+    assert t.act((2, 3)) == (5, 3)
+    assert Transition().act((2, 3)) == (2, 3)
 
 
 # transitions are checked on the generators of R_i's exponent monoid: here
@@ -489,11 +488,12 @@ def test_transition_free_unit_vector_outside():
 
 
 def test_building_a_tower_computes_no_support():
-    from ptlab import series
+    from ptlab import monoid
 
-    series._support.cache_clear()
-    build_tower(preset("quadric", 3), 2, Fraction(4), 2)
-    assert series._support.cache_info().currsize == 0
+    monoid.element_coords.cache_clear()
+    T = build_tower(preset("quadric", 3), 2, Fraction(4), 2)
+    assert monoid.element_coords.cache_info().currsize == 0
+    assert not any("_support" in R.__dict__ for R in T.levels)
 
 
 def test_tower_descriptor_roundtrip():
