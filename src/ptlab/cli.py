@@ -8,6 +8,7 @@ newline so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -91,6 +92,8 @@ def load_descriptor(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not text.strip():
         raise ParseError(f"{path}: empty file")
     try:
@@ -139,8 +142,11 @@ def _presentation_from_args(args) -> LogRegPresentation:
 def _emit(payload, args) -> None:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -344,5 +350,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of `ptlab` and `python -m ptlab.cli`: main(), then
+    exit with its code.  Nothing is decided after the report is written, so
+    the collector is frozen first: every object still alive moves to the
+    permanent generation, which the interpreter's teardown collections skip.
+    Refcount deallocation, atexit handlers and the stdout flush still run."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

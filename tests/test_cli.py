@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, descriptor round-trips."""
 
 import argparse
+import gc
 import itertools
 import json
 import os
@@ -153,6 +154,12 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code6, _, err6 = run(capsys, "monoid", "check")
     assert code6 == 2 and "provide" in err6
 
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes("{}".encode("utf-16"))  # starts with the BOM \xff\xfe
+    for group, action in (("monoid", "check"), ("tower", "verify")):
+        code7, _, err7 = run(capsys, group, action, "--input", str(utf16))
+        assert code7 == 2 and err7.startswith(f"ptlab: {utf16}: 'utf-8' codec"), err7
+
 
 def test_composite_p_is_rejected(capsys):
     # 10201 = 101^2 has no prime factor below 100
@@ -206,6 +213,47 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["report"]["saturated"] is True
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    # exit 1 is a verification that ran and failed; an unwritable report is an input error
+    missing = tmp_path / "nosuch" / "report.json"
+    err = _one_line_exit_2(capsys, "monoid", "check", "--preset", "Nd", "--output", str(missing))
+    assert err.startswith(f"ptlab: cannot write {missing}: ") and "No such file" in err
+    err2 = _one_line_exit_2(capsys, "monoid", "check", "--preset", "Nd", "--output", str(tmp_path))
+    assert err2.startswith(f"ptlab: cannot write {tmp_path}: ") and "directory" in err2
+
+
+def test_process_entry_matches_in_process_main(tmp_path, capsys):
+    """`python -m ptlab.cli` enters through run(), which freezes the collector
+    before exit: each child prints, writes and exits as main() does in this
+    process, and main() itself leaves the collector alone."""
+    root = Path(__file__).resolve().parents[1]
+    # block-buffered stdout, so the report reaches the pipe by the exit-time flush
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    numeric = tmp_path / "numeric.json"
+    numeric.write_text(json.dumps(NUMERIC))
+    report = tmp_path / "report.json"
+    quadric = ("--preset", "quadric", "--p", "3")
+    cases = [("tower", "verify", *quadric),
+             ("tower", "tilt", *quadric),
+             ("tower", "exactstilt", *quadric),
+             ("monoid", "check", "--input", str(numeric)),  # not saturated: exit 1
+             ("monoid", "check", "--input", str(tmp_path / "nope.json")),  # exit 2
+             ("monoid", "saturate", "--input", str(numeric), "--output", str(report))]
+    codes = []
+    for argv in cases:
+        own = run(capsys, *argv), report.read_bytes() if report.exists() else None
+        report.unlink(missing_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "ptlab.cli", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        written = report.read_bytes() if report.exists() else None
+        assert ((proc.returncode, proc.stdout, proc.stderr), written) == own, argv
+        codes.append(proc.returncode)
+    assert codes == [0, 0, 0, 1, 2, 0]
+    assert written and json.loads(written)["command"] == "monoid saturate"
+    assert gc.get_freeze_count() == 0
 
 
 def _one_line_exit_2(capsys, *argv):

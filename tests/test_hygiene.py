@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "ptlab"
 
 
@@ -132,6 +134,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_one_process_entry():
+    """The installed `ptlab` and `python -m ptlab.cli` enter through one
+    function, and main() itself leaves the collector alone: tests and the
+    benchmark probe call it in process."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, entry = pyproject["project"]["scripts"]["ptlab"].partition(":")
+    assert module == "ptlab.cli"
+    tree = _modules()["cli.py"]
+    guards = [stmt for stmt in tree.body if isinstance(stmt, ast.If)
+              and ast.unparse(stmt.test) == "__name__ == '__main__'"]
+    assert len(guards) == 1
+    called = [sub.func.id for sub in ast.walk(guards[0])
+              if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)]
+    assert called == [entry]
+    main = next(stmt for stmt in tree.body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "main")
+    assert "gc" not in _names(main)
 
 
 def _defaulted(fn: ast.FunctionDef) -> list[tuple[int | None, str]]:
