@@ -9,10 +9,8 @@ the mixed-characteristic comparison reduces to; computing it needs only SNF.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .intlat import FinAbelianGroup, abelian_quotient, identity
-from .monoid import AffineMonoid, NotSaturated, facet_normals, gp_basis, is_saturated
+from .intlat import FinAbelianGroup, abelian_quotient, identity, mat_vec, transpose
+from .monoid import AffineMonoid, NotSaturated, _primitive, facet_normals, gp_basis, is_saturated
 from .record import record
 
 
@@ -37,21 +35,12 @@ class ClassGroupReport:
 def pairing_matrix(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
     """Rows: facets; columns: a basis of Q^gp; entries: primitive valuations.
 
-    gp_basis returns its basis vectors as matrix columns; each facet row is
-    divided by its gcd so the valuation is primitive on Q^gp itself.
+    gp_basis returns its basis vectors as matrix columns, so each facet
+    normal is read on them through the transpose; each row is divided by its
+    gcd so the valuation is primitive on Q^gp itself.
     """
-    basis = gp_basis(Q)
-    rank = len(basis[0]) if basis else 0
-    rows = []
-    for v in facet_normals(Q):
-        row = [sum(v[i] * basis[i][k] for i in range(len(basis))) for k in range(rank)]
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g > 1:
-            row = [x // g for x in row]
-        rows.append(tuple(row))
-    return tuple(rows)
+    basis_rows = transpose(gp_basis(Q))
+    return tuple(_primitive(mat_vec(basis_rows, v)) for v in facet_normals(Q))
 
 
 def class_group(Q: AffineMonoid) -> ClassGroupReport:
@@ -59,11 +48,8 @@ def class_group(Q: AffineMonoid) -> ClassGroupReport:
         raise NotSaturated("class group needs a saturated monoid")
     M = pairing_matrix(Q)
     nf = len(M)
-    if nf == 0:
-        G = FinAbelianGroup(0, ())
-    else:
-        # columns of M are the images of the Q^gp basis inside Z^facets
-        G = abelian_quotient(identity(nf), M)
+    # columns of M are the images of the Q^gp basis inside Z^facets
+    G = abelian_quotient(identity(nf), M)
     tor = G.torsion_order()
     primes = _prime_factors(tor)
     return ClassGroupReport(

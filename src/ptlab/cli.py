@@ -13,7 +13,8 @@ import json
 import sys
 
 from .classgroup import class_group, prime_to_p_report
-from .coeffring import is_prime
+from .coeffring import require_prime
+from .logreg import PRESETS as TOWER_PRESETS
 from .logreg import (
     BaseRing,
     InvalidPresentation,
@@ -40,6 +41,7 @@ from .monoid import (
     p_divide,
     saturate,
 )
+from .monoid import PRESETS as MONOID_PRESETS
 from .monoid import preset as monoid_preset
 from .series import InvariantViolation, parse_cutoff, s_from_terms, term_from_json
 from .tower import (
@@ -62,8 +64,8 @@ def _check(args) -> None:
     is --p, 2 by default."""
     if args.p is None and not (getattr(args, "input", None) or getattr(args, "json", None)):
         args.p = 2
-    if args.p is not None and not is_prime(args.p):
-        raise ParseError("p must be a prime")
+    if args.p is not None:
+        require_prime(args.p, ParseError)
     if args.d < 0:
         raise ParseError("d must be nonnegative")
     if args.group == "tower":
@@ -76,12 +78,7 @@ def _descriptor_prime(args, p: int) -> None:
     """The descriptor's prime p is the run's prime; a --p that differs is a usage error."""
     if args.p not in (None, p):
         raise ParseError(f"--p {args.p} differs from the descriptor's prime {p}")
-    try:
-        prime = is_prime(p)
-    except ValueError as exc:  # p beyond the range is_prime decides
-        raise ParseError(str(exc)) from None
-    if not prime:
-        raise ParseError("p must be a prime")
+    require_prime(p, ParseError)
     args.p = p
 
 
@@ -141,14 +138,21 @@ def _presentation_from_args(args) -> LogRegPresentation:
 
 def _emit(payload, args) -> None:
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            # flushed here, so a failed write is this error, not one at exit
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.output:
+            try:  # closed, the exit-time flush skips what the device refused
+                sys.stdout.close()
+            except OSError:
+                pass
+        raise ParseError(f"cannot write {args.output or 'stdout'}: {exc}") from exc
 
 
 def _cmd_monoid(args) -> int:
@@ -203,13 +207,12 @@ def _cmd_tower(args) -> int:
     if args.action == "exactstilt" and args.depth < 1:
         raise ParseError("exactstilt needs --depth >= 1")
     P = _presentation_from_args(args)
+    T = build_tower(P, args.depth, args.cutoff, args.precision)
     if args.action == "build":
-        T = build_tower(P, args.depth, args.cutoff, args.precision)
         report = T.to_descriptor()
         report["kato_dimensions"] = kato_dim_check(P)
         _emit({"command": "tower build", "report": report}, args)
         return 0
-    T = build_tower(P, args.depth, args.cutoff, args.precision)
     if args.action == "verify":
         a = verify_purely_inseparable(T)
         b = verify_perfectoid(T)
@@ -303,14 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mon.add_argument("action", choices=["check", "saturate", "divide", "embed", "classgroup"])
     mon.add_argument("--input", default=None, help="monoid descriptor file")
     mon.add_argument("--json", default=None, help="inline monoid descriptor")
-    mon.add_argument("--preset", default=None, choices=["quadric", "Nd", "A1"])
+    mon.add_argument("--preset", default=None, choices=list(MONOID_PRESETS))
     mon.add_argument("--i", type=int, default=1, help="division level for divide")
     common(mon)
 
     tw = sub.add_parser("tower", help="tower building and axiom verification")
     tw.add_argument("action", choices=["build", "verify", "tilt", "exactstilt"])
-    tw.add_argument("--preset", default="unramified_rlr",
-                    choices=["unramified_rlr", "quadric"])
+    tw.add_argument("--preset", default="unramified_rlr", choices=list(TOWER_PRESETS))
     tw.add_argument("--input", default=None, help="custom presentation file")
     tw.add_argument("--depth", type=int, default=2)
     tw.add_argument("--cutoff", default="4")

@@ -1,4 +1,5 @@
-"""Coefficient arithmetic: F_p, truncated Z/p^N coefficients, and W2(k).
+"""Coefficient arithmetic: the primality check of every prime ptlab reads,
+F_p, and W2(k).
 
 The length-2 Witt vectors implement the explicit componentwise formulas for a
 perfect field of characteristic p: addition needs one exact division by p over
@@ -48,6 +49,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int, error: type[ValueError]) -> None:
+    """The check of every prime ptlab reads: raises error("p must be a prime")
+    unless p is a prime, and error with is_prime's range message beyond it."""
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    if not prime:
+        raise error("p must be a prime")
+
+
 @record
 class PrimeFieldElem:
     p: int
@@ -57,48 +69,6 @@ class PrimeFieldElem:
         if self.p < 2:
             raise ValueError("p must be a prime >= 2")
         object.__setattr__(self, "value", self.value % self.p)
-
-    def __add__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.p, self.value + other.value)
-
-    def __mul__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.p, self.value * other.value)
-
-    def __neg__(self):
-        return PrimeFieldElem(self.p, -self.value)
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise PrimeMismatch(f"{self.p} != {other.p}")
-
-
-@record
-class TruncatedWittCoeff:
-    """An element of C(k)/p^N = Z/p^N, the precision-N Cohen coefficient."""
-
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self):
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "value", self.value % self.p ** self.precision)
-
-    def digits(self) -> list[int]:
-        return carry_normalize(self.value, self.p, self.precision)
-
-
-def carry_normalize(c: int, p: int, N: int) -> list[int]:
-    """Base-p digits d0..d_{N-1} of c mod p^N."""
-    c %= p ** N
-    out = []
-    for _ in range(N):
-        out.append(c % p)
-        c //= p
-    return out
 
 
 @record
@@ -145,13 +115,7 @@ def w2_mul(x: Witt2Elem, y: Witt2Elem) -> Witt2Elem:
 
 
 def w2_neg(x: Witt2Elem) -> Witt2Elem:
-    m1 = w2(x.p, -1, 0) if x.p != 2 else w2(2, 1, 1)
-    return w2_mul(m1, x)
-
-
-def w2_ghost0(x: Witt2Elem) -> PrimeFieldElem:
-    """First ghost component; its kernel is the square-zero ideal V1 = 0 x k."""
-    return x.a
+    return w2_mul(w2_from_int(x.p, -1), x)
 
 
 def w2_from_int(p: int, n: int) -> Witt2Elem:

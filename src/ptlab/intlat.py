@@ -49,10 +49,6 @@ class FinAbelianGroup:
     def torsion_order(self) -> int:
         return prod(self.invariant_factors)
 
-    def order(self):
-        """Total order, or None for infinite groups."""
-        return None if self.free_rank else self.torsion_order()
-
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.invariant_factors]
         return " + ".join(parts) if parts else "0"
@@ -334,12 +330,16 @@ def kernel(M):
     return tuple(tuple(V[i][j] for j in range(rank, cols)) for i in range(cols))
 
 
-def abelian_quotient(gens, sub_gens) -> FinAbelianGroup:
-    """Structure of (column lattice of gens) / (column lattice of sub_gens).
+def smith_quotient(gens, sub_gens):
+    """G = (column lattice of gens) / (column lattice of sub_gens), with the
+    presentation it is read from: returns (G, B, U, diag).
 
-    Raises SubLatticeNotContained when some column of sub_gens falls outside
-    the ambient lattice.  The quotient is presented by rewriting the sublattice
-    generators in a basis of the ambient lattice and reading off the Smith form.
+    B is a basis of the ambient lattice (its Hermite form).  The columns of X
+    are the sublattice generators in B coordinates, U X V = D is X's Smith
+    form and diag is D's diagonal, zeros included; with no sublattice
+    generators U is the identity and diag is empty.  Raises
+    SubLatticeNotContained when some column of sub_gens falls outside the
+    ambient lattice.
     """
     gens = intmatrix(gens)
     sub = intmatrix(sub_gens)
@@ -357,10 +357,18 @@ def abelian_quotient(gens, sub_gens) -> FinAbelianGroup:
             raise SubLatticeNotContained(f"column {j} of sub_gens is outside the lattice")
         coords.append(c)
     if not coords:
-        return FinAbelianGroup(free_rank=rank)
-    X = transpose(intmatrix(coords))
-    d = snf_diagonal(X)
-    return FinAbelianGroup(
+        return FinAbelianGroup(free_rank=rank), basis, identity(rank), ()
+    U, D, _ = snf(transpose(intmatrix(coords)))
+    diag = tuple(D[i][i] for i in range(min(dims(D))))
+    d = [x for x in diag if x]
+    group = FinAbelianGroup(
         free_rank=rank - len(d),
         invariant_factors=tuple(x for x in d if x > 1),
     )
+    return group, basis, U, diag
+
+
+def abelian_quotient(gens, sub_gens) -> FinAbelianGroup:
+    """Structure of (column lattice of gens) / (column lattice of sub_gens),
+    read off the Smith form of smith_quotient."""
+    return smith_quotient(gens, sub_gens)[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffring import digit_correction, is_prime
+from .coeffring import digit_correction, require_prime
 from .monoid import (
     AffineMonoid,
     MonoidElem,
@@ -30,8 +30,8 @@ from .series import (
     NonMonomialReduction,
     Series,
     SeriesRingDesc,
-    make_series,
     reduced_relation_exp,
+    s_const,
     s_monomial,
     s_zero,
     term_from_json,
@@ -68,10 +68,6 @@ class LogRegPresentation:
         for e, _ in self.f_terms:
             if e.degree() <= 0:
                 raise InvalidPresentation("f must have positive degree in every term")
-
-    @property
-    def width(self) -> int:
-        return self.Q.ambient_rank + self.r
 
     def ring(self, level: int, D: Fraction, N: int) -> SeriesRingDesc:
         """Level-i ring C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), or k[[...]] if f = 0."""
@@ -121,23 +117,27 @@ def preset_quadric(p: int) -> LogRegPresentation:
                               labels=("x", "y", "z", "w"))
 
 
+# named presentations: name -> (p, d) -> presentation; `ptlab tower --preset`
+# offers these names
+PRESETS = {
+    "unramified_rlr": preset_unramified,
+    "quadric": lambda p, d: preset_quadric(p),
+}
+
+
 def preset(name: str, p: int, d: int = 2) -> LogRegPresentation:
-    if name == "unramified_rlr":
-        return preset_unramified(p, d)
-    if name == "quadric":
-        return preset_quadric(p)
-    raise InvalidPresentation(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise InvalidPresentation(f"unknown preset {name!r}")
+    return PRESETS[name](p, d)
 
 
 def build_tower(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) -> TowerDesc:
     """The division tower R_i = C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), I_0 = (p)."""
     levels = tuple(P.ring(i, Fraction(D), N) for i in range(depth + 1))
-    R0 = levels[0]
-    base = make_series(R0, [(R0.zero_exp, P.p)])
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
-        base_ideal=base,
+        base_ideal=s_const(levels[0], P.p),
         depth=depth,
     )
 
@@ -225,13 +225,9 @@ def kato_dim_check(P: LogRegPresentation) -> dict:
     dim R/I_alpha = r; without one, both sides gain 1 in mixed characteristic.
     """
     dQ = dimension(P.Q)
-    has_rel = bool(P.f_terms)
-    if has_rel:
-        dim_R = dQ + P.r
-        dim_mod = P.r
-    else:
-        dim_R = dQ + P.r + 1
-        dim_mod = P.r + 1
+    coeff = 0 if P.f_terms else 1  # the coefficient direction, unless spent
+    dim_R = dQ + P.r + coeff
+    dim_mod = P.r + coeff
     return {
         "dim_R": dim_R,
         "dim_mod_I_alpha": dim_mod,
@@ -253,8 +249,7 @@ class BaseRing:
     mixed: bool = True
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise UnsupportedBase("p must be prime")
+        require_prime(self.p, UnsupportedBase)
         if self.d < 0:
             raise UnsupportedBase("negative variable count")
 

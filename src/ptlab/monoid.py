@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import intlat
-from .intlat import FinAbelianGroup
+from .intlat import FinAbelianGroup, mat_vec
 from .record import record
 
 
@@ -91,10 +91,6 @@ class MonoidElem:
     def degree(self) -> Fraction:
         return Fraction(sum(self.coords), self.base ** self.level)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
     def _combine(self, other: MonoidElem, sign: int) -> MonoidElem:
         if self.base != other.base or len(self.coords) != len(other.coords):
             raise ValueError("mismatched element contexts")
@@ -157,10 +153,6 @@ class AffineMonoid:
     def gen_elems(self) -> tuple[MonoidElem, ...]:
         return tuple(self.elem(g) for g in self.generators)
 
-    @property
-    def zero(self) -> MonoidElem:
-        return MonoidElem((0,) * self.ambient_rank, 0, self.scale_base)
-
     def to_descriptor(self) -> dict:
         return {
             "ambient_rank": self.ambient_rank,
@@ -179,8 +171,9 @@ class AffineMonoid:
         )
 
 
-# named monoids: name -> d -> (ambient rank, generators)
-_PRESETS = {
+# named monoids: name -> d -> (ambient rank, generators); `ptlab monoid
+# --preset` offers these names
+PRESETS = {
     "quadric": lambda d: (4, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0))),
     "Nd": lambda d: (d, tuple(tuple(int(i == j) for j in range(d)) for i in range(d))),
     "A1": lambda d: (2, ((2, 0), (1, 1), (0, 2))),
@@ -189,9 +182,9 @@ _PRESETS = {
 
 def preset(name: str, p: int, d: int = 0) -> AffineMonoid:
     """The quadric cone xy = zw, N^d, or the A1 cone <(2,0),(1,1),(0,2)>, at level 0."""
-    if name not in _PRESETS:
+    if name not in PRESETS:
         raise ValueError(f"unknown monoid preset {name!r}")
-    rank, gens = _PRESETS[name](d)
+    rank, gens = PRESETS[name](d)
     return AffineMonoid(rank, p, 0, gens)
 
 
@@ -370,10 +363,10 @@ def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
     if x.level > Q.level:
         return False
     _, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
-    pv = _pairings(rays, x.at_level(Q.level))
+    pv = mat_vec(rays, x.at_level(Q.level))
     if min(pv, default=0) < 0 or not in_gp(Q, x):
         return False
-    return saturated or _generated(tuple(_pairings(rays, g) for g in Q.generators if any(g)), pv)
+    return saturated or _generated(tuple(mat_vec(rays, g) for g in Q.generators if any(g)), pv)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +393,13 @@ def _triangulation(gens: tuple[tuple[int, ...], ...], n: int):
     basis = _gp_basis(gens, n)
     r = intlat.dims(basis)[1]
     basis_rows = intlat.transpose(basis)
-    on_gp = [intlat.mat_vec(basis_rows, f) for f in facets]
+    on_gp = [mat_vec(basis_rows, f) for f in facets]
     ext: dict[tuple[bool, ...], tuple[int, ...]] = {}  # zero pattern -> generator
     for g in gens:
-        pg = _pairings(facets, g)
+        pg = mat_vec(facets, g)
         zero = tuple(x == 0 for x in pg)
         if zero in ext:
-            if sum(pg) < sum(_pairings(facets, ext[zero])):
+            if sum(pg) < sum(mat_vec(facets, ext[zero])):
                 ext[zero] = g
         elif _rank_of([row for row, z in zip(on_gp, zero) if z]) == r - 1:
             ext[zero] = g
@@ -453,7 +446,7 @@ def _parallelepiped(M: tuple[tuple[int, ...], ...]):
     diag = [D[i][i] for i in range(len(M))]
     d = diag[-1]
     scale = [d // x for x in diag]
-    qs = tuple(tuple(x % d for x in intlat.mat_vec(V, [s * x for s, x in zip(scale, w)]))
+    qs = tuple(tuple(x % d for x in mat_vec(V, [s * x for s, x in zip(scale, w)]))
                for w in itertools.product(*map(range, diag)))
     return d, qs
 
@@ -475,10 +468,6 @@ def is_sharp(Q: AffineMonoid) -> bool:
     return True
 
 
-def _pairings(rays, v) -> tuple[int, ...]:
-    return tuple(_dot(r, v) for r in rays)
-
-
 @lru_cache(maxsize=None)
 def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     """The fundamental parallelepiped points of the cones of _triangulation
@@ -498,7 +487,7 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     same for every level.
     """
     _, rays = _ineq_cone_rays(gens, n)
-    images = tuple(_pairings(rays, g) for g in gens if any(g))
+    images = tuple(mat_vec(rays, g) for g in gens if any(g))
     if not all(any(v) for v in images):
         raise NotSharp("monoid is not sharp")
     gap = set()
@@ -506,7 +495,7 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
         d, qs = _parallelepiped(M)
         for q in qs:
             v = _combine(q, G, d, n)
-            if any(v) and not _generated(images, _pairings(rays, v)):
+            if any(v) and not _generated(images, mat_vec(rays, v)):
                 gap.add(v)
     return tuple(sorted(gap))
 
@@ -528,7 +517,7 @@ def saturate(Q: AffineMonoid) -> AffineMonoid:
         return Q
     _, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
     cands = list(dict.fromkeys(g for g in Q.generators if any(g))) + list(gap)
-    images = [_pairings(rays, c) for c in cands]
+    images = [mat_vec(rays, c) for c in cands]
     keep = tuple(c for i, c in enumerate(cands)
                  if not _generated(tuple(images[:i] + images[i + 1:]), images[i]))
     return AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level, keep)
@@ -553,13 +542,11 @@ def layer_quotient(Q: AffineMonoid, i: int = 0) -> FinAbelianGroup:
     """Structure of (Q^(i+1))^gp / (Q^(i))^gp.
 
     Both groups are spanned by the same basis at consecutive scales, so the
-    quotient is basis/(c * basis) regardless of i; computed honestly through
-    the lattice quotient rather than assumed.
+    quotient is basis/(c * basis) regardless of i, where c * basis is the
+    basis rescaled one level finer; computed honestly through the lattice
+    quotient rather than assumed.
     """
-    basis = gp_basis(Q)
-    c = Q.scale_base
-    sub = tuple(tuple(c * x for x in row) for row in basis)
-    return intlat.abelian_quotient(basis, sub)
+    return intlat.abelian_quotient(gp_basis(Q), _rescaled_basis(Q, Q.level + 1))
 
 
 def is_exact_submonoid(Qp: AffineMonoid, Q: AffineMonoid) -> bool:
@@ -707,7 +694,7 @@ class GradedDecomposition:
         t = intlat.in_lattice(self._basis, x.at_level(self._level))
         if t is None:
             raise ValueError("element is outside the ambient groupification")
-        u = intlat.mat_vec(self._U, t)
+        u = mat_vec(self._U, t)
         out = []
         for i, val in enumerate(u):
             d = self._diag[i] if i < len(self._diag) else 0
@@ -723,26 +710,11 @@ def graded_decomposition(Qp: AffineMonoid, Q: AffineMonoid) -> GradedDecompositi
     if not is_exact_submonoid(Qp, Q):
         raise NotExact("submonoid is not exact in the ambient monoid")
     level = max(Q.level, Qp.level)
-    bq = _rescaled_basis(Q, level)
-    bqp = _rescaled_basis(Qp, level)
-    group = intlat.abelian_quotient(bq, bqp)
-    rows, rank = intlat.dims(bq)
-    _, scols = intlat.dims(bqp)
-    if scols == 0:
-        U, diag = intlat.identity(rank), ()
-    else:
-        coords = []
-        for j in range(scols):
-            col = tuple(bqp[i][j] for i in range(rows))
-            coords.append(intlat.in_lattice(bq, col))
-        X = intlat.transpose(intlat.intmatrix(coords))
-        U, D, _ = intlat.snf(X)
-        dr, dc = intlat.dims(D)
-        diag = tuple(D[i][i] for i in range(min(dr, dc)))
+    group, basis, U, diag = intlat.smith_quotient(_rescaled_basis(Q, level), _rescaled_basis(Qp, level))
     return GradedDecomposition(
         class_group=group,
         _level=level,
-        _basis=bq,
+        _basis=basis,
         _U=U,
         _diag=diag,
     )

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import filterfalse
 from math import floor
 
-from .coeffring import is_prime
+from .coeffring import require_prime
 from .monoid import (
     AffineMonoid,
     MonoidElem,
@@ -90,12 +90,7 @@ class SeriesRingDesc:
     def __post_init__(self):
         if self.p != self.monoid_part.scale_base:
             raise InvariantViolation("prime differs from the monoid scale base")
-        try:
-            prime = is_prime(self.p)
-        except ValueError as exc:  # p beyond the range is_prime decides
-            raise InvariantViolation(str(exc)) from exc
-        if not prime:
-            raise InvariantViolation("p must be a prime")
+        require_prime(self.p, InvariantViolation)
         if self.free_rank < 0 or self.free_level < 0:
             raise InvariantViolation("free part data must be nonnegative")
         if any(x < 0 for g in self.monoid_part.generators for x in g):
@@ -580,14 +575,6 @@ def reduce_mod_I0(x: Series) -> Series:
     return make_series(x.ring.residue_ring(), x.terms)
 
 
-def frobenius_mod_I0(x: Series) -> Series:
-    """The p-power Frobenius on a residue ring: c e^g -> c e^{pg}."""
-    if not x.ring.char_p:
-        raise InvariantViolation("Frobenius acts on the mod-I0 residue rings")
-    p = x.ring.p
-    return make_series(x.ring, [(p * v, c) for v, c in x.terms])
-
-
 @record
 class TorsionReport:
     """Monomials killed by a power of the tested generator, within the cutoff.
@@ -606,9 +593,6 @@ class TorsionReport:
     @property
     def is_zero(self) -> bool:
         return not self.monomials
-
-    def monomial_exps(self) -> tuple[MonoidElem, ...]:
-        return tuple(map(self.ring.elem, self.monomials))
 
 
 def kills_monomial(x: Series, m: int) -> bool:

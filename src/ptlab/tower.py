@@ -25,6 +25,7 @@ from .series import (
     is_unit,
     kills_monomial,
     make_series,
+    s_const,
     s_from_terms,
     s_monomial,
     s_zero,
@@ -217,7 +218,7 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
     rows = []
     p = T.p
     R0 = T.levels[0]
-    p_series = make_series(R0, [(R0.zero_exp, p)])
+    p_series = s_const(R0, p)
     if T.base_ideal.is_zero:
         rows.append(_row("a", 0, p_series.is_zero,
                          None if p_series.is_zero else p_series.to_json(),

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from ptlab.cli import _build_parser, load_descriptor, main
-from ptlab.logreg import build_tower, preset
+from ptlab.logreg import PRESETS, build_tower, preset
+from ptlab.monoid import PRESETS as MONOID_PRESETS
 from ptlab.monoid import AffineMonoid
 from ptlab.tower import TowerDesc
 
@@ -169,6 +170,16 @@ def test_composite_p_is_rejected(capsys):
     assert err == "ptlab: p must be a prime\n"
 
 
+def test_prime_beyond_the_decided_range_is_rejected(tmp_path, capsys):
+    big = 10**25 + 13
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ambient_rank": 1, "scale_base": big, "generators": [[1]]}))
+    for argv in (("monoid", "check", "--preset", "Nd", "--p", str(big)),
+                 ("monoid", "check", "--input", str(path))):
+        err = _one_line_exit_2(capsys, *argv)
+        assert err == "ptlab: primality is only decided below 3.3e24\n"
+
+
 def test_custom_presentation_with_composite_p_is_rejected(tmp_path, capsys):
     P4 = {"monoid": {"ambient_rank": 0, "scale_base": 4, "level": 0, "generators": []},
           "free_rank": 2, "p": 4, "f": [{"exponent": [1, 0], "coeff": 1}]}
@@ -229,7 +240,7 @@ def test_process_entry_matches_in_process_main(tmp_path, capsys):
     before exit: each child prints, writes and exits as main() does in this
     process, and main() itself leaves the collector alone."""
     root = Path(__file__).resolve().parents[1]
-    # block-buffered stdout, so the report reaches the pipe by the exit-time flush
+    # block-buffered stdout, so the report reaches the pipe by _emit's own flush
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     env.pop("PYTHONUNBUFFERED", None)
     numeric = tmp_path / "numeric.json"
@@ -254,6 +265,38 @@ def test_process_entry_matches_in_process_main(tmp_path, capsys):
     assert codes == [0, 0, 0, 1, 2, 0]
     assert written and json.loads(written)["command"] == "monoid saturate"
     assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_that_cannot_be_written_exits_2():
+    # a full device fails the write or its flush inside _emit, like --output;
+    # exit 1 would claim a verification failed
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for unbuffered in ("", "1"):  # write fails, or only its flush does
+        env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ptlab.cli", "monoid", "check",
+                                   "--preset", "Nd"], cwd=root, env=env, stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("ptlab: cannot write")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_preset_choices_are_the_preset_tables(capsys):
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {group: list(a.choices) for group, parser in sub.choices.items()
+               for a in parser._actions if "--preset" in a.option_strings}
+    assert choices == {"monoid": list(MONOID_PRESETS), "tower": list(PRESETS)}
+    for p in ("2", "3"):
+        for name in MONOID_PRESETS:
+            code, out, err = run(capsys, "monoid", "check", "--preset", name, "--p", p)
+            assert code == 0 and json.loads(out)["report"]["saturated"] is True, (name, err)
+        for name in PRESETS:
+            code, out, err = run(capsys, "tower", "build", "--preset", name, "--p", p,
+                                 "--depth", "1")
+            assert code == 0 and json.loads(out)["report"]["depth"] == 1, (name, err)
 
 
 def _one_line_exit_2(capsys, *argv):

@@ -1,11 +1,15 @@
 """Static hygiene of the package: stdlib-only imports, no unused imports, no
-dead private helpers, no Fraction cutoff tests, no generated code and a lean
-import."""
+dead private helpers, no Fraction cutoff tests, no generated code, a lean
+import, and no function that neither a command nor a criterion reaches."""
 
 import ast
+import cProfile
+import io
+import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -201,3 +205,125 @@ def test_every_default_is_overridden_somewhere():
                 if not any(_passes(c, index, name, bound) for c in calls.get(fn.name, ())):
                     unset.append(f"{fname}: {fn.name}({name}=...)")
     assert unset == []
+
+
+# Functions in src/ptlab that neither the CLI matrix nor the acceptance
+# criteria reach, each with the one reason it stays.
+RECORD_INTERNAL = "record internals: the decorator runs at import, the rest are guards and repr"
+ORACLE = "a reference oracle of the tests"
+DESCRIPTOR = "reads or writes a descriptor format; no command calls it yet"
+UNREACHED_BY_DESIGN = {
+    "record.record": RECORD_INTERNAL,
+    "record.record.<locals>.__delattr__": RECORD_INTERNAL,
+    "record.record.<locals>.__repr__": RECORD_INTERNAL,
+    "record.record.<locals>.__setattr__": RECORD_INTERNAL,
+    "record.record.<locals>.values": RECORD_INTERNAL,
+    "series.Series.__repr__": RECORD_INTERNAL,
+    "cli.run": "the process entry, exercised in child processes",
+    "intlat.snf_diagonal": ORACLE,
+    "monoid.MonoidElem.__add__": ORACLE,
+    "monoid.MonoidElem.__sub__": ORACLE,
+    "monoid.MonoidElem._combine": ORACLE,
+    "series.SeriesRingDesc.deg": ORACLE,
+    "series.SeriesRingDesc.dominated": ORACLE,
+    "series.reduce_mod_I0": ORACLE,
+    "series.s_add": ORACLE,
+    "series.s_neg": ORACLE,
+    "series.s_pow": ORACLE,
+    "series.s_zero": ORACLE,
+    "logreg.LogRegPresentation.to_descriptor": DESCRIPTOR,
+    "series.SeriesRingDesc.from_descriptor": DESCRIPTOR,
+    "tower.TowerDesc.from_descriptor": DESCRIPTOR,
+}
+
+
+def _defined_functions() -> dict[tuple[str, int], str]:
+    """(file name, first line) -> module.qualname of every function and method
+    defined in src/ptlab.  The first line is the profiler's: that of the
+    first decorator, if any."""
+    out = {}
+    for fname, tree in _modules().items():
+        stack = [(tree, fname[:-3] + ".")]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[(fname, line)] = prefix + child.name
+                    stack.append((child, f"{prefix}{child.name}.<locals>."))
+                elif isinstance(child, ast.ClassDef):
+                    stack.append((child, f"{prefix}{child.name}."))
+                else:
+                    stack.append((child, prefix))
+    return out
+
+
+def _cli_matrix(tmp_path) -> list[list[str]]:
+    """Every action of the three groups: the monoid presets and descriptors,
+    both tower presets at p = 2 and 3, a presentation read with --input."""
+    from ptlab.logreg import preset
+
+    numeric = json.dumps({"ambient_rank": 1, "scale_base": 2, "generators": [[2], [3]]})
+    mon_file = tmp_path / "numeric.json"
+    mon_file.write_text(numeric)
+    pres_file = tmp_path / "quadric.json"
+    pres_file.write_text(json.dumps(preset("quadric", 3).to_descriptor()))
+    out = []
+    for action in ("check", "saturate", "divide", "embed", "classgroup"):
+        for source in (["--preset", "quadric"], ["--preset", "Nd"], ["--preset", "A1"],
+                       ["--json", numeric]):
+            out.append(["monoid", action, *source])
+    out.append(["monoid", "check", "--input", str(mon_file)])
+    for name in ("unramified_rlr", "quadric"):
+        for p, depth in (("2", "2"), ("3", "1")):
+            for action in ("build", "verify", "tilt", "exactstilt"):
+                out.append(["tower", action, "--preset", name, "--p", p, "--depth", depth])
+    out.append(["tower", "verify", "--input", str(pres_file), "--depth", "1"])
+    x1 = '[{"exponent": [1], "coeff": 1}]'
+    out += [["regularity", "omega"], ["regularity", "omega", "--equal-char"],
+            ["regularity", "maximal", "--d", "1", "--elems", f"[2, {x1}]"],
+            ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2"]]
+    return out
+
+
+def _reached(run) -> set[tuple[str, int]]:
+    """(file name, first line) of every src/ptlab function that run() calls."""
+    prof = cProfile.Profile()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        prof.enable()
+        try:
+            run()
+        finally:
+            prof.disable()
+    return {(path.name, e.code.co_firstlineno) for e in prof.getstats()
+            if not isinstance(e.code, str)
+            and (path := Path(e.code.co_filename).resolve()).parent == SRC}
+
+
+def test_every_function_is_reached(tmp_path):
+    """src/ptlab holds what a command or an acceptance criterion reaches: each
+    function or method is called by a fixed CLI matrix or by the eleven
+    criteria, both run under cProfile, or is in UNREACHED_BY_DESIGN."""
+    import ptlab
+    import test_acceptance
+    from ptlab.cli import main
+
+    assert Path(ptlab.__file__).resolve().parent == SRC
+    # memoised results from earlier tests would hide the calls behind them
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ptlab."):
+            for fn in vars(mod).values():
+                if hasattr(fn, "cache_clear"):
+                    fn.cache_clear()
+    test_acceptance.tower.cache_clear()
+    criteria = [fn for name, fn in sorted(vars(test_acceptance).items())
+                if name.startswith("test_criterion_")]
+    assert len(criteria) == 11
+    matrix = _cli_matrix(tmp_path)
+    reached = _reached(lambda: [main(argv) for argv in matrix])
+    reached |= _reached(lambda: [fn() for fn in criteria])
+    defined = _defined_functions()
+    unreached = {name for key, name in defined.items() if key not in reached}
+    assert sorted(unreached - set(UNREACHED_BY_DESIGN)) == []
+    assert sorted(set(UNREACHED_BY_DESIGN) - set(defined.values())) == []
+    assert sorted(set(UNREACHED_BY_DESIGN) - unreached) == []

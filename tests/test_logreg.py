@@ -149,6 +149,15 @@ def test_base_ring_guards():
         BaseRing(2, -1)
 
 
+def test_base_ring_prime_check_is_the_shared_one():
+    # the messages of every other prime check, and UnsupportedBase, not a
+    # bare ValueError, beyond the range primality is decided in
+    with pytest.raises(UnsupportedBase, match="^p must be a prime$"):
+        BaseRing(4, 1)
+    with pytest.raises(UnsupportedBase, match="^primality is only decided below 3.3e24$"):
+        BaseRing(10**25 + 13, 1)
+
+
 def test_omega_dimensions():
     om = omega_dim(BaseRing(3, 2, mixed=True))
     assert om.dim == 3 and om.basis_labels == ("dp", "dx1", "dx2")

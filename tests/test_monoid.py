@@ -55,7 +55,6 @@ def test_elem_levels_and_arithmetic():
     assert (e - f) == MonoidElem((1, 4), 1, 2)
     assert e.scale(2) == MonoidElem((2, 4), 0, 2)
     assert f.divide(1) == MonoidElem((1, 0), 2, 2)
-    assert MonoidElem((0, 0), 3, 2).is_zero
 
 
 def test_elem_rejects_bad_data():
