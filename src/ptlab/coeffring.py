@@ -66,8 +66,7 @@ class PrimeFieldElem:
     value: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        require_prime(self.p, ValueError)
         object.__setattr__(self, "value", self.value % self.p)
 
 
@@ -132,6 +131,7 @@ def w2_from_int(p: int, n: int) -> Witt2Elem:
 
 def teichmuller_lift(a: int, p: int) -> int:
     """The Teichmuller representative of a mod p^2 (fixed point of x -> x^p)."""
+    require_prime(p, ValueError)  # for composite p the iteration can cycle forever
     a %= p
     t = a
     while True:

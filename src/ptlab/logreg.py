@@ -11,8 +11,6 @@ characteristic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coeffring import digit_correction, require_prime
 from .monoid import (
     AffineMonoid,
@@ -66,10 +64,10 @@ class LogRegPresentation:
         if self.Q.scale_base != self.p:
             raise InvalidPresentation("monoid scale base must match p")
         for e, _ in self.f_terms:
-            if e.degree() <= 0:
+            if sum(e.coords) <= 0:
                 raise InvalidPresentation("f must have positive degree in every term")
 
-    def ring(self, level: int, D: Fraction, N: int) -> SeriesRingDesc:
+    def ring(self, level: int, D, N: int) -> SeriesRingDesc:
         """Level-i ring C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), or k[[...]] if f = 0."""
         rel = self.f_terms or None
         return SeriesRingDesc(
@@ -78,7 +76,7 @@ class LogRegPresentation:
             free_level=level,
             p=self.p,
             precision=N,
-            cutoff=Fraction(D),
+            cutoff=D,
             relation_f=rel,
             char_p=rel is None,
         )
@@ -131,9 +129,9 @@ def preset(name: str, p: int, d: int = 2) -> LogRegPresentation:
     return PRESETS[name](p, d)
 
 
-def build_tower(P: LogRegPresentation, depth: int, D=Fraction(4), N: int = 2) -> TowerDesc:
+def build_tower(P: LogRegPresentation, depth: int, D=4, N: int = 2) -> TowerDesc:
     """The division tower R_i = C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), I_0 = (p)."""
-    levels = tuple(P.ring(i, Fraction(D), N) for i in range(depth + 1))
+    levels = tuple(P.ring(i, D, N) for i in range(depth + 1))
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
@@ -260,7 +258,7 @@ class BaseRing:
             free_level=0,
             p=self.p,
             precision=2,
-            cutoff=Fraction(3),
+            cutoff=3,
             relation_f=None,
             char_p=not self.mixed,
         )

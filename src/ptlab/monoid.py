@@ -20,7 +20,6 @@ generator sums, which needs the generators in N^d.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -87,9 +86,6 @@ class MonoidElem:
             raise ValueError("cannot coarsen below the canonical level")
         f = self.base ** (level - self.level)
         return tuple(x * f for x in self.coords)
-
-    def degree(self) -> Fraction:
-        return Fraction(sum(self.coords), self.base ** self.level)
 
     def _combine(self, other: MonoidElem, sign: int) -> MonoidElem:
         if self.base != other.base or len(self.coords) != len(other.coords):

@@ -18,9 +18,7 @@ rule.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
-from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
 from math import floor
@@ -98,14 +96,14 @@ class SeriesRingDesc:
                                      "`ptlab monoid embed` maps a saturated Q into N^facets")
         if self.precision < 1:
             raise InvariantViolation("precision must be >= 1")
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
+        object.__setattr__(self, "cutoff", _as_fraction(self.cutoff))
         if self.cutoff <= 0:
             raise InvariantViolation("degree cutoff must be positive")
         if self.relation_f is not None:
             if self.char_p:
                 raise InvariantViolation("relation rings are mixed characteristic")
             for e, c in self.relation_f:
-                if e.degree() <= 0:
+                if sum(e.coords) <= 0:
                     raise InvariantViolation("relation f must have positive degree terms")
                 v = self._vec(e)
                 if v is None or not self.structural_contains(v):
@@ -115,7 +113,7 @@ class SeriesRingDesc:
         if self.quotient_exps:
             if not self.char_p:
                 raise InvariantViolation("monomial quotients live in residue rings")
-            if any(len(q.coords) != self.width or q.degree() < 0 for q in self.quotient_exps):
+            if any(len(q.coords) != self.width or sum(q.coords) < 0 for q in self.quotient_exps):
                 raise InvariantViolation("quotient monomials need the ring's width "
                                          "and a nonnegative degree")
             # quotient monomials may be finer than the ring: order them at
@@ -358,15 +356,21 @@ def parse_cutoff(x) -> Fraction:
     """The degree cutoff D of a descriptor or of the command line: an integer,
     or a string such as "4", "7/2" or "1.5"; ValueError naming x otherwise."""
     if type(x) is int:
-        return Fraction(x)
+        return _as_fraction(x)
     if type(x) is not str:
         raise ValueError(f"cutoff {x!r} must be an integer or a string like '7/2'")
     try:
-        return Fraction(x)
+        return _as_fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"cutoff {x!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"cutoff {x!r} is not a rational number") from None
+
+
+def _as_fraction(x) -> Fraction:
+    """Fraction(x); fractions (with decimal and numbers) loads only where a cutoff is read."""
+    from fractions import Fraction
+    return Fraction(x)
 
 
 def term_json(e: MonoidElem, c: int) -> dict:
@@ -462,13 +466,14 @@ def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
     it is popped (so each enters the heap once, when it first appears), and
     the result is independent of the input order.
     """
+    from heapq import heapify, heappop, heappush  # only relation rings normalise digits
     p = ring.p
     lim = ring._lim
     work = dict(acc)
     heap = list(work)
-    heapq.heapify(heap)
+    heapify(heap)
     while heap:
-        v = heapq.heappop(heap)
+        v = heappop(heap)
         c = work[v]
         if 0 <= c < p:
             continue
@@ -479,7 +484,7 @@ def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
             if v2 >= lim:
                 break  # relation terms come in term order
             if v2 not in work:
-                heapq.heappush(heap, v2)
+                heappush(heap, v2)
             work[v2] = work.get(v2, 0) + (c - d0) // p * fc
     return work
 

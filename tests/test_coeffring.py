@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from ptlab.coeffring import (
+    PrimeFieldElem,
     PrimeMismatch,
     digit_correction,
     is_prime,
@@ -94,6 +95,14 @@ def test_digit_correction_values():
     assert digit_correction(0, 5) == 0 and digit_correction(1, 5) == 0
     # eta(2) at p=5: teich(2) = 7, (7-2)/5 = 1
     assert digit_correction(2, 5) == 1
+
+
+def test_composite_p_is_refused():
+    # teichmuller_lift(2, 14) would never return: x -> x^14 mod 196 cycles from 2
+    for make in (lambda: PrimeFieldElem(4, 1), lambda: w2_from_int(4, 1),
+                 lambda: teichmuller_lift(2, 4), lambda: teichmuller_lift(2, 14)):
+        with pytest.raises(ValueError, match="^p must be a prime$"):
+            make()
 
 
 def test_prime_mismatch_raises():

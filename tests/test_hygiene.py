@@ -1,6 +1,7 @@
 """Static hygiene of the package: stdlib-only imports, no unused imports, no
 dead private helpers, no Fraction cutoff tests, no generated code, a lean
-import, and no function that neither a command nor a criterion reaches."""
+import, function-level imports only where listed, and no function that
+neither a command nor a criterion reaches."""
 
 import ast
 import cProfile
@@ -128,16 +129,58 @@ def test_no_dataclasses_and_no_generated_code():
     assert sites == []
 
 
+# The monoid commands, run in process after `import ptlab.cli`; the child
+# prints their exit codes and which of the given modules they loaded.
+MONOID_CHILD = """
+import io, sys
+from contextlib import redirect_stdout
+from ptlab.cli import main
+with redirect_stdout(io.StringIO()):
+    codes = [main(["monoid", a, "--preset", "A1"])
+             for a in ("check", "saturate", "divide", "embed", "classgroup")]
+print(codes, sorted(set(sys.argv[1:]) & set(sys.modules)))
+"""
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Every ptlab command is a fresh process, so what `import ptlab.cli`
-    loads is paid per verdict; dataclasses (which loads inspect) was most of
-    it."""
+    """Every ptlab command is a fresh process, so what `import ptlab.cli` and
+    the command load is paid per verdict.  dataclasses (which loads inspect)
+    was most of it; fractions (with decimal and numbers) and heapq serve only
+    commands that build a ring, so no monoid command loads them."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ptlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    banned = ["dataclasses", "inspect", "fractions", "decimal", "numbers", "heapq"]
+    out = subprocess.run([sys.executable, "-c", MONOID_CHILD, *banned], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
+
+
+# Every import inside a function of src/ptlab, with the reason it is not at
+# module level.  The guard above fails if one of these moves back up.
+LAZY_IMPORTS = {
+    "series._as_fraction: fractions": "only a process that reads a cutoff needs "
+                                      "fractions, which loads decimal and numbers",
+    "series._digit_normalize: heapq": "only relation rings normalise digits",
+}
+
+
+def test_lazy_imports_are_listed():
+    found = []
+
+    def visit(node, fname, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, fname, child.name)
+            elif fn and isinstance(child, ast.Import):
+                found.extend(f"{fname}.{fn}: {alias.name}" for alias in child.names)
+            elif fn and isinstance(child, ast.ImportFrom):
+                found.append(f"{fname}.{fn}: {'.' * child.level}{child.module or ''}")
+            else:
+                visit(child, fname, fn)
+
+    for fname, tree in _modules().items():
+        visit(tree, fname[:-3], None)
+    assert sorted(found) == sorted(LAZY_IMPORTS)
 
 
 def test_one_process_entry():

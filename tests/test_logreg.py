@@ -69,6 +69,7 @@ def test_build_tower_shape():
     P = preset("unramified_rlr", 2, d=2)
     T = build_tower(P, 2, Fraction(4), 2)
     assert T.depth == 2 and len(T.levels) == 3
+    assert build_tower(P, 2, 4, 2) == T  # the ring, not build_tower, reads the cutoff
     # the base ideal (p) canonicalizes to the f monomial under p = f
     assert T.base_ideal == s_const(T.levels[0], 2)
     assert T.ideal_exp() == MonoidElem((1, 0), 0, 2)

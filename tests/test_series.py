@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ptlab.monoid import AffineMonoid, MonoidElem, contains, element_coords, graded_order
+from ptlab.record import replace
 from ptlab.series import (
     InvariantViolation,
     NonMonomialReduction,
@@ -58,10 +59,8 @@ CHARP = SeriesRingDesc(
 RINGS = {"mixed": MIXED, "witt": WITT, "charp": CHARP}
 
 
-def series_strategy(ring, max_terms=4, degree_cap=None):
+def series_strategy(ring, max_terms=4):
     basis = [e for e in (ring.zero_exp,) + ring.monomial_basis()]
-    if degree_cap is not None:
-        basis = [e for e in basis if ring.elem(e).degree() <= degree_cap]
     term = st.tuples(st.sampled_from(basis), st.integers(-9, 9))
     return st.lists(term, max_size=max_terms).map(lambda ts: make_series(ring, ts))
 
@@ -263,13 +262,21 @@ def test_descriptor_cutoff_parses_like_the_command_line():
     d = MIXED.to_descriptor()
     for text, want in (("1.5", Fraction(3, 2)), ("7/2", Fraction(7, 2)), (3, Fraction(3))):
         assert SeriesRingDesc.from_descriptor({**d, "cutoff": text}).cutoff == want
+        assert parse_cutoff(text) == want
     assert parse_cutoff("1.5") == parse_cutoff("3/2") == Fraction(3, 2)
     for bad, msg in (("7/0", "cutoff '7/0' has a zero denominator"),
+                     ("1/0", "cutoff '1/0' has a zero denominator"),
                      ("abc", "cutoff 'abc' is not a rational number"),
                      (1.5, "cutoff 1.5 must be an integer or a string"),
                      (True, "cutoff True must be an integer or a string")):
         with pytest.raises(ValueError, match=msg):
             SeriesRingDesc.from_descriptor({**d, "cutoff": bad})
+        with pytest.raises(ValueError, match=msg):
+            parse_cutoff(bad)
+    # a ring normalises its cutoff: an int, a Fraction and a parsed string agree
+    rings = [replace(MIXED, cutoff=c) for c in (4, Fraction(4), parse_cutoff("4"))]
+    assert rings[0] == rings[1] == rings[2]
+    assert len({hash(r) for r in rings}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +330,7 @@ def test_degree_scale_basis_and_order(p, ml, fl, D):
     basis = [ring.elem(v) for v in ring.monomial_basis()]
     assert [fracs(e) for e in basis] == brute_exps(p, ml, fl, D)
     for e in basis:
-        assert Fraction(ring.deg(e), p ** L) == e.degree()
+        assert Fraction(ring.deg(e), p ** L) == sum(fracs(e))
     # key orders like the Fractions, also past the cutoff
     wide = [MonoidElem(tuple(int(v * p ** L) for v in fr), L, p)
             for fr in brute_exps(p, ml, fl, D + 1)]
