@@ -7,10 +7,10 @@ newline so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from .classgroup import class_group, prime_to_p_report
 from .coeffring import require_prime
@@ -292,50 +292,77 @@ def _cmd_regularity(args) -> int:
     return 0 if verdict else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="ptlab",
-                                 description="towers over affine monoids: axioms, tilts, class groups")
-    sub = ap.add_subparsers(dest="group", required=True)
+_COMMON = {"--p": (int, None, None), "--d": (int, 2, None), "--output": (str, None, None)}
+# The command line: group -> (actions, flags), a flag -> (type, default,
+# choices); _parse reads argv by it and _usage prints it.
+GROUPS = {
+    "monoid": (("check", "saturate", "divide", "embed", "classgroup"), {
+        "--input": (str, None, None), "--json": (str, None, None),
+        "--preset": (str, None, tuple(MONOID_PRESETS)), "--i": (int, 1, None), **_COMMON}),
+    "tower": (("build", "verify", "tilt", "exactstilt"), {
+        "--preset": (str, "unramified_rlr", tuple(TOWER_PRESETS)), "--input": (str, None, None),
+        "--depth": (int, 2, None), "--cutoff": (str, "4", None), "--precision": (int, 2, None),
+        **_COMMON}),
+    "regularity": (("omega", "maximal", "kummer"), {
+        "--equal-char": (bool, False, None), "--elems": (str, "[]", None),
+        "--f": (str, "[]", None), "--e": (str, "", None), **_COMMON}),
+}
 
-    def common(sp):
-        sp.add_argument("--p", type=int, help="the prime: a descriptor's own, else 2")
-        sp.add_argument("--d", type=int, default=2)
-        sp.add_argument("--output", default=None)
 
-    mon = sub.add_parser("monoid", help="monoid predicates and invariants")
-    mon.add_argument("action", choices=["check", "saturate", "divide", "embed", "classgroup"])
-    mon.add_argument("--input", default=None, help="monoid descriptor file")
-    mon.add_argument("--json", default=None, help="inline monoid descriptor")
-    mon.add_argument("--preset", default=None, choices=list(MONOID_PRESETS))
-    mon.add_argument("--i", type=int, default=1, help="division level for divide")
-    common(mon)
+def _pick(what: str, word, choices):
+    """word if it is one of choices, else a ParseError that lists them."""
+    if word in choices:
+        return word
+    got = "" if word is None else f", not {word!r}"
+    raise ParseError(f"{what} must be one of {', '.join(choices)}{got}")
 
-    tw = sub.add_parser("tower", help="tower building and axiom verification")
-    tw.add_argument("action", choices=["build", "verify", "tilt", "exactstilt"])
-    tw.add_argument("--preset", default="unramified_rlr", choices=list(TOWER_PRESETS))
-    tw.add_argument("--input", default=None, help="custom presentation file")
-    tw.add_argument("--depth", type=int, default=2)
-    tw.add_argument("--cutoff", default="4")
-    tw.add_argument("--precision", type=int, default=2)
-    common(tw)
 
-    rg = sub.add_parser("regularity", help="differential-module regularity toolkit")
-    rg.add_argument("action", choices=["omega", "maximal", "kummer"])
-    rg.add_argument("--equal-char", action="store_true", dest="equal_char")
-    rg.add_argument("--elems", default="[]", help="JSON list of series (for maximal)")
-    rg.add_argument("--f", default="[]", help="JSON list of series (for kummer)")
-    rg.add_argument("--e", default="", help="comma-separated exponents (for kummer)")
-    common(rg)
-    return ap
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The flags of argv by GROUPS: before or after the action, `--flag value` or
+    `--flag=value`, the last one counting; a value may begin with '-'."""
+    words = iter(argv)
+    group = _pick("the group", next(words, None), GROUPS)
+    actions, flags = GROUPS[group]
+    args = SimpleNamespace(group=group, action=None,
+                           **{f[2:].replace("-", "_"): d for f, (_, d, _) in flags.items()})
+    for word in words:
+        if args.action is None and not word.startswith("-"):
+            args.action = word
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            raise ParseError(f"unrecognized arguments: {word}")
+        kind, _, choices = flags[flag]
+        if kind is bool and eq:
+            raise ParseError(f"{flag} takes no value")
+        if kind is not bool and not eq and (value := next(words, None)) is None:
+            raise ParseError(f"{flag} needs a value")
+        value = _pick(flag, value, choices) if choices else value
+        try:
+            setattr(args, flag[2:].replace("-", "_"), True if kind is bool else kind(value))
+        except ValueError:
+            raise ParseError(f"{flag} must be an integer, not {value!r}") from None
+    args.action = _pick(f"the {group} action", args.action, actions)
+    return args
+
+
+def _usage() -> str:
+    out = ["usage: ptlab GROUP ACTION [--flag VALUE | --flag=VALUE] ...; -h, --help: this text"]
+    for group, (actions, flags) in GROUPS.items():
+        out.append(f"  {group} {'|'.join(actions)}")
+        for flag, (kind, default, choices) in flags.items():
+            value = "" if kind is bool else " " + ("|".join(choices or ()) or kind.__name__.upper())
+            out.append(f"      {flag}{value}" + (f" (default {default})" if default else ""))
+    return "\n".join(out) + "\n"
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage())
+        return 0
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = _parse(argv)
         _check(args)
     except ValueError as exc:
         print(f"ptlab: {exc}", file=sys.stderr)

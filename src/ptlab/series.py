@@ -80,7 +80,7 @@ class SeriesRingDesc:
     free_level: int
     p: int
     precision: int
-    cutoff: Fraction
+    cutoff: int | Fraction
     relation_f: tuple[tuple[MonoidElem, int], ...] | None = None
     char_p: bool = False
     quotient_exps: tuple[MonoidElem, ...] = ()
@@ -96,7 +96,7 @@ class SeriesRingDesc:
                                      "`ptlab monoid embed` maps a saturated Q into N^facets")
         if self.precision < 1:
             raise InvariantViolation("precision must be >= 1")
-        object.__setattr__(self, "cutoff", _as_fraction(self.cutoff))
+        object.__setattr__(self, "cutoff", _as_rational(self.cutoff))
         if self.cutoff <= 0:
             raise InvariantViolation("degree cutoff must be positive")
         if self.relation_f is not None:
@@ -352,25 +352,27 @@ class SeriesRingDesc:
         )
 
 
-def parse_cutoff(x) -> Fraction:
+def parse_cutoff(x) -> int | Fraction:
     """The degree cutoff D of a descriptor or of the command line: an integer,
     or a string such as "4", "7/2" or "1.5"; ValueError naming x otherwise."""
-    if type(x) is int:
-        return _as_fraction(x)
-    if type(x) is not str:
+    if type(x) not in (int, str):
         raise ValueError(f"cutoff {x!r} must be an integer or a string like '7/2'")
     try:
-        return _as_fraction(x)
+        return _as_rational(x)
     except ZeroDivisionError:
         raise ValueError(f"cutoff {x!r} has a zero denominator") from None
     except ValueError:
         raise ValueError(f"cutoff {x!r} is not a rational number") from None
 
 
-def _as_fraction(x) -> Fraction:
-    """Fraction(x); fractions (with decimal and numbers) loads only where a cutoff is read."""
+def _as_rational(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction: fractions (with
+    decimal and numbers) loads only for a cutoff that is not an integer."""
+    if type(x) is int or type(x) is str and x.isascii() and x.isdigit():
+        return int(x)
     from fractions import Fraction
-    return Fraction(x)
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def term_json(e: MonoidElem, c: int) -> dict:

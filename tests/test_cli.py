@@ -1,6 +1,5 @@
 """CLI behavior: exit codes, determinism, descriptor round-trips."""
 
-import argparse
 import gc
 import itertools
 import json
@@ -12,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ptlab.cli import _build_parser, load_descriptor, main
+from ptlab.cli import GROUPS, load_descriptor, main
 from ptlab.logreg import PRESETS, build_tower, preset
 from ptlab.monoid import PRESETS as MONOID_PRESETS
 from ptlab.monoid import AffineMonoid
@@ -285,9 +284,8 @@ def test_stdout_that_cannot_be_written_exits_2():
 
 
 def test_preset_choices_are_the_preset_tables(capsys):
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    choices = {group: list(a.choices) for group, parser in sub.choices.items()
-               for a in parser._actions if "--preset" in a.option_strings}
+    choices = {group: list(flags["--preset"][2]) for group, (_, flags) in GROUPS.items()
+               if "--preset" in flags}
     assert choices == {"monoid": list(MONOID_PRESETS), "tower": list(PRESETS)}
     for p in ("2", "3"):
         for name in MONOID_PRESETS:
@@ -424,6 +422,87 @@ def test_cutoff_has_one_parser(capsys):
     assert T == build_tower(preset("unramified_rlr", 2), 1, Fraction(3, 2), 2)
 
 
+def test_integral_cutoff_is_held_as_an_int(capsys):
+    # every spelling of 4 gives one tower and one report, byte for byte
+    P = preset("quadric", 3)
+    towers = [build_tower(P, 1, c, 2) for c in (4, "4", "4/1", "4.0", Fraction(4))]
+    assert all(T == towers[0] for T in towers)
+    assert {type(R.cutoff) for T in towers for R in T.levels} == {int}
+    assert len({json.dumps(T.to_descriptor(), sort_keys=True) for T in towers}) == 1
+    argv = ("tower", "build", "--preset", "quadric", "--p", "3", "--depth", "1", "--cutoff")
+    outs = {run(capsys, *argv, c)[:2] for c in ("4", "4/1", "4.0", "04")}
+    assert len(outs) == 1 and next(iter(outs))[0] == 0
+    # a cutoff that is not an integer is still a Fraction
+    code, out, _ = run(capsys, "tower", "verify", "--preset", "quadric", "--p", "3",
+                       "--depth", "1", "--cutoff", "7/2")
+    assert code == 0 and json.loads(out)["report"]["cutoff"]["D"] == "7/2"
+
+
+USAGE_ERRORS = [
+    ([], "ptlab: the group must be one of monoid, tower, regularity\n"),
+    (["groups"], "ptlab: the group must be one of monoid, tower, regularity, not 'groups'\n"),
+    (["tower"], "ptlab: the tower action must be one of build, verify, tilt, exactstilt\n"),
+    (["tower", "--depth", "1"], "ptlab: the tower action must be one of build, verify, tilt, "
+                                "exactstilt\n"),
+    (["monoid", "chek", "--preset", "A1"], "ptlab: the monoid action must be one of check, "
+                                           "saturate, divide, embed, classgroup, not 'chek'\n"),
+    (["monoid", "check", "--preset", "A1", "again"], "ptlab: unrecognized arguments: again\n"),
+    (["monoid", "check", "--preset", "A1", "--depth", "2"],
+     "ptlab: unrecognized arguments: --depth\n"),
+    (["regularity", "omega", "--cutoff=3"], "ptlab: unrecognized arguments: --cutoff=3\n"),
+    (["tower", "verify", "--prec", "2"], "ptlab: unrecognized arguments: --prec\n"),
+    (["tower", "verify", "-p", "3"], "ptlab: unrecognized arguments: -p\n"),
+    (["tower", "verify", "--p"], "ptlab: --p needs a value\n"),
+    (["monoid", "check", "--preset"], "ptlab: --preset needs a value\n"),
+    (["regularity", "omega", "--equal-char=yes"], "ptlab: --equal-char takes no value\n"),
+    (["tower", "verify", "--preset", "nosuch"],
+     "ptlab: --preset must be one of unramified_rlr, quadric, not 'nosuch'\n"),
+    (["monoid", "check", "--preset=quadratic"],
+     "ptlab: --preset must be one of quadric, Nd, A1, not 'quadratic'\n"),
+    (["monoid", "check", "--preset", "Nd", "--p", "two"],
+     "ptlab: --p must be an integer, not 'two'\n"),
+    (["regularity", "omega", "--d=1.5"], "ptlab: --d must be an integer, not '1.5'\n"),
+    (["monoid", "divide", "--preset", "A1", "--i", "x"],
+     "ptlab: --i must be an integer, not 'x'\n"),
+    (["tower", "build", "--depth", ""], "ptlab: --depth must be an integer, not ''\n"),
+    (["tower", "build", "--precision", "2.0"],
+     "ptlab: --precision must be an integer, not '2.0'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_errors_are_one_line(capsys, argv, message):
+    """A usage error is one `ptlab: ` line on stderr and exit 2, like every
+    other input error: nothing is guessed from an abbreviation."""
+    assert _one_line_exit_2(capsys, *argv) == message
+
+
+def test_flags_go_anywhere_and_the_last_counts(capsys, monkeypatch):
+    base = run(capsys, "monoid", "divide", "--preset", "A1", "--p", "3", "--i", "2")
+    assert base[0] == 0
+    for argv in (["monoid", "--i", "2", "divide", "--p=3", "--preset", "A1"],
+                 ["monoid", "--preset=Nd", "--i", "1", "divide", "--preset", "A1", "--p", "3",
+                  "--i=2"]):
+        assert run(capsys, *argv) == base
+    monkeypatch.setattr(sys, "argv", ["ptlab", "monoid", "divide", "--preset", "A1", "--p", "3",
+                                      "--i", "2"])
+    code = main()  # reads sys.argv[1:]
+    assert (code, *capsys.readouterr()) == base
+
+
+def test_help_names_the_whole_table(capsys):
+    outs = [run(capsys, *argv) for argv in (["--help"], ["-h"], ["tower", "-h"],
+                                             ["monoid", "check", "--help"])]
+    assert all(o == outs[0] for o in outs)
+    code, out, err = outs[0]
+    assert code == 0 and err == "" and out.startswith("usage: ptlab GROUP ACTION")
+    words = set(out.replace("|", " ").split())
+    for group, (actions, flags) in GROUPS.items():
+        assert {group, *actions, *flags} <= words, group
+        if "--preset" in flags:
+            assert set(flags["--preset"][2]) <= words
+
+
 def test_tower_flags_are_refused_elsewhere(capsys):
     for argv in (["monoid", "check", "--preset", "Nd"], ["regularity", "omega"]):
         assert run(capsys, *argv)[0] == 0
@@ -471,11 +550,9 @@ def test_every_declared_flag_is_read(tmp_path, capsys):
             "--e": (["regularity", "kummer", "--d", "0", "--f", "[2]"], ["--e", "2"]),
         },
     }
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(sub.choices) == set(table)
-    for group, parser in sub.choices.items():
-        flags = {s for a in parser._actions for s in a.option_strings if s != "-h"}
-        assert flags - {"--help"} == set(table[group]), group
+    assert set(GROUPS) == set(table)
+    for group, (_, flags) in GROUPS.items():
+        assert set(flags) == set(table[group]), group
         for flag, (argv, extra) in table[group].items():
             before = run(capsys, *argv)[:2]
             assert run(capsys, *argv, *extra)[:2] != before, (group, flag)

@@ -1,6 +1,6 @@
 """Static hygiene of the package: stdlib-only imports, no unused imports, no
-dead private helpers, no Fraction cutoff tests, no generated code, a lean
-import, function-level imports only where listed, and no function that
+dead private helpers, the cutoff read only where listed, no generated code, a
+lean import, function-level imports only where listed, and no function that
 neither a command nor a criterion reaches."""
 
 import ast
@@ -86,27 +86,52 @@ def test_no_unreferenced_private_functions():
 
 
 
-def _calls(node: ast.AST, method: str) -> bool:
-    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
-               and sub.func.attr == method for sub in ast.walk(node))
+# Every function in src/ptlab that reads an attribute named cutoff, with what
+# it does with D.  Anything else decides the cutoff on a ring's integer scale,
+# deg(e) <= cap, and never compares a degree with D itself.
+CUTOFF_READERS = {
+    "cli._check": "parses --cutoff",
+    "cli._cmd_tower": "passes the parsed D to build_tower",
+    "series.SeriesRingDesc.__post_init__": "normalises D and refuses a nonpositive one",
+    "series.SeriesRingDesc.cap": "D on the ring's integer scale, floor(D p^level)",
+    "series.SeriesRingDesc.to_descriptor": "writes D",
+    "tower.TowerDesc.__post_init__": "all levels share D",
+    "tower.TowerDesc.cutoff_info": "reports D",
+}
 
 
-def _reads(node: ast.AST, attr: str) -> bool:
-    return any(isinstance(sub, ast.Attribute) and sub.attr == attr for sub in ast.walk(node))
+def _cutoff_readers(tree: ast.Module, module: str) -> set[str]:
+    """module.qualname of each function in tree that reads an attribute named
+    cutoff; a read outside every function counts as the module's."""
+    found = set()
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.<locals>.", prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", owner)
+            else:
+                if (isinstance(child, ast.Attribute) and child.attr == "cutoff"
+                        and isinstance(child.ctx, ast.Load)):
+                    found.add(owner)
+                visit(child, prefix, owner)
+
+    visit(tree, module + ".", module)
+    return found
 
 
 def test_cutoff_is_decided_on_the_ring_scale():
-    """No comparison of a .degree() call with a .cutoff attribute: a ring decides
-    the cutoff on its integer scale, deg(e) <= cap."""
-    sites = []
+    """Only the functions in CUTOFF_READERS read a .cutoff attribute, and the
+    checker flags a rational degree compared with D."""
+    found = set()
     for fname, tree in _modules().items():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            sides = [node.left, *node.comparators]
-            if any(_calls(s, "degree") for s in sides) and any(_reads(s, "cutoff") for s in sides):
-                sites.append(f"{fname}:{node.lineno}")
-    assert sites == []
+        found |= _cutoff_readers(tree, fname[:-3])
+    assert sorted(found) == sorted(CUTOFF_READERS)
+    planted = ast.parse("class Walk:\n"
+                        "    def within(self, R, e, p):\n"
+                        "        return Fraction(sum(e.coords), p ** e.level) <= R.cutoff\n")
+    assert _cutoff_readers(planted, "planted") == {"planted.Walk.within"}
 
 
 def test_no_dataclasses_and_no_generated_code():
@@ -129,36 +154,55 @@ def test_no_dataclasses_and_no_generated_code():
     assert sites == []
 
 
-# The monoid commands, run in process after `import ptlab.cli`; the child
-# prints their exit codes and which of the given modules they loaded.
-MONOID_CHILD = """
-import io, sys
+# Commands run in process after `import ptlab.cli`, in stages; after each
+# stage the child prints the exit codes and which of the given modules are
+# loaded by then.
+CHILD = """
+import io, json, sys
 from contextlib import redirect_stdout
 from ptlab.cli import main
-with redirect_stdout(io.StringIO()):
-    codes = [main(["monoid", a, "--preset", "A1"])
-             for a in ("check", "saturate", "divide", "embed", "classgroup")]
-print(codes, sorted(set(sys.argv[1:]) & set(sys.modules)))
+for stage in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in stage]
+    print(codes, sorted(set(sys.argv[2:]) & set(sys.modules)))
 """
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Every ptlab command is a fresh process, so what `import ptlab.cli` and
     the command load is paid per verdict.  dataclasses (which loads inspect)
-    was most of it; fractions (with decimal and numbers) and heapq serve only
-    commands that build a ring, so no monoid command loads them."""
+    was most of it, and argparse loaded gettext and, on its first parse,
+    locale.  fractions (with decimal and numbers) serves only a cutoff that
+    is not an integer, and heapq only rings with a relation, so no monoid or
+    regularity command loads them and an integral tower cutoff no fractions."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    banned = ["dataclasses", "inspect", "fractions", "decimal", "numbers", "heapq"]
-    out = subprocess.run([sys.executable, "-c", MONOID_CHILD, *banned], env=env,
+    banned = ["argparse", "dataclasses", "decimal", "fractions", "gettext", "heapq",
+              "inspect", "locale", "numbers"]
+    x1 = '[{"exponent": [1], "coeff": 1}]'
+    quadric = ["--preset", "quadric", "--p", "3", "--depth", "1", "--cutoff"]
+    stages = [
+        [["monoid", a, "--preset", "A1"] for a in ("check", "saturate", "divide", "embed",
+                                                     "classgroup")],
+        [["regularity", "omega"], ["regularity", "maximal", "--d", "1", "--elems", f"[2, {x1}]"],
+         ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2"]],
+        [["tower", a, *quadric, "4"] for a in ("build", "verify", "tilt", "exactstilt")],
+        [["tower", "verify", *quadric, "7/2"]],
+    ]
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(stages), *banned], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0] []"
+    assert out.stdout.splitlines() == [
+        "[0, 0, 0, 0, 0] []",
+        "[0, 0, 0] []",
+        "[0, 0, 0, 0] ['heapq']",
+        "[0] ['decimal', 'fractions', 'heapq', 'numbers']",
+    ]
 
 
 # Every import inside a function of src/ptlab, with the reason it is not at
 # module level.  The guard above fails if one of these moves back up.
 LAZY_IMPORTS = {
-    "series._as_fraction: fractions": "only a process that reads a cutoff needs "
+    "series._as_rational: fractions": "only a cutoff that is not an integer needs "
                                       "fractions, which loads decimal and numbers",
     "series._digit_normalize: heapq": "only relation rings normalise digits",
 }
@@ -303,7 +347,8 @@ def _defined_functions() -> dict[tuple[str, int], str]:
 
 def _cli_matrix(tmp_path) -> list[list[str]]:
     """Every action of the three groups: the monoid presets and descriptors,
-    both tower presets at p = 2 and 3, a presentation read with --input."""
+    both tower presets at p = 2 and 3, a presentation read with --input;
+    and the usage, asked for before and after a group."""
     from ptlab.logreg import preset
 
     numeric = json.dumps({"ambient_rank": 1, "scale_base": 2, "generators": [[2], [3]]})
@@ -325,7 +370,8 @@ def _cli_matrix(tmp_path) -> list[list[str]]:
     x1 = '[{"exponent": [1], "coeff": 1}]'
     out += [["regularity", "omega"], ["regularity", "omega", "--equal-char"],
             ["regularity", "maximal", "--d", "1", "--elems", f"[2, {x1}]"],
-            ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2"]]
+            ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2"],
+            ["--help"], ["tower", "--help"]]
     return out
 
 

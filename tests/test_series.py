@@ -273,10 +273,18 @@ def test_descriptor_cutoff_parses_like_the_command_line():
             SeriesRingDesc.from_descriptor({**d, "cutoff": bad})
         with pytest.raises(ValueError, match=msg):
             parse_cutoff(bad)
-    # a ring normalises its cutoff: an int, a Fraction and a parsed string agree
-    rings = [replace(MIXED, cutoff=c) for c in (4, Fraction(4), parse_cutoff("4"))]
-    assert rings[0] == rings[1] == rings[2]
+    # "0" parses; the ring refuses it
+    assert parse_cutoff("0") == 0
+    with pytest.raises(InvariantViolation, match="degree cutoff must be positive"):
+        SeriesRingDesc.from_descriptor({**d, "cutoff": "0"})
+    # a ring normalises its cutoff: an integral one is held as an int, however given
+    cutoffs = (4, "4", "4/1", "4.0", Fraction(4), parse_cutoff("4"), parse_cutoff("8/2"))
+    rings = [replace(MIXED, cutoff=c) for c in cutoffs]
+    assert all(r == rings[0] for r in rings)
     assert len({hash(r) for r in rings}) == 1
+    assert {type(r.cutoff) for r in rings} == {int}
+    assert type(parse_cutoff("7/2")) is Fraction
+    assert type(replace(MIXED, cutoff="7/2").cutoff) is Fraction
 
 
 # ---------------------------------------------------------------------------
