@@ -43,7 +43,13 @@ from .monoid import (
 )
 from .monoid import PRESETS as MONOID_PRESETS
 from .monoid import preset as monoid_preset
-from .series import InvariantViolation, parse_cutoff, s_from_terms, term_from_json
+from .series import (
+    InvariantViolation,
+    NonMonomialReduction,
+    parse_cutoff,
+    s_from_terms,
+    term_from_json,
+)
 from .tower import (
     frobenius_identities,
     inverse_perfection_is_perfect,
@@ -374,7 +380,7 @@ def main(argv=None) -> int:
             return _cmd_tower(args)
         return _cmd_regularity(args)
     except (ParseError, InvalidPresentation, UnsupportedBase, InvariantViolation,
-            NotSharp, NotSaturated) as exc:
+            NonMonomialReduction, NotSharp, NotSaturated) as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return 2
 

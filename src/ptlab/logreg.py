@@ -191,6 +191,9 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
         dim_prd = dimension(Tp.levels[j].monoid_part) + Tp.levels[j].free_rank
         rows.append({"check": "dimension", "level": j, "pass": dim_src == dim_prd,
                      "source": dim_src, "tilt": dim_prd})
+    # every layer quotient is the same group, so every transition one degree
+    deg = layer_quotient(P.Q).torsion_order() * P.p ** P.r
+    ppow = _is_p_power(deg, P.p)
     for j in range(T.depth):
         # both transitions are additive, so agreeing on the generators of
         # R_j's exponent monoid is agreeing on every exponent
@@ -198,8 +201,6 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
         ok = all(dst.vec_at(T.transitions[j].act(v), src.level)
                  == Tp.levels[j + 1].vec_at(Tp.transitions[j].act(v), Tp.levels[j].level)
                  for v in src.generators)
-        deg = layer_quotient(P.Q, j).torsion_order() * P.p ** P.r
-        ppow = _is_p_power(deg, P.p)
         rows.append({"check": "transition_match", "level": j, "pass": ok})
         rows.append({"check": "transition_degree", "level": j,
                      "pass": ppow, "degree": deg})

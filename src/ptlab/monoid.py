@@ -534,13 +534,13 @@ def p_divide(Q: AffineMonoid, i: int) -> AffineMonoid:
     return AffineMonoid(Q.ambient_rank, Q.scale_base, Q.level + i, Q.generators)
 
 
-def layer_quotient(Q: AffineMonoid, i: int = 0) -> FinAbelianGroup:
-    """Structure of (Q^(i+1))^gp / (Q^(i))^gp.
+def layer_quotient(Q: AffineMonoid) -> FinAbelianGroup:
+    """Structure of (Q^(i+1))^gp / (Q^(i))^gp, the same group for every i.
 
     Both groups are spanned by the same basis at consecutive scales, so the
-    quotient is basis/(c * basis) regardless of i, where c * basis is the
-    basis rescaled one level finer; computed honestly through the lattice
-    quotient rather than assumed.
+    quotient is basis/(c * basis), where c * basis is the basis rescaled one
+    level finer; computed honestly through the lattice quotient rather than
+    assumed.
     """
     return intlat.abelian_quotient(gp_basis(Q), _rescaled_basis(Q, Q.level + 1))
 

@@ -304,9 +304,10 @@ class SeriesRingDesc:
 
     def residue_ring(self, *extra: MonoidElem) -> SeriesRingDesc:
         """The char-p ring on the same exponents modulo f-bar (when there is a
-        relation), the ring's own quotient monomials and the extra ones."""
+        relation with a coefficient prime to p; for f in (p), R/(p, f) =
+        R/(p)), the ring's own quotient monomials and the extra ones."""
         quots = set(self.quotient_exps) | set(extra)
-        if self.relation_f is not None:
+        if any(c % self.p for _, c in self.relation_f or ()):
             quots.add(reduced_relation_exp(self))
         out = replace(self, relation_f=None, char_p=True, quotient_exps=tuple(quots))
         return out._refield(self._field)
@@ -580,88 +581,3 @@ def reduce_mod_I0(x: Series) -> Series:
     if x.ring.char_p:
         return x
     return make_series(x.ring.residue_ring(), x.terms)
-
-
-@record
-class TorsionReport:
-    """Monomials killed by a power of the tested generator, within the cutoff.
-
-    Products that would leave the degree cutoff are skipped rather than
-    counted, so cutoff artifacts never masquerade as torsion; is_zero reports
-    whether any honest torsion was found.  monomials are packed at the
-    ring's level, in term order, and minimal_powers[k] is the least power of
-    the generator that kills monomials[k].
-    """
-
-    ring: SeriesRingDesc
-    monomials: tuple[int, ...]
-    minimal_powers: tuple[int, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.monomials
-
-
-def kills_monomial(x: Series, m: int) -> bool:
-    """e^m * x = 0 for a packed exponent m of x's ring, by lookup.
-
-    Shifting a canonical series by a coefficient-1 monomial keeps it canonical
-    apart from the terms it pushes past the cutoff or into the quotient
-    ideal, so the product vanishes exactly when every term does.
-    """
-    ring = x.ring
-    room = ring._lim - m
-    ideal = ring._ideal
-    for v, _ in x.terms:
-        if v >= room:
-            return True  # terms come in term order
-        if m + v not in ideal:
-            return False
-    return True
-
-
-def torsion_annihilator(ring: SeriesRingDesc, g: Series) -> TorsionReport:
-    """Power-torsion of the principal ideal (g) on the ring's monomial basis.
-
-    The powers g, g^2, ... are computed once, while their lowest possible
-    degree stays inside the cutoff; a basis monomial m is torsion when some
-    m*g^l with deg m + l deg g within the cutoff vanishes, which
-    kills_monomial reads off g^l.  A zero generator makes everything
-    1-torsion, which the axiom layer handles through the I = (0) remark
-    rather than here.  A unit has no torsion; a constant term divisible by
-    p (possible only with Z/p^N coefficients) is not a unit, and there the
-    powers run to (cap - deg m) + N.
-
-    A ring with digit coefficients (char p or a relation) and no quotient
-    monomials has no torsion to scan for: the term order is a monomial
-    order and a product of nonzero digits is nonzero mod p, so the lowest
-    term of m*g^l survives wherever the scan would test it.
-    """
-    _same_ring(g, ring)
-    found: list[tuple[int, int]] = []
-    if g.is_zero:
-        found = [(m, 1) for m in ring.monomial_basis()]
-    elif not is_unit(g) and (ring.quotient_exps or (ring.relation_f is None and not ring.char_p)):
-        shift, cap = ring._shift, ring.cap
-        gdeg = g.terms[0][0] >> shift
-
-        def reach(m):
-            """The largest power of g worth testing on m."""
-            if gdeg:
-                return (cap - (m >> shift)) // gdeg
-            # g = c + h with p | c (Z/p^N coefficients): every term of g^l
-            # has c^k with k >= N, which is 0, or h^(l-k) past the cutoff
-            return cap - (m >> shift) + ring.precision
-
-        gpow = [g]
-        while len(gpow) < reach(ring.zero_exp):
-            gpow.append(s_mul(gpow[-1], g))
-        for m in ring.monomial_basis():
-            top = reach(m)
-            if not top:
-                break  # reach only falls along the term order
-            for l, gl in enumerate(gpow[:top], 1):
-                if kills_monomial(gl, m):
-                    found.append((m, l))
-                    break
-    return TorsionReport(ring, tuple(m for m, _ in found), tuple(l for _, l in found))

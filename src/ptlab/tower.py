@@ -23,14 +23,9 @@ from .series import (
     Series,
     SeriesRingDesc,
     is_unit,
-    kills_monomial,
-    make_series,
     s_const,
     s_from_terms,
-    s_monomial,
-    s_zero,
     term_from_json,
-    torsion_annihilator,
 )
 
 
@@ -213,6 +208,41 @@ def _divides(ring: SeriesRingDesc, w: int, v: int) -> bool:
     return d is not None and ring.in_ring(d)
 
 
+def _torsion(ring: SeriesRingDesc, g: int | None) -> tuple[int, ...]:
+    """The basis exponents m with e^m e^{lg} = 0 for some l >= 1 within the
+    cutoff, in term order.  A product of coefficient-1 monomials is the
+    monomial e^{m+lg}, zero exactly when m + lg is past the cutoff (not
+    counted) or in the quotient ideal, which only char-p rings carry.  A
+    zero e^g (None for I_0 = (0), or g past the cutoff or in the ideal)
+    kills the whole basis; e^0 = 1 kills nothing."""
+    if g is None or _live(ring, g) is None:
+        return ring.monomial_basis()
+    ideal, lim = ring._ideal, ring._lim
+    if not ideal or not g:
+        return ()
+    out = []
+    for m in ring.monomial_basis():
+        v = m + g
+        if v >= lim:
+            break  # deg m + deg g grows along the term order
+        while v < lim and v not in ideal:
+            v += g
+        if v < lim:
+            out.append(m)
+    return tuple(out)
+
+
+def _ideal_coords(T: TowerDesc, ring: SeriesRingDesc) -> int | None:
+    """The I_0 generator's exponent packed at ring's level; None for
+    I_0 = (0), InvariantViolation when it is not an exponent of ring."""
+    gexp = T.ideal_exp()
+    if gexp is None:
+        return None
+    if not ring.exp_in_ring(gexp):
+        raise InvariantViolation(f"exponent {gexp} is not in the ring monoid")
+    return ring.coords(gexp)
+
+
 def verify_purely_inseparable(T: TowerDesc) -> dict:
     """Axioms (a) p in I_0, (b) t-bar injective, (c) Frob lands in im(t-bar)."""
     rows = []
@@ -330,33 +360,32 @@ def pillar_system(T: TowerDesc):
     level-i monoid is exactly what can fail, and failure raises PillarNotFound
     with the offending level.
     """
-    if T.base_ideal.is_zero:
-        # I = (0): the chain is the zero ideal at every level
-        return PillarSystem(tower=T, generators=tuple(s_zero(R) for R in T.levels))
-    gens = []
+    exps = []
     for i, R in enumerate(T.levels):
-        pe = T.pillar_coords(R, i)
-        if pe is None or not R.in_ring(pe):
+        pe = T.pillar_coords(R, i)  # None at every level for I = (0)
+        if not T.base_ideal.is_zero and (pe is None or not R.in_ring(pe)):
             raise PillarNotFound(f"no monomial pillar at level {i}: "
                                  f"{T.ideal_exp().divide(i)} is not in the monoid")
-        gens.append(make_series(R, [(pe, 1)]))
-    return PillarSystem(tower=T, generators=tuple(gens))
+        exps.append(pe)
+    return PillarSystem(tower=T, exps=tuple(exps))
 
 
 @record
 class PillarSystem:
+    """The pillar exponents, each packed at its level; None for I_0 = (0),
+    whose chain is the zero ideal at every level."""
+
     tower: TowerDesc
-    generators: tuple[Series, ...]
+    exps: tuple[int | None, ...]
 
     def exponent(self, i: int) -> MonoidElem | None:
-        g = self.generators[i]
-        return None if g.is_zero else g.exp_terms()[0][0]
+        v = self.exps[i]
+        return None if v is None else self.tower.levels[i].elem(v)
 
     def compatibility_witnesses(self) -> list[dict]:
         """F_i(f-bar_{i+1}) = f-bar_i on the nose, reported per level."""
         T = self.tower
-        bars = [_live(T.residue(i), g.terms[0][0]) if g.terms else None
-                for i, g in enumerate(self.generators)]
+        bars = [None if v is None else _live(T.residue(i), v) for i, v in enumerate(self.exps)]
         return [{"level": i, "pass": _frob_down(T, i, bars[i + 1]) == bars[i]}
                 for i in range(T.depth)]
 
@@ -418,16 +447,16 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             rows.append(_row("f", -1, True, note="pillar chain with kernel identity"))
 
     # (g): torsion annihilated by I_0, p-scaling matches torsion across levels
-    gens = [s_zero(R) if gexp is None else s_monomial(R, gexp) for R in T.levels]
-    tors = [torsion_annihilator(R, g).monomials for R, g in zip(T.levels, gens)]
+    gs = [_ideal_coords(T, R) for R in T.levels]
+    tors = [_torsion(R, g) for R, g in zip(T.levels, gs)]
     witness_g = None
     note_g = None
     if gexp is None:
         note_g = "I0 = (0): axiom follows from (c) and (f); torsion is the whole ring"
     else:
-        for R, g, ms in zip(T.levels, gens, tors):
-            room = R._lim - T.pillar_coords(R, 0)
-            bad = next((m for m in ms if m < room and not kills_monomial(g, m)), None)
+        for R, g, ms in zip(T.levels, gs, tors):
+            # e^g kills e^m unless m + g is a live monomial
+            bad = next((m for m in ms if _live(R, m + g) is not None), None)
             if bad is not None:
                 witness_g = R.elem(bad).to_json()
                 break
@@ -607,15 +636,12 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
             rows.append({"check": "pillar_power", "pass": ok})
 
     # torsion on both sides
-    src_t = torsion_annihilator(
-        T.levels[j],
-        s_zero(T.levels[j]) if gexp is None else s_monomial(T.levels[j], gexp),
-    )
+    source_empty = not _torsion(T.levels[j], _ideal_coords(T, T.levels[j]))
     tilt_empty = _tilt_torsion_empty(T, j)
     rows.append({
         "check": "torsion",
-        "pass": src_t.is_zero == tilt_empty,
-        "source_empty": src_t.is_zero,
+        "pass": source_empty == tilt_empty,
+        "source_empty": source_empty,
         "tilt_empty": tilt_empty,
         **({"note": "I = (0): torsion degenerate per the (c)+(f) remark"} if gexp is None else {}),
     })

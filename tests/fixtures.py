@@ -7,7 +7,9 @@ transition image, counting shows the Frobenius image set cannot be covered,
 so a lone (b) break is impossible and the expectation records both (as does
 the f_power fixture, whose transition also breaks (b)).
 
-elements() lists a monoid's elements for the monoid tests.
+elements() lists a monoid's elements for the monoid tests, and
+torsion_oracle() a ring's power-torsion by series products for the torsion
+tests.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from math import floor
 from ptlab.logreg import build_tower, preset_unramified
 from ptlab.monoid import AffineMonoid, MonoidElem, element_coords, unpack
 from ptlab.record import replace
-from ptlab.series import SeriesRingDesc, make_series, s_monomial, s_one
+from ptlab.series import SeriesRingDesc, make_series, s_monomial, s_mul, s_one
 from ptlab.tower import TowerDesc, Transition
 
 DEPTH = 2
@@ -31,6 +33,27 @@ def elements(Q, max_degree):
     cap = floor(Fraction(max_degree) * Q.scale_base ** Q.level)
     field = cap.bit_length() + 1
     return [Q.elem(unpack(c, field, Q.ambient_rank)) for c in element_coords(Q, cap, field)]
+
+
+def torsion_oracle(ring, g):
+    """The basis exponents m with m*g^l = 0 for some l >= 1, for g zero or
+    a monomial with coefficient 1: m*g, m*g^2, ... by s_mul while
+    deg m + l deg g stays within the cutoff."""
+    if g.is_zero:
+        return list(ring.monomial_basis())
+    gdeg = ring.deg(ring.elem(g.terms[0][0]))
+    if gdeg == 0:
+        return []  # g = 1
+    found = []
+    for m in ring.monomial_basis():
+        prod, l = make_series(ring, [(m, 1)]), 0
+        dm = ring.deg(ring.elem(m))
+        while dm + (l + 1) * gdeg <= ring.cap:
+            prod, l = s_mul(prod, g), l + 1
+            if prod.is_zero:
+                found.append(m)
+                break
+    return found
 
 
 def _unram_tower(p=2):

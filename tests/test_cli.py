@@ -603,3 +603,51 @@ def test_presentation_prime_is_the_run_prime(tmp_path, capsys):
             err = _one_line_exit_2(capsys, "tower", action, "--input", str(path), "--p", p,
                                    *window)
             assert err == f"ptlab: --p {p} differs from the descriptor's prime 3\n"
+
+
+def _term(exponent, coeff, level=0):
+    return {"exponent": exponent, "level": level, "coeff": coeff}
+
+
+N0 = {"ambient_rank": 0, "scale_base": 2, "level": 0, "generators": []}
+N1 = {"ambient_rank": 1, "scale_base": 2, "level": 0, "generators": [[1]]}
+DEGENERATE = {
+    # f in (p): R/(p, f) = R/(p), so I_0 = (0) and every action reports
+    "f_zero_mod_p": {"monoid": N0, "free_rank": 2, "p": 2, "f": [_term([1, 0], 2)]},
+    "f_coefficient_0": {"monoid": N0, "free_rank": 2, "p": 2, "f": [_term([1, 0], 0)]},
+    "f_bar_two_terms": {"monoid": N0, "free_rank": 2, "p": 2,
+                        "f": [_term([1, 0], 1), _term([0, 1], 3)]},
+    # the second term of f-bar lies past the cutoff, so p is still a monomial
+    "f_bar_two_terms_past_cutoff": {"monoid": N0, "free_rank": 2, "p": 2,
+                                    "f": [_term([1, 0], 1), _term([0, 5], 1)]},
+    "not_saturated": {"monoid": {**N1, "generators": [[2], [3]]}, "free_rank": 1, "p": 2,
+                      "f": [_term([0, 1], 1)]},
+    "not_sharp": {"monoid": {**N1, "generators": [[1], [-1]]}, "free_rank": 1, "p": 2,
+                  "f": [_term([0, 1], 1)]},
+    "generator_outside_Nd": {"monoid": {"ambient_rank": 2, "scale_base": 2, "level": 0,
+                                        "generators": [[1, -1], [1, 1], [1, 0]]},
+                             "free_rank": 0, "p": 2, "f": [_term([1, 1], 1)]},
+    "f_degree_0": {"monoid": N0, "free_rank": 2, "p": 2, "f": [_term([0, 0], 1)]},
+    "f_finer_than_level": {"monoid": N0, "free_rank": 2, "p": 2, "f": [_term([1, 0], 1, 1)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_presentations_get_a_report_or_one_line(tmp_path, capsys, name):
+    """Every tower action on a degenerate presentation gives a JSON report
+    with exit 0 or 1, or exactly one `ptlab:` line with exit 2; a raised
+    exception fails the test."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(DEGENERATE[name]))
+    codes = {}
+    for action in ("build", "verify", "tilt", "exactstilt"):
+        argv = ("tower", action, "--input", str(path), "--depth", "1", "--cutoff", "3")
+        code, out, err = run(capsys, *argv)
+        if code == 2:
+            assert out == "" and err.startswith("ptlab: ") and err.count("\n") == 1, err
+        else:
+            assert code in (0, 1) and err == ""
+            assert json.loads(out)["command"] == f"tower {action}"
+        codes[action] = code
+    if name in ("f_zero_mod_p", "f_coefficient_0"):
+        assert codes == dict.fromkeys(codes, 0)

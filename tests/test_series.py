@@ -16,7 +16,6 @@ from ptlab.series import (
     RingMismatch,
     SeriesRingDesc,
     is_unit,
-    kills_monomial,
     make_series,
     parse_cutoff,
     reduce_mod_I0,
@@ -28,13 +27,13 @@ from ptlab.series import (
     s_mul,
     s_neg,
     s_one,
-    s_pow,
     s_zero,
     term_from_json,
     term_json,
-    torsion_annihilator,
 )
-from ptlab.tower import _sub
+from ptlab.tower import _sub, _torsion
+
+from fixtures import torsion_oracle
 
 TRIV = AffineMonoid(0, 2, 0, ())
 
@@ -82,6 +81,9 @@ def test_ring_axioms(name):
         assert s_add(x, s_neg(x)) == s_zero(ring)
 
     check()
+    other = WITT if ring is not WITT else CHARP
+    with pytest.raises(RingMismatch):
+        s_mul(s_one(ring), s_one(other))
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -154,35 +156,19 @@ def test_quotient_ideal_membership():
 
 
 def test_torsion_annihilator_quotient_plane():
-    g = s_monomial(CHARP, MonoidElem((1, 0), 0, 2))
-    rep = torsion_annihilator(CHARP, g)
-    assert not rep.is_zero
-    found = dict(zip(map(rep.ring.elem, rep.monomials), rep.minimal_powers))
-    assert found[MonoidElem((0, 1), 0, 2)] == 2     # y * x^2 = 0
-    assert found[MonoidElem((1, 1), 0, 2)] == 1     # xy * x = 0
+    x = CHARP.coords(MonoidElem((1, 0), 0, 2))
+    found = set(map(CHARP.elem, _torsion(CHARP, x)))
+    assert MonoidElem((0, 1), 0, 2) in found        # y * x^2 = 0
+    assert MonoidElem((1, 1), 0, 2) in found        # xy * x = 0
     assert MonoidElem((1, 0), 0, 2) not in found    # x is never killed
 
 
 def test_torsion_annihilator_degenerate_generators():
-    assert torsion_annihilator(CHARP, s_one(CHARP)).is_zero
-    unit = s_add(s_one(CHARP), s_monomial(CHARP, MonoidElem((0, 1), 0, 2)))
-    assert torsion_annihilator(CHARP, unit).is_zero
-    zero_rep = torsion_annihilator(CHARP, s_zero(CHARP))
-    assert not zero_rep.is_zero
-    assert set(zero_rep.minimal_powers) == {1}
-    with pytest.raises(RingMismatch):
-        torsion_annihilator(CHARP, s_one(WITT))
-
-
-def test_torsion_of_a_constant_divisible_by_p():
-    """In Z/8[[x1,x2]] the constant 2 is no unit: 2^3 = 0 kills every basis
-    monomial, and no lower power kills any; 3 is a unit."""
-    two = s_const(WITT, 2)
-    assert s_pow(two, 3).is_zero
-    rep = torsion_annihilator(WITT, two)
-    assert rep.monomials == WITT.monomial_basis()
-    assert set(rep.minimal_powers) == {3}
-    assert torsion_annihilator(WITT, s_const(WITT, 3)).is_zero
+    """1 kills nothing; I_0 = (0), a generator in the quotient ideal and one
+    past the cutoff are zero and kill the whole basis."""
+    assert _torsion(CHARP, CHARP.zero_exp) == ()
+    for g in (None, CHARP.coords(MonoidElem((3, 1), 0, 2)), CHARP.pack((5, 0))):
+        assert _torsion(CHARP, g) == CHARP.monomial_basis()
 
 
 def test_reduced_relation_exp():
@@ -194,6 +180,14 @@ def test_reduced_relation_exp():
     )
     with pytest.raises(NonMonomialReduction):
         reduced_relation_exp(two_live)
+
+
+def test_residue_of_f_in_p_adds_no_quotient():
+    """For f in (p), R/(p, f) = R/(p): no coefficient of f is prime to p, so
+    the residue ring has no f-bar monomial to quotient by."""
+    for c in (0, 2, 4):
+        ring = replace(MIXED, relation_f=((MonoidElem((1, 0), 0, 2), c),))
+        assert ring.residue_ring().quotient_exps == ()
 
 
 def test_term_json_roundtrip():
@@ -410,36 +404,14 @@ def test_degree_scale_torsion(p, ml, fl, D):
                 want.append((m, l))
                 break
             l += 1
-    rep = torsion_annihilator(ring, s_monomial(ring, g))
-    assert [(fracs(e), l) for e, l in zip(map(rep.ring.elem, rep.monomials), rep.minimal_powers)] == want
-    assert want[0] == ((0, 0, 0), p ** max(ml, fl))   # g^(p^level) is a quotient monomial
+    assert [fracs(ring.elem(m)) for m in _torsion(ring, ring.coords(g))] == [m for m, _ in want]
+    assert want[0][0] == (0, 0, 0)   # g^(p^level) is a quotient monomial
 
 
 # ---------------------------------------------------------------------------
-# torsion by lookup.  The oracle is the per-monomial product loop that
-# torsion_annihilator ran before it read m*g^l = 0 off the shared powers of g:
-# m*g, m*g^2, ... by s_mul while deg m + l deg g stays within the cutoff.
-
-
-def torsion_oracle(ring, g):
-    if g.is_zero:
-        return [(m, 1) for m in ring.monomial_basis()]
-    gdeg, c0 = ring.deg(ring.elem(g.terms[0][0])), g.terms[0][1]
-    if gdeg == 0 and c0 % ring.p:
-        return []  # a unit
-    found = []
-    for m in ring.monomial_basis():
-        prod, l = make_series(ring, [(m, 1)]), 0
-        # a constant term divisible by p dies in the N-th power, so past
-        # (cap - deg m) + N every term of g^l is 0 or beyond the cutoff
-        dm = ring.deg(ring.elem(m))
-        while (dm + (l + 1) * gdeg <= ring.cap if gdeg
-               else l < ring.cap - dm + ring.precision):
-            prod, l = s_mul(prod, g), l + 1
-            if prod.is_zero:
-                found.append((m, l))
-                break
-    return found
+# torsion on exponents.  The oracle is the per-monomial product loop
+# (fixtures.torsion_oracle): m*g, m*g^2, ... by s_mul while deg m + l deg g
+# stays within the cutoff.
 
 
 TORSION_RINGS = {
@@ -459,23 +431,14 @@ TORSION_RINGS = {
 
 @st.composite
 def torsion_generators(draw, ring):
-    """g = zero, a unit, a multiple of p plus higher terms, a monomial with
-    coefficient 1, a unit or a multiple of p (at any degree, 0 included), or
-    several terms."""
-    p, basis = ring.p, ring.monomial_basis()
-    positive = [v for v in basis if ring.deg(ring.elem(v)) > 0]
-    terms = st.tuples(st.sampled_from(positive), st.integers(-9, 9))
-    kind = draw(st.sampled_from(("zero", "unit", "p_multiple", "monomial", "multi")))
+    """(packed g, the series e^g): zero, a basis monomial (1 included) or,
+    when the ring has a quotient ideal, a member of it."""
+    kinds = ("zero", "monomial", "ideal") if ring._ideal else ("zero", "monomial")
+    kind = draw(st.sampled_from(kinds))
     if kind == "zero":
-        return s_zero(ring)
-    if kind in ("unit", "p_multiple"):
-        c = draw(st.integers(1, 3 * p).filter(lambda c: (c % p == 0) == (kind == "p_multiple")))
-        return make_series(ring, [(ring.zero_exp, c)] + draw(st.lists(terms, max_size=2)))
-    if kind == "monomial":
-        c = draw(st.sampled_from((1, draw(st.integers(1, 3 * p).filter(lambda c: c % p)),
-                                  p * draw(st.integers(1, p)))))
-        return make_series(ring, [(draw(st.sampled_from(basis)), c)])
-    return make_series(ring, draw(st.lists(terms, min_size=2, max_size=3)))
+        return None, s_zero(ring)
+    v = draw(st.sampled_from(ring.monomial_basis() if kind == "monomial" else sorted(ring._ideal)))
+    return v, make_series(ring, [(v, 1)])
 
 
 @pytest.mark.parametrize("name", sorted(TORSION_RINGS))
@@ -483,13 +446,10 @@ def test_torsion_annihilator_matches_the_product_loop(name):
     ring = TORSION_RINGS[name]
 
     @settings(deadline=2000, max_examples=40)
-    @given(torsion_generators(ring), st.sampled_from(ring.monomial_basis()))
-    def check(g, m):
-        rep = torsion_annihilator(ring, g)
-        want = torsion_oracle(ring, g)
-        assert list(zip(rep.monomials, rep.minimal_powers)) == want
-        assert rep.is_zero == (not want)
-        assert kills_monomial(g, m) == s_mul(make_series(ring, [(m, 1)]), g).is_zero
+    @given(torsion_generators(ring))
+    def check(gen):
+        v, g = gen
+        assert list(_torsion(ring, v)) == torsion_oracle(ring, g)
 
     check()
 
@@ -732,7 +692,7 @@ def test_hot_path_builds_no_monoid_elem(monkeypatch):
     T = build_tower(preset("quadric", 2), 1, Fraction(4), 2)
     R, S = T.levels[1], T.residue(1)
     gexp = T.ideal_exp()
-    g, gbar = s_monomial(R, gexp), s_monomial(S, gexp)
+    g = R.coords(gexp)
     xs = [make_series(ring, [(v, 3) for v in ring.monomial_basis()[:8]]) for ring in (R, S)]
     calls = []
     original = MonoidElem.__post_init__
@@ -742,9 +702,9 @@ def test_hot_path_builds_no_monoid_elem(monkeypatch):
         original(self)
 
     monkeypatch.setattr(MonoidElem, "__post_init__", counting)
-    for x, gen, ring in zip(xs, (g, gbar), (R, S)):
+    for x, ring in zip(xs, (R, S)):
         s_mul(x, x)
         s_add(x, s_neg(x))
         make_series(ring, [(v, -5) for v in ring.monomial_basis()])
-        torsion_annihilator(ring, gen)
+        _torsion(ring, g)
     assert calls == []

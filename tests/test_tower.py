@@ -13,7 +13,6 @@ from ptlab.series import (
     Series,
     SeriesRingDesc,
     make_series,
-    reduce_mod_I0,
     s_add,
     s_monomial,
     s_mul,
@@ -25,6 +24,8 @@ from ptlab.tower import (
     PillarNotFound,
     TowerDesc,
     Transition,
+    _ideal_coords,
+    _torsion,
     frobenius_identities,
     inverse_perfection_is_perfect,
     pillar_system,
@@ -33,7 +34,7 @@ from ptlab.tower import (
     verify_tower,
 )
 
-from fixtures import SABOTAGE, sab_c, sab_f
+from fixtures import SABOTAGE, sab_c, sab_f, torsion_oracle
 
 
 @lru_cache(maxsize=None)
@@ -183,6 +184,12 @@ def full_walk_principal(T, j):
             **({"witness": bad.to_json()} if bad is not None else {})}
 
 
+def series_ideal(T, R):
+    """The I_0 generator as a series of R: zero or a coefficient-1 monomial."""
+    gexp = T.ideal_exp()
+    return s_zero(R) if gexp is None else s_monomial(R, gexp)
+
+
 def series_verify_exactstilt(T, j):
     rep = verify_exactstilt(T, j)
     m = T.depth - j
@@ -195,15 +202,19 @@ def series_verify_exactstilt(T, j):
             ok = all(s_pow(c1, T.p) == series_t_bar(T, j + l, c)
                      for l, (c, c1) in enumerate(zip(f_j, f_j1)))
             row = {**row, "pass": ok}
-        elif row["check"] == "torsion" and not T.base_ideal.is_zero:
-            f = series_pillar_tilt(T, j, m)
-            Sj = T.residue(j)
-            room = Sj.cap - Sj.deg(Sj.elem(T.pillar_coords(Sj, j)))
-            tuples = (series_teich(T, j, Sj.elem(mu), m)
-                      for mu in Sj.monomial_basis() if Sj.deg(Sj.elem(mu)) <= room)
-            empty = not any(all(s_mul(a, b).is_zero for a, b in zip(te, f))
-                            for te in tuples if te is not None)
-            row = {**row, "tilt_empty": empty, "pass": row["source_empty"] == empty}
+        elif row["check"] == "torsion":
+            source_empty = not torsion_oracle(T.levels[j], series_ideal(T, T.levels[j]))
+            empty = row["tilt_empty"]
+            if not T.base_ideal.is_zero:
+                f = series_pillar_tilt(T, j, m)
+                Sj = T.residue(j)
+                room = Sj.cap - Sj.deg(Sj.elem(T.pillar_coords(Sj, j)))
+                tuples = (series_teich(T, j, Sj.elem(mu), m)
+                          for mu in Sj.monomial_basis() if Sj.deg(Sj.elem(mu)) <= room)
+                empty = not any(all(s_mul(a, b).is_zero for a, b in zip(te, f))
+                                for te in tuples if te is not None)
+            row = {**row, "source_empty": source_empty, "tilt_empty": empty,
+                   "pass": source_empty == empty}
         rows.append(row)
     return {**rep, "checks": rows, "all_pass": all(r["pass"] for r in rows)}
 
@@ -227,8 +238,8 @@ def series_tilt_mod_pillar_iso(T, j):
 
 def series_compatibility_witnesses(pillars):
     T = pillars.tower
-    bars = [make_series(T.residue(i), reduce_mod_I0(f).terms)
-            for i, f in enumerate(pillars.generators)]
+    bars = [make_series(T.residue(i), [] if v is None else [(v, 1)])
+            for i, v in enumerate(pillars.exps)]
     return [{"level": i, "pass": series_frob(T, i, bars[i + 1]) == bars[i]}
             for i in range(T.depth)]
 
@@ -256,8 +267,8 @@ def test_tilt_checks_match_the_series_path():
             want = series_verify_exactstilt(T, j)
             assert verify_exactstilt(T, j) == want, (name, j)
             seen |= {(r["check"], r["pass"]) for r in want["checks"]}
-            seen |= {("tilt_empty", r["tilt_empty"]) for r in want["checks"]
-                     if r["check"] == "torsion"}
+            seen |= {(k, r[k]) for r in want["checks"] if r["check"] == "torsion"
+                     for k in ("source_empty", "tilt_empty")}
             want = series_tilt_mod_pillar_iso(T, j)
             assert tilt_mod_pillar_iso(T, j) == want, (name, j)
             seen |= {("mod_pillar_iso", want["bijective"])}
@@ -268,8 +279,22 @@ def test_tilt_checks_match_the_series_path():
         want = series_compatibility_witnesses(pillars)
         assert pillars.compatibility_witnesses() == want, name
     # both verdicts of every row the exponents now decide were compared
-    assert {(c, v) for c in ("principal", "pillar_power", "tilt_empty", "mod_pillar_iso")
+    assert {(c, v) for c in ("principal", "pillar_power", "source_empty", "tilt_empty",
+                             "mod_pillar_iso")
             for v in (True, False)} <= seen
+
+
+def test_axiom_g_torsion_matches_the_product_loop():
+    """Axiom (g)'s torsion sets, read on exponents, are the product loop's at
+    every level of every oracle tower.  Some level has a proper torsion set
+    (neither empty nor the whole basis), and some level has not."""
+    seen = set()
+    for name, T in oracle_towers().items():
+        for R in T.levels:
+            got = _torsion(R, _ideal_coords(T, R))
+            assert list(got) == torsion_oracle(R, series_ideal(T, R)), name
+            seen.add(0 < len(got) < len(R.monomial_basis()))
+    assert seen == {True, False}
 
 
 def series_inverse_perfection(T):
@@ -380,7 +405,7 @@ def test_pillar_not_found_on_undividable_ideal():
 
 def test_zero_ideal_pillars_are_zero():
     pillars = pillar_system(perfect_tower())
-    assert all(g.is_zero for g in pillars.generators)
+    assert pillars.exps == (None,) * len(pillars.tower.levels)
     assert pillars.exponent(0) is None
 
 
