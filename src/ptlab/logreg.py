@@ -28,6 +28,7 @@ from .series import (
     NonMonomialReduction,
     Series,
     SeriesRingDesc,
+    is_unit,
     reduced_relation_exp,
     s_const,
     s_monomial,
@@ -130,8 +131,15 @@ def preset(name: str, p: int, d: int = 2) -> LogRegPresentation:
 
 
 def build_tower(P: LogRegPresentation, depth: int, D=4, N: int = 2) -> TowerDesc:
-    """The division tower R_i = C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), I_0 = (p)."""
+    """The division tower R_i = C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), I_0 = (p).
+
+    NonMonomialReduction unless f-bar is one monomial or f is in (p), where
+    R/(p, f) = R/(p) and I_0 = (0): every tower action refuses the same
+    presentations, here, before it builds anything.
+    """
     levels = tuple(P.ring(i, D, N) for i in range(depth + 1))
+    if any(c % P.p for _, c in P.f_terms):
+        reduced_relation_exp(levels[0])
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
@@ -328,7 +336,11 @@ def _fp_rank(rows: list[tuple[int, ...]], p: int) -> int:
 
 
 def is_maximal_sequence(A: BaseRing, elems) -> bool:
-    """True iff the differential classes of elems form a basis."""
+    """True iff elems is a regular system of parameters: no unit among them
+    (a unit generates the unit ideal, not m; Matsumura, "Commutative Ring
+    Theory", Thm 14.2) and their differential classes form a basis."""
+    if any(is_unit(x) for x in elems):
+        return False
     om = omega_dim(A)
     classes = [d_class(A, x) for x in elems]
     if len(classes) != om.dim:

@@ -14,7 +14,8 @@ exactly by peeling generators off the target's facet pairings.  A sharp
 cone is triangulated into simplicial cones spanned by extreme generators,
 and saturation is decided exactly from the lattice points of their
 fundamental parallelepipeds.  Elements up to a degree come from a walk over
-generator sums, which needs the generators in N^d.
+generator sums, which needs the generators in N^d; member_test decides
+membership in such a monoid from its lattice and facets instead.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import intlat
 from .intlat import FinAbelianGroup, mat_vec
@@ -317,13 +319,6 @@ def dimension(Q: AffineMonoid) -> int:
 
 # ---------------------------------------------------------------------------
 # membership
-
-
-def _nonneg_generators(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
-    """The nonzero generators of Q, which must lie in N^d."""
-    if any(x < 0 for g in Q.generators for x in g):
-        raise ValueError("monoid has a generator outside N^d")
-    return tuple(g for g in Q.generators if any(g))
 
 
 @lru_cache(maxsize=None)
@@ -622,40 +617,116 @@ def unpack(code: int, field: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def element_coords(Q: AffineMonoid, cap: int, field: int) -> tuple[int, ...]:
-    """Every element of Q of degree <= cap at level Q.level, packed with field
-    bits per coordinate (2^(field-1) > cap), in increasing order, which is
-    graded_order.
+class Walk:
+    """The elements of the monoid that gens (in N^n) generate, packed with
+    field bits per coordinate, walked up from 0 one degree at a time.
 
-    Q is the N-span of its generators, so the elements are found by a walk
-    up from 0 over generator sums, which visits only elements of Q.  The
-    generators must lie in N^d (ValueError otherwise); each nonzero one then
-    has positive degree, so the elements of degree k are the generators of
-    degree e added to the elements of degree k - e.  The walk builds one
-    degree at a time, as a set of ints and then one sorted run: only the
-    runs that a generator still reaches are kept apart, and the runs in
-    degree order are the whole answer in graded_order.
+    Every nonzero generator has positive degree, so the elements of degree
+    k are the generators of degree e added to the elements of degree k - e:
+    one set of int adds and one sorted run per degree.  elements holds the
+    runs in degree order, which is graded_order, and degree is the highest
+    degree walked so far; upto(k) walks on to k and no further.
     """
-    gens: dict[int, list[int]] = {}
-    for g in _nonneg_generators(Q):
-        gens.setdefault(sum(g), []).append(pack(g, field))
-    if cap < 0:
-        return ()
-    runs = {0: [0]}
-    out = [0]
-    reach = max(gens, default=0)
-    for k in range(1, cap + 1):
-        layer = set()
-        for e, gs in gens.items():
-            below = runs.get(k - e)
-            if below:
-                for g in gs:
-                    layer.update(map(g.__add__, below))
-        runs[k] = run = sorted(layer)
-        out += run
-        runs.pop(k - reach, None)
-    return tuple(out)
+
+    def __init__(self, gens: tuple[tuple[int, ...], ...], field: int):
+        if any(x < 0 for g in gens for x in g):
+            raise ValueError("monoid has a generator outside N^d")
+        self._gens: dict[int, list[int]] = {}
+        for g in gens:
+            if any(g):
+                self._gens.setdefault(sum(g), []).append(pack(g, field))
+        self.elements = [0]
+        self._starts = [0, 1]  # degree k is elements[_starts[k]:_starts[k + 1]]
+        self.degree = 0
+        self._outside: dict = {}
+
+    def upto(self, k: int) -> int:
+        """The number of elements of degree <= k, walking on to degree k."""
+        out, starts = self.elements, self._starts
+        for d in range(self.degree + 1, k + 1):
+            layer = set()
+            for e, gs in self._gens.items():
+                if e <= d:
+                    below = out[starts[d - e]:starts[d - e + 1]]
+                    for g in gs:
+                        layer.update(map(g.__add__, below))
+            out += sorted(layer)
+            starts.append(len(out))
+            self.degree = d
+        return starts[k + 1] if k >= 0 else 0
+
+    def outside(self, quots: tuple[tuple[int, int], ...], k: int) -> tuple[int, ...]:
+        """The elements of degree <= k outside every translate q + elements,
+        for quots given as (packed q, degree of q): one set of int adds per
+        q, kept per (quots, k), so rings on this walk with the same
+        quotient monomials share one tuple."""
+        key = (quots, k)
+        out = self._outside.get(key)
+        if out is None:
+            dead = set()
+            for q, e in quots:
+                dead.update(map(q.__add__, itertools.islice(self.elements, self.upto(k - e))))
+            out = tuple(itertools.filterfalse(dead.__contains__,
+                                              itertools.islice(self.elements, self.upto(k))))
+            self._outside[key] = out
+        return out
+
+
+@lru_cache(maxsize=None)
+def walk(gens: tuple[tuple[int, ...], ...], field: int) -> Walk:
+    """The one Walk of gens at a field width: every ring whose exponent
+    monoid has these generators at its level, in one packed layout, shares
+    it (the levels of a division tower and their residue rings)."""
+    return Walk(gens, field)
+
+
+@lru_cache(maxsize=None)
+def member_test(gens: tuple[tuple[int, ...], ...], n: int, base: int):
+    """A test of u in Q, Q the monoid that gens (in N^n) generate, for
+    coordinate vectors u in N^n; None when every such u is in Q.
+
+    A saturated Q is cone(Q) cap Q^gp (Bruns-Gubeladze, "Polytopes, Rings,
+    and K-Theory", ch. 2).  Q^gp is read off the Smith form U G V = D of
+    the generator matrix G: u is in it iff (U u)_i is 0 past the rank (the
+    lattice equations) and a multiple of D_ii before it (the congruences).
+    A facet whose tight generators are exactly those with g_k = 0 needs no
+    test: on span(Q) its pairing and u_k are linear forms with the same
+    kernel, the facet's span, and both are positive on the other
+    generators, so the pairing is a positive multiple of u_k >= 0.  So the
+    quadric keeps one lattice equation and no inequality.  A non-saturated
+    Q is decided by contains.
+    """
+    nz = tuple(g for g in gens if any(g))
+    if not nz:
+        eqs, congs, facets = [tuple(int(i == k) for i in range(n)) for k in range(n)], [], []
+    elif _saturation_gap(gens, n):
+        Q = AffineMonoid(n, base, 0, gens)
+        return lambda u: contains(Q, Q.elem(u))
+    else:
+        U, D, _ = intlat.snf(tuple(tuple(g[i] for g in nz) for i in range(n)))
+        rank = sum(1 for i in range(min(n, len(nz))) if D[i][i])
+        eqs = list(U[rank:])
+        congs = [(U[i], D[i][i]) for i in range(rank) if D[i][i] > 1]
+        coordinate_faces = {frozenset(j for j, g in enumerate(nz) if not g[k]) for k in range(n)}
+        _, rays = _ineq_cone_rays(gens, n)
+        facets = [f for f in rays
+                  if frozenset(j for j, g in enumerate(nz) if not _dot(f, g)) not in coordinate_faces]
+    if not (eqs or congs or facets):
+        return None
+
+    def test(u: tuple[int, ...]) -> bool:
+        for a in eqs:
+            if sum(map(mul, a, u)):
+                return False
+        for a, m in congs:
+            if sum(map(mul, a, u)) % m:
+                return False
+        for f in facets:
+            if sum(map(mul, f, u)) < 0:
+                return False
+        return True
+
+    return test
 
 
 # ---------------------------------------------------------------------------

@@ -18,21 +18,20 @@ rule.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cached_property
-from itertools import filterfalse
+from itertools import islice
 from math import floor
 
 from .coeffring import require_prime
 from .monoid import (
     AffineMonoid,
     MonoidElem,
-    contains,
-    element_coords,
     graded_order,
     json_int,
+    member_test,
     pack,
     unpack,
+    walk,
 )
 from .record import record, replace
 
@@ -70,9 +69,13 @@ class SeriesRingDesc:
     levels to one W).  W is no field: rings that differ in it alone are
     equal, and series arithmetic between them raises RingMismatch.
     MonoidElem is the API and JSON form; coords() and elem() convert.
-    Below the cutoff, membership in the ring is a binary search in the
-    sorted support and membership in the quotient ideal a lookup in a set,
-    both computed once per ring.
+    Membership in the ring is decided from its generators, by the lattice
+    and facet test of monoid.member_test on the coordinates, and membership
+    in the quotient ideal as "v - q is in the ring" for a quotient monomial
+    q; neither builds the support.  The support is a prefix of one walk over
+    the generators (monoid.walk), which every ring with the same generators
+    at its level and the same W shares, and a loop that stops at a degree
+    asks for the basis only up to it.
     """
 
     monoid_part: AffineMonoid
@@ -113,9 +116,10 @@ class SeriesRingDesc:
         if self.quotient_exps:
             if not self.char_p:
                 raise InvariantViolation("monomial quotients live in residue rings")
-            if any(len(q.coords) != self.width or sum(q.coords) < 0 for q in self.quotient_exps):
+            if any(len(q.coords) != self.width or min(q.coords, default=0) < 0
+                   for q in self.quotient_exps):
                 raise InvariantViolation("quotient monomials need the ring's width "
-                                         "and a nonnegative degree")
+                                         "and nonnegative coordinates")
             # quotient monomials may be finer than the ring: order them at
             # the finest level among the ring and its quotients
             lv = max(self.level, *(q.level for q in self.quotient_exps))
@@ -151,7 +155,7 @@ class SeriesRingDesc:
     def key(self, e: MonoidElem) -> tuple[int, tuple[int, ...]]:
         return graded_order(e.at_level(self.level))
 
-    @property
+    @cached_property
     def width(self) -> int:
         return self.monoid_part.ambient_rank + self.free_rank
 
@@ -218,13 +222,10 @@ class SeriesRingDesc:
         return MonoidElem(self.unpack(v), self.level, self.p)
 
     def structural_contains(self, v: tuple[int, ...]) -> bool:
-        """v is an exponent of the ring, decided from the monoid's generators
-        without the support (descriptor checks use this)."""
-        d = self.monoid_part.ambient_rank
-        step = self.p ** (self.level - self.free_level)
-        if len(v) != self.width or any(x < 0 or x % step for x in v[d:]):
-            return False
-        return contains(self.monoid_part, MonoidElem(v[:d], self.level, self.p))
+        """v, coordinates at the ring's level of any degree, is an exponent of
+        the ring: decided from the generators, without the support."""
+        test = self._member
+        return len(v) == self.width and min(v, default=0) >= 0 and (test is None or test(v))
 
     @cached_property
     def generators(self) -> tuple[tuple[int, ...], ...]:
@@ -237,32 +238,36 @@ class SeriesRingDesc:
         return tuple(self.vec_at(v, lv) for v, lv in gens)
 
     @cached_property
-    def _support(self) -> tuple[int, ...]:
-        """The packed exponents within the cutoff, in term order: one walk over
-        the generators, which a ring shares with its residue rings."""
-        Q = AffineMonoid(self.width, self.p, self.level, self.generators)
-        return element_coords(Q, self.cap, self._field)
+    def _member(self):
+        """The membership test of the exponent monoid on coordinates >= 0
+        (None when it admits them all): one monoid, Q + N^r, whose lattice
+        also carries the divisibility of each part at the ring's level."""
+        return member_test(self.generators, self.width, self.p)
 
     @cached_property
-    def _ideal(self) -> frozenset:
-        # v within the cutoff is in the ideal iff v = s + q for a ring exponent
-        # s and a quotient monomial q (a q finer than the ring dominates no
-        # exponent of the ring's level); deg q >= 0 keeps s within the cutoff
-        out = set()
-        terms = self._support
-        for q in self.quotient_exps:
-            w = self.coords(q)
-            if w is not None:
-                out.update(map(w.__add__, terms[:bisect_left(terms, self._lim - w)]))
-        return frozenset(out)
+    def _walk(self):
+        return walk(self.generators, self._field)
+
+    @cached_property
+    def _ideal_gens(self) -> tuple[int, ...]:
+        """The quotient monomials packed at the ring's level, those that can
+        divide an exponent within the cutoff (one finer than the ring or past
+        the cutoff divides none)."""
+        return tuple(v for v in map(self._code, self.quotient_exps) if v is not None)
 
     def in_ring(self, v: int) -> bool:
         """The packed exponent v is an exponent of the ring within the cutoff."""
-        return _has(self._support, v)
+        test = self._member
+        return v < self._lim and (test is None or test(self.unpack(v)))
 
     def in_ideal(self, v: int) -> bool:
-        """The packed exponent v (within the cutoff) is in the monomial quotient ideal."""
-        return v in self._ideal
+        """The packed exponent v (within the cutoff) is in the monomial
+        quotient ideal: v - q is in the ring for a quotient monomial q."""
+        for q in self._ideal_gens:
+            d = _sub(self, v, q)
+            if d is not None and self.in_ring(d):
+                return True
+        return False
 
     def _code(self, e: MonoidElem) -> int | None:
         """e packed, when it is within the cutoff with coordinates >= 0 at the
@@ -274,28 +279,30 @@ class SeriesRingDesc:
 
     def exp_in_ring(self, e: MonoidElem) -> bool:
         """Validity of a combined exponent (degree cutoff not included)."""
-        v = self._code(e)
-        if v is not None:
-            return _has(self._support, v)
         v = self._vec(e)
         return v is not None and self.structural_contains(v)
 
     def dominated(self, e: MonoidElem) -> bool:
         """Membership of e in the monomial quotient ideal."""
-        v = self._code(e)
-        if v is not None:
-            return v in self._ideal
         return any(self.exp_in_ring(e - q) for q in self.quotient_exps)
 
-    def monomial_basis(self) -> tuple[int, ...]:
-        """Packed exponents within the cutoff outside the quotient ideal, in term
-        order; the ints are the members of the ring's support."""
-        return self._basis
+    def support(self, upto: int | None = None) -> tuple[int, ...]:
+        """The packed exponents of the ring, quotient ideal included, of
+        degree at most upto (default the cap), in term order."""
+        k = self.cap if upto is None else min(upto, self.cap)
+        w = self._walk
+        return tuple(islice(w.elements, w.upto(k)))
 
-    @cached_property
-    def _basis(self) -> tuple[int, ...]:
-        ideal, terms = self._ideal, self._support
-        return tuple(filterfalse(ideal.__contains__, terms)) if ideal else terms
+    def monomial_basis(self, upto: int | None = None) -> tuple[int, ...]:
+        """Packed exponents within the cutoff outside the quotient ideal, in
+        term order, of degree at most upto (default the cap): the walk's
+        elements outside the translates by the quotient monomials, which
+        the rings on one walk with the same quotients share.  A ring
+        without quotients answers with its support."""
+        k = self.cap if upto is None else min(upto, self.cap)
+        if not self._ideal_gens:
+            return self.support(k)
+        return self._walk.outside(tuple((q, q >> self._shift) for q in self._ideal_gens), k)
 
     @cached_property
     def _relation_terms(self) -> tuple[tuple[int, int], ...]:
@@ -398,10 +405,13 @@ def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
     return live[0][0]
 
 
-def _has(terms: tuple[int, ...], v: int) -> bool:
-    """v is a member of the sorted tuple terms."""
-    i = bisect_left(terms, v)
-    return i < len(terms) and terms[i] == v
+def _sub(ring: SeriesRingDesc, v: int, w: int) -> int | None:
+    """v - w for exponents of ring within its cutoff; None when a coordinate
+    goes negative.  Each field of (v | guards) - w keeps its guard bit
+    exactly when it does not borrow."""
+    g = ring._guards
+    t = (v | g) - w
+    return t - g if t & g == g else None
 
 
 @record
@@ -444,12 +454,11 @@ def make_series(ring: SeriesRingDesc, raw) -> Series:
     arithmetic only produces exponents of the ring (s_from_terms is the
     validating entry for MonoidElem exponents).
     """
-    lim = ring._lim
-    ideal = ring._ideal if ring.quotient_exps else ()
+    lim, quotient = ring._lim, ring._ideal_gens
     acc: dict[int, int] = {}
     items = raw.items() if isinstance(raw, dict) else raw
     for v, c in items:
-        if c == 0 or v >= lim or v in ideal:
+        if c == 0 or v >= lim or quotient and ring.in_ideal(v):
             continue
         acc[v] = acc.get(v, 0) + c
 

@@ -22,6 +22,7 @@ from .series import (
     InvariantViolation,
     Series,
     SeriesRingDesc,
+    _sub,
     is_unit,
     s_const,
     s_from_terms,
@@ -180,7 +181,7 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
 def _live(ring: SeriesRingDesc, v: int) -> int | None:
     """v if e^v is a nonzero monomial of ring (within the cutoff and outside
     the quotient ideal), else None."""
-    return v if v < ring._lim and v not in ring._ideal else None
+    return v if v < ring._lim and not ring.in_ideal(v) else None
 
 
 def _into(ring: SeriesRingDesc, v: int, level: int) -> int:
@@ -191,15 +192,6 @@ def _into(ring: SeriesRingDesc, v: int, level: int) -> int:
         raise ValueError(f"{MonoidElem(ring.unpack(v), level, ring.p)} "
                          "is finer than the target ring")
     return w
-
-
-def _sub(ring: SeriesRingDesc, v: int, w: int) -> int | None:
-    """v - w for exponents of ring within its cutoff; None when a coordinate
-    goes negative.  Each field of (v | guards) - w keeps its guard bit
-    exactly when it does not borrow."""
-    g = ring._guards
-    t = (v | g) - w
-    return t - g if t & g == g else None
 
 
 def _divides(ring: SeriesRingDesc, w: int, v: int) -> bool:
@@ -217,19 +209,26 @@ def _torsion(ring: SeriesRingDesc, g: int | None) -> tuple[int, ...]:
     kills the whole basis; e^0 = 1 kills nothing."""
     if g is None or _live(ring, g) is None:
         return ring.monomial_basis()
-    ideal, lim = ring._ideal, ring._lim
-    if not ideal or not g:
+    if not ring._ideal_gens or not g:
         return ()
+    lim = ring._lim
     out = []
-    for m in ring.monomial_basis():
+    for m in ring.monomial_basis(ring.cap - (g >> ring._shift)):  # m + g within the cutoff
         v = m + g
-        if v >= lim:
-            break  # deg m + deg g grows along the term order
-        while v < lim and v not in ideal:
+        while v < lim and not ring.in_ideal(v):
             v += g
         if v < lim:
             out.append(m)
     return tuple(out)
+
+
+def _reach(ring: SeriesRingDesc, level: int) -> int:
+    """The largest degree, in steps of p^-level, of an exponent whose image
+    at ring's level is within ring's cutoff."""
+    shift = ring.level - level
+    if shift >= 0:
+        return ring.cap // ring.p ** shift
+    return ring.cap * ring.p ** -shift
 
 
 def _ideal_coords(T: TowerDesc, ring: SeriesRingDesc) -> int | None:
@@ -282,10 +281,8 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
                              note=f"image {bad_b[0]}"))
 
         bad_c = None
-        for d in Si1.monomial_basis():
+        for d in Si1.monomial_basis(Si1.cap // p):  # p d within the cutoff
             pd = p * d
-            if pd >= lim1:
-                break  # p deg d grows along the term order
             if Si1.in_ideal(pd):
                 continue  # Frobenius image already zero, trivially in the image
             if pd not in images:
@@ -325,10 +322,7 @@ def _frob(ring: SeriesRingDesc, v: int | None) -> int | None:
 
 def _frobenius_failures(ring: SeriesRingDesc, via):
     """Basis monomials g of ring with via(g) != e^{pg}, within the cutoff."""
-    p, lim = ring.p, ring._lim
-    for g in ring.monomial_basis():
-        if p * g >= lim:
-            break  # p deg g grows along the term order
+    for g in ring.monomial_basis(ring.cap // ring.p):
         if via(g) != _frob(ring, g):
             yield g
 
@@ -502,9 +496,8 @@ def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
     shifted = [Si1.coords(q.divide(1)) for q in Si1.quotient_exps]
     shifted.append(T.pillar_coords(Si1, 1))
     shifted = [q for q in shifted if q is not None and q < lim]
-    for d in Si1.monomial_basis():
-        if T.p * d >= lim:
-            break  # truncation kill, not kernel, from here on
+    # past p deg d > cap, truncation kills, not the kernel
+    for d in Si1.monomial_basis(Si1.cap // T.p):
         in_ker = _frob_down(T, i, d) is None  # e^(p d)
         predicted = any(_divides(Si1, q, d) for q in shifted)
         if in_ker != predicted:
@@ -568,13 +561,10 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     matched = len(Sj.monomial_basis()) - len(mismatches)
     # completeness: classify every depth-m monomial tuple inside the cutoff
     top_ring = T.residue(j + m)
-    lim = Sj._lim
     # top exponent of the tilt-side ideal generator is gexp / p^m
     g_top = T.pillar_coords(top_ring, m)
-    for d in top_ring.monomial_basis():
+    for d in top_ring.monomial_basis(_reach(Sj, top_ring.level - m)):
         mu = _into(Sj, d, top_ring.level - m)  # d * p^m
-        if mu >= lim:
-            break  # deg mu = p^m deg d grows along the term order
         in_basis = Sj.in_ring(mu) and not Sj.in_ideal(mu)
         in_ideal = g_top is not None and _divides(top_ring, g_top, d)
         if in_basis == in_ideal:
@@ -609,14 +599,11 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
         # top component exponent of the tilt pillar, and the level-j pillar
         pe_top = T.pillar_coords(top, j + m)
         pe_home = T.pillar_coords(Sj, j)
-        lim = Sj._lim
         bad = None
         # every exponent of S_{j+m}'s ring, quotient ideal included, in term
-        # order, up to the first whose image leaves S_j's cutoff
-        for d in top._support:
+        # order, whose image is within S_j's cutoff
+        for d in top.support(_reach(Sj, top.level - m)):
             mu = _into(Sj, d, top.level - m)  # d * p^m
-            if mu >= lim:
-                break  # deg mu = p^m deg d grows along the term order
             # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
             in_ker = (not Sj.in_ring(mu) or Sj.in_ideal(mu)
                       or (pe_home is not None and _divides(Sj, pe_home, mu)))
@@ -661,10 +648,8 @@ def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
     m = T.depth - j
     f = _pillar_tilt(T, j, m)
     Sj = T.residue(j)
-    room = Sj._lim - T.pillar_coords(Sj, j)
-    for mu in Sj.monomial_basis():
-        if mu >= room:
-            break  # mu times the pillar leaves the cutoff from here on
+    # mu times the pillar within the cutoff
+    for mu in Sj.monomial_basis(Sj.cap - (T.pillar_coords(Sj, j) >> Sj._shift)):
         roots = _roots(T, j, mu, Sj.level, m)
         if roots is None:
             continue
@@ -700,8 +685,11 @@ def inverse_perfection_is_perfect(T: TowerDesc) -> dict:
         return {"checks": [], "all_pass": True, "cutoff": T.cutoff_info()}
     j, m = 1, T.depth - 1
     Sj = T.residue(j)
+    k = 0  # the first degree whose basis prefix holds six monomials
+    while len(Sj.monomial_basis(k)) < 6 and k < Sj.cap:
+        k += 1
     samples = []
-    for mu in Sj.monomial_basis()[:6]:
+    for mu in Sj.monomial_basis(k)[:6]:
         roots = _roots(T, j, mu, Sj.level, m)
         if roots is None:
             continue

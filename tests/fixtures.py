@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import floor
 
 from ptlab.logreg import build_tower, preset_unramified
-from ptlab.monoid import AffineMonoid, MonoidElem, element_coords, unpack
+from ptlab.monoid import AffineMonoid, MonoidElem, unpack, walk
 from ptlab.record import replace
 from ptlab.series import SeriesRingDesc, make_series, s_monomial, s_mul, s_one
 from ptlab.tower import TowerDesc, Transition
@@ -32,7 +32,8 @@ def elements(Q, max_degree):
     """The elements of Q of degree <= max_degree, in graded_order, as MonoidElem."""
     cap = floor(Fraction(max_degree) * Q.scale_base ** Q.level)
     field = cap.bit_length() + 1
-    return [Q.elem(unpack(c, field, Q.ambient_rank)) for c in element_coords(Q, cap, field)]
+    w = walk(Q.generators, field)
+    return [Q.elem(unpack(c, field, Q.ambient_rank)) for c in w.elements[:w.upto(cap)]]
 
 
 def torsion_oracle(ring, g):

@@ -131,6 +131,20 @@ def test_regularity_commands(capsys):
     assert code4 == 0
 
 
+def test_maximal_with_a_unit_is_false(capsys):
+    """A unit is never part of a regular system of parameters (Matsumura,
+    Thm 14.2).  In Z_3[[x1]], 4 = 1 + 3 is a unit, so (4, x1) is the unit
+    ideal while (3, x1) is m; in F_2[[x1]], 1 + x1 is a unit and x1 is not."""
+    x1 = [{"exponent": [1], "coeff": 1}]
+    one_plus_x1 = [{"exponent": [0], "coeff": 1}, {"exponent": [1], "coeff": 1}]
+    cases = [(["--p", "3"], [4, x1], False), (["--p", "3"], [3, x1], True),
+             (["--equal-char"], [one_plus_x1], False), (["--equal-char"], [x1], True)]
+    for flags, elems, want in cases:
+        code, out, _ = run(capsys, "regularity", "maximal", "--d", "1", *flags,
+                           "--elems", json.dumps(elems))
+        assert (code, json.loads(out)["report"]) == (0 if want else 1, {"maximal": want})
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "monoid", "check", "--input", str(tmp_path / "nope.json"))
     assert code == 2 and "cannot read" in err
@@ -541,7 +555,7 @@ def test_every_declared_flag_is_read(tmp_path, capsys):
             "--precision": (build, ["--precision", "3"]),
         },
         "regularity": {
-            "--p": (["regularity", "maximal", "--d", "0", "--elems", "[4]"], ["--p", "3"]),
+            "--p": (["regularity", "maximal", "--d", "0", "--elems", "[3]"], ["--p", "3"]),
             "--d": (["regularity", "omega"], ["--d", "1"]),
             "--output": (["regularity", "omega"], ["--output", report]),
             "--equal-char": (["regularity", "omega"], ["--equal-char"]),
@@ -649,5 +663,7 @@ def test_degenerate_presentations_get_a_report_or_one_line(tmp_path, capsys, nam
             assert code in (0, 1) and err == ""
             assert json.loads(out)["command"] == f"tower {action}"
         codes[action] = code
+    # the four actions admit the same presentations: build_tower checks f-bar
+    assert len(set(codes.values())) == 1, codes
     if name in ("f_zero_mod_p", "f_coefficient_0"):
         assert codes == dict.fromkeys(codes, 0)

@@ -197,6 +197,26 @@ def test_maximal_sequences():
                                    s_monomial(er, er.exp((0, 1)))])
 
 
+def test_maximal_sequence_with_a_unit():
+    """A unit generates the unit ideal, so it is never part of a regular
+    system of parameters (Matsumura, Thm 14.2), whatever its differential
+    class.  Z_3[[x1]]: 4 = 1 + 1*3 has the class (1, 0) and x1 the class
+    (0, 1), independent, yet (4, x1) = (1); (3, x1) is m.  F_2[[x1]]:
+    1 + x1 has the class (1) of x1, yet it is a unit."""
+    A = BaseRing(3, 1, mixed=True)
+    ring = A.series_ring()
+    x1 = s_monomial(ring, ring.exp((1,)))
+    assert d_class(A, s_const(ring, 4)) == (1, 0) and d_class(A, x1) == (0, 1)
+    assert not is_maximal_sequence(A, [s_const(ring, 4), x1])
+    assert is_maximal_sequence(A, [s_const(ring, 3), x1])
+    E = BaseRing(2, 1, mixed=False)
+    er = E.series_ring()
+    one_plus_x1 = s_from_terms(er, [(er.exp((0,)), 1), (er.exp((1,)), 1)])
+    assert d_class(E, one_plus_x1) == (1,)
+    assert not is_maximal_sequence(E, [one_plus_x1])
+    assert is_maximal_sequence(E, [s_monomial(er, er.exp((1,)))])
+
+
 def test_kummer_regularity_cases():
     A = BaseRing(2, 2, mixed=True)
     ring = A.series_ring()

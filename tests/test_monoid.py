@@ -19,7 +19,6 @@ from ptlab.monoid import (
     cone_contains,
     contains,
     dimension,
-    element_coords,
     exact_embed_Nd,
     facet_normals,
     graded_decomposition,
@@ -33,6 +32,7 @@ from ptlab.monoid import (
     p_divide,
     preset,
     saturate,
+    walk,
 )
 
 from fixtures import elements
@@ -254,9 +254,14 @@ def test_numerical_semigroup_membership_is_exact():
 
 
 def test_enumeration_is_memoised_and_needs_Nd():
-    assert element_coords(QUADRIC, 2, 3) is element_coords(QUADRIC, 2, 3)
+    walk.cache_clear()
+    w = walk(QUADRIC.generators, 3)
+    assert w is walk(QUADRIC.generators, 3)
+    # the walk goes as far as it is asked and keeps what it found
+    n = w.upto(2)
+    assert w.degree == 2 and w.upto(1) < n == w.upto(2) == len(w.elements)
     with pytest.raises(ValueError):
-        element_coords(AffineMonoid(2, 2, 0, ((1, 0), (-1, 1))), 2, 3)
+        walk(((1, 0), (-1, 1)), 3)
     # membership needs no N^d: a non-saturated monoid outside it peels its
     # facet pairings
     assert contains(AffineMonoid(1, 2, 0, ((-2,), (-3,))), MonoidElem((-5,), 0, 2))

@@ -8,13 +8,14 @@ from math import floor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptlab.monoid import AffineMonoid, MonoidElem, contains, element_coords, graded_order
+from ptlab.monoid import AffineMonoid, MonoidElem, contains, graded_order, walk
 from ptlab.record import replace
 from ptlab.series import (
     InvariantViolation,
     NonMonomialReduction,
     RingMismatch,
     SeriesRingDesc,
+    _sub,
     is_unit,
     make_series,
     parse_cutoff,
@@ -31,7 +32,7 @@ from ptlab.series import (
     term_from_json,
     term_json,
 )
-from ptlab.tower import _sub, _torsion
+from ptlab.tower import _torsion
 
 from fixtures import torsion_oracle
 
@@ -233,6 +234,9 @@ def test_ring_descriptor_invariants():
     with pytest.raises(InvariantViolation):
         SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0, p=2,
                        precision=2, cutoff=Fraction(0))
+    # a quotient monomial is a monomial of some ring: no negative coordinate
+    with pytest.raises(InvariantViolation, match="nonnegative coordinates"):
+        replace(CHARP, quotient_exps=(MonoidElem((-1, 2), 0, 2),))
     for q in (4, 10**25 + 13):   # p must be a prime, decided by is_prime
         with pytest.raises(InvariantViolation):
             SeriesRingDesc(monoid_part=AffineMonoid(0, q, 0, ()), free_rank=1, free_level=0,
@@ -429,15 +433,24 @@ TORSION_RINGS = {
 }
 
 
+def materialised_ideal(ring):
+    """The points of the quotient ideal within the cutoff, from the whole
+    support: s + q for every exponent s and quotient monomial q."""
+    support = ring.support()
+    quots = [v for v in map(ring.coords, ring.quotient_exps) if v is not None]
+    return sorted({s + q for q in quots for s in support if s + q < ring._lim})
+
+
 @st.composite
 def torsion_generators(draw, ring):
     """(packed g, the series e^g): zero, a basis monomial (1 included) or,
     when the ring has a quotient ideal, a member of it."""
-    kinds = ("zero", "monomial", "ideal") if ring._ideal else ("zero", "monomial")
+    ideal = materialised_ideal(ring)
+    kinds = ("zero", "monomial", "ideal") if ideal else ("zero", "monomial")
     kind = draw(st.sampled_from(kinds))
     if kind == "zero":
         return None, s_zero(ring)
-    v = draw(st.sampled_from(ring.monomial_basis() if kind == "monomial" else sorted(ring._ideal)))
+    v = draw(st.sampled_from(ring.monomial_basis() if kind == "monomial" else ideal))
     return v, make_series(ring, [(v, 1)])
 
 
@@ -452,6 +465,107 @@ def test_torsion_annihilator_matches_the_product_loop(name):
         assert list(_torsion(ring, v)) == torsion_oracle(ring, g)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# membership decided from the generators.  in_ring and in_ideal never read
+# the support; the oracle is the materialised walk: the support up to the
+# cap, and the support translated by each quotient monomial.  The rings are
+# the torsion rings, every level and residue ring of the oracle towers, and
+# three more: a non-saturated monoid (decided by monoid.contains), the
+# Veronese cone V(2,3), whose lattice has index 3 in Z^2 (a congruence), a
+# cone with a facet that no coordinate gives, and a free part coarser than
+# the ring.
+
+V23_GENS = ((3, 0), (2, 1), (1, 2), (0, 3))
+
+
+def membership_rings():
+    from test_tower import oracle_towers
+
+    rings = dict(TORSION_RINGS)
+    rings["non-saturated <2,3> + N"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(1, 2, 0, ((2,), (3,))), free_rank=1, free_level=0, p=2,
+        precision=1, cutoff=Fraction(9, 2), char_p=True,
+        quotient_exps=(MonoidElem((3, 1), 0, 2), MonoidElem((3, 0), 1, 2)))
+    rings["V(2,3)"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(2, 2, 0, V23_GENS), free_rank=1, free_level=0, p=2,
+        precision=1, cutoff=Fraction(7), char_p=True, quotient_exps=(MonoidElem((2, 1, 1), 0, 2),))
+    rings["<(1,0),(1,1)>, facet x >= y"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(2, 3, 0, ((1, 0), (1, 1))), free_rank=1, free_level=0, p=3,
+        precision=1, cutoff=Fraction(3), char_p=True, quotient_exps=(MonoidElem((2, 1, 0), 0, 3),))
+    rings["V(2,3) at level 1, free level 0"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(2, 3, 1, V23_GENS), free_rank=2, free_level=0, p=3,
+        precision=2, cutoff=Fraction(5, 3))
+    for name, T in oracle_towers().items():
+        for i in range(T.depth + 1):
+            rings[f"{name} R{i}"] = T.levels[i]
+            rings[f"{name} S{i}"] = T.residue(i)
+    return rings
+
+
+MEMBERSHIP_RINGS = membership_rings()
+
+
+@st.composite
+def ring_points(draw, ring, support):
+    """Coordinates >= 0 at the ring's level: a member of the support, or a
+    vector of a drawn degree below the cap, at it or past it, so most draws
+    of a constrained ring fall outside it."""
+    cap, n = ring.cap, ring.width
+    if draw(st.booleans()):
+        return ring.unpack(draw(st.sampled_from(support)))
+    k = draw(st.sampled_from((max(cap - 1, 0), cap, cap + 1, cap + 2, draw(st.integers(0, cap)))))
+    cuts = sorted(draw(st.lists(st.integers(0, k), min_size=n - 1, max_size=n - 1))) if n else []
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [k])) if n else ()
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_RINGS))
+def test_implicit_membership_matches_the_walk(name):
+    ring = MEMBERSHIP_RINGS[name]
+    support = ring.support()
+    members, ideal = set(support), set(materialised_ideal(ring))
+
+    basis = ring.monomial_basis()
+    assert basis == tuple(u for u in support if u not in ideal)
+
+    @settings(deadline=None, max_examples=40)
+    @given(ring_points(ring, support), st.integers(-1, ring.cap + 1))
+    def check(v, k):
+        pv = ring.pack(v)
+        within = sum(v) <= ring.cap
+        assert ring.in_ring(pv) == (within and pv in members)
+        assert ring.structural_contains(v) == (pv in members) or not within
+        if within:
+            assert ring.in_ideal(pv) == (pv in ideal)
+        # a loop that stops at degree k reads the prefix of the full basis
+        assert ring.support(k) == tuple(u for u in support if u >> ring._shift <= k)
+        assert ring.monomial_basis(k) == tuple(u for u in basis if u >> ring._shift <= k)
+
+    check()
+
+
+def test_implicit_membership_paths():
+    """The non-saturated monoid is decided by contains, V(2,3) by a
+    congruence, <(1,0),(1,1)> by its facet x >= y, and a coarser free part
+    by its lattice."""
+    from ptlab.monoid import is_saturated
+
+    R = MEMBERSHIP_RINGS["non-saturated <2,3> + N"]
+    assert not is_saturated(R.monoid_part)
+    assert [R.in_ring(R.pack((a, 0))) for a in range(5)] == [True, False, True, True, True]
+    V = MEMBERSHIP_RINGS["V(2,3)"]
+    # (1, 2) and (2, 1) are generators; (1, 1) and (2, 0) lie in the cone,
+    # off the lattice a + b = 0 mod 3
+    assert [V.in_ring(V.pack(v)) for v in ((1, 2, 0), (2, 1, 4), (1, 1, 0), (2, 0, 0))] == [
+        True, True, False, False]
+    F = MEMBERSHIP_RINGS["<(1,0),(1,1)>, facet x >= y"]
+    assert [F.in_ring(F.pack(v)) for v in ((2, 1, 0), (1, 2, 0), (0, 1, 0), (0, 0, 1))] == [
+        True, False, False, True]
+    C = MEMBERSHIP_RINGS["V(2,3) at level 1, free level 0"]
+    assert C.level == 1 and C.in_ring(C.pack((0, 0, 3, 0))) and not C.in_ring(C.pack((0, 0, 1, 0)))
+    # past the cap nothing is in the ring, also a multiple of a generator
+    assert not V.in_ring(V.pack((3 * V.cap, 0, 0))) and V.structural_contains((3 * V.cap, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +651,7 @@ def test_lookup_membership_matches_contains(name, R, S):
 
 def test_ring_and_residue_share_one_support():
     name, R, S = LOOKUP_RINGS[-1]
+    assert R._walk is S._walk
     assert S.monomial_basis() and set(S.monomial_basis()) <= set(R.monomial_basis())
     members = {id(v) for v in R.monomial_basis()}
     assert all(id(v) in members for v in S.monomial_basis())
@@ -572,14 +687,13 @@ def support_rings(draw):
 def test_support_matches_box_enumeration(ring):
     box = [v for v in itertools.product(range(ring.cap + 1), repeat=ring.width)
            if sum(v) <= ring.cap and ring.structural_contains(v)]
-    assert [ring.elem(v).at_level(ring.level) for v in ring._support] == sorted(box, key=graded_order)
-    Q = AffineMonoid(ring.width, ring.p, ring.level, ring.generators)
-    assert ring._support is element_coords(Q, ring.cap, ring._field)
+    assert [ring.elem(v).at_level(ring.level) for v in ring.support()] == sorted(box, key=graded_order)
+    assert ring._walk is walk(ring.generators, ring._field)
 
 
 def test_in_ring_answers_within_the_cutoff():
-    """in_ring looks v up in the support, so it answers within the cutoff;
-    past it the fields of a packed exponent overflow.  exp_in_ring and
+    """in_ring answers within the cutoff, where a packed exponent unpacks
+    exactly; past it the fields overflow.  exp_in_ring and
     structural_contains decide on exact coordinates at any degree."""
     ring = SeriesRingDesc(monoid_part=AffineMonoid(2, 2, 0, ((2, 0), (3, 0), (0, 1))),
                           free_rank=0, free_level=0, p=2, precision=2, cutoff=Fraction(3))
@@ -598,7 +712,7 @@ def test_widened_support_unpacks_to_the_same_exponents(ring, extra):
     """A tower packs its levels with its top level's wider fields; the
     exponents and their order stay those of the ring's own layout."""
     wide = ring._refield(ring._field + extra)
-    assert [wide.elem(v) for v in wide._support] == [ring.elem(v) for v in ring._support]
+    assert [wide.elem(v) for v in wide.support()] == [ring.elem(v) for v in ring.support()]
 
 
 # packed exponents against the tuple oracle.  A ring N^n at one level packs
@@ -666,13 +780,14 @@ def test_packed_exponents_match_the_tuple_oracle(ring, data):
 
 
 def test_cold_support_builds_no_monoid_elem(monkeypatch):
-    """The support walks the generators of Q + N^r in packed ints."""
+    """The support walks the generators of Q + N^r in packed ints, and
+    membership is decided on them."""
     from ptlab import monoid
     from ptlab.logreg import build_tower, preset
 
     R = build_tower(preset("quadric", 3), 2, Fraction(4), 2).levels[-1]
-    R.__dict__.pop("_support", None)
-    monoid.element_coords.cache_clear()
+    R.__dict__.pop("_walk", None)
+    monoid.walk.cache_clear()
     calls = []
     original = MonoidElem.__post_init__
 
@@ -681,7 +796,8 @@ def test_cold_support_builds_no_monoid_elem(monkeypatch):
         original(self)
 
     monkeypatch.setattr(MonoidElem, "__post_init__", counting)
-    assert len(R._support) == 2470
+    assert len(R.support()) == 2470
+    assert all(map(R.in_ring, R.support()))
     assert calls == []
 
 

@@ -168,7 +168,7 @@ def full_walk_principal(T, j):
     g = T.ideal_exp()
     Sj, top = T.residue(j), T.residue(j + m)
     bad = None
-    for d in top._support:
+    for d in top.support():
         e = top.elem(d)
         mu = e.scale(T.p ** m)
         if Sj.deg(mu) > Sj.cap:
@@ -515,10 +515,31 @@ def test_transition_free_unit_vector_outside():
 def test_building_a_tower_computes_no_support():
     from ptlab import monoid
 
-    monoid.element_coords.cache_clear()
+    monoid.walk.cache_clear()
     T = build_tower(preset("quadric", 3), 2, Fraction(4), 2)
-    assert monoid.element_coords.cache_info().currsize == 0
-    assert not any("_support" in R.__dict__ for R in T.levels)
+    assert monoid.walk.cache_info().currsize == 0
+    assert not any("_walk" in R.__dict__ for R in T.levels)
+
+
+def test_verify_and_exactstilt_walk_the_top_level_to_cap_over_p(capsys):
+    """verify and exactstilt read the top level as a prefix up to degree
+    cap/p (where p d, or p^m d, leaves the cutoff) and as point queries, so
+    the walk the levels share stops there; tilt reports the size of every
+    basis and walks the whole window."""
+    from ptlab import monoid
+    from ptlab.cli import main
+
+    P = preset("quadric", 7)
+    for action in ("verify", "exactstilt", "tilt"):
+        monoid.walk.cache_clear()
+        assert main(["tower", action, "--preset", "quadric", "--p", "7", "--depth", "2"]) == 0
+        top = build_tower(P, 2, 4, 2).levels[-1]
+        assert top.cap == 196
+        if action == "tilt":
+            assert top._walk.degree == top.cap
+        else:
+            assert top._walk.degree <= top.cap // 7, action
+    capsys.readouterr()
 
 
 def test_tower_descriptor_roundtrip():
