@@ -7,8 +7,8 @@ newline so identical inputs give byte-identical output.
 
 from __future__ import annotations
 
-import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -387,13 +387,19 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry of `ptlab` and `python -m ptlab.cli`: main(), then
-    exit with its code.  Nothing is decided after the report is written, so
-    the collector is frozen first: every object still alive moves to the
-    permanent generation, which the interpreter's teardown collections skip.
-    Refcount deallocation, atexit handlers and the stdout flush still run."""
+    end the process with its code.  Nothing is decided after the report is
+    written, so stdout and stderr are flushed and os._exit skips the
+    interpreter's teardown: no atexit handler runs and no object is
+    deallocated.  A stdout that _emit closed after a failed write is left
+    alone, and a flush that fails (only the help text is unflushed) exits 2."""
     code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if not stream.closed:
+                stream.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -177,23 +177,36 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
     f-bar, T's transitions must agree with the predicted inclusions on the
     generators of R_j's exponent monoid, the generic transition degree must
     be the layer-quotient order times p^r, and dimensions match.
+
+    S_j and its predicted ring share one exponent monoid, so the bases are
+    compared on their quotient monomials (SeriesRingDesc.same_basis) and
+    only a mismatch walks both bases for its witnesses.  basis_size is
+    counted (SeriesRingDesc.basis_count): S_j's quotient monomials are
+    f-bar's exponent w and the I_0 generator's, which is w too whenever w is
+    within the cutoff.  The canonical form of p = f starts with the digit
+    c_w mod p != 0 at w: every later carry onto w is a multiple of a
+    coefficient of f other than c_w, all divisible by p.  Past the cutoff
+    every digit it produces is 0 for the same reason, so I_0 contributes no
+    monomial within the cutoff; with f in (p) there is no w and I_0 = (0).
     """
     Tp = predict_tilt(T)
     rows = []
     for j in range(T.depth + 1):
         Sj = T.residue(j)
         Pj = Tp.residue(j)
-        # both bases are in term order, packed alike at the same level
-        src, prd = Sj.monomial_basis(), Pj.monomial_basis()
-        missing = extra = []
-        if src != prd:
-            missing, extra = sorted(set(prd) - set(src)), sorted(set(src) - set(prd))
+        witnesses = []
+        match = Sj.same_basis(Pj)
+        if not match:
+            # both bases are in term order, packed alike at the same level
+            src, prd = set(Sj.monomial_basis()), set(Pj.monomial_basis())
+            witnesses = [Sj.elem(e).to_json()
+                         for e in (sorted(prd - src) + sorted(src - prd))[:3]]
         rows.append({
             "check": "basis_match",
             "level": j,
-            "pass": not missing and not extra,
-            "basis_size": len(src),
-            "witnesses": [Sj.elem(e).to_json() for e in (missing + extra)[:3]],
+            "pass": match,
+            "basis_size": Sj.basis_count(),
+            "witnesses": witnesses,
         })
         dim_src = dimension(P.Q) + P.r  # relation spends the +1 of C(k)
         dim_prd = dimension(Tp.levels[j].monoid_part) + Tp.levels[j].free_rank
@@ -349,17 +362,32 @@ def is_maximal_sequence(A: BaseRing, elems) -> bool:
 
 
 def kummer_regularity(A: BaseRing, f_list, e_list) -> bool:
-    """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the obvious center.
+    """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the points over m.
 
-    Decided by linear independence of the differential classes of the f_i;
-    each exponent must exceed 1 for the extension to be a genuine cover.
+    Each exponent must exceed 1 for the extension to be a genuine cover.
+    A unit f_i with p not dividing e_i gives an etale factor (T^e - f is
+    separable mod m, its derivative e T^(e-1) a unit where T^e = f), so it
+    drops out.  A unit with e_i = p keeps its class: the class of
+    f_i - [b]^p for the Teichmuller lift [b] of its residue, which is the
+    corrected digit in mixed characteristic and the linear terms in equal
+    characteristic (b is in F_p, whose p-th powers are itself).  A unit with
+    p | e_i and e_i != p is refused (UnsupportedBase): its p^a-th root
+    residue may need an extension of F_p.  The classes that remain, those of
+    the non-units and the e_i = p units, decide by linear independence.
     """
     if len(f_list) != len(e_list):
         raise UnsupportedBase("one exponent per element")
     for e in e_list:
         if e <= 1:
             raise UnsupportedBase("exponents must exceed 1")
-    classes = [d_class(A, x) for x in f_list]
+    classes = []
+    for x, e in zip(f_list, e_list):
+        if is_unit(x) and e != A.p:
+            if e % A.p == 0:
+                raise UnsupportedBase(f"a unit with exponent {e}, a multiple of p = {A.p} "
+                                      "other than p, is not supported")
+            continue  # etale
+        classes.append(d_class(A, x))
     if not classes:
         return True
     return _fp_rank(classes, A.p) == len(classes)

@@ -515,6 +515,74 @@ def saturate(Q: AffineMonoid) -> AffineMonoid:
 
 
 # ---------------------------------------------------------------------------
+# counting by degree
+
+
+@lru_cache(maxsize=None)
+def _half_open(gens: tuple[tuple[int, ...], ...], n: int):
+    """A half-open decomposition of cone(gens) cap gens^gp, by degree (the
+    coordinate sum): per cone of _triangulation, the degrees of its
+    generators and of its half-open parallelepiped points.
+
+    Every x of the cone is assigned to the one simplicial cone whose
+    interior holds x + delta, for delta = eps y + eps^2 e_1 + ... +
+    eps^(r+1) e_r with y the sum of the extreme generators (interior) and
+    eps -> 0 (Koeppe-Verdoolaege, "Computing parametric rational generating
+    functions with a primal Barvinok algorithm", Electron. J. Combin. 15,
+    2008).  In a cone with generators g_i, x = sum lambda_i g_i is assigned
+    to it iff each lambda_i > 0, or lambda_i = 0 and delta has a positive
+    i-th coordinate: the first nonzero of (lambda_i(y), lambda_i(e_1), ...),
+    by Cramer's rule.  So the lattice points of the half-open cone are
+    b + sum n_i g_i, n in N^r, uniquely, where b runs over the
+    parallelepiped points with g_i added when q_i = 0 and facet i is open.
+    """
+    cones = _triangulation(gens, n)
+    cols = {tuple(row[j] for row in M) for _, M in cones for j in range(len(M))}
+    r = len(cones[0][1])
+    probes = [tuple(map(sum, zip(*cols)))] + list(intlat.identity(r))
+    out = []
+    for G, M in cones:
+        d, qs = _parallelepiped(M)
+        sign = 1 if intlat.det(M) > 0 else -1
+        open_ = []
+        for i in range(r):
+            lam = (intlat.det(tuple(row[:i] + (y[k],) + row[i + 1:] for k, row in enumerate(M)))
+                   for y in probes)
+            open_.append(sign * next(x for x in lam if x) < 0)
+        degs = tuple(map(sum, G))
+        points = tuple(sum(_combine(q, G, d, n)) + sum(e for e, o, x in zip(degs, open_, q)
+                                                        if o and not x)
+                       for q in qs)
+        out.append((degs, points))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def count_upto(gens: tuple[tuple[int, ...], ...], n: int, k: int) -> int:
+    """#{m in M : deg m <= k}, deg the coordinate sum, for the saturated
+    monoid M that gens (in N^n) generate; NotSaturated otherwise.
+
+    A sum over the half-open decomposition of _half_open: one degree table
+    per simplicial cone, c[j] the number of n in N^r with sum n_i deg g_i
+    = j (Bruns-Ichim, "Normaliz: algorithms for affine monoids and rational
+    cones", J. Algebra 324, 2010), read at k - deg b for each point b.
+    """
+    if k < 0:
+        return 0
+    if _saturation_gap(gens, n):
+        raise NotSaturated("the count by degree needs a saturated monoid")
+    total = 0
+    for degs, points in _half_open(gens, n):
+        c = [1] + [0] * k
+        for e in degs:
+            for j in range(e, k + 1):
+                c[j] += c[j - e]
+        below = list(itertools.accumulate(c))
+        total += sum(below[k - b] for b in points if b <= k)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # the p-division system
 
 

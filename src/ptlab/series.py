@@ -18,7 +18,7 @@ rule.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from math import floor
 
@@ -26,7 +26,9 @@ from .coeffring import require_prime
 from .monoid import (
     AffineMonoid,
     MonoidElem,
+    count_upto,
     graded_order,
+    in_gp,
     json_int,
     member_test,
     pack,
@@ -304,6 +306,41 @@ class SeriesRingDesc:
             return self.support(k)
         return self._walk.outside(tuple((q, q >> self._shift) for q in self._ideal_gens), k)
 
+    def basis_count(self, upto: int | None = None) -> int:
+        """len(monomial_basis(upto)) without the walk: H(k) - H(k - deg q)
+        for the one quotient monomial q within the cutoff, H(k) without
+        one, H = monoid.count_upto on the ring's generators.  The ideal is
+        then q + M, and m -> q + m maps the exponents of degree <= k - deg q
+        onto its part of degree <= k.  InvariantViolation for more quotient
+        monomials within the cutoff, or one that is not an exponent of the
+        ring; NotSaturated unless the exponent monoid is saturated."""
+        k = self.cap if upto is None else min(upto, self.cap)
+        H = partial(count_upto, self.generators, self.width)
+        quots = self._ideal_gens
+        if not quots:
+            return H(k)
+        if len(quots) > 1 or not self.in_ring(quots[0]):
+            raise InvariantViolation("the basis count needs at most one quotient "
+                                     "monomial within the cutoff, an exponent of the ring")
+        return H(k) - H(k - (quots[0] >> self._shift))
+
+    def same_basis(self, other: SeriesRingDesc) -> bool:
+        """monomial_basis() == other.monomial_basis() for a ring on the same
+        generators, packed alike, decided on the quotient monomials.
+
+        With I_A the exponents v within the cutoff with v - a in M for a
+        quotient monomial a of A (M the exponent monoid), I_A is in I_B iff
+        every a of A within the cutoff that is in M lies in I_B.  Such an a
+        is in I_A (a - a = 0).  Conversely, let v - a be in M: an a outside
+        M^gp cannot be (v and v - a are in M^gp), so a is in M with
+        deg a <= deg v, and a - b in M for a quotient monomial b of B gives
+        v - b = (v - a) + (a - b) in M.  So an a outside M^gp is inert, and
+        one in M^gp outside M (a hole, or past a facet that is not a
+        coordinate) is an InvariantViolation."""
+        if (other.generators, other.cap, other._field) != (self.generators, self.cap, self._field):
+            raise InvariantViolation("bases are compared on one exponent monoid and layout")
+        return _ideal_in(self, other) and _ideal_in(other, self)
+
     @cached_property
     def _relation_terms(self) -> tuple[tuple[int, int], ...]:
         """The relation f as (packed exponent, coefficient), in term order."""
@@ -403,6 +440,19 @@ def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
             "f mod p is not a monomial; declare a monomial order to proceed"
         )
     return live[0][0]
+
+
+def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
+    """Every quotient monomial of A within the cutoff that is an exponent
+    of the ring lies in B's quotient ideal (see same_basis)."""
+    for a in A._ideal_gens:
+        if A.in_ring(a):
+            if not B.in_ideal(a):
+                return False
+        elif in_gp(AffineMonoid(A.width, A.p, A.level, A.generators), A.elem(a)):
+            raise InvariantViolation(f"quotient monomial {A.elem(a)} is in the ring's "
+                                     "group but not in the ring")
+    return True
 
 
 def _sub(ring: SeriesRingDesc, v: int, w: int) -> int | None:

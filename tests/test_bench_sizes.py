@@ -3,8 +3,9 @@
 perfbench/workloads.TOWERS records the residue (S_i) and level (R_i) basis
 sizes that the benchmark's warm-up child must reproduce before a run counts
 as correct.  This test reads those figures and compares them with
-len(monomial_basis()) on the tower of each canonical input, so a change to
-how bases are built that moves them fails here, before the benchmark runs.
+len(monomial_basis()) on the tower of each canonical input, and with the
+basis sizes that verify_tilt counts, so a change to how bases are built or
+counted that moves them fails here, before the benchmark runs.
 It only reads perfbench/.
 """
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ptlab.logreg import LogRegPresentation, build_tower
+from ptlab.logreg import LogRegPresentation, build_tower, verify_tilt
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -37,4 +38,7 @@ def test_tower_workload_basis_sizes(name, tmp_path):
     P = LogRegPresentation.from_descriptor(json.loads(Path(setup["input"]).read_text()))
     T = build_tower(P, setup["depth"], Fraction(setup["cutoff"]), setup["precision"])
     assert [len(T.residue(i).monomial_basis()) for i in range(T.depth + 1)] == spec["S"]
+    # the tilt counts them without the walk
+    rows = verify_tilt(P, T)["checks"]
+    assert [r["basis_size"] for r in rows if r["check"] == "basis_match"] == spec["S"]
     assert [len(T.levels[i].monomial_basis()) for i in range(T.depth + 1)] == spec["R"]

@@ -145,6 +145,36 @@ def test_maximal_with_a_unit_is_false(capsys):
         assert (code, json.loads(out)["report"]) == (0 if want else 1, {"maximal": want})
 
 
+def test_kummer_with_a_unit(capsys):
+    """Regularity at the points over m of Z_3[[x1]]: a unit with 3 not
+    dividing e is etale (T^2 - 1, T^2 - 4); with e = p a unit keeps its
+    class (4 = 1 + 3 has that of p, the Teichmuller lift 8 none); a unit
+    with p | e and e != p exits 2 with one line."""
+    cases = [("[1]", "2", True), ("[4]", "2", True), ("[4]", "3", True), ("[8]", "3", False)]
+    for f, e, want in cases:
+        code, out, _ = run(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
+                           "--f", f, "--e", e)
+        assert (code, json.loads(out)["report"]) == (0 if want else 1, {"regular": want}), f
+    err = _one_line_exit_2(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
+                           "--f", "[1]", "--e", "9")
+    assert "multiple of p" in err
+
+
+def test_tilt_walks_no_level_past_D_p(capsys):
+    """tower tilt counts every basis and compares them on quotient
+    monomials, so the quadric at p = 7, depth 3 (about 1.08e8 top
+    exponents) passes, and the walk the levels share stops at degree D p,
+    where the mod-pillar isomorphism at home level 1 reads S_1."""
+    from ptlab import monoid
+
+    monoid.walk.cache_clear()
+    code, out, err = run(capsys, "tower", "tilt", "--preset", "quadric", "--p", "7",
+                         "--depth", "3")
+    assert code == 0 and json.loads(out)["report"]["all_pass"], err
+    top = build_tower(preset("quadric", 7), 3, 4, 2).levels[-1]
+    assert top.cap == 4 * 7 ** 3 and top._walk.degree <= 4 * 7
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "monoid", "check", "--input", str(tmp_path / "nope.json"))
     assert code == 2 and "cannot read" in err
@@ -249,8 +279,9 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
 
 
 def test_process_entry_matches_in_process_main(tmp_path, capsys):
-    """`python -m ptlab.cli` enters through run(), which freezes the collector
-    before exit: each child prints, writes and exits as main() does in this
+    """`python -m ptlab.cli` enters through run(), which flushes stdout and
+    stderr and ends the process with os._exit, so no teardown and no atexit
+    handler runs: each child prints, writes and exits as main() does in this
     process, and main() itself leaves the collector alone."""
     root = Path(__file__).resolve().parents[1]
     # block-buffered stdout, so the report reaches the pipe by _emit's own flush

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ptlab import logreg
 from ptlab.logreg import (
     BaseRing,
     InvalidPresentation,
@@ -20,7 +21,15 @@ from ptlab.logreg import (
     verify_tilt,
 )
 from ptlab.monoid import AffineMonoid, MonoidElem, p_divide
-from ptlab.series import SeriesRingDesc, make_series, s_const, s_from_terms, s_monomial
+from ptlab.record import replace
+from ptlab.series import (
+    InvariantViolation,
+    SeriesRingDesc,
+    make_series,
+    s_const,
+    s_from_terms,
+    s_monomial,
+)
 
 from fixtures import sab_b
 
@@ -132,6 +141,125 @@ def test_verify_tilt_catches_a_transition_that_is_not_the_inclusion():
     assert not rep["all_pass"]
 
 
+def walked_basis_rows(T, Tp):
+    """verify_tilt's basis_match rows from the full walked bases of S_j and
+    the predicted P_j: the oracle for the rows decided on quotient
+    monomials and counted."""
+    rows = []
+    for j in range(T.depth + 1):
+        Sj = T.residue(j)
+        Pj = Tp.residue(j)
+        src, prd = Sj.monomial_basis(), Pj.monomial_basis()
+        missing = extra = []
+        if src != prd:
+            missing, extra = sorted(set(prd) - set(src)), sorted(set(src) - set(prd))
+        rows.append({
+            "check": "basis_match",
+            "level": j,
+            "pass": not missing and not extra,
+            "basis_size": len(src),
+            "witnesses": [Sj.elem(e).to_json() for e in (missing + extra)[:3]],
+        })
+    return rows
+
+
+def basis_rows(rep):
+    return [r for r in rep["checks"] if r["check"] == "basis_match"]
+
+
+def quadric_count(cap):
+    """#{m in the quadric cone : deg m <= cap}: (t + 1)^2 elements of degree 2t."""
+    K = cap // 2
+    return (K + 1) * (K + 2) * (2 * K + 3) // 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["unramified_rlr", "quadric"])
+def test_tilt_basis_rows_are_the_walked_ones(name, p):
+    """basis_size is counted and basis_match decided on quotient monomials,
+    as the walk gives them, at depth 1-3; the quadric at p = 5, depth 3
+    (5.3 million top exponents) is checked on the closed form instead."""
+    P = preset(name, p)
+    for depth in (1, 2, 3):
+        T = build_tower(P, depth, 4, 2)
+        rows = basis_rows(verify_tilt(P, T))
+        if (name, p, depth) == ("quadric", 5, 3):
+            caps = [T.residue(j).cap for j in range(depth + 1)]
+            assert [r["basis_size"] for r in rows] == [
+                quadric_count(c) - quadric_count(c - 2 * p ** j) for j, c in enumerate(caps)]
+            assert all(r["pass"] and not r["witnesses"] for r in rows)
+        else:
+            assert rows == walked_basis_rows(T, predict_tilt(T)), (depth, rows)
+
+
+def test_tilt_basis_rows_on_the_oracle_towers():
+    """On every oracle tower verify_tilt gives the walked rows, or refuses a
+    tower with two quotient monomials within the cutoff (sab_a's base ideal
+    (x2) beside f-bar = x1, sab_e's (1), sab_g's I_0 beside x^2 y)."""
+    from test_tower import oracle_towers
+
+    presentations = {"quadric_p3": preset("quadric", 3), "rlr_deep": preset("unramified_rlr", 2, d=3)}
+    refused = set()
+    for name, T in oracle_towers().items():
+        P = presentations.get(name, preset("unramified_rlr", 2))
+        if any(len(T.residue(j)._ideal_gens) > 1 for j in range(T.depth + 1)):
+            with pytest.raises(InvariantViolation):
+                verify_tilt(P, T)
+            refused.add(name)
+            continue
+        assert basis_rows(verify_tilt(P, T)) == walked_basis_rows(T, predict_tilt(T)), name
+    assert refused == {"a", "e", "g"}
+
+
+def _patched_prediction(monkeypatch, change):
+    real = logreg.predict_tilt
+    monkeypatch.setattr(logreg, "predict_tilt", lambda T: change(real(T)))
+
+
+def _with_quotient(e):
+    """A prediction whose levels also quotient by the monomial e."""
+    def change(W):
+        levels = tuple(replace(R, quotient_exps=(e,)) for R in W.levels)
+        return replace(W, levels=levels,
+                       base_ideal=s_from_terms(levels[0], W.base_ideal.exp_terms()))
+
+    return change
+
+
+def test_tilt_basis_mismatch_reports_the_walked_witnesses(monkeypatch):
+    """A predicted ring whose quotient monomial differs from S_j's (x2 for
+    x1), or that has one more (x2^3), fails basis_match with exactly the
+    witnesses of the full-basis comparison; the other rows are untouched."""
+    P = preset("unramified_rlr", 2)
+    T = build_tower(P, 2, 4, 2)
+    want = verify_tilt(P, T)
+    x2 = MonoidElem((0, 1), 0, 2)
+    for change in (lambda W: replace(W, base_ideal=s_monomial(W.levels[0], x2)),
+                   _with_quotient(x2.scale(3))):
+        with monkeypatch.context() as m:
+            _patched_prediction(m, change)
+            rep = verify_tilt(P, T)
+            rows = basis_rows(rep)
+            assert rows == walked_basis_rows(T, logreg.predict_tilt(T))
+        assert not rep["all_pass"] and all(not r["pass"] and r["witnesses"] for r in rows)
+        assert [r for r in rep["checks"] if r["check"] != "basis_match"] == [
+            r for r in want["checks"] if r["check"] != "basis_match"]
+
+
+def test_tilt_basis_match_ignores_inert_and_redundant_quotients(monkeypatch):
+    """A quotient monomial off the quadric's lattice x + z = y + w, such as
+    x, divides no exponent, and w^2 lies in the ideal (w) already: neither
+    changes the report."""
+    P = preset("quadric", 2)
+    T = build_tower(P, 2, 4, 2)
+    want = verify_tilt(P, T)
+    for e in (MonoidElem((1, 0, 0, 0), 0, 2), MonoidElem((0, 2, 2, 0), 0, 2)):
+        with monkeypatch.context() as m:
+            _patched_prediction(m, _with_quotient(e))
+            assert verify_tilt(P, T) == want
+            assert basis_rows(want) == walked_basis_rows(T, logreg.predict_tilt(T))
+
+
 def test_kato_dimension_bookkeeping():
     u = kato_dim_check(preset("unramified_rlr", 2, d=2))
     assert u == {"dim_R": 2, "dim_mod_I_alpha": 2, "dim_Q": 0, "pass": True}
@@ -234,8 +362,34 @@ def test_kummer_regularity_cases():
     assert not kummer_regularity(A, [x1, x1px1x2], [2, 2])  # same class twice
     assert kummer_regularity(A, [s_const(ring, 2), x1], [2, 2])
     assert kummer_regularity(B, [s_const(rb, 4), y], [3, 3])
-    assert not kummer_regularity(B, [s_const(rb, 8)], [2])  # Teichmuller unit
+    assert kummer_regularity(B, [s_const(rb, 8)], [2])      # a unit, 3 does not divide 2: etale
+    assert not kummer_regularity(B, [s_const(rb, 8)], [3])  # Teichmuller unit, e = p
     assert not kummer_regularity(E, [z12], [2])             # d(x1 x2) = 0 at the origin
+
+
+def test_kummer_with_a_unit():
+    """Regularity at the points over m.  Z_3[[x1]]: T^2 - 1 and T^2 - 4 are
+    separable mod m (2 is prime to 3), so both are etale and regular; beside
+    x1 a unit with p not dividing e drops out.  With e = p a unit keeps the
+    class of f - [b]^p: 4 - [1]^3 = 3 has the class of p, 8 = [2] has none.
+    F_2[[x1]]: 1 + x1 with e = 2 has the class of x1, 1 has none, and with
+    e = 3 it is etale.  A unit with p | e, e != p, is refused."""
+    A = BaseRing(3, 1, mixed=True)
+    ring = A.series_ring()
+    x1 = s_monomial(ring, ring.exp((1,)))
+    one, four, eight = (s_const(ring, c) for c in (1, 4, 8))
+    assert kummer_regularity(A, [one], [2]) and kummer_regularity(A, [four], [2])
+    assert kummer_regularity(A, [four, x1], [2, 2]) and kummer_regularity(A, [x1, eight], [2, 5])
+    assert kummer_regularity(A, [four], [3]) and not kummer_regularity(A, [eight], [3])
+    assert not kummer_regularity(A, [four, s_const(ring, 3)], [3, 2])  # both the class of p
+    E = BaseRing(2, 1, mixed=False)
+    er = E.series_ring()
+    one_plus_x1 = s_from_terms(er, [(er.exp((0,)), 1), (er.exp((1,)), 1)])
+    assert kummer_regularity(E, [one_plus_x1], [2]) and kummer_regularity(E, [one_plus_x1], [3])
+    assert not kummer_regularity(E, [s_const(er, 1)], [2])
+    for B, u, e in ((A, one, 9), (A, four, 6), (E, one_plus_x1, 4)):
+        with pytest.raises(UnsupportedBase, match="multiple of p"):
+            kummer_regularity(B, [u], [e])
 
 
 def test_kummer_guards():

@@ -569,6 +569,155 @@ def test_implicit_membership_paths():
 
 
 # ---------------------------------------------------------------------------
+# bases counted and compared without the walk.  monoid.count_upto counts a
+# saturated monoid by degree over a half-open decomposition of its
+# triangulation, basis_count subtracts the translate by the one quotient
+# monomial, and same_basis compares two quotient ideals on their generators;
+# the oracle is the walk.  The rings are the saturated membership rings with
+# at most one quotient monomial, and cones with simplices of volume > 1
+# (V(2,3), V(3,3), the facet x >= y with a coarser free part) or several
+# simplices (the Segre cones).
+
+V33_GENS = tuple((a, b, 3 - a - b) for a in range(4) for b in range(4 - a))
+
+
+def segre(m, n):
+    return tuple(tuple(int(i == a) for i in range(m)) + tuple(int(j == b) for j in range(n))
+                 for a in range(m) for b in range(n))
+
+
+def count_rings():
+    rings = {name: R for name, R in MEMBERSHIP_RINGS.items()
+             if len(R._ideal_gens) <= 1 and name != "non-saturated <2,3> + N"}
+    rings["V(3,3)"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(3, 2, 0, V33_GENS), free_rank=0, free_level=0, p=2,
+        precision=1, cutoff=Fraction(10), char_p=True, quotient_exps=(MonoidElem((1, 1, 4), 0, 2),))
+    rings["Segre 2x3 + N"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(5, 3, 0, segre(2, 3)), free_rank=1, free_level=1, p=3,
+        precision=1, cutoff=Fraction(5, 3), char_p=True,
+        quotient_exps=(MonoidElem((1, 1, 0, 1, 0, 1), 0, 3),))
+    rings["Segre 3x3"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(6, 2, 0, segre(3, 3)), free_rank=0, free_level=0, p=2,
+        precision=1, cutoff=Fraction(6))
+    rings["<(1,0),(1,1)> + N^2 at level 1, free level 0"] = SeriesRingDesc(
+        monoid_part=AffineMonoid(2, 2, 1, ((1, 0), (1, 1))), free_rank=2, free_level=0, p=2,
+        precision=1, cutoff=Fraction(3), char_p=True,
+        quotient_exps=(MonoidElem((3, 1, 2, 0), 1, 2),))
+    return rings
+
+
+COUNT_RINGS = count_rings()
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_RINGS))
+def test_count_matches_the_walk(name):
+    from ptlab.monoid import count_upto
+
+    ring = COUNT_RINGS[name]
+    assert all(count_upto(ring.generators, ring.width, k) == len(ring.support(k))
+               and ring.basis_count(k) == len(ring.monomial_basis(k))
+               for k in range(-1, ring.cap + 1))
+    assert ring.basis_count() == len(ring.monomial_basis())
+
+
+def test_count_rings_have_large_simplices_and_quotients():
+    from ptlab.monoid import _half_open
+
+    vols = {name: [len(pts) for _, pts in _half_open(R.generators, R.width)]
+            for name, R in COUNT_RINGS.items()}
+    assert vols["V(2,3)"] == [3] and vols["V(3,3)"] == [9] and len(vols["Segre 3x3"]) > 1
+    assert sum(bool(R._ideal_gens) for R in COUNT_RINGS.values()) >= 10
+
+
+@st.composite
+def saturated_rings(draw):
+    """A ring on the saturation of a few drawn generators in N^n, n <= 3,
+    with a free part at either level and one quotient monomial drawn from its
+    support, or none."""
+    from ptlab.monoid import saturate
+
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = tuple(draw(st.lists(vec, min_size=1, max_size=4)))
+    Q = saturate(AffineMonoid(n, 2, draw(st.integers(0, 1)), gens))
+    ring = SeriesRingDesc(monoid_part=Q, free_rank=draw(st.integers(0, 1)),
+                          free_level=draw(st.integers(0, 1)), p=2, precision=1,
+                          cutoff=Fraction(draw(st.integers(1, 12)), 2), char_p=True)
+    if draw(st.booleans()):
+        ring = replace(ring, quotient_exps=(ring.elem(draw(st.sampled_from(ring.support()))),))
+    return ring
+
+
+@settings(deadline=None, max_examples=60)
+@given(saturated_rings())
+def test_count_of_a_saturated_ring_matches_the_walk(ring):
+    from ptlab.monoid import count_upto
+
+    for k in range(ring.cap + 1):
+        assert count_upto(ring.generators, ring.width, k) == len(ring.support(k))
+        assert ring.basis_count(k) == len(ring.monomial_basis(k))
+
+
+def test_count_refusals():
+    from ptlab.monoid import NotSaturated, count_upto
+
+    R = MEMBERSHIP_RINGS["non-saturated <2,3> + N"]
+    with pytest.raises(NotSaturated):
+        count_upto(R.generators, R.width, 3)
+    assert count_upto(R.generators, R.width, -1) == 0
+    # two quotient monomials within the cutoff, or one outside the ring
+    two = MEMBERSHIP_RINGS["char p A1 quotients"]
+    V = MEMBERSHIP_RINGS["V(2,3)"]
+    for ring in (two, replace(V, quotient_exps=(MonoidElem((1, 1, 0), 0, 2),))):
+        with pytest.raises(InvariantViolation):
+            ring.basis_count()
+
+
+def in_gp(R, v):
+    """The coordinates v lie in the group of R's exponent monoid."""
+    from ptlab.monoid import in_gp as monoid_in_gp
+
+    return monoid_in_gp(AffineMonoid(R.width, R.p, R.level, R.generators), R.elem(R.pack(v)))
+
+
+def test_same_basis_matches_the_walk():
+    """same_basis agrees with comparing the walked bases, on each count ring
+    against itself with one more quotient monomial: one of its own basis
+    (different), one in its ideal (redundant), and one off its lattice,
+    which is inert."""
+    seen = set()
+    for name, R in sorted(COUNT_RINGS.items()):
+        if not R.char_p:
+            R = replace(R, relation_f=None, char_p=True)
+        basis, ideal = R.monomial_basis(), materialised_ideal(R)
+        off = [R.pack(v) for v in itertools.product(range(2), repeat=R.width)
+               if not in_gp(R, v)][:1]
+        extras = {"basis": [basis[len(basis) // 2]], "ideal": ideal[:1], "inert": off}
+        for kind, qs in extras.items():
+            for q in qs:
+                other = replace(R, quotient_exps=R.quotient_exps + (R.elem(q),))
+                other = other._refield(R._field)
+                want = other.monomial_basis() == basis
+                assert R.same_basis(other) == other.same_basis(R) == want, (name, R.elem(q))
+                seen.add((kind, want))
+    assert seen == {("basis", False), ("ideal", True), ("inert", True)}
+
+
+def test_same_basis_refuses_a_quotient_in_the_group_outside_the_ring():
+    """On <(1,0),(1,1)> the monomial (0,1) is in the lattice but past the
+    facet x >= y: it kills (1,1) = (0,1) + (1,0), so its ideal is not
+    principal, and same_basis refuses it; rings on other generators or
+    another layout are refused too."""
+    F = MEMBERSHIP_RINGS["<(1,0),(1,1)>, facet x >= y"]
+    hole = replace(F, quotient_exps=F.quotient_exps + (MonoidElem((0, 1, 0), 0, 3),))
+    with pytest.raises(InvariantViolation):
+        hole.same_basis(F)
+    for other in (MEMBERSHIP_RINGS["V(2,3)"], F._refield(F._field + 1)):
+        with pytest.raises(InvariantViolation):
+            F.same_basis(other)
+
+
+# ---------------------------------------------------------------------------
 # membership by lookup: below the cutoff a ring answers exp_in_ring and
 # dominated from its sorted support and its set of quotient-ideal points.  The
 # oracle asks monoid.contains directly, for exponents below the cutoff, above
