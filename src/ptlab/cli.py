@@ -143,22 +143,26 @@ def _presentation_from_args(args) -> LogRegPresentation:
 
 
 def _emit(payload, args) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    _write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.output)
+
+
+def _write(text: str, path: str | None) -> None:
+    """text to the file at path, or to stdout; ParseError when it cannot be written."""
     try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             # flushed here, so a failed write is this error, not one at exit
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
-        if not args.output:
+        if not path:
             try:  # closed, the exit-time flush skips what the device refused
                 sys.stdout.close()
             except OSError:
                 pass
-        raise ParseError(f"cannot write {args.output or 'stdout'}: {exc}") from exc
+        raise ParseError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def _cmd_monoid(args) -> int:
@@ -364,10 +368,10 @@ def _usage() -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_usage())
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(_usage(), None)
+            return 0
         args = _parse(argv)
         _check(args)
     except ValueError as exc:
@@ -390,8 +394,8 @@ def run() -> None:
     end the process with its code.  Nothing is decided after the report is
     written, so stdout and stderr are flushed and os._exit skips the
     interpreter's teardown: no atexit handler runs and no object is
-    deallocated.  A stdout that _emit closed after a failed write is left
-    alone, and a flush that fails (only the help text is unflushed) exits 2."""
+    deallocated.  A stdout that _write closed after a failed write is left
+    alone, and a flush that fails exits 2."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

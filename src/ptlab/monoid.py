@@ -750,8 +750,9 @@ def walk(gens: tuple[tuple[int, ...], ...], field: int) -> Walk:
 
 @lru_cache(maxsize=None)
 def member_test(gens: tuple[tuple[int, ...], ...], n: int, base: int):
-    """A test of u in Q, Q the monoid that gens (in N^n) generate, for
-    coordinate vectors u in N^n; None when every such u is in Q.
+    """Tests of u in Q, Q the monoid that gens (in N^n) generate, for
+    coordinate vectors u in N^n: (full, facets), the full test and the one
+    for u already in Q^gp, each None when it admits every such u.
 
     A saturated Q is cone(Q) cap Q^gp (Bruns-Gubeladze, "Polytopes, Rings,
     and K-Theory", ch. 2).  Q^gp is read off the Smith form U G V = D of
@@ -761,15 +762,19 @@ def member_test(gens: tuple[tuple[int, ...], ...], n: int, base: int):
     test: on span(Q) its pairing and u_k are linear forms with the same
     kernel, the facet's span, and both are positive on the other
     generators, so the pairing is a positive multiple of u_k >= 0.  So the
-    quadric keeps one lattice equation and no inequality.  A non-saturated
-    Q is decided by contains.
+    quadric keeps one lattice equation and no inequality, and N^n (every
+    unit vector a generator) none.  A non-saturated Q is decided by
+    contains, also in Q^gp.
     """
     nz = tuple(g for g in gens if any(g))
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    if set(units) <= set(nz):  # Q is N^n
+        return None, None
     if not nz:
-        eqs, congs, facets = [tuple(int(i == k) for i in range(n)) for k in range(n)], [], []
+        eqs, congs, facets = units, [], []
     elif _saturation_gap(gens, n):
         Q = AffineMonoid(n, base, 0, gens)
-        return lambda u: contains(Q, Q.elem(u))
+        return (lambda u: contains(Q, Q.elem(u)),) * 2
     else:
         U, D, _ = intlat.snf(tuple(tuple(g[i] for g in nz) for i in range(n)))
         rank = sum(1 for i in range(min(n, len(nz))) if D[i][i])
@@ -779,6 +784,11 @@ def member_test(gens: tuple[tuple[int, ...], ...], n: int, base: int):
         _, rays = _ineq_cone_rays(gens, n)
         facets = [f for f in rays
                   if frozenset(j for j, g in enumerate(nz) if not _dot(f, g)) not in coordinate_faces]
+    return _linear_test(eqs, congs, facets), _linear_test((), (), facets)
+
+
+def _linear_test(eqs, congs, facets):
+    """u -> every a.u = 0, a.u = 0 mod m and f.u >= 0; None when there is none."""
     if not (eqs or congs or facets):
         return None
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import cached_property, partial
 from itertools import islice
 from math import floor
+from operator import index
 
 from .coeffring import require_prime
 from .monoid import (
@@ -71,13 +72,16 @@ class SeriesRingDesc:
     levels to one W).  W is no field: rings that differ in it alone are
     equal, and series arithmetic between them raises RingMismatch.
     MonoidElem is the API and JSON form; coords() and elem() convert.
-    Membership in the ring is decided from its generators, by the lattice
-    and facet test of monoid.member_test on the coordinates, and membership
-    in the quotient ideal as "v - q is in the ring" for a quotient monomial
-    q; neither builds the support.  The support is a prefix of one walk over
-    the generators (monoid.walk), which every ring with the same generators
-    at its level and the same W shares, and a loop that stops at a degree
-    asks for the basis only up to it.
+    Membership is decided from the generators, by monoid.member_test on the
+    coordinates, without the support.  Each question is one closure per
+    ring, built from its shape on first use: in_ring(v); in_ideal(v), "v - q
+    is in the ring" for a quotient monomial q; live(v), e^v is nonzero; and
+    divides(w, v).  live and divides need w and v to be exponents of the
+    ring: then v - w is in the group of the exponent monoid, and the
+    facet-only part of the test decides it.  The support is a prefix of one
+    walk over the generators (monoid.walk), which every ring with the same
+    generators at its level and the same W shares, and a loop that stops at
+    a degree asks for the basis only up to it.
     """
 
     monoid_part: AffineMonoid
@@ -200,15 +204,18 @@ class SeriesRingDesc:
         return None if any(x % f for x in v) else tuple(x // f for x in v)
 
     def rescale(self, v: int, level: int) -> int | None:
-        """The packed exponent v of the given level at the ring's level (one
-        int product when the ring is finer); None if it is finer than the ring."""
+        """The packed exponent v of the given level at the ring's level; None
+        if it is finer than the ring."""
+        return self.scaler(level)(v)
+
+    def scaler(self, level: int):
+        """rescale(., level) as one closure: operator.index (the identity)
+        at the ring's own level, one int product when the ring is finer."""
         shift = self.level - level
-        if shift == 0:
-            return v
-        if shift > 0:
-            return v * self.p ** shift
-        w = self.vec_at(self.unpack(v), level)
-        return None if w is None else self.pack(w)
+        if shift < 0:
+            return lambda v: (None if (w := self.vec_at(self.unpack(v), level)) is None
+                              else self.pack(w))
+        return (self.p ** shift).__mul__ if shift else index
 
     def _vec(self, e: MonoidElem) -> tuple[int, ...] | None:
         """The coordinates of e at the ring's level; None for the wrong width
@@ -226,7 +233,7 @@ class SeriesRingDesc:
     def structural_contains(self, v: tuple[int, ...]) -> bool:
         """v, coordinates at the ring's level of any degree, is an exponent of
         the ring: decided from the generators, without the support."""
-        test = self._member
+        test = self._member[0]
         return len(v) == self.width and min(v, default=0) >= 0 and (test is None or test(v))
 
     @cached_property
@@ -241,10 +248,15 @@ class SeriesRingDesc:
 
     @cached_property
     def _member(self):
-        """The membership test of the exponent monoid on coordinates >= 0
-        (None when it admits them all): one monoid, Q + N^r, whose lattice
-        also carries the divisibility of each part at the ring's level."""
+        """The (full, facet-only) membership tests of the exponent monoid on
+        coordinates >= 0 (monoid.member_test): one monoid, Q + N^r, whose
+        lattice also carries the divisibility of each part at the ring's level."""
         return member_test(self.generators, self.width, self.p)
+
+    def _packed(self, test):
+        """A test on coordinates as one on packed exponents; None stays None."""
+        field, n = self._field, self.width
+        return None if test is None else lambda v: test(unpack(v, field, n))
 
     @cached_property
     def _walk(self):
@@ -257,19 +269,45 @@ class SeriesRingDesc:
         the cutoff divides none)."""
         return tuple(v for v in map(self._code, self.quotient_exps) if v is not None)
 
-    def in_ring(self, v: int) -> bool:
-        """The packed exponent v is an exponent of the ring within the cutoff."""
-        test = self._member
-        return v < self._lim and (test is None or test(self.unpack(v)))
+    @cached_property
+    def in_ring(self):
+        """in_ring(v): the packed exponent v is an exponent of the ring within the cutoff."""
+        lim, test = self._lim, self._packed(self._member[0])
+        return lim.__gt__ if test is None else lambda v: v < lim and test(v)
 
-    def in_ideal(self, v: int) -> bool:
-        """The packed exponent v (within the cutoff) is in the monomial
-        quotient ideal: v - q is in the ring for a quotient monomial q."""
-        for q in self._ideal_gens:
-            d = _sub(self, v, q)
-            if d is not None and self.in_ring(d):
-                return True
-        return False
+    @cached_property
+    def in_ideal(self):
+        """in_ideal(v): the packed exponent v, within the cutoff, is in the
+        quotient ideal: v - q is in the ring for a quotient monomial q, by
+        the full member test, so v need not be an exponent of the ring."""
+        return _divisible(self._guards, self._ideal_gens, self._packed(self._member[0]))
+
+    @cached_property
+    def divides(self):
+        """divides(w, v): e^w divides e^v, for w and v exponents of the ring.
+        v - w is then in the group of the exponent monoid, so v - w >= 0 and
+        the facet-only member test decide."""
+        g, test = self._guards, self._packed(self._member[1])
+        return lambda w, v: (d := (v | g) - w) & g == g and (test is None or test(d - g))
+
+    @cached_property
+    def live(self):
+        """live(v): e^v is a nonzero monomial, for v an exponent of the ring:
+        v is within the cutoff and no quotient monomial in the group of the
+        exponent monoid divides it (the facet-only test, as in divides); one
+        outside the group divides no exponent of the ring."""
+        lim, g, test = self._lim, self._guards, self._packed(self._member[1])
+        qs = tuple(filter(self.in_group, self._ideal_gens))
+        if test is None and len(qs) == 1:
+            (q,) = qs
+            return lambda v: v < lim and (v | g) - q & g != g
+        dead = _divisible(g, qs, test)
+        return lambda v: v < lim and not dead(v)
+
+    def in_group(self, v: int) -> bool:
+        """The packed exponent v is in the group of the exponent monoid."""
+        return self.in_ring(v) or in_gp(AffineMonoid(self.width, self.p, self.level,
+                                                     self.generators), self.elem(v))
 
     def _code(self, e: MonoidElem) -> int | None:
         """e packed, when it is within the cutoff with coordinates >= 0 at the
@@ -447,21 +485,21 @@ def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
     of the ring lies in B's quotient ideal (see same_basis)."""
     for a in A._ideal_gens:
         if A.in_ring(a):
-            if not B.in_ideal(a):
+            if B.live(a):  # a is an exponent of B's ring too, within the cutoff
                 return False
-        elif in_gp(AffineMonoid(A.width, A.p, A.level, A.generators), A.elem(a)):
+        elif A.in_group(a):
             raise InvariantViolation(f"quotient monomial {A.elem(a)} is in the ring's "
                                      "group but not in the ring")
     return True
 
 
-def _sub(ring: SeriesRingDesc, v: int, w: int) -> int | None:
-    """v - w for exponents of ring within its cutoff; None when a coordinate
-    goes negative.  Each field of (v | guards) - w keeps its guard bit
-    exactly when it does not borrow."""
-    g = ring._guards
-    t = (v | g) - w
-    return t - g if t & g == g else None
+def _divisible(g: int, qs: tuple[int, ...], test):
+    """v -> v - q >= 0 and test(v - q) for some q in qs, on packed exponents
+    within the cutoff, g the guard bits (test None admits all).  Each field
+    of (v | g) - q keeps its guard bit exactly when it does not borrow."""
+    if test is None:
+        return lambda v: any((v | g) - q & g == g for q in qs)
+    return lambda v: any((d := (v | g) - q) & g == g and test(d - g) for q in qs)
 
 
 @record

@@ -9,12 +9,19 @@ towers are first-class inputs.
 
 Truncation policy: any probe whose defining product or image would leave the
 degree cutoff is skipped rather than counted, and every report carries
-(depth, D, N).  Nothing is claimed beyond the cutoff.
+(depth, D, N).  Nothing is claimed beyond the cutoff.  A probe asks, on
+packed exponents, whether e^v is a nonzero monomial and where F_i, t-bar_i
+and Frobenius send it, through closures that each ring (SeriesRingDesc.live,
+divides) and each tower (TowerDesc.F, t_bar, frob, roots) build once.
+ring.divides(w, v) needs w and v to be exponents of the ring, and live
+needs v to be one, so a tower uses live only while every exponent its maps
+meet is one (TowerDesc._alive).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from operator import index
 
 from .monoid import MonoidElem, json_int
 from .record import record
@@ -22,7 +29,6 @@ from .series import (
     InvariantViolation,
     Series,
     SeriesRingDesc,
-    _sub,
     is_unit,
     s_const,
     s_from_terms,
@@ -52,10 +58,17 @@ class Transition:
 
     def image(self, v: int, source: SeriesRingDesc, target: SeriesRingDesc) -> int | None:
         """t(v) for a packed exponent v of source, packed at target's level
-        (None if finer than target); a matrix acts on the unpacked coordinates."""
-        if self.matrix is not None:
-            v = target.pack(self.act(source.unpack(v)))
-        return target.rescale(v, source.level)
+        (None if finer than target)."""
+        return self.on_packed(source, target)(v)
+
+    def on_packed(self, source: SeriesRingDesc, target: SeriesRingDesc):
+        """image(., source, target) as one closure; a matrix acts on the
+        unpacked coordinates."""
+        scale = target.scaler(source.level)
+        if self.matrix is None:
+            return scale
+        act, pack, unpack = self.act, target.pack, source.unpack
+        return lambda v: scale(pack(act(unpack(v))))
 
 
 @record
@@ -131,6 +144,48 @@ class TowerDesc:
     def residue(self, i: int) -> SeriesRingDesc:
         return self._residues[i]
 
+    # The maps of the checks on exponents (see _map), one closure per level,
+    # built on first use: F_i: S_{i+1} -> S_i reads v one level coarser
+    # (e^v -> e^{pv}), t-bar_i: S_i -> S_{i+1}, and Frobenius of S_i.
+
+    @cached_property
+    def F(self) -> tuple:
+        R = self.residue
+        return tuple(_map(R(i).scaler(R(i + 1).level - 1), self._alive[i])
+                     for i in range(self.depth))
+
+    @cached_property
+    def t_bar(self) -> tuple:
+        R = self.residue
+        return tuple(_map(t.on_packed(R(i), R(i + 1)), self._alive[i + 1])
+                     for i, t in enumerate(self.transitions))
+
+    @cached_property
+    def frob(self) -> tuple:
+        return tuple(_map(self.p.__mul__, alive) for alive in self._alive)
+
+    @cached_property
+    def _alive(self) -> tuple:
+        """Per level, v -> e^v is a nonzero monomial of S_i: S_i.live when
+        every exponent the maps meet is one of S_i's ring, which holds when
+        each F_i sends the generators of S_{i+1} into S_i (t-bar_i does, by
+        __post_init__; both are additive) and each pillar exponent is in its
+        ring; else the full test."""
+        R, ideal = self.residue, self.base_ideal.terms
+        exact = (all((w := R(i).vec_at(v, R(i + 1).level - 1)) is not None
+                     and R(i).structural_contains(w)
+                     for i in range(self.depth) for v in R(i + 1).generators)
+                 and all((w := self.pillar_coords(S, i)) is not None and S.in_ring(w)
+                         for i, S in enumerate(self._residues) if ideal))
+        return tuple(S.live if exact else partial(_is_live, S) for S in self._residues)
+
+    @cached_property
+    def roots(self):
+        """roots(j, m): v -> the exponents of the monomial tuple of e^v, v/p^l
+        at S_{j+l}'s level for l = 0..m (None when a root is missing), for v
+        an exponent of S_j within its cutoff."""
+        return lru_cache(maxsize=None)(partial(_roots_map, self))
+
     @cached_property
     def _residues(self) -> tuple[SeriesRingDesc, ...]:
         """S_i = R_i/(I_0 + p): char-p rings with the I_0 monomial quotiented.
@@ -178,36 +233,74 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
 
 # Exponents below are packed in the tower's one layout (see SeriesRingDesc).
 
-def _live(ring: SeriesRingDesc, v: int) -> int | None:
-    """v if e^v is a nonzero monomial of ring (within the cutoff and outside
-    the quotient ideal), else None."""
-    return v if v < ring._lim and not ring.in_ideal(v) else None
+def _map(scale, alive):
+    """v -> scale(v) when alive says that monomial is nonzero, else None (and
+    None -> None); ValueError for an image finer than its ring."""
+    if scale is index:
+        return lambda v: v if v is not None and alive(v) else None
+
+    def image(v):
+        if v is None:
+            return None
+        if (w := scale(v)) is None:
+            raise ValueError("an image is finer than the ring it maps to")
+        return w if alive(w) else None
+
+    return image
 
 
-def _into(ring: SeriesRingDesc, v: int, level: int) -> int:
-    """v (packed at level) at ring's level, for a map into ring; an image
-    finer than ring is a ValueError, as in MonoidElem.at_level."""
-    w = ring.rescale(v, level)
-    if w is None:
-        raise ValueError(f"{MonoidElem(ring.unpack(v), level, ring.p)} "
-                         "is finer than the target ring")
-    return w
+def _is_live(ring: SeriesRingDesc, v: int) -> bool:
+    """e^v is a nonzero monomial of ring, by the full test: v need not be an
+    exponent of ring."""
+    return v < ring._lim and not ring.in_ideal(v)
 
 
-def _divides(ring: SeriesRingDesc, w: int, v: int) -> bool:
-    """e^w divides e^v in ring, for exponents within its cutoff."""
-    d = _sub(ring, v, w)
-    return d is not None and ring.in_ring(d)
+def _lift(src: SeriesRingDesc, dst: SeriesRingDesc, level: int):
+    """_map of v (an exponent of src, packed at level) to dst's level, when
+    in dst's ring: only the cutoff is tested when dst has src's generators
+    at its own level."""
+    scale = dst.scaler(level)
+    same = scale is index and src.generators == dst.generators
+    return _map(scale, dst._lim.__gt__ if same else dst.in_ring)
+
+
+def _roots_map(T: TowerDesc, j: int, m: int):
+    rings = [T.residue(j + l) for l in range(m + 1)]
+    L = rings[0].level
+    if all(S.generators == rings[0].generators and S.level == L + l for l, S in enumerate(rings)):
+        # v/p^l is v at each level: an exponent of every ring (one monoid),
+        # within each cutoff (the caps grow with the level)
+        return lambda v: (v,) * (m + 1)
+    steps = [(S.scaler(L + l), S.in_ring) for l, S in enumerate(rings)][1:]
+
+    def roots(v):
+        out = [v]
+        for scale, in_ring in steps:
+            if (w := scale(v)) is None or not in_ring(w):
+                return None
+            out.append(w)
+        return tuple(out)
+
+    return roots
+
+
+def _divides_by(ring: SeriesRingDesc, *ws: int | None):
+    """v -> e^w divides e^v for some w in ws, for exponents v of ring; a w
+    outside the group of its monoid (or None) divides none."""
+    ws = [w for w in dict.fromkeys(ws) if w is not None and ring.in_group(w)]
+    divides = ring.divides
+    return partial(divides, ws[0]) if len(ws) == 1 else lambda v: any(divides(w, v) for w in ws)
 
 
 def _torsion(ring: SeriesRingDesc, g: int | None) -> tuple[int, ...]:
     """The basis exponents m with e^m e^{lg} = 0 for some l >= 1 within the
-    cutoff, in term order.  A product of coefficient-1 monomials is the
-    monomial e^{m+lg}, zero exactly when m + lg is past the cutoff (not
-    counted) or in the quotient ideal, which only char-p rings carry.  A
-    zero e^g (None for I_0 = (0), or g past the cutoff or in the ideal)
-    kills the whole basis; e^0 = 1 kills nothing."""
-    if g is None or _live(ring, g) is None:
+    cutoff, in term order, for g an exponent of ring.  A product of
+    coefficient-1 monomials is the monomial e^{m+lg}, zero exactly when
+    m + lg is past the cutoff (not counted) or in the quotient ideal, which
+    only char-p rings carry.  A zero e^g (None for I_0 = (0), or g past the
+    cutoff or in the ideal) kills the whole basis; e^0 = 1 kills nothing."""
+    live = ring.live
+    if g is None or not live(g):
         return ring.monomial_basis()
     if not ring._ideal_gens or not g:
         return ()
@@ -215,7 +308,7 @@ def _torsion(ring: SeriesRingDesc, g: int | None) -> tuple[int, ...]:
     out = []
     for m in ring.monomial_basis(ring.cap - (g >> ring._shift)):  # m + g within the cutoff
         v = m + g
-        while v < lim and not ring.in_ideal(v):
+        while live(v):
             v += g
         if v < lim:
             out.append(m)
@@ -253,21 +346,21 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
                          None if p_series.is_zero else p_series.to_json(),
                          note="I0 = (0): p must vanish in R0"))
     else:
-        g = T.pillar_coords(R0, 0)
-        bad = [v for v, _ in p_series.terms if not _divides(R0, g, v)]
+        divides = _divides_by(R0, T.pillar_coords(R0, 0))
+        bad = [v for v, _ in p_series.terms if not divides(v)]
         rows.append(_row("a", 0, not bad, R0.elem(bad[0]).to_json() if bad else None))
 
     for i in range(T.depth):
         Si, Si1 = T.residue(i), T.residue(i + 1)
-        t = T.transitions[i]
+        image, live = T.transitions[i].on_packed(Si, Si1), T._alive[i + 1]
         images = set()
         bad_b = None
         lim1 = Si1._lim
         for v in Si.monomial_basis():
-            w = t.image(v, Si, Si1)
+            w = image(v)  # an exponent of S_{i+1} (TowerDesc.__post_init__)
             if w >= lim1:
                 continue  # image leaves the cutoff: no claim at this truncation
-            if Si1.in_ideal(w):
+            if not live(w):
                 bad_b = ("vanishes", v)
                 break
             if w in images:
@@ -282,8 +375,8 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
 
         bad_c = None
         for d in Si1.monomial_basis(Si1.cap // p):  # p d within the cutoff
-            pd = p * d
-            if Si1.in_ideal(pd):
+            pd = p * d  # an exponent of S_{i+1}, as d is
+            if not live(pd):
                 continue  # Frobenius image already zero, trivially in the image
             if pd not in images:
                 bad_c = Si1.elem(d).to_json()
@@ -296,37 +389,6 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
 # or to zero, so the identities are decided on exponents: a map takes the
 # exponent of a nonzero monomial (or None for zero) to that of its image.
 
-def _frob_down(T: TowerDesc, i: int, v: int | None) -> int | None:
-    """F_i on e^v of S_{i+1}; ValueError for an image finer than S_i."""
-    if v is None:
-        return None
-    Si = T.residue(i)
-    return _live(Si, _into(Si, v, T.residue(i + 1).level - 1))
-
-
-def _t_bar(T: TowerDesc, i: int, v: int | None) -> int | None:
-    """t-bar_i on e^v of S_i; ValueError for an image finer than S_{i+1}."""
-    if v is None:
-        return None
-    Si, Si1 = T.residue(i), T.residue(i + 1)
-    w = T.transitions[i].image(v, Si, Si1)
-    if w is None:
-        raise ValueError(f"the image of {Si.elem(v)} is finer than level {i + 1}")
-    return _live(Si1, w)
-
-
-def _frob(ring: SeriesRingDesc, v: int | None) -> int | None:
-    """Frobenius of ring on e^v: e^{pv}."""
-    return None if v is None else _live(ring, ring.p * v)
-
-
-def _frobenius_failures(ring: SeriesRingDesc, via):
-    """Basis monomials g of ring with via(g) != e^{pg}, within the cutoff."""
-    for g in ring.monomial_basis(ring.cap // ring.p):
-        if via(g) != _frob(ring, g):
-            yield g
-
-
 def frobenius_identities(T: TowerDesc, i: int) -> dict:
     """Both diagram identities on every basis monomial within the cutoff.
 
@@ -334,10 +396,11 @@ def frobenius_identities(T: TowerDesc, i: int) -> dict:
     in S_i; witnesses are returned rather than raised.
     """
     Si, Si1 = T.residue(i), T.residue(i + 1)
-    t_after_F = _frobenius_failures(Si1, lambda d: _t_bar(T, i, _frob_down(T, i, d)))
-    F_after_t = _frobenius_failures(Si, lambda g: _frob_down(T, i, _t_bar(T, i, g)))
-    bad_tf = [Si1.elem(d).to_json() for d in t_after_F]
-    bad_ft = [Si.elem(g).to_json() for g in F_after_t]
+    F, t, frob, frob1 = T.F[i], T.t_bar[i], T.frob[i], T.frob[i + 1]
+    bad_tf = [Si1.elem(d).to_json() for d in Si1.monomial_basis(Si1.cap // T.p)
+              if t(F(d)) != frob1(d)]
+    bad_ft = [Si.elem(g).to_json() for g in Si.monomial_basis(Si.cap // T.p)
+              if F(t(g)) != frob(g)]
     return {
         "level": i,
         "t_after_F_is_frobenius": not bad_tf,
@@ -379,8 +442,9 @@ class PillarSystem:
     def compatibility_witnesses(self) -> list[dict]:
         """F_i(f-bar_{i+1}) = f-bar_i on the nose, reported per level."""
         T = self.tower
-        bars = [None if v is None else _live(T.residue(i), v) for i, v in enumerate(self.exps)]
-        return [{"level": i, "pass": _frob_down(T, i, bars[i + 1]) == bars[i]}
+        # pillar_system checked that each pillar exponent is in its ring
+        bars = [v if v is not None and T._alive[i](v) else None for i, v in enumerate(self.exps)]
+        return [{"level": i, "pass": T.F[i](bars[i + 1]) == bars[i]}
                 for i in range(T.depth)]
 
 
@@ -394,11 +458,11 @@ def verify_perfectoid(T: TowerDesc) -> dict:
     gexp = T.ideal_exp()
 
     for i in range(T.depth):
-        Si, Si1 = T.residue(i), T.residue(i + 1)
+        Si, roots, live = T.residue(i), T.roots(i, 1), T._alive[i + 1]
         bad_d = None
         for mu in Si.monomial_basis():
-            w = Si1.rescale(mu, Si.level + 1)  # mu / p
-            if w is None or not Si1.in_ring(w) or Si1.in_ideal(w):
+            r = roots(mu)  # (mu, mu / p), each an exponent of its ring
+            if r is None or not live(r[1]):
                 bad_d = Si.elem(mu).to_json()
                 break
         rows.append(_row("d", i, bad_d is None, bad_d))
@@ -449,8 +513,9 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         note_g = "I0 = (0): axiom follows from (c) and (f); torsion is the whole ring"
     else:
         for R, g, ms in zip(T.levels, gs, tors):
-            # e^g kills e^m unless m + g is a live monomial
-            bad = next((m for m in ms if _live(R, m + g) is not None), None)
+            # e^g kills e^m unless m + g (an exponent of R: _ideal_coords
+            # checked g) is a live monomial
+            bad = next((m for m in ms if R.live(m + g)), None)
             if bad is not None:
                 witness_g = R.elem(bad).to_json()
                 break
@@ -495,12 +560,11 @@ def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
     # (one finer than Si1, or past its cutoff, divides no exponent of Si1)
     shifted = [Si1.coords(q.divide(1)) for q in Si1.quotient_exps]
     shifted.append(T.pillar_coords(Si1, 1))
-    shifted = [q for q in shifted if q is not None and q < lim]
+    predicted, F = _divides_by(Si1, *(q for q in shifted if q is not None and q < lim)), T.F[i]
     # past p deg d > cap, truncation kills, not the kernel
     for d in Si1.monomial_basis(Si1.cap // T.p):
-        in_ker = _frob_down(T, i, d) is None  # e^(p d)
-        predicted = any(_divides(Si1, q, d) for q in shifted)
-        if in_ker != predicted:
+        in_ker = F(d) is None  # e^(p d)
+        if in_ker != predicted(d):
             return Si1.elem(d)
     return None
 
@@ -522,24 +586,14 @@ def verify_tower(T: TowerDesc) -> dict:
 # like the Frobenius identities: component l of a tuple at home level j is an
 # exponent of S_{j+l}.
 
-def _roots(T: TowerDesc, j: int, v: int, level: int, depth: int) -> tuple[int, ...] | None:
-    """The exponents of the monomial tuple of e^v: v/p^l (v packed at the given level) at
-    S_{j+l}'s level, l = 0..depth; None when a root is missing."""
-    roots = []
-    for l in range(depth + 1):
-        ring = T.residue(j + l)
-        w = ring.rescale(v, level + l)  # v / p^l
-        if w is None or not ring.in_ring(w):
-            return None
-        roots.append(w)
-    return tuple(roots)
-
-
 def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[int]:
     """The exponents of the tilt pillar f^{s.flat}_j = (f_j mod I0, f_{j+1}
     mod I0, ...) for a nonzero I_0; ValueError for one finer than its ring."""
     g, lv = T.base_ideal.terms[0][0], T.levels[0].level + j
-    return [_into(T.residue(j + l), g, lv + l) for l in range(depth + 1)]
+    out = [T.residue(j + l).scaler(lv + l)(g) for l in range(depth + 1)]
+    if None in out:
+        raise ValueError("a tilt pillar component is finer than its ring")
+    return out
 
 
 def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
@@ -553,21 +607,18 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     failures would be reported with witnesses.
     """
     m = T.depth - j
-    Sj = T.residue(j)
-    mismatches = []
-    for mu in Sj.monomial_basis():
-        if _roots(T, j, mu, Sj.level, m) is None:
-            mismatches.append({"direction": "section", **Sj.elem(mu).to_json()})
+    Sj, roots = T.residue(j), T.roots(j, m)
+    mismatches = [{"direction": "section", **Sj.elem(mu).to_json()}
+                  for mu in Sj.monomial_basis() if roots(mu) is None]
     matched = len(Sj.monomial_basis()) - len(mismatches)
     # completeness: classify every depth-m monomial tuple inside the cutoff
     top_ring = T.residue(j + m)
     # top exponent of the tilt-side ideal generator is gexp / p^m
-    g_top = T.pillar_coords(top_ring, m)
+    in_ideal = _divides_by(top_ring, T.pillar_coords(top_ring, m))
+    into, live = _lift(top_ring, Sj, top_ring.level - m), T._alive[j]
     for d in top_ring.monomial_basis(_reach(Sj, top_ring.level - m)):
-        mu = _into(Sj, d, top_ring.level - m)  # d * p^m
-        in_basis = Sj.in_ring(mu) and not Sj.in_ideal(mu)
-        in_ideal = g_top is not None and _divides(top_ring, g_top, d)
-        if in_basis == in_ideal:
+        mu = into(d)  # d * p^m when it is an exponent of S_j's ring
+        if (mu is not None and live(mu)) == in_ideal(d):
             mismatches.append({"direction": "partition", **top_ring.elem(d).to_json()})
     return {
         "home_level": j,
@@ -597,18 +648,17 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
     else:
         Sj, top = T.residue(j), T.residue(j + m)
         # top component exponent of the tilt pillar, and the level-j pillar
-        pe_top = T.pillar_coords(top, j + m)
-        pe_home = T.pillar_coords(Sj, j)
+        in_ideal = _divides_by(top, T.pillar_coords(top, j + m))
+        by_home = _divides_by(Sj, T.pillar_coords(Sj, j))
+        into, live = _lift(top, Sj, top.level - m), T._alive[j]
         bad = None
         # every exponent of S_{j+m}'s ring, quotient ideal included, in term
         # order, whose image is within S_j's cutoff
         for d in top.support(_reach(Sj, top.level - m)):
-            mu = _into(Sj, d, top.level - m)  # d * p^m
+            mu = into(d)  # d * p^m when it is an exponent of S_j's ring
             # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
-            in_ker = (not Sj.in_ring(mu) or Sj.in_ideal(mu)
-                      or (pe_home is not None and _divides(Sj, pe_home, mu)))
-            in_ideal = pe_top is not None and _divides(top, pe_top, d)
-            if in_ker != in_ideal:
+            in_ker = mu is None or not live(mu) or by_home(mu)
+            if in_ker != in_ideal(d):
                 bad = d
                 break
         rows.append({"check": "principal", "pass": bad is None,
@@ -618,7 +668,7 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
             mj1 = T.depth - j - 1
             f_j, f_j1 = _pillar_tilt(T, j, mj1), _pillar_tilt(T, j + 1, mj1)
             # (f_{j+1})^p against t-bar(f_j), component by component
-            ok = all(_frob(T.residue(j + l + 1), g1) == _t_bar(T, j + l, _live(T.residue(j + l), g))
+            ok = all(T.frob[j + l + 1](g1) == T.t_bar[j + l](g if T._alive[j + l](g) else None)
                      for l, (g, g1) in enumerate(zip(f_j, f_j1)))
             rows.append({"check": "pillar_power", "pass": ok})
 
@@ -647,15 +697,12 @@ def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
         return False
     m = T.depth - j
     f = _pillar_tilt(T, j, m)
-    Sj = T.residue(j)
+    Sj, roots, alive = T.residue(j), T.roots(j, m), T._alive[j:]
     # mu times the pillar within the cutoff
     for mu in Sj.monomial_basis(Sj.cap - (T.pillar_coords(Sj, j) >> Sj._shift)):
-        roots = _roots(T, j, mu, Sj.level, m)
-        if roots is None:
-            continue
+        r = roots(mu)
         # the tuple times the tilt pillar is zero in every component
-        if all(_live(T.residue(j + l), w + g) is None
-               for l, (w, g) in enumerate(zip(roots, f))):
+        if r is not None and not any(a(w + g) for a, w, g in zip(alive, r, f)):
             return False
     return True
 
@@ -688,28 +735,23 @@ def inverse_perfection_is_perfect(T: TowerDesc) -> dict:
     k = 0  # the first degree whose basis prefix holds six monomials
     while len(Sj.monomial_basis(k)) < 6 and k < Sj.cap:
         k += 1
-    samples = []
-    for mu in Sj.monomial_basis(k)[:6]:
-        roots = _roots(T, j, mu, Sj.level, m)
-        if roots is None:
-            continue
-        samples.append(tuple(_images(partial(_live, T.residue(j + l)), [w])
-                             for l, w in enumerate(roots)))
+    roots, alive = T.roots(j, m), T._alive
+    samples = [tuple(frozenset(filter(alive[j + l], [w])) for l, w in enumerate(r))
+               for r in map(roots, Sj.monomial_basis(k)[:6]) if r is not None]
     if len(samples) >= 2:
         samples.append(tuple(a | b for a, b in zip(samples[0], samples[1])))
 
     def frob(x):
         """F componentwise, from home level j to j - 1."""
-        return tuple(_images(partial(_frob_down, T, j - 1 + l), c) for l, c in enumerate(x))
+        return tuple(_images(T.F[j - 1 + l], c) for l, c in enumerate(x))
 
     def mul(x, y, home):
         """The product of two monomial tuples at the given home level."""
-        return tuple(_images(partial(_live, T.residue(home + l)), [a + b for a in c for b in d])
+        return tuple(frozenset(filter(alive[home + l], [a + b for a in c for b in d]))
                      for l, (c, d) in enumerate(zip(x, y)))
 
     ok_shift = all(frob(x)[1:] == x[:-1] for x in samples)
-    ok_pow = all(_images(partial(_frob, T.residue(j + l + 1)), x[l + 1])
-                 == _images(partial(_t_bar, T, j + l), x[l])
+    ok_pow = all(_images(T.frob[j + l + 1], x[l + 1]) == _images(T.t_bar[j + l], x[l])
                  for x in samples for l in range(m))
     ok_ring = all(frob(mul(a, b, j)) == mul(frob(a), frob(b), j - 1)
                   for a in samples[:2] for b in samples[:2])

@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, determinism, descriptor round-trips."""
 
+import errno
 import gc
+import hashlib
+import io
 import itertools
 import json
 import os
@@ -175,6 +178,22 @@ def test_tilt_walks_no_level_past_D_p(capsys):
     assert top.cap == 4 * 7 ** 3 and top._walk.degree <= 4 * 7
 
 
+# sha256 of the reports at the commit before the membership tests became
+# per-ring closures; the large window's verify and exactstilt print them
+QUADRIC_P5_DEPTH3 = {
+    "verify": "6c562b98f46459007e6a0c684b5a600f39a145479ba5765b476c4a6aa71defd7",
+    "exactstilt": "ae625bce8d4ca0902287066a065c3269ff4abc5900867bf3aa2a5b0010430514",
+}
+
+
+@pytest.mark.parametrize("action", sorted(QUADRIC_P5_DEPTH3))
+def test_large_window_prints_the_pinned_report(capsys, action):
+    code, out, err = run(capsys, "tower", action, "--preset", "quadric", "--p", "5",
+                         "--depth", "3")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == QUADRIC_P5_DEPTH3[action]
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "monoid", "check", "--input", str(tmp_path / "nope.json"))
     assert code == 2 and "cannot read" in err
@@ -326,6 +345,33 @@ def test_stdout_that_cannot_be_written_exits_2():
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("ptlab: cannot write")
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_help_on_a_stdout_that_cannot_be_written_exits_2(capsys, monkeypatch):
+    """The usage text is written like a report: a stdout that refuses it
+    gives one `ptlab: cannot write stdout` line and exit 2, not a traceback
+    and exit 1, in process and in a child writing to a full device."""
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    for flag in ("-h", "--help"):
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["tower", flag]) == 2
+        err = capsys.readouterr().err
+        full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert err == f"ptlab: cannot write stdout: {full}\n"
+    if not os.path.exists("/dev/full"):
+        return
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "ptlab.cli", "-h"], cwd=root, env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("ptlab: cannot write stdout")
 
 
 def test_preset_choices_are_the_preset_tables(capsys):

@@ -540,6 +540,28 @@ def test_verify_and_exactstilt_walk_the_top_level_to_cap_over_p(capsys):
     capsys.readouterr()
 
 
+def test_exactstilt_evaluates_few_lattice_tests(capsys, monkeypatch):
+    """The roots of a monomial tuple and the lifts of the principal row are
+    exponents of their rings when the levels share their generators, and
+    live and divides skip the lattice part for ring exponents: exactstilt
+    on the quadric at p = 3, depth 2 evaluates the lattice equation 31
+    times (560 when every root and lift took the full member test)."""
+    from ptlab import series
+    from ptlab.cli import main
+
+    calls = []
+    member_test = series.member_test
+
+    def counting(gens, n, base):
+        full, facets = member_test(gens, n, base)
+        return (None if full is None else lambda u: calls.append(u) or full(u)), facets
+
+    monkeypatch.setattr(series, "member_test", counting)
+    assert main(["tower", "exactstilt", "--preset", "quadric", "--p", "3", "--depth", "2"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 40
+
+
 def test_tower_descriptor_roundtrip():
     for T in (unram2(), sab_c()[0], perfect_tower()):
         assert TowerDesc.from_descriptor(T.to_descriptor()) == T
