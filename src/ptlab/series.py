@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import cached_property, partial
 from itertools import islice
 from math import floor
-from operator import index
 
 from .coeffring import require_prime
 from .monoid import (
@@ -73,15 +72,17 @@ class SeriesRingDesc:
     equal, and series arithmetic between them raises RingMismatch.
     MonoidElem is the API and JSON form; coords() and elem() convert.
     Membership is decided from the generators, by monoid.member_test on the
-    coordinates, without the support.  Each question is one closure per
-    ring, built from its shape on first use: in_ring(v); in_ideal(v), "v - q
-    is in the ring" for a quotient monomial q; live(v), e^v is nonzero; and
-    divides(w, v).  live and divides need w and v to be exponents of the
-    ring: then v - w is in the group of the exponent monoid, and the
-    facet-only part of the test decides it.  The support is a prefix of one
-    walk over the generators (monoid.walk), which every ring with the same
-    generators at its level and the same W shares, and a loop that stops at
-    a degree asks for the basis only up to it.
+    coordinates, without the support.  in_ring(v), nonzero(v) (e^v is a
+    nonzero monomial: within the cutoff, and v - q is in the ring for no
+    quotient monomial q) and live(v) are closures each ring builds on first
+    use, and nonzero_mod(ws) builds one for "e^v is nonzero modulo the
+    e^w".  live(v), which is nonzero(v), and nonzero_mod need v to be an
+    exponent of the ring: then v - w is in the group of the exponent monoid
+    for each w in the group, and the facet-only part of the test decides
+    it.  The support is a prefix of one walk over the generators
+    (monoid.walk), which every ring with the same generators at its level
+    and the same W shares, and a loop that stops at a degree asks for the
+    basis only up to it.
     """
 
     monoid_part: AffineMonoid
@@ -204,18 +205,19 @@ class SeriesRingDesc:
         return None if any(x % f for x in v) else tuple(x // f for x in v)
 
     def rescale(self, v: int, level: int) -> int | None:
-        """The packed exponent v of the given level at the ring's level; None
-        if it is finer than the ring."""
-        return self.scaler(level)(v)
+        """The packed exponent v of the given level at the ring's level (one
+        int product when the ring is finer); None if it is finer than the ring."""
+        shift = self.level - level
+        if shift >= 0:
+            return v * self.p ** shift
+        w = self.vec_at(self.unpack(v), level)
+        return None if w is None else self.pack(w)
 
     def scaler(self, level: int):
-        """rescale(., level) as one closure: operator.index (the identity)
-        at the ring's own level, one int product when the ring is finer."""
+        """rescale(., level) as one closure: one int product when the ring is
+        at the level or finer."""
         shift = self.level - level
-        if shift < 0:
-            return lambda v: (None if (w := self.vec_at(self.unpack(v), level)) is None
-                              else self.pack(w))
-        return (self.p ** shift).__mul__ if shift else index
+        return (self.p ** shift).__mul__ if shift >= 0 else partial(self.rescale, level=level)
 
     def _vec(self, e: MonoidElem) -> tuple[int, ...] | None:
         """The coordinates of e at the ring's level; None for the wrong width
@@ -253,11 +255,6 @@ class SeriesRingDesc:
         lattice also carries the divisibility of each part at the ring's level."""
         return member_test(self.generators, self.width, self.p)
 
-    def _packed(self, test):
-        """A test on coordinates as one on packed exponents; None stays None."""
-        field, n = self._field, self.width
-        return None if test is None else lambda v: test(unpack(v, field, n))
-
     @cached_property
     def _walk(self):
         return walk(self.generators, self._field)
@@ -272,37 +269,53 @@ class SeriesRingDesc:
     @cached_property
     def in_ring(self):
         """in_ring(v): the packed exponent v is an exponent of the ring within the cutoff."""
-        lim, test = self._lim, self._packed(self._member[0])
-        return lim.__gt__ if test is None else lambda v: v < lim and test(v)
+        lim, test, field, n = self._lim, self._member[0], self._field, self.width
+        if test is None:
+            return lim.__gt__
+
+        def in_ring(v):
+            return v < lim and test(unpack(v, field, n))
+
+        return in_ring
 
     @cached_property
-    def in_ideal(self):
-        """in_ideal(v): the packed exponent v, within the cutoff, is in the
-        quotient ideal: v - q is in the ring for a quotient monomial q, by
-        the full member test, so v need not be an exponent of the ring."""
-        return _divisible(self._guards, self._ideal_gens, self._packed(self._member[0]))
-
-    @cached_property
-    def divides(self):
-        """divides(w, v): e^w divides e^v, for w and v exponents of the ring.
-        v - w is then in the group of the exponent monoid, so v - w >= 0 and
-        the facet-only member test decide."""
-        g, test = self._guards, self._packed(self._member[1])
-        return lambda w, v: (d := (v | g) - w) & g == g and (test is None or test(d - g))
+    def nonzero(self):
+        """nonzero(v): e^v is a nonzero monomial, for packed coordinates v:
+        v is within the cutoff and v - q is in the ring for no quotient
+        monomial q, by the full member test."""
+        return self._spared(self._ideal_gens, self._member[0])
 
     @cached_property
     def live(self):
-        """live(v): e^v is a nonzero monomial, for v an exponent of the ring:
-        v is within the cutoff and no quotient monomial in the group of the
-        exponent monoid divides it (the facet-only test, as in divides); one
-        outside the group divides no exponent of the ring."""
-        lim, g, test = self._lim, self._guards, self._packed(self._member[1])
-        qs = tuple(filter(self.in_group, self._ideal_gens))
-        if test is None and len(qs) == 1:
-            (q,) = qs
-            return lambda v: v < lim and (v | g) - q & g != g
-        dead = _divisible(g, qs, test)
-        return lambda v: v < lim and not dead(v)
+        """live(v): nonzero(v), for v an exponent of the ring."""
+        return self.nonzero_mod(self._ideal_gens)
+
+    def nonzero_mod(self, ws):
+        """v -> e^v is nonzero modulo the e^w, w in ws: v is within the
+        cutoff and no e^w divides e^v, for v an exponent of the ring and
+        packed exponents w.  A w in the group of the exponent monoid divides
+        v when v - w (in the group too) passes the facet-only member test;
+        one outside the group, or None, divides no exponent of the ring."""
+        ws = [w for w in dict.fromkeys(ws) if w is not None and self.in_group(w)]
+        return self._spared(ws, self._member[1])
+
+    def _spared(self, ws, test):
+        """v -> v is within the cutoff and, for every w in ws, v - w has a
+        negative coordinate or fails test (on coordinates; None admits
+        all).  Each field of (v | g) - w, g the guard bits, keeps its guard
+        bit exactly when it does not borrow."""
+        lim, g, field, n = self._lim, self._guards, self._field, self.width
+
+        def spared(v):
+            if v >= lim:
+                return False
+            v |= g
+            for w in ws:
+                if (d := v - w) & g == g and (test is None or test(unpack(d - g, field, n))):
+                    return False
+            return True
+
+        return spared
 
     def in_group(self, v: int) -> bool:
         """The packed exponent v is in the group of the exponent monoid."""
@@ -493,15 +506,6 @@ def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
     return True
 
 
-def _divisible(g: int, qs: tuple[int, ...], test):
-    """v -> v - q >= 0 and test(v - q) for some q in qs, on packed exponents
-    within the cutoff, g the guard bits (test None admits all).  Each field
-    of (v | g) - q keeps its guard bit exactly when it does not borrow."""
-    if test is None:
-        return lambda v: any((v | g) - q & g == g for q in qs)
-    return lambda v: any((d := (v | g) - q) & g == g and test(d - g) for q in qs)
-
-
 @record
 class Series:
     """An element in canonical form: terms (packed exponent at ring.level,
@@ -546,7 +550,7 @@ def make_series(ring: SeriesRingDesc, raw) -> Series:
     acc: dict[int, int] = {}
     items = raw.items() if isinstance(raw, dict) else raw
     for v, c in items:
-        if c == 0 or v >= lim or quotient and ring.in_ideal(v):
+        if c == 0 or v >= lim or quotient and not ring.nonzero(v):
             continue
         acc[v] = acc.get(v, 0) + c
 

@@ -12,16 +12,15 @@ degree cutoff is skipped rather than counted, and every report carries
 (depth, D, N).  Nothing is claimed beyond the cutoff.  A probe asks, on
 packed exponents, whether e^v is a nonzero monomial and where F_i, t-bar_i
 and Frobenius send it, through closures that each ring (SeriesRingDesc.live,
-divides) and each tower (TowerDesc.F, t_bar, frob, roots) build once.
-ring.divides(w, v) needs w and v to be exponents of the ring, and live
-needs v to be one, so a tower uses live only while every exponent its maps
-meet is one (TowerDesc._alive).
+nonzero, nonzero_mod) and each tower (TowerDesc.F, t_bar, frob, roots)
+build once.  ring.live(v) and ring.nonzero_mod(ws)(v) need v to be an
+exponent of the ring, so a tower uses live only while every exponent its
+maps meet is one, and nonzero, the full test, otherwise (TowerDesc._alive).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
-from operator import index
 
 from .monoid import MonoidElem, json_int
 from .record import record
@@ -56,19 +55,19 @@ class Transition:
             return v
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.matrix)
 
-    def image(self, v: int, source: SeriesRingDesc, target: SeriesRingDesc) -> int | None:
-        """t(v) for a packed exponent v of source, packed at target's level
-        (None if finer than target)."""
-        return self.on_packed(source, target)(v)
-
     def on_packed(self, source: SeriesRingDesc, target: SeriesRingDesc):
-        """image(., source, target) as one closure; a matrix acts on the
-        unpacked coordinates."""
+        """v -> t(v) for packed exponents v of source, packed at target's
+        level (None if finer than target); a matrix acts on the unpacked
+        coordinates."""
         scale = target.scaler(source.level)
         if self.matrix is None:
             return scale
         act, pack, unpack = self.act, target.pack, source.unpack
-        return lambda v: scale(pack(act(unpack(v))))
+
+        def act_packed(v):
+            return scale(pack(act(unpack(v))))
+
+        return act_packed
 
 
 @record
@@ -151,18 +150,19 @@ class TowerDesc:
     @cached_property
     def F(self) -> tuple:
         R = self.residue
-        return tuple(_map(R(i).scaler(R(i + 1).level - 1), self._alive[i])
+        return tuple(_map(R(i).scaler(R(i + 1).level - 1), self._alive[i], R(i + 1), R(i))
                      for i in range(self.depth))
 
     @cached_property
     def t_bar(self) -> tuple:
         R = self.residue
-        return tuple(_map(t.on_packed(R(i), R(i + 1)), self._alive[i + 1])
+        return tuple(_map(t.on_packed(R(i), R(i + 1)), self._alive[i + 1], R(i), R(i + 1))
                      for i, t in enumerate(self.transitions))
 
     @cached_property
     def frob(self) -> tuple:
-        return tuple(_map(self.p.__mul__, alive) for alive in self._alive)
+        return tuple(_map(self.p.__mul__, alive, S, S)
+                     for alive, S in zip(self._alive, self._residues))
 
     @cached_property
     def _alive(self) -> tuple:
@@ -177,7 +177,7 @@ class TowerDesc:
                      for i in range(self.depth) for v in R(i + 1).generators)
                  and all((w := self.pillar_coords(S, i)) is not None and S.in_ring(w)
                          for i, S in enumerate(self._residues) if ideal))
-        return tuple(S.live if exact else partial(_is_live, S) for S in self._residues)
+        return tuple(S.live if exact else S.nonzero for S in self._residues)
 
     @cached_property
     def roots(self):
@@ -233,63 +233,49 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
 
 # Exponents below are packed in the tower's one layout (see SeriesRingDesc).
 
-def _map(scale, alive):
-    """v -> scale(v) when alive says that monomial is nonzero, else None (and
-    None -> None); ValueError for an image finer than its ring."""
-    if scale is index:
-        return lambda v: v if v is not None and alive(v) else None
+def _map(scale, alive, src, dst):
+    """v -> scale(v), for v an exponent of src and scale(v) packed at dst's
+    level, when alive says that monomial of dst is nonzero, else None (and
+    None -> None); ValueError naming v when its image is finer than dst."""
 
     def image(v):
         if v is None:
             return None
         if (w := scale(v)) is None:
-            raise ValueError("an image is finer than the ring it maps to")
+            raise ValueError(f"the image of {src.elem(v)} is finer than level {dst.level}")
         return w if alive(w) else None
 
     return image
 
 
-def _is_live(ring: SeriesRingDesc, v: int) -> bool:
-    """e^v is a nonzero monomial of ring, by the full test: v need not be an
-    exponent of ring."""
-    return v < ring._lim and not ring.in_ideal(v)
-
-
 def _lift(src: SeriesRingDesc, dst: SeriesRingDesc, level: int):
-    """_map of v (an exponent of src, packed at level) to dst's level, when
-    in dst's ring: only the cutoff is tested when dst has src's generators
-    at its own level."""
-    scale = dst.scaler(level)
-    same = scale is index and src.generators == dst.generators
-    return _map(scale, dst._lim.__gt__ if same else dst.in_ring)
+    """_map of v (an exponent of src, read at level) to dst's level, when in
+    dst's ring."""
+    return _map(dst.scaler(level), _holds(src, dst, level), src, dst)
+
+
+def _holds(src: SeriesRingDesc, dst: SeriesRingDesc, level: int):
+    """A test that v, an exponent of src read at level and rescaled to dst's
+    level, is one of dst's ring: only the cutoff when dst has src's
+    generators at the level (then v is an exponent of dst's monoid)."""
+    same = dst.level == level and src.generators == dst.generators
+    return dst._lim.__gt__ if same else dst.in_ring
 
 
 def _roots_map(T: TowerDesc, j: int, m: int):
     rings = [T.residue(j + l) for l in range(m + 1)]
     L = rings[0].level
-    if all(S.generators == rings[0].generators and S.level == L + l for l, S in enumerate(rings)):
-        # v/p^l is v at each level: an exponent of every ring (one monoid),
-        # within each cutoff (the caps grow with the level)
-        return lambda v: (v,) * (m + 1)
-    steps = [(S.scaler(L + l), S.in_ring) for l, S in enumerate(rings)][1:]
+    steps = [(S.scaler(L + l), _holds(rings[0], S, L + l)) for l, S in enumerate(rings)][1:]
 
     def roots(v):
         out = [v]
-        for scale, in_ring in steps:
-            if (w := scale(v)) is None or not in_ring(w):
+        for scale, holds in steps:
+            if (w := scale(v)) is None or not holds(w):
                 return None
             out.append(w)
         return tuple(out)
 
     return roots
-
-
-def _divides_by(ring: SeriesRingDesc, *ws: int | None):
-    """v -> e^w divides e^v for some w in ws, for exponents v of ring; a w
-    outside the group of its monoid (or None) divides none."""
-    ws = [w for w in dict.fromkeys(ws) if w is not None and ring.in_group(w)]
-    divides = ring.divides
-    return partial(divides, ws[0]) if len(ws) == 1 else lambda v: any(divides(w, v) for w in ws)
 
 
 def _torsion(ring: SeriesRingDesc, g: int | None) -> tuple[int, ...]:
@@ -346,8 +332,9 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
                          None if p_series.is_zero else p_series.to_json(),
                          note="I0 = (0): p must vanish in R0"))
     else:
-        divides = _divides_by(R0, T.pillar_coords(R0, 0))
-        bad = [v for v, _ in p_series.terms if not divides(v)]
+        spared = R0.nonzero_mod([T.pillar_coords(R0, 0)])
+        # the terms of a series are exponents of its ring (make_series)
+        bad = [v for v, _ in p_series.terms if spared(v)]
         rows.append(_row("a", 0, not bad, R0.elem(bad[0]).to_json() if bad else None))
 
     for i in range(T.depth):
@@ -491,7 +478,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             # t_i(f_i) = f_{i+1}^p, compared as exponents at R_{i+1}'s level
             R0, R1 = T.levels[i], T.levels[i + 1]
             v0, v1 = T.pillar_coords(R0, i), T.pillar_coords(R1, i + 1)
-            if v0 is not None and T.transitions[i].image(v0, R0, R1) != p * v1:
+            if v0 is not None and T.transitions[i].on_packed(R0, R1)(v0) != p * v1:
                 rows.append(_row("f", i, False, R1.elem(v1).to_json(),
                                  note="I_{i+1}^p != I_i R_{i+1}"))
                 ok_f = False
@@ -560,11 +547,11 @@ def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
     # (one finer than Si1, or past its cutoff, divides no exponent of Si1)
     shifted = [Si1.coords(q.divide(1)) for q in Si1.quotient_exps]
     shifted.append(T.pillar_coords(Si1, 1))
-    predicted, F = _divides_by(Si1, *(q for q in shifted if q is not None and q < lim)), T.F[i]
+    spared = Si1.nonzero_mod([q for q in shifted if q is not None and q < lim])
+    F = T.F[i]
     # past p deg d > cap, truncation kills, not the kernel
     for d in Si1.monomial_basis(Si1.cap // T.p):
-        in_ker = F(d) is None  # e^(p d)
-        if in_ker != predicted(d):
+        if (F(d) is not None) != spared(d):  # e^(p d) survives
             return Si1.elem(d)
     return None
 
@@ -592,7 +579,9 @@ def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[int]:
     g, lv = T.base_ideal.terms[0][0], T.levels[0].level + j
     out = [T.residue(j + l).scaler(lv + l)(g) for l in range(depth + 1)]
     if None in out:
-        raise ValueError("a tilt pillar component is finer than its ring")
+        l = out.index(None)
+        raise ValueError(f"{MonoidElem(T.levels[0].unpack(g), lv + l, T.p)} "
+                         f"is finer than level {T.residue(j + l).level}")
     return out
 
 
@@ -614,11 +603,11 @@ def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
     # completeness: classify every depth-m monomial tuple inside the cutoff
     top_ring = T.residue(j + m)
     # top exponent of the tilt-side ideal generator is gexp / p^m
-    in_ideal = _divides_by(top_ring, T.pillar_coords(top_ring, m))
+    off_pillar = top_ring.nonzero_mod([T.pillar_coords(top_ring, m)])
     into, live = _lift(top_ring, Sj, top_ring.level - m), T._alive[j]
     for d in top_ring.monomial_basis(_reach(Sj, top_ring.level - m)):
         mu = into(d)  # d * p^m when it is an exponent of S_j's ring
-        if (mu is not None and live(mu)) == in_ideal(d):
+        if (mu is not None and live(mu)) != off_pillar(d):
             mismatches.append({"direction": "partition", **top_ring.elem(d).to_json()})
     return {
         "home_level": j,
@@ -648,17 +637,17 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
     else:
         Sj, top = T.residue(j), T.residue(j + m)
         # top component exponent of the tilt pillar, and the level-j pillar
-        in_ideal = _divides_by(top, T.pillar_coords(top, j + m))
-        by_home = _divides_by(Sj, T.pillar_coords(Sj, j))
+        off_pillar = top.nonzero_mod([T.pillar_coords(top, j + m)])
+        off_home = Sj.nonzero_mod([T.pillar_coords(Sj, j)])
         into, live = _lift(top, Sj, top.level - m), T._alive[j]
         bad = None
         # every exponent of S_{j+m}'s ring, quotient ideal included, in term
         # order, whose image is within S_j's cutoff
         for d in top.support(_reach(Sj, top.level - m)):
             mu = into(d)  # d * p^m when it is an exponent of S_j's ring
-            # kernel of pi_j o Phi_0: e^mu dies in R_j/(I_j + I_0), I_j the level-j pillar
-            in_ker = mu is None or not live(mu) or by_home(mu)
-            if in_ker != in_ideal(d):
+            # outside the kernel of pi_j o Phi_0: e^mu lives in R_j/(I_j + I_0),
+            # I_j the level-j pillar
+            if (mu is not None and live(mu) and off_home(mu)) != off_pillar(d):
                 bad = d
                 break
         rows.append({"check": "principal", "pass": bad is None,

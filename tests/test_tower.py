@@ -96,7 +96,7 @@ def series_frob(T, i, x):
 def series_t_bar(T, i, x):
     """t-bar_i on a series of S_i."""
     t, Si1 = T.transitions[i], T.residue(i + 1)
-    return make_series(Si1, [(t.image(v, x.ring, Si1), c) for v, c in x.terms])
+    return make_series(Si1, [(t.on_packed(x.ring, Si1)(v), c) for v, c in x.terms])
 
 
 def tuple_frob(T, x, home):
@@ -501,7 +501,7 @@ def test_transition_image_finer_than_the_next_level():
     # the free coordinate is divided at level 0 but not at level 1: its unit
     # vector has no image at level 1's level
     src, dst = a1_ring(0, 1), a1_ring(0, 0)
-    assert Transition().image(src.pack(src.generators[-1]), src, dst) is None
+    assert Transition().on_packed(src, dst)(src.pack(src.generators[-1])) is None
     with pytest.raises(InvariantViolation, match=r"sends <0,0,1>/2\^1 outside level 1"):
         one_step(None, src=(0, 1), dst=(0, 0))
 
@@ -543,7 +543,7 @@ def test_verify_and_exactstilt_walk_the_top_level_to_cap_over_p(capsys):
 def test_exactstilt_evaluates_few_lattice_tests(capsys, monkeypatch):
     """The roots of a monomial tuple and the lifts of the principal row are
     exponents of their rings when the levels share their generators, and
-    live and divides skip the lattice part for ring exponents: exactstilt
+    live and nonzero_mod skip the lattice part for ring exponents: exactstilt
     on the quadric at p = 3, depth 2 evaluates the lattice equation 31
     times (560 when every root and lift took the full member test)."""
     from ptlab import series
