@@ -46,8 +46,8 @@ from .monoid import preset as monoid_preset
 from .series import (
     InvariantViolation,
     NonMonomialReduction,
+    coeff_map,
     parse_cutoff,
-    s_from_terms,
     term_from_json,
 )
 from .tower import (
@@ -257,7 +257,9 @@ def _cmd_tower(args) -> int:
     return 0 if ok else 1
 
 
-def _series_list(arg: str, A: BaseRing):
+def _series_list(arg: str, A: BaseRing) -> list[dict[int, int]]:
+    """The --elems or --f list as coefficient maps of A.series_ring()
+    (series.coeff_map); ParseError or InvariantViolation for a bad entry."""
     try:
         data = json.loads(arg)
     except json.JSONDecodeError as exc:
@@ -275,7 +277,7 @@ def _series_list(arg: str, A: BaseRing):
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"series term: expected an int or a list of "
                              f'{{"exponent", "coeff"}} objects ({exc!r})') from exc
-        out.append(s_from_terms(ring, terms))
+        out.append(coeff_map(ring, terms))
     return out
 
 

@@ -26,13 +26,10 @@ from .monoid import preset as monoid_preset
 from .record import record, replace
 from .series import (
     NonMonomialReduction,
-    Series,
     SeriesRingDesc,
-    is_unit,
+    coeff_map,
+    ideal_generator,
     reduced_relation_exp,
-    s_const,
-    s_monomial,
-    s_zero,
     term_from_json,
     term_json,
 )
@@ -143,7 +140,7 @@ def build_tower(P: LogRegPresentation, depth: int, D=4, N: int = 2) -> TowerDesc
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
-        base_ideal=s_const(levels[0], P.p),
+        base_ideal=ideal_generator(levels[0], [(levels[0].zero_exp, P.p)]),
         depth=depth,
     )
 
@@ -156,10 +153,11 @@ def predict_tilt(T: TowerDesc) -> TowerDesc:
     tilted base ideal is the f-bar monomial itself.
     """
     levels = tuple(replace(R, relation_f=None, char_p=True) for R in T.levels)
+    R0 = levels[0]
     try:
-        base = s_monomial(levels[0], reduced_relation_exp(T.levels[0]))
+        base = ideal_generator(R0, coeff_map(R0, [(reduced_relation_exp(T.levels[0]), 1)]))
     except NonMonomialReduction:
-        base = s_zero(levels[0])
+        base = None
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(T.depth)),
@@ -305,8 +303,9 @@ def omega_dim(A: BaseRing) -> OmegaModule:
     return OmegaModule(A.p, A.d, False, A.d, labels)
 
 
-def d_class(A: BaseRing, x: Series) -> tuple[int, ...]:
-    """Class of x in the truncated differential module, over F_p.
+def d_class(A: BaseRing, x: dict[int, int]) -> tuple[int, ...]:
+    """Class of x in the truncated differential module, over F_p, for x a
+    coefficient map of A.series_ring() (series.coeff_map).
 
     Mixed case: (second base-p digit of the constant corrected by the
     Teichmuller defect of the first, then the linear coefficients mod p).
@@ -314,15 +313,13 @@ def d_class(A: BaseRing, x: Series) -> tuple[int, ...]:
     Teichmuller unit constant has zero class.
     """
     ring = A.series_ring()
-    if x.ring.free_rank != A.d or x.ring.p != A.p:
-        raise UnsupportedBase("series does not live over this base")
     lin = []
     for i in range(A.d):
         e = ring.exp(tuple(1 if k == i else 0 for k in range(A.d)))
-        lin.append(x.coeff(e) % A.p)
+        lin.append(x.get(ring.coords(e), 0) % A.p)
     if not A.mixed:
         return tuple(lin)
-    c = x.constant_coeff % A.p ** 2
+    c = x.get(ring.zero_exp, 0) % A.p ** 2
     a0 = c % A.p
     a1 = (c - a0) // A.p % A.p
     corrected = (a1 - digit_correction(a0, A.p)) % A.p
@@ -348,11 +345,17 @@ def _fp_rank(rows: list[tuple[int, ...]], p: int) -> int:
     return rank
 
 
+def _is_unit(A: BaseRing, x: dict[int, int]) -> bool:
+    """x, a coefficient map of A.series_ring(), is a unit: its constant is prime to p."""
+    return x.get(SeriesRingDesc.zero_exp, 0) % A.p != 0
+
+
 def is_maximal_sequence(A: BaseRing, elems) -> bool:
-    """True iff elems is a regular system of parameters: no unit among them
-    (a unit generates the unit ideal, not m; Matsumura, "Commutative Ring
-    Theory", Thm 14.2) and their differential classes form a basis."""
-    if any(is_unit(x) for x in elems):
+    """True iff elems (coefficient maps, as in d_class) is a regular system
+    of parameters: no unit among them (a unit generates the unit ideal, not
+    m; Matsumura, "Commutative Ring Theory", Thm 14.2) and their
+    differential classes form a basis."""
+    if any(_is_unit(A, x) for x in elems):
         return False
     om = omega_dim(A)
     classes = [d_class(A, x) for x in elems]
@@ -362,7 +365,8 @@ def is_maximal_sequence(A: BaseRing, elems) -> bool:
 
 
 def kummer_regularity(A: BaseRing, f_list, e_list) -> bool:
-    """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the points over m.
+    """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the points over m, the
+    f_i coefficient maps as in d_class.
 
     Each exponent must exceed 1 for the extension to be a genuine cover.
     A unit f_i with p not dividing e_i gives an etale factor (T^e - f is
@@ -382,7 +386,7 @@ def kummer_regularity(A: BaseRing, f_list, e_list) -> bool:
             raise UnsupportedBase("exponents must exceed 1")
     classes = []
     for x, e in zip(f_list, e_list):
-        if is_unit(x) and e != A.p:
+        if _is_unit(A, x) and e != A.p:
             if e % A.p == 0:
                 raise UnsupportedBase(f"a unit with exponent {e}, a multiple of p = {A.p} "
                                       "other than p, is not supported")

@@ -1,19 +1,21 @@
-"""Truncated monoid power series with canonical forms modulo theta = p - f.
+"""Ring descriptors of truncated monoid power series, and their canonical form.
 
 A ring descriptor pins down everything about a level of a tower: the divided
 monoid part Q^(i), the free part (N^r) at its own level, the prime, the input
 coefficient precision N, the rational degree cutoff D, an optional relation
 theta = p - f, and (for residue rings) a monomial quotient ideal.
 
-Canonical form in a relation ring: coefficients are expanded into base-p
-digits over the exact integers and every p is traded for the series f until
-all coefficients are digits in [0, p) or the terms leave the cutoff.  Negative
-integers expand like p-adic ones (-1 becomes (p-1)(1 + f + f^2 + ...)), which
-terminates because f has positive degree.  No reduction mod p^N happens during
-normalization; that keeps the truncated ring an honest quotient of
-C(k)[[monoid]] and the ring axioms exact at the cutoff.  The precision N is an
-input contract for descriptors and shows up in reports; it is not a rewrite
-rule.
+The canonical form (make_series) is the one place where coefficients are
+reduced: it drops terms past the cutoff and in the quotient ideal, then
+reduces mod p in a char-p ring, mod p^N in a ring without a relation, and
+otherwise expands coefficients into base-p digits over the exact integers,
+trading every p for the series f until all coefficients are digits in
+[0, p) or the terms leave the cutoff.  Negative integers expand like p-adic
+ones (-1 becomes (p-1)(1 + f + f^2 + ...)), which terminates because f has
+positive degree.  No reduction mod p^N happens during normalization; that
+keeps the truncated ring an honest quotient of C(k)[[monoid]] and the ring
+axioms exact at the cutoff.  The library canonicalises only the I_0
+generator of a tower (ideal_generator) and p for axiom (a).
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .monoid import (
     walk,
 )
 from .record import record, replace
-
-
-class RingMismatch(ValueError):
-    pass
 
 
 class NonMonomialReduction(ValueError):
@@ -69,7 +67,7 @@ class SeriesRingDesc:
     monomials is an int sum and a rescale by p^m an int product.  W is
     bit_length(cap), or the top level's in a tower (TowerDesc widens its
     levels to one W).  W is no field: rings that differ in it alone are
-    equal, and series arithmetic between them raises RingMismatch.
+    equal, so a packed exponent is read only in the layout that packed it.
     MonoidElem is the API and JSON form; coords() and elem() convert.
     Membership is decided from the generators, by monoid.member_test on the
     coordinates, without the support.  in_ring(v), nonzero(v) (e^v is a
@@ -154,10 +152,6 @@ class SeriesRingDesc:
     @cached_property
     def cap(self) -> int:
         return floor(self.cutoff * self.p ** self.level)
-
-    def deg(self, e: MonoidElem) -> int:
-        """Degree of e in steps of p^-level; ValueError if e is finer than the ring."""
-        return sum(e.at_level(self.level))
 
     def key(self, e: MonoidElem) -> tuple[int, tuple[int, ...]]:
         return graded_order(e.at_level(self.level))
@@ -335,10 +329,6 @@ class SeriesRingDesc:
         v = self._vec(e)
         return v is not None and self.structural_contains(v)
 
-    def dominated(self, e: MonoidElem) -> bool:
-        """Membership of e in the monomial quotient ideal."""
-        return any(self.exp_in_ring(e - q) for q in self.quotient_exps)
-
     def support(self, upto: int | None = None) -> tuple[int, ...]:
         """The packed exponents of the ring, quotient ideal included, of
         degree at most upto (default the cap), in term order."""
@@ -506,44 +496,12 @@ def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
     return True
 
 
-@record
-class Series:
-    """An element in canonical form: terms (packed exponent at ring.level,
-    coefficient) in term order, coefficients reduced."""
-
-    ring: SeriesRingDesc
-    terms: tuple[tuple[int, int], ...]
-
-    def coeff(self, e: MonoidElem) -> int:
-        return dict(self.terms).get(self.ring._code(e), 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def constant_coeff(self) -> int:
-        return dict(self.terms).get(self.ring.zero_exp, 0)
-
-    def exp_terms(self) -> tuple[tuple[MonoidElem, int], ...]:
-        """The terms with MonoidElem exponents, the API form."""
-        return tuple((self.ring.elem(v), c) for v, c in self.terms)
-
-    def to_json(self) -> list[dict]:
-        return [term_json(e, c) for e, c in self.exp_terms()]
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*e{e!r}" for e, c in self.exp_terms())
-
-
-def make_series(ring: SeriesRingDesc, raw) -> Series:
-    """Canonicalize raw (packed exponent, coefficient) data into a Series.
+def make_series(ring: SeriesRingDesc, raw) -> tuple[tuple[int, int], ...]:
+    """The canonical form of raw (packed exponent, coefficient) data: its
+    terms in term order, with nonzero reduced coefficients.
 
     Exponents are packed at the ring's level.  Truncation drops exponents
-    beyond D and the quotient ideal; nothing is validated, since internal
-    arithmetic only produces exponents of the ring (s_from_terms is the
+    beyond D and the quotient ideal; nothing is validated (coeff_map is the
     validating entry for MonoidElem exponents).
     """
     lim, quotient = ring._lim, ring._ideal_gens
@@ -559,7 +517,30 @@ def make_series(ring: SeriesRingDesc, raw) -> Series:
         norm = {v: c % m for v, c in acc.items()}
     else:
         norm = _digit_normalize(ring, acc)
-    return Series(ring, tuple(sorted((v, c) for v, c in norm.items() if c)))
+    return tuple(sorted((v, c) for v, c in norm.items() if c))
+
+
+def ideal_generator(ring: SeriesRingDesc, raw) -> tuple[MonoidElem, int] | None:
+    """The canonical form of raw as the generator of a principal monomial
+    ideal: its one term, or None for zero; InvariantViolation for more."""
+    terms = make_series(ring, raw)
+    if len(terms) > 1:
+        raise InvariantViolation("the base ideal generator must be a monomial or zero")
+    return (ring.elem(terms[0][0]), terms[0][1]) if terms else None
+
+
+def coeff_map(ring: SeriesRingDesc, terms) -> dict[int, int]:
+    """(MonoidElem, coefficient) pairs as {packed exponent: coefficient},
+    with the coefficients of one exponent summed and the exponents past the
+    cutoff dropped; InvariantViolation for an exponent outside the ring."""
+    out: dict[int, int] = {}
+    for e, c in terms:
+        if not ring.exp_in_ring(e):
+            raise InvariantViolation(f"exponent {e} is not in the ring monoid")
+        v = ring._code(e)
+        if v is not None:  # else beyond the cutoff
+            out[v] = out.get(v, 0) + c
+    return out
 
 
 def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
@@ -591,94 +572,3 @@ def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
                 heappush(heap, v2)
             work[v2] = work.get(v2, 0) + (c - d0) // p * fc
     return work
-
-
-def s_zero(ring: SeriesRingDesc) -> Series:
-    return Series(ring, ())
-
-
-def s_one(ring: SeriesRingDesc) -> Series:
-    return make_series(ring, [(ring.zero_exp, 1)])
-
-
-def s_from_terms(ring: SeriesRingDesc, terms) -> Series:
-    """The series from (MonoidElem, coefficient) pairs: the API and JSON entry.
-
-    InvariantViolation for an exponent outside the ring.
-    """
-    raw = []
-    for e, c in terms:
-        if not ring.exp_in_ring(e):
-            raise InvariantViolation(f"exponent {e} is not in the ring monoid")
-        v = ring._code(e)
-        if v is not None:  # else beyond the cutoff
-            raw.append((v, c))
-    return make_series(ring, raw)
-
-
-def s_monomial(ring: SeriesRingDesc, e: MonoidElem, c: int = 1) -> Series:
-    return s_from_terms(ring, [(e, c)])
-
-
-def s_const(ring: SeriesRingDesc, c: int) -> Series:
-    return make_series(ring, [(ring.zero_exp, c)])
-
-
-def _same_ring(x: Series, ring: SeriesRingDesc):
-    if x.ring != ring:
-        raise RingMismatch("series live in different rings")
-    if x.ring._field != ring._field:
-        raise RingMismatch("series of one ring packed for different towers")
-
-
-def s_add(x: Series, y: Series) -> Series:
-    _same_ring(y, x.ring)
-    acc = dict(x.terms)
-    for v, c in y.terms:
-        acc[v] = acc.get(v, 0) + c
-    return make_series(x.ring, acc)
-
-
-def s_neg(x: Series) -> Series:
-    return make_series(x.ring, [(v, -c) for v, c in x.terms])
-
-
-def s_mul(x: Series, y: Series) -> Series:
-    _same_ring(y, x.ring)
-    lim = x.ring._lim
-    acc: dict[int, int] = {}
-    for v1, c1 in x.terms:
-        room = lim - v1
-        for v2, c2 in y.terms:
-            if v2 >= room:
-                break  # y's terms come in term order
-            v = v1 + v2
-            acc[v] = acc.get(v, 0) + c1 * c2
-    return make_series(x.ring, acc)
-
-
-def s_pow(x: Series, n: int) -> Series:
-    out = s_one(x.ring)
-    for _ in range(n):
-        out = s_mul(out, x)
-    return out
-
-
-def is_unit(x: Series) -> bool:
-    """Units are detected on the constant coefficient of the canonical form."""
-    return x.constant_coeff % x.ring.p != 0
-
-
-def reduce_mod_I0(x: Series) -> Series:
-    """Image of x in the mod-p residue ring R/(p, f) = k[[monoid]]/(f-bar).
-
-    The canonical form of a relation ring already has digit coefficients with
-    every p traded for f, so reduction is reinterpretation of the same terms
-    in the residue ring (same exponents, same level), which drops everything
-    the f-bar monomial dominates.
-    """
-    if x.ring.relation_f is None and not x.ring.char_p:
-        raise NonMonomialReduction("ring has no relation; nothing to reduce by")
-    if x.ring.char_p:
-        return x
-    return make_series(x.ring.residue_ring(), x.terms)

@@ -26,12 +26,12 @@ from .monoid import MonoidElem, json_int
 from .record import record
 from .series import (
     InvariantViolation,
-    Series,
     SeriesRingDesc,
-    is_unit,
-    s_const,
-    s_from_terms,
+    coeff_map,
+    ideal_generator,
+    make_series,
     term_from_json,
+    term_json,
 )
 
 
@@ -74,14 +74,16 @@ class Transition:
 class TowerDesc:
     """R_0 .. R_depth with transitions and the principal base ideal I_0.
 
-    The levels share one packed exponent layout, sized from the largest cap
-    (the top level's), so a map between levels is an int product; the
-    levels given are widened to it, and the base ideal is repacked.
+    base_ideal is the canonical I_0 generator (series.ideal_generator): one
+    (exponent of R_0, coefficient) pair, or None for I_0 = (0).  The levels
+    share one packed exponent layout, sized from the largest cap (the top
+    level's), so a map between levels is an int product; the levels given
+    are widened to it.
     """
 
     levels: tuple[SeriesRingDesc, ...]
     transitions: tuple[Transition, ...]
-    base_ideal: Series
+    base_ideal: tuple[MonoidElem, int] | None
     depth: int
 
     def __post_init__(self):
@@ -89,20 +91,17 @@ class TowerDesc:
             raise InvariantViolation("levels must run R_0 .. R_depth")
         if len(self.transitions) != self.depth:
             raise InvariantViolation("one transition per consecutive pair")
-        if self.base_ideal.ring != self.levels[0]:
-            raise InvariantViolation("base ideal must live in R_0")
-        if any(R.cutoff != self.levels[0].cutoff for R in self.levels):
+        R0, gexp = self.levels[0], self.ideal_exp()
+        # a canonical generator is an exponent of R_0 (its width, at most
+        # R_0's level, in R_0's monoid) within the cutoff
+        if gexp is not None and not (R0.exp_in_ring(gexp) and R0._code(gexp) is not None):
+            raise InvariantViolation(f"the base ideal generator's exponent {gexp} "
+                                     "is not an exponent of R_0 within the cutoff")
+        if any(R.cutoff != R0.cutoff for R in self.levels):
             raise InvariantViolation("all levels must share the degree cutoff D")
-        if len(self.base_ideal.terms) > 1:
-            raise InvariantViolation("the base ideal generator must be a monomial or zero")
         field = max(R.cap for R in self.levels).bit_length() + 1
         if any(R._field != field for R in self.levels):
-            levels = tuple(R._refield(field) for R in self.levels)
-            old = self.base_ideal
-            base = Series(levels[0], tuple((levels[0].coords(old.ring.elem(v)), c)
-                                           for v, c in old.terms))
-            object.__setattr__(self, "levels", levels)
-            object.__setattr__(self, "base_ideal", base)
+            object.__setattr__(self, "levels", tuple(R._refield(field) for R in self.levels))
         for i, t in enumerate(self.transitions):
             src, dst = self.levels[i], self.levels[i + 1]
             # t is additive, so the images of R_i's generators decide where it
@@ -129,16 +128,13 @@ class TowerDesc:
 
     def ideal_exp(self) -> MonoidElem | None:
         """Exponent of the monomial I_0 generator; None for I_0 = (0)."""
-        if self.base_ideal.is_zero:
-            return None
-        return self.base_ideal.exp_terms()[0][0]
+        return None if self.base_ideal is None else self.base_ideal[0]
 
     def pillar_coords(self, ring: SeriesRingDesc, i: int) -> int | None:
         """The I_0 generator exponent divided by p^i, packed at ring's level; None for
         I_0 = (0) or when it is finer than ring (then it divides no exponent of ring)."""
-        if self.base_ideal.is_zero:
-            return None
-        return ring.rescale(self.base_ideal.terms[0][0], self.levels[0].level + i)
+        gexp = self.ideal_exp()
+        return None if gexp is None else ring.coords(gexp.divide(i))
 
     def residue(self, i: int) -> SeriesRingDesc:
         return self._residues[i]
@@ -171,7 +167,7 @@ class TowerDesc:
         each F_i sends the generators of S_{i+1} into S_i (t-bar_i does, by
         __post_init__; both are additive) and each pillar exponent is in its
         ring; else the full test."""
-        R, ideal = self.residue, self.base_ideal.terms
+        R, ideal = self.residue, self.base_ideal is not None
         exact = (all((w := R(i).vec_at(v, R(i + 1).level - 1)) is not None
                      and R(i).structural_contains(w)
                      for i in range(self.depth) for v in R(i + 1).generators)
@@ -206,7 +202,7 @@ class TowerDesc:
                 None if t.matrix is None else [list(r) for r in t.matrix]
                 for t in self.transitions
             ],
-            "base_ideal": self.base_ideal.to_json(),
+            "base_ideal": [] if self.base_ideal is None else [term_json(*self.base_ideal)],
         }
 
     @classmethod
@@ -217,7 +213,7 @@ class TowerDesc:
             for t in d["transitions"]
         )
         terms = [term_from_json(t, levels[0].p) for t in d["base_ideal"]]
-        base = s_from_terms(levels[0], terms)
+        base = ideal_generator(levels[0], coeff_map(levels[0], terms))
         return cls(levels=levels, transitions=transitions, base_ideal=base,
                    depth=json_int(d["depth"]))
 
@@ -326,15 +322,15 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
     rows = []
     p = T.p
     R0 = T.levels[0]
-    p_series = s_const(R0, p)
-    if T.base_ideal.is_zero:
-        rows.append(_row("a", 0, p_series.is_zero,
-                         None if p_series.is_zero else p_series.to_json(),
+    p_terms = make_series(R0, [(R0.zero_exp, p)])
+    if T.base_ideal is None:
+        rows.append(_row("a", 0, not p_terms,
+                         [term_json(R0.elem(v), c) for v, c in p_terms] or None,
                          note="I0 = (0): p must vanish in R0"))
     else:
         spared = R0.nonzero_mod([T.pillar_coords(R0, 0)])
-        # the terms of a series are exponents of its ring (make_series)
-        bad = [v for v, _ in p_series.terms if spared(v)]
+        # the canonical form of p keeps only exponents of R_0 within the cutoff
+        bad = [v for v, _ in p_terms if spared(v)]
         rows.append(_row("a", 0, not bad, R0.elem(bad[0]).to_json() if bad else None))
 
     for i in range(T.depth):
@@ -407,7 +403,7 @@ def pillar_system(T: TowerDesc):
     exps = []
     for i, R in enumerate(T.levels):
         pe = T.pillar_coords(R, i)  # None at every level for I = (0)
-        if not T.base_ideal.is_zero and (pe is None or not R.in_ring(pe)):
+        if T.base_ideal is not None and (pe is None or not R.in_ring(pe)):
             raise PillarNotFound(f"no monomial pillar at level {i}: "
                                  f"{T.ideal_exp().divide(i)} is not in the monoid")
         exps.append(pe)
@@ -454,12 +450,12 @@ def verify_perfectoid(T: TowerDesc) -> dict:
                 break
         rows.append(_row("d", i, bad_d is None, bad_d))
 
-    if T.base_ideal.is_zero:
+    if gexp is None:
         rows.append(_row("e", 0, True, note="I0 = (0) is contained in every maximal ideal"))
     else:
-        ok_e = not is_unit(T.base_ideal)
-        rows.append(_row("e", 0, ok_e,
-                         None if ok_e else T.base_ideal.to_json(),
+        c = T.base_ideal[1]
+        ok_e = any(gexp.coords) or c % p == 0  # a unit is a constant prime to p
+        rows.append(_row("e", 0, ok_e, None if ok_e else [term_json(gexp, c)],
                          note="constant-term locality check (preset-only)"))
 
     # (f): pillar chain and the kernel comparison
@@ -576,12 +572,11 @@ def verify_tower(T: TowerDesc) -> dict:
 def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[int]:
     """The exponents of the tilt pillar f^{s.flat}_j = (f_j mod I0, f_{j+1}
     mod I0, ...) for a nonzero I_0; ValueError for one finer than its ring."""
-    g, lv = T.base_ideal.terms[0][0], T.levels[0].level + j
-    out = [T.residue(j + l).scaler(lv + l)(g) for l in range(depth + 1)]
+    out = [T.pillar_coords(T.residue(j + l), j + l) for l in range(depth + 1)]
     if None in out:
         l = out.index(None)
-        raise ValueError(f"{MonoidElem(T.levels[0].unpack(g), lv + l, T.p)} "
-                         f"is finer than level {T.residue(j + l).level}")
+        raise ValueError(f"{T.ideal_exp().divide(j + l)} is finer than level "
+                         f"{T.residue(j + l).level}")
     return out
 
 
@@ -682,7 +677,7 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
 def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
     """No monomial tuple is annihilated componentwise by the tilt pillar
     (for I = (0) the whole ring is 1-torsion)."""
-    if T.base_ideal.is_zero:
+    if T.base_ideal is None:
         return False
     m = T.depth - j
     f = _pillar_tilt(T, j, m)

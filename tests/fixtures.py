@@ -18,8 +18,10 @@ from math import floor
 from ptlab.logreg import build_tower, preset_unramified
 from ptlab.monoid import AffineMonoid, MonoidElem, unpack, walk
 from ptlab.record import replace
-from ptlab.series import SeriesRingDesc, make_series, s_monomial, s_mul, s_one
+from ptlab.series import SeriesRingDesc, ideal_generator
 from ptlab.tower import TowerDesc, Transition
+
+from series_oracle import deg, generator, make_series, s_mul
 
 DEPTH = 2
 D = Fraction(4)
@@ -42,13 +44,13 @@ def torsion_oracle(ring, g):
     deg m + l deg g stays within the cutoff."""
     if g.is_zero:
         return list(ring.monomial_basis())
-    gdeg = ring.deg(ring.elem(g.terms[0][0]))
+    gdeg = deg(ring, ring.elem(g.terms[0][0]))
     if gdeg == 0:
         return []  # g = 1
     found = []
     for m in ring.monomial_basis():
         prod, l = make_series(ring, [(m, 1)]), 0
-        dm = ring.deg(ring.elem(m))
+        dm = deg(ring, ring.elem(m))
         while dm + (l + 1) * gdeg <= ring.cap:
             prod, l = s_mul(prod, g), l + 1
             if prod.is_zero:
@@ -65,7 +67,7 @@ def sab_a():
     """Base ideal (x2) misses p: only (a) fails."""
     T = _unram_tower()
     R0 = T.levels[0]
-    bad = s_monomial(R0, R0.exp((0, 1)))
+    bad = generator(R0, [(R0.exp((0, 1)), 1)])
     return replace(T, base_ideal=bad), {**ALL_PASS, "a": False}
 
 
@@ -121,7 +123,7 @@ def _half_fixed_levels(monoid_is_relation: bool):
             relation_f=((rel_exp, 1),),
         ))
     R0 = levels[0]
-    base = make_series(R0, [(R0.zero_exp, 2)])
+    base = ideal_generator(R0, [(R0.zero_exp, 2)])
     return TowerDesc(
         levels=tuple(levels),
         transitions=(Transition(),) * DEPTH,
@@ -143,7 +145,8 @@ def sab_e():
     vacuously; the exponent-zero pillar chain still exists.
     """
     T = _unram_tower()
-    return replace(T, base_ideal=s_one(T.levels[0])), {**ALL_PASS, "e": False}
+    R0 = T.levels[0]
+    return replace(T, base_ideal=generator(R0, [(R0.exp((0, 0)), 1)])), {**ALL_PASS, "e": False}
 
 
 def sab_f():
@@ -174,7 +177,7 @@ def sab_g():
     T = TowerDesc(
         levels=tuple(levels),
         transitions=(Transition(),) * DEPTH,
-        base_ideal=s_monomial(R0, R0.exp((1, 0))),
+        base_ideal=generator(R0, [(R0.exp((1, 0)), 1)]),
         depth=DEPTH,
     )
     return T, {**ALL_PASS, "g": False}

@@ -38,7 +38,6 @@ from ptlab.monoid import (
     p_divide,
     saturate,
 )
-from ptlab.series import s_const, s_monomial
 from ptlab.tower import (
     frobenius_identities,
     pillar_system,
@@ -48,6 +47,7 @@ from ptlab.tower import (
 )
 
 from fixtures import SABOTAGE, elements
+from series_oracle import coefficients, s_const, s_monomial
 
 DEPTH = 2
 D = Fraction(4)
@@ -279,27 +279,27 @@ def test_criterion_09_regularity_criterion():
     Z3 = BaseRing(3, 0, mixed=True)
     Z2x = BaseRing(2, 1, mixed=True)
     r2, r3, r2x = Z2.series_ring(), Z3.series_ring(), Z2x.series_ring()
-    x = s_monomial(r2x, r2x.exp((1,)))
-    two_x = s_monomial(r2x, r2x.exp((1,)), 2)
+    x = coefficients(s_monomial(r2x, r2x.exp((1,))))
+    two_x = coefficients(s_monomial(r2x, r2x.exp((1,)), 2))
 
     cases = [
-        ("Z_2,  f=p,     e=2", Z2, [s_const(r2, 2)], [2], True),
-        ("Z_2,  f=p^2,   e=2", Z2, [s_const(r2, 4)], [2], False),
-        ("Z_3,  f=p,     e=3", Z3, [s_const(r3, 3)], [3], True),
+        ("Z_2,  f=p,     e=2", Z2, [coefficients(s_const(r2, 2))], [2], True),
+        ("Z_2,  f=p^2,   e=2", Z2, [coefficients(s_const(r2, 4))], [2], False),
+        ("Z_3,  f=p,     e=3", Z3, [coefficients(s_const(r3, 3))], [3], True),
         ("Z_2[[x]], f=x, e=2", Z2x, [x], [2], True),
         ("Z_2[[x]], f=px, e=2", Z2x, [two_x], [2], False),
-        ("Z_2[[x]], f=(p,x), e=(2,2)", Z2x, [s_const(r2x, 2), x], [2, 2], True),
+        ("Z_2[[x]], f=(p,x), e=(2,2)", Z2x, [coefficients(s_const(r2x, 2)), x], [2, 2], True),
     ]
     for label, A, fs, es, oracle in cases:
         assert kummer_regularity(A, fs, es) == oracle, label
 
     A22 = BaseRing(2, 2, mixed=True)
     ring = A22.series_ring()
-    rsop = [s_const(ring, 2),
-            s_monomial(ring, ring.exp((1, 0))),
-            s_monomial(ring, ring.exp((0, 1)))]
+    rsop = [coefficients(s_const(ring, 2)),
+            coefficients(s_monomial(ring, ring.exp((1, 0)))),
+            coefficients(s_monomial(ring, ring.exp((0, 1))))]
     assert is_maximal_sequence(A22, rsop)
-    assert is_maximal_sequence(BaseRing(2, 0, mixed=True), [s_const(r2, 2)])
+    assert is_maximal_sequence(BaseRing(2, 0, mixed=True), [coefficients(s_const(r2, 2))])
     done(9, "regularity criterion")
 
 

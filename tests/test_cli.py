@@ -163,6 +163,33 @@ def test_kummer_with_a_unit(capsys):
     assert "multiple of p" in err
 
 
+def test_regularity_reads_terms_as_coefficient_maps(capsys):
+    """How --elems and --f read their terms, over Z_2[[x]] (--p 2 --d 1, D =
+    3) unless noted: an exponent at level 1 is read at level 0 (x^{2/2} is
+    x); the coefficients of one exponent are summed (x + x = 2x is in m^2);
+    a term past the cutoff is dropped (x + x^9 reads as x); a constant is
+    read mod p^2 (6 has the class of p); an exponent outside the ring
+    monoid, finer than it or of the wrong width, exits 2."""
+    def x(*coeffs_at, level=0):
+        return [{"exponent": [k], "level": level, "coeff": c} for k, c in coeffs_at]
+
+    cases = [([2, x((2, 1), level=1)], True), ([2, x((1, 1), (1, 1))], False),
+             ([2, x((1, 3))], True), ([2, x((1, 1), (9, 1))], True), ([6, x((1, 1))], True)]
+    for elems, want in cases:
+        code, out, _ = run(capsys, "regularity", "maximal", "--p", "2", "--d", "1",
+                           "--elems", json.dumps(elems))
+        assert (code, json.loads(out)["report"]) == (0 if want else 1, {"maximal": want}), elems
+    for elems, e in (([2, x((1, 1), level=1)], "<1>/2^1"),
+                     ([[{"exponent": [1, 0], "coeff": 1}]], "<1,0>")):
+        assert _one_line_exit_2(capsys, "regularity", "maximal", "--p", "2", "--d", "1",
+                                "--elems", json.dumps(elems)) == (
+            f"ptlab: exponent {e} is not in the ring monoid\n")
+    # over Z_3[[x]], x + 2x = 3x is in m^2
+    code, out, _ = run(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
+                       "--f", json.dumps([x((1, 1), (1, 2))]), "--e", "3")
+    assert (code, json.loads(out)["report"]) == (1, {"regular": False})
+
+
 def test_tilt_walks_no_level_past_D_p(capsys):
     """tower tilt counts every basis and compares them on quotient
     monomials, so the quadric at p = 7, depth 3 (about 1.08e8 top
@@ -483,7 +510,7 @@ def test_multi_term_base_ideal_exits_2(tmp_path, capsys):
          "f": [{"exponent": [2, 0], "coeff": 1}, {"exponent": [0, 1], "coeff": 2}]}
     path = tmp_path / "multi.json"
     path.write_text(json.dumps(P))
-    for action in ("verify", "tilt", "exactstilt"):
+    for action in ("build", "verify", "tilt", "exactstilt"):
         err = _one_line_exit_2(capsys, "tower", action, "--input", str(path),
                                "--depth", "1", "--cutoff", "7/2")
         assert "monomial" in err

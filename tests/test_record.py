@@ -9,7 +9,9 @@ import pytest
 from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem, graded_decomposition, p_divide
 from ptlab.record import FrozenInstanceError, record, replace
-from ptlab.series import InvariantViolation, s_one
+from ptlab.series import InvariantViolation, coeff_map, ideal_generator
+
+from series_oracle import s_one
 
 
 @record
@@ -100,8 +102,22 @@ def test_replace_validates_library_records():
     T = build_tower(preset("unramified_rlr", 2), 2, Fraction(4), 2)
     with pytest.raises(InvariantViolation):
         replace(T, levels=T.levels[:2])
-    with pytest.raises(InvariantViolation):
-        replace(T, base_ideal=s_one(T.levels[1]))
+    # the I_0 generator must be an exponent of R_0 = Z_2[[x1, x2]] within the cutoff
+    for e in (MonoidElem((1,), 0, 2),          # the wrong width
+              MonoidElem((1, 0), 1, 2),        # finer than R_0
+              MonoidElem((-1, 1), 0, 2),       # outside R_0's monoid
+              MonoidElem((5, 0), 0, 2)):       # past the cutoff D = 4
+        with pytest.raises(InvariantViolation):
+            replace(T, base_ideal=(e, 1))
+    Q = build_tower(preset("quadric", 3), 1, Fraction(4), 2)
+    with pytest.raises(InvariantViolation):    # in N^4, off the quadric's lattice
+        replace(Q, base_ideal=(MonoidElem((1, 0, 0, 0), 0, 3), 1))
+    # 3 = 1 + 2 = 1 + x1 has two terms in canonical form
+    R0 = T.levels[0]
+    with pytest.raises(InvariantViolation, match="monomial or zero"):
+        replace(T, base_ideal=ideal_generator(R0, [(R0.zero_exp, 3)]))
+    # the canonical generator is its own canonical form, and replace keeps it
+    assert ideal_generator(R0, coeff_map(R0, [T.base_ideal])) == T.base_ideal
     assert replace(T, depth=2) == T
 
 
@@ -120,6 +136,8 @@ def test_hash_agrees_with_equality_and_with_dataclasses():
     assert hash(MonoidElem((2, 4), 1, 2)) == hash(MonoidElem((1, 2), 0, 2))
     one = record(type("One", (), {"__annotations__": {"v": int}}))
     assert hash(one(3)) == hash((3,))
+    empty = record(type("Empty", (), {}))
+    assert empty() == empty() and hash(empty()) == hash(())
 
 
 def test_assignment_and_deletion_raise():
@@ -154,4 +172,4 @@ def test_class_defined_methods_survive():
     assert repr(MonoidElem((1, 0), 0, 2)) == "<1,0>"
     T = build_tower(preset("unramified_rlr", 2), 1, Fraction(2), 2)
     assert repr(s_one(T.levels[0])) == "1*e<0,0>"
-    assert repr(T.base_ideal) == "1*e<1,0>"
+    assert repr(T.base_ideal) == "(<1,0>, 1)"
