@@ -10,7 +10,7 @@ algorithms with smallest-pivot selection are entirely adequate.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 
 from .record import record
 
@@ -132,9 +132,15 @@ def snf(M):
 
     U and V are unimodular; D is diagonal, nonnegative, and its diagonal
     entries form a divisibility chain d1 | d2 | ...  Smallest-pivot selection
-    keeps the intermediate entries tame at the sizes we care about.
+    keeps the intermediate entries tame at the sizes we care about.  The
+    result is kept per matrix, since every lattice question on a matrix
+    reads its Smith form.
     """
-    M = intmatrix(M)
+    return _snf(intmatrix(M))
+
+
+@lru_cache(maxsize=None)
+def _snf(M):
     rows, cols = dims(M)
     a = [list(row) for row in M]
     u = [list(row) for row in identity(rows)]
@@ -205,120 +211,35 @@ def snf(M):
     return U, D, V
 
 
-def snf_diagonal(M) -> tuple[int, ...]:
-    """The nonzero diagonal of the Smith form, in chain order."""
-    _, D, _ = snf(M)
-    rows, cols = dims(D)
-    return tuple(D[i][i] for i in range(min(rows, cols)) if D[i][i] != 0)
-
-
-def hnf(M):
-    """Column-style Hermite normal form: returns (H, V) with M*V = H.
-
-    H is in column echelon form with positive pivots; entries to the left of a
-    pivot are reduced into [0, pivot).  V is unimodular.
-    """
-    M = intmatrix(M)
-    rows, cols = dims(M)
-    a = [list(row) for row in M]
-    v = [list(row) for row in identity(cols)]
-
-    def combine_cols(j, k, x, y, z, w):
-        # (col_j, col_k) <- (x*col_j + y*col_k, z*col_j + w*col_k)
-        for arr in (a, v):
-            for r in range(len(arr)):
-                cj, ck = arr[r][j], arr[r][k]
-                arr[r][j], arr[r][k] = x * cj + y * ck, z * cj + w * ck
-
-    c = 0
-    for r in range(rows):
-        piv = next((j for j in range(c, cols) if a[r][j] != 0), None)
-        if piv is None:
-            continue
-        if piv != c:
-            combine_cols(c, piv, 0, 1, 1, 0)
-        for j in range(c + 1, cols):
-            if a[r][j] == 0:
-                continue
-            p, q = a[r][c], a[r][j]
-            g = gcd(p, q)
-            # Bezout: x*p + y*q = g; the 2x2 block has determinant +-1
-            x, y = _bezout(p, q)
-            combine_cols(c, j, x, y, -(q // g), p // g)
-        if a[r][c] < 0:
-            for arr in (a, v):
-                for row in arr:
-                    row[c] = -row[c]
-        for j in range(c):
-            q = a[r][j] // a[r][c]
-            if q:
-                for arr in (a, v):
-                    for row in arr:
-                        row[j] -= q * row[c]
-        c += 1
-        if c == cols:
-            break
-
-    H, V = intmatrix(a), intmatrix(v)
-    assert mat_mul(M, V) == H
-    return H, V
-
-
-# in_lattice reduces many vectors against the same few generator matrices
-_cached_hnf = lru_cache(maxsize=None)(hnf)
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """x, y with x*p + y*q = gcd(p, q)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while q:
-        k, p, q = p // q, q, p % q
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    return x0, y0
-
-
 def in_lattice(gens, v):
     """Integer coefficients expressing v in the columns of gens, or None.
 
-    The vector is reduced against the Hermite form of the generator matrix
-    (computed once per matrix); it lies in the lattice exactly when the
-    reduction reaches zero.
+    With U*gens*V = D the Smith form and w = U*v, v lies in the lattice
+    exactly when w_i = 0 past the rank and D_ii divides w_i before it; the
+    coefficients are then V*(w_i / D_ii).
     """
-    gens = intmatrix(gens)
-    rows, cols = dims(gens)
+    U, D, V = snf(gens)
+    rows, cols = dims(D)
     v = tuple(int(x) for x in v)
     if len(v) != rows:
         raise ValueError("vector length does not match matrix rows")
-    if cols == 0:
-        return () if all(x == 0 for x in v) else None
-    H, V = _cached_hnf(gens)
-    resid = list(v)
-    y = [0] * cols
-    col = 0
-    for r in range(rows):
-        if col < cols and H[r][col] != 0:
-            if resid[r] % H[r][col] != 0:
-                return None
-            t = resid[r] // H[r][col]
-            y[col] = t
-            for i in range(rows):
-                resid[i] -= t * H[i][col]
-            col += 1
-        elif resid[r] != 0:
+    t = [0] * cols
+    for i, x in enumerate(mat_vec(U, v)):
+        d = D[i][i] if i < cols else 0
+        if (x % d if d else x) != 0:
             return None
-    if any(resid):
-        return None
-    return mat_vec(V, y)
+        if d:
+            t[i] = x // d
+    return mat_vec(V, t)
 
 
 def lattice_basis(gens):
-    """The pivot columns of the Hermite form: a basis of the column lattice."""
-    gens = intmatrix(gens)
-    rows, cols = dims(gens)
-    H, _ = hnf(gens)
-    keep = [j for j in range(cols) if any(H[i][j] for i in range(rows))]
-    return tuple(tuple(H[i][j] for j in keep) for i in range(rows))
+    """The columns gens*V_j with D_jj != 0 of the Smith form U*gens*V = D:
+    a basis of the column lattice."""
+    _, D, V = snf(gens)
+    GV = mat_mul(intmatrix(gens), V)
+    keep = [j for j in range(min(dims(D))) if D[j][j]]
+    return tuple(tuple(row[j] for j in keep) for row in GV)
 
 
 def kernel(M):
@@ -334,7 +255,7 @@ def smith_quotient(gens, sub_gens):
     """G = (column lattice of gens) / (column lattice of sub_gens), with the
     presentation it is read from: returns (G, B, U, diag).
 
-    B is a basis of the ambient lattice (its Hermite form).  The columns of X
+    B is lattice_basis(gens), a basis of the ambient lattice.  The columns of X
     are the sublattice generators in B coordinates, U X V = D is X's Smith
     form and diag is D's diagonal, zeros included; with no sublattice
     generators U is the identity and diag is empty.  Raises

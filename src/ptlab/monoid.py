@@ -294,10 +294,15 @@ def facet_normals(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
 # lattice data
 
 
+def _gens_matrix(gens: tuple[tuple[int, ...], ...], n: int):
+    """The generators as the columns of an n-row matrix, zero columns included:
+    the one matrix whose Smith form answers every lattice question on Q^gp."""
+    return tuple(tuple(g[i] for g in gens) for i in range(n))
+
+
 @lru_cache(maxsize=None)
 def _gp_basis(gens: tuple[tuple[int, ...], ...], n: int):
-    cols = tuple(tuple(g[i] for g in gens) for i in range(n))
-    return intlat.lattice_basis(cols)
+    return intlat.lattice_basis(_gens_matrix(gens, n))
 
 
 def gp_basis(Q: AffineMonoid):
@@ -308,7 +313,8 @@ def gp_basis(Q: AffineMonoid):
 def in_gp(Q: AffineMonoid, x: MonoidElem) -> bool:
     if x.level > Q.level:
         return False
-    return intlat.in_lattice(gp_basis(Q), x.at_level(Q.level)) is not None
+    gens = _gens_matrix(Q.generators, Q.ambient_rank)
+    return intlat.in_lattice(gens, x.at_level(Q.level)) is not None
 
 
 def dimension(Q: AffineMonoid) -> int:
@@ -395,7 +401,10 @@ def _triangulation(gens: tuple[tuple[int, ...], ...], n: int):
         elif _rank_of([row for row, z in zip(on_gp, zero) if z]) == r - 1:
             ext[zero] = g
     ext_gens = sorted(ext.values())
-    coords = [intlat.in_lattice(basis, g) for g in ext_gens]
+    # gp_basis is G V_j for D_jj != 0, where U G V = D is the Smith form of
+    # the generator matrix G, so a generator g has coordinates (U g)_j / D_jj
+    U, D, _ = intlat.snf(_gens_matrix(gens, n))
+    coords = [tuple(x // D[j][j] for j, x in enumerate(mat_vec(U[:r], g))) for g in ext_gens]
     incidence = [frozenset(i for i, g in enumerate(ext_gens) if _dot(f, g) == 0)
                  for f in facets]
     memo: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -776,8 +785,8 @@ def member_test(gens: tuple[tuple[int, ...], ...], n: int, base: int):
         Q = AffineMonoid(n, base, 0, gens)
         return (lambda u: contains(Q, Q.elem(u)),) * 2
     else:
-        U, D, _ = intlat.snf(tuple(tuple(g[i] for g in nz) for i in range(n)))
-        rank = sum(1 for i in range(min(n, len(nz))) if D[i][i])
+        U, D, _ = intlat.snf(_gens_matrix(gens, n))
+        rank = sum(1 for i in range(min(n, len(gens))) if D[i][i])
         eqs = list(U[rank:])
         congs = [(U[i], D[i][i]) for i in range(rank) if D[i][i] > 1]
         coordinate_faces = {frozenset(j for j, g in enumerate(nz) if not g[k]) for k in range(n)}

@@ -7,14 +7,16 @@ transition image, counting shows the Frobenius image set cannot be covered,
 so a lone (b) break is impossible and the expectation records both (as does
 the f_power fixture, whose transition also breaks (b)).
 
-elements() lists a monoid's elements for the monoid tests, and
+elements() lists a monoid's elements for the monoid tests,
 torsion_oracle() a ring's power-torsion by series products for the torsion
+tests, and snf_diagonal() the invariant factors of a matrix for the lattice
 tests.
 """
 
 from fractions import Fraction
 from math import floor
 
+from ptlab.intlat import dims, snf
 from ptlab.logreg import build_tower, preset_unramified
 from ptlab.monoid import AffineMonoid, MonoidElem, unpack, walk
 from ptlab.record import replace
@@ -36,6 +38,12 @@ def elements(Q, max_degree):
     field = cap.bit_length() + 1
     w = walk(Q.generators, field)
     return [Q.elem(unpack(c, field, Q.ambient_rank)) for c in w.elements[:w.upto(cap)]]
+
+
+def snf_diagonal(M) -> tuple[int, ...]:
+    """The nonzero diagonal of the Smith form, in chain order."""
+    _, D, _ = snf(M)
+    return tuple(D[i][i] for i in range(min(dims(D))) if D[i][i] != 0)
 
 
 def torsion_oracle(ring, g):

@@ -45,13 +45,13 @@ def test_quadric_class_group_is_Z():
     assert rep.group.describe() == "Z"
     assert rep.torsion_order == 1
     assert rep.facet_count == 4
-    assert pairing_matrix(QUADRIC) == ((0, 0, 1), (0, 1, 0), (1, -1, 1), (1, 0, 0))
+    assert pairing_matrix(QUADRIC) == ((0, 0, 1), (1, -1, 0), (0, 1, 1), (1, 0, 0))
 
 
 def test_A1_class_group_is_Z2():
     rep = class_group(A1)
     assert rep.group.describe() == "Z/2"
-    assert pairing_matrix(A1) == ((1, 2), (1, 0))
+    assert pairing_matrix(A1) == ((1, -2), (1, 0))
     assert rep.ell_primary[2].describe() == "Z/2"
 
 

@@ -311,7 +311,6 @@ UNREACHED_BY_DESIGN = {
     "cli.run": "the process entry, exercised in child processes",
     "monoid.member_test.<locals>.<lambda 1>": "the member test of a non-saturated monoid; "
                                               "only tests build a ring on one",
-    "intlat.snf_diagonal": ORACLE,
     "monoid.MonoidElem.__add__": ORACLE,
     "monoid.MonoidElem.__sub__": ORACLE,
     "monoid.MonoidElem._combine": ORACLE,

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: normal forms, lattices, quotients."""
 
 import random
+from math import prod
 
 import pytest
 import sympy
@@ -12,7 +13,6 @@ from ptlab.intlat import (
     abelian_quotient,
     det,
     dims,
-    hnf,
     identity,
     in_lattice,
     kernel,
@@ -20,9 +20,10 @@ from ptlab.intlat import (
     mat_mul,
     mat_vec,
     snf,
-    snf_diagonal,
     transpose,
 )
+
+from fixtures import snf_diagonal
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -74,28 +75,40 @@ def test_snf_matches_sympy():
         assert tuple(sorted(snf_diagonal(M))) == oracle
 
 
-def test_hnf_shape_and_transform():
-    rng = random.Random(5)
-    for _ in range(200):
+def sympy_invariants(M):
+    """(rank, product of the nonzero invariant factors) of M, by sympy."""
+    if not M or not M[0]:
+        return 0, 1
+    sm = smith_normal_form(sympy.Matrix([list(r) for r in M]))
+    diag = [abs(int(sm[i, i])) for i in range(min(sm.shape)) if sm[i, i] != 0]
+    return len(diag), prod(diag)
+
+
+def with_column(M, v):
+    return tuple(row + (x,) for row, x in zip(M, v))
+
+
+def test_lattice_questions_match_sympy():
+    """v is in the lattice of M iff appending it keeps M's rank and the
+    product of its invariant factors; lattice_basis is a basis of it."""
+    rng = random.Random(25)
+    for _ in range(300):
         rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        M = rand_matrix(rng, rows, cols, -7, 7)
-        H, V = hnf(M)
-        assert mat_mul(M, V) == H
-        assert det(V) in (1, -1)
-        # column echelon: pivot rows strictly increase, pivots positive,
-        # entries left of a pivot reduced into [0, pivot)
-        last = -1
-        for j in range(cols):
-            nz = [i for i in range(rows) if H[i][j]]
-            if not nz:
-                continue
-            r = nz[0]
-            assert r > last
-            last = r
-            assert H[r][j] > 0
-            for k in range(j):
-                assert 0 <= H[r][k] < H[r][j]
+        cols = rng.randint(0, 4)
+        M = rand_matrix(rng, rows, cols, -6, 6)
+        if rng.random() < 0.3:
+            v = mat_vec(M, [rng.randint(-4, 4) for _ in range(cols)])
+        else:
+            v = tuple(rng.randint(-6, 6) for _ in range(rows))
+        inv = sympy_invariants(M)
+        sol = in_lattice(M, v)
+        assert (sol is None) == (sympy_invariants(with_column(M, v)) != inv)
+        if sol is not None:
+            assert mat_vec(M, sol) == v
+        B = lattice_basis(M)
+        assert sympy_invariants(B) == inv and dims(B)[1] == inv[0]
+        for j in range(inv[0]):
+            assert sympy_invariants(with_column(M, [row[j] for row in B])) == inv
 
 
 def test_in_lattice_roundtrip():

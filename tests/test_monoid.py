@@ -30,13 +30,14 @@ from ptlab.monoid import (
     is_saturated,
     is_sharp,
     layer_quotient,
+    member_test,
     p_divide,
     preset,
     saturate,
     walk,
 )
 
-from fixtures import elements
+from fixtures import elements, snf_diagonal
 
 QUADRIC = AffineMonoid(4, 2, 0, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)))
 
@@ -161,6 +162,23 @@ def test_gp_membership():
     cols = gp_basis(Q)
     assert len(cols) == 2      # ambient coordinates
     assert len(cols[0]) == 2   # rank two
+
+
+def test_one_smith_form_per_monoid():
+    """gp_basis, in_gp and member_test of one monoid read one Smith form, that
+    of its generator matrix (the quadric's cones are unimodular, so its
+    saturation check factors no cone matrix)."""
+    for mod in (intlat, monoid):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    Q = QUADRIC
+    assert intlat.dims(gp_basis(Q)) == (4, 3)
+    assert in_gp(Q, Q.elem((2, 1, 0, 1)))
+    assert not in_gp(Q, Q.elem((1, 0, 0, 0)))
+    full, _ = member_test(Q.generators, Q.ambient_rank, Q.scale_base)
+    assert full((2, 1, 0, 1)) and not full((1, 0, 0, 0))
+    assert intlat._snf.cache_info().misses == 1
 
 
 def test_descriptor_roundtrip():
@@ -469,7 +487,7 @@ def cones():
 
 def _rank(rows):
     rows = [r for r in rows if any(r)]
-    return len(intlat.snf_diagonal(intlat.intmatrix(rows))) if rows else 0
+    return len(snf_diagonal(intlat.intmatrix(rows))) if rows else 0
 
 
 def all_pairs_rays(constraints, n):
