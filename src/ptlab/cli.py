@@ -295,10 +295,7 @@ def _cmd_regularity(args) -> int:
         _emit({"command": "regularity maximal", "report": {"maximal": verdict}}, args)
         return 0 if verdict else 1
     f_list = _series_list(args.f, A)
-    try:
-        e_list = [int(x) for x in args.e.split(",") if x]
-    except ValueError as exc:
-        raise ParseError("exponent list must be comma-separated integers") from exc
+    e_list = [_decimal("--e entry", x) for x in args.e.split(",")] if args.e else []
     verdict = kummer_regularity(A, f_list, e_list)
     _emit({"command": "regularity kummer", "report": {"regular": verdict}}, args)
     return 0 if verdict else 1
@@ -319,6 +316,15 @@ GROUPS = {
         "--equal-char": (bool, False, None), "--elems": (str, "[]", None),
         "--f": (str, "[]", None), "--e": (str, "", None), **_COMMON}),
 }
+
+
+def _decimal(what: str, text: str) -> int:
+    """text as an int if it is ASCII decimal, -?[0-9]+; int() would also take
+    '1_0', full-width digits and surrounding blanks."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} must be an integer, not {text!r}")
+    return int(text)
 
 
 def _pick(what: str, word, choices):
@@ -349,11 +355,13 @@ def _parse(argv: list[str]) -> SimpleNamespace:
             raise ParseError(f"{flag} takes no value")
         if kind is not bool and not eq and (value := next(words, None)) is None:
             raise ParseError(f"{flag} needs a value")
-        value = _pick(flag, value, choices) if choices else value
-        try:
-            setattr(args, flag[2:].replace("-", "_"), True if kind is bool else kind(value))
-        except ValueError:
-            raise ParseError(f"{flag} must be an integer, not {value!r}") from None
+        if kind is bool:
+            value = True
+        elif kind is int:
+            value = _decimal(flag, value)
+        elif choices:
+            value = _pick(flag, value, choices)
+        setattr(args, flag[2:].replace("-", "_"), value)
     args.action = _pick(f"the {group} action", args.action, actions)
     return args
 

@@ -1,21 +1,13 @@
 """Coefficient arithmetic: the primality check of every prime ptlab reads,
-F_p, and W2(k).
+and the Teichmuller digits of Z/p^2.
 
-The length-2 Witt vectors implement the explicit componentwise formulas for a
-perfect field of characteristic p: addition needs one exact division by p over
-the integers, which is why the middle term is computed in Z before reduction.
-Only k = F_p is supported here; general finite fields are an extension point,
-not needed by any preset.
+teichmuller_lift and digit_correction give the second base-p digit of an
+integer its W2(F_p) meaning, which the regularity toolkit reads as the
+coefficient of dp.  The W2(F_p) ring itself, with the isomorphism to Z/p^2
+that these digits realise, is the tests' reference (tests/algebra_oracle.py).
 """
 
 from __future__ import annotations
-
-from .record import record
-
-
-class PrimeMismatch(ValueError):
-    pass
-
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981  # least strong pseudoprime to all of _MR_BASES
@@ -58,75 +50,6 @@ def require_prime(p: int, error: type[ValueError]) -> None:
         raise error(str(exc)) from None
     if not prime:
         raise error("p must be a prime")
-
-
-@record
-class PrimeFieldElem:
-    p: int
-    value: int
-
-    def __post_init__(self):
-        require_prime(self.p, ValueError)
-        object.__setattr__(self, "value", self.value % self.p)
-
-
-@record
-class Witt2Elem:
-    """(a, b) in W2(k) = k x k with the p-typical ring structure."""
-
-    a: PrimeFieldElem
-    b: PrimeFieldElem
-
-    def __post_init__(self):
-        if self.a.p != self.b.p:
-            raise PrimeMismatch("components over different primes")
-
-    @property
-    def p(self) -> int:
-        return self.a.p
-
-
-def w2(p: int, a: int, b: int) -> Witt2Elem:
-    return Witt2Elem(PrimeFieldElem(p, a), PrimeFieldElem(p, b))
-
-
-def w2_add(x: Witt2Elem, y: Witt2Elem) -> Witt2Elem:
-    """(a,b) + (c,d) = (a+c, b+d+(a^p+c^p-(a+c)^p)/p).
-
-    The carry term is evaluated over Z, where the division by p is exact, and
-    reduced only afterwards.
-    """
-    if x.p != y.p:
-        raise PrimeMismatch(f"{x.p} != {y.p}")
-    p = x.p
-    a, c = x.a.value, y.a.value
-    carry = (a ** p + c ** p - (a + c) ** p) // p
-    return w2(p, a + c, x.b.value + y.b.value + carry)
-
-
-def w2_mul(x: Witt2Elem, y: Witt2Elem) -> Witt2Elem:
-    """(a,b) * (c,d) = (ac, a^p d + c^p b)."""
-    if x.p != y.p:
-        raise PrimeMismatch(f"{x.p} != {y.p}")
-    p = x.p
-    a, c = x.a.value, y.a.value
-    return w2(p, a * c, a ** p * y.b.value + c ** p * x.b.value)
-
-
-def w2_neg(x: Witt2Elem) -> Witt2Elem:
-    return w2_mul(w2_from_int(x.p, -1), x)
-
-
-def w2_from_int(p: int, n: int) -> Witt2Elem:
-    """The image of an integer under Z -> W2(F_p) (matches Z/p^2 digitwise).
-
-    Inverse direction of the standard isomorphism W2(F_p) = Z/p^2 given by
-    (a, b) -> teich(a) + p*b.
-    """
-    n %= p * p
-    a = n % p
-    b = (n - teichmuller_lift(a, p)) // p
-    return w2(p, a, b)
 
 
 def teichmuller_lift(a: int, p: int) -> int:

@@ -42,10 +42,6 @@ class FinAbelianGroup:
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def torsion_order(self) -> int:
         return prod(self.invariant_factors)
 
@@ -242,25 +238,13 @@ def lattice_basis(gens):
     return tuple(tuple(row[j] for j in keep) for row in GV)
 
 
-def kernel(M):
-    """Columns spanning the integer null space of M."""
-    M = intmatrix(M)
-    rows, cols = dims(M)
-    _, D, V = snf(M)
-    rank = sum(1 for i in range(min(rows, cols)) if D[i][i] != 0)
-    return tuple(tuple(V[i][j] for j in range(rank, cols)) for i in range(cols))
+def abelian_quotient(gens, sub_gens) -> FinAbelianGroup:
+    """Structure of (column lattice of gens) / (column lattice of sub_gens).
 
-
-def smith_quotient(gens, sub_gens):
-    """G = (column lattice of gens) / (column lattice of sub_gens), with the
-    presentation it is read from: returns (G, B, U, diag).
-
-    B is lattice_basis(gens), a basis of the ambient lattice.  The columns of X
-    are the sublattice generators in B coordinates, U X V = D is X's Smith
-    form and diag is D's diagonal, zeros included; with no sublattice
-    generators U is the identity and diag is empty.  Raises
-    SubLatticeNotContained when some column of sub_gens falls outside the
-    ambient lattice.
+    The columns of sub_gens, written in the basis lattice_basis(gens) of the
+    ambient lattice, are the columns of X, and the group is read off the
+    diagonal of X's Smith form.  Raises SubLatticeNotContained when some
+    column of sub_gens falls outside the ambient lattice.
     """
     gens = intmatrix(gens)
     sub = intmatrix(sub_gens)
@@ -278,18 +262,10 @@ def smith_quotient(gens, sub_gens):
             raise SubLatticeNotContained(f"column {j} of sub_gens is outside the lattice")
         coords.append(c)
     if not coords:
-        return FinAbelianGroup(free_rank=rank), basis, identity(rank), ()
-    U, D, _ = snf(transpose(intmatrix(coords)))
-    diag = tuple(D[i][i] for i in range(min(dims(D))))
-    d = [x for x in diag if x]
-    group = FinAbelianGroup(
+        return FinAbelianGroup(free_rank=rank)
+    _, D, _ = snf(transpose(intmatrix(coords)))
+    d = [D[i][i] for i in range(min(dims(D))) if D[i][i]]
+    return FinAbelianGroup(
         free_rank=rank - len(d),
         invariant_factors=tuple(x for x in d if x > 1),
     )
-    return group, basis, U, diag
-
-
-def abelian_quotient(gens, sub_gens) -> FinAbelianGroup:
-    """Structure of (column lattice of gens) / (column lattice of sub_gens),
-    read off the Smith form of smith_quotient."""
-    return smith_quotient(gens, sub_gens)[0]

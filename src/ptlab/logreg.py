@@ -368,16 +368,20 @@ def kummer_regularity(A: BaseRing, f_list, e_list) -> bool:
     """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the points over m, the
     f_i coefficient maps as in d_class.
 
-    Each exponent must exceed 1 for the extension to be a genuine cover.
-    A unit f_i with p not dividing e_i gives an etale factor (T^e - f is
-    separable mod m, its derivative e T^(e-1) a unit where T^e = f), so it
-    drops out.  A unit with e_i = p keeps its class: the class of
-    f_i - [b]^p for the Teichmuller lift [b] of its residue, which is the
-    corrected digit in mixed characteristic and the linear terms in equal
-    characteristic (b is in F_p, whose p-th powers are itself).  A unit with
-    p | e_i and e_i != p is refused (UnsupportedBase): its p^a-th root
-    residue may need an extension of F_p.  The classes that remain, those of
-    the non-units and the e_i = p units, decide by linear independence.
+    Each exponent must exceed 1 for the extension to be a genuine cover.  At
+    a point n over m the ring is regular iff the classes of the T_i^{e_i} -
+    f_i in n/n^2 are independent.  A non-unit f_i sits at T_i = 0, where
+    T_i^{e_i} is in n^2, so it keeps the class of f_i.  A unit f_i with p
+    not dividing e_i gives an etale factor (T^e - f is separable mod m, its
+    derivative e T^(e-1) a unit where T^e = f): its class has a dT_i part
+    no other class has, so it drops out.  A unit f_i with p | e_i keeps the
+    class of f_i - [b], [b] the Teichmuller lift of its residue b: at a
+    point T_i = [s] + t with s^e = b (s in an extension k of F_p), every
+    binomial term e [s]^(e-1) t, ... of ([s] + t)^e lies in p n or n^2, and
+    [s]^e = [s^e] = [b], since Teichmuller lifts are multiplicative.  That
+    class is the corrected digit in mixed characteristic and the linear
+    terms in equal characteristic, the d_class of f_i, and extending the
+    scalars to k does not change linear independence.
     """
     if len(f_list) != len(e_list):
         raise UnsupportedBase("one exponent per element")
@@ -386,10 +390,7 @@ def kummer_regularity(A: BaseRing, f_list, e_list) -> bool:
             raise UnsupportedBase("exponents must exceed 1")
     classes = []
     for x, e in zip(f_list, e_list):
-        if _is_unit(A, x) and e != A.p:
-            if e % A.p == 0:
-                raise UnsupportedBase(f"a unit with exponent {e}, a multiple of p = {A.p} "
-                                      "other than p, is not supported")
+        if _is_unit(A, x) and e % A.p:
             continue  # etale
         classes.append(d_class(A, x))
     if not classes:

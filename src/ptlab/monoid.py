@@ -30,19 +30,11 @@ from .intlat import FinAbelianGroup, mat_vec
 from .record import record
 
 
-class NotSubmonoid(ValueError):
-    pass
-
-
 class NotSharp(ValueError):
     pass
 
 
 class NotSaturated(ValueError):
-    pass
-
-
-class NotExact(ValueError):
     pass
 
 
@@ -102,9 +94,6 @@ class MonoidElem:
     def __sub__(self, other: MonoidElem) -> MonoidElem:
         return self._combine(other, -1)
 
-    def scale(self, n: int) -> MonoidElem:
-        return MonoidElem(tuple(n * x for x in self.coords), self.level, self.base)
-
     def divide(self, i: int = 1) -> MonoidElem:
         """The element divided by base**i (level raised)."""
         return MonoidElem(self.coords, self.level + i, self.base)
@@ -144,12 +133,6 @@ class AffineMonoid:
             raise ValueError("scale base must be >= 2")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
-
-    def elem(self, coords) -> MonoidElem:
-        return MonoidElem(tuple(coords), self.level, self.scale_base)
-
-    def gen_elems(self) -> tuple[MonoidElem, ...]:
-        return tuple(self.elem(g) for g in self.generators)
 
     def to_descriptor(self) -> dict:
         return {
@@ -280,8 +263,7 @@ def _ineq_cone_rays(constraints: tuple[tuple[int, ...], ...], n: int):
 def cone_contains(Q: AffineMonoid, coords) -> bool:
     """Membership in the rational cone of Q's generators (scale-free)."""
     lin, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
-    v = coords.coords if isinstance(coords, MonoidElem) else tuple(coords)
-    return all(_dot(l, v) == 0 for l in lin) and all(_dot(r, v) >= 0 for r in rays)
+    return all(_dot(l, coords) == 0 for l in lin) and all(_dot(r, coords) >= 0 for r in rays)
 
 
 def facet_normals(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
@@ -617,40 +599,6 @@ def layer_quotient(Q: AffineMonoid) -> FinAbelianGroup:
     return intlat.abelian_quotient(gp_basis(Q), _rescaled_basis(Q, Q.level + 1))
 
 
-def is_exact_submonoid(Qp: AffineMonoid, Q: AffineMonoid) -> bool:
-    """Exactness of Qp inside a saturated Q: (Qp)^gp cap Q = Qp.
-
-    Then (Qp)^gp cap Q = (Qp)^gp cap cone(Q) is saturated, so a non-saturated
-    Qp is never exact; for a saturated Qp, exactness says that cone(Q) cap
-    span(Qp^gp) lies in cone(Qp), which double description settles.  Raises
-    NotSubmonoid for a generator of Qp outside Q, NotSaturated unless Q is
-    saturated.
-    """
-    if Qp.ambient_rank != Q.ambient_rank or Qp.scale_base != Q.scale_base:
-        raise NotSubmonoid("ambient contexts differ")
-    for g in Qp.gen_elems():
-        if not contains(Q, g):
-            raise NotSubmonoid(f"generator {g} of the submonoid is outside the monoid")
-    if not is_saturated(Q):
-        raise NotSaturated("exactness needs a saturated ambient monoid")
-    if not is_saturated(Qp):
-        return False
-    n = Q.ambient_rank
-    level = max(Q.level, Qp.level)
-    # cone(Q) cap span(Qp^gp): constraints are Q's facet inequalities plus
-    # both signs of a basis of the annihilator of span(Qp^gp)
-    perp = intlat.transpose(intlat.kernel(intlat.transpose(_rescaled_basis(Qp, level))))
-    constraints = list(facet_normals(Q))
-    for row in perp:
-        constraints.append(tuple(row))
-        constraints.append(tuple(-x for x in row))
-    lin, rays = _ineq_cone_rays(tuple(constraints), n)
-    for r in list(rays) + [l for l in lin] + [tuple(-x for x in l) for l in lin]:
-        if not cone_contains(Qp, r):
-            return False
-    return True
-
-
 def _rescaled_basis(Q: AffineMonoid, level: int):
     f = Q.scale_base ** (level - Q.level)
     return tuple(tuple(f * x for x in row) for row in gp_basis(Q))
@@ -783,7 +731,7 @@ def member_test(gens: tuple[tuple[int, ...], ...], n: int, base: int):
         eqs, congs, facets = units, [], []
     elif _saturation_gap(gens, n):
         Q = AffineMonoid(n, base, 0, gens)
-        return (lambda u: contains(Q, Q.elem(u)),) * 2
+        return (lambda u: contains(Q, MonoidElem(u, 0, base)),) * 2
     else:
         U, D, _ = intlat.snf(_gens_matrix(gens, n))
         rank = sum(1 for i in range(min(n, len(gens))) if D[i][i])
@@ -817,7 +765,7 @@ def _linear_test(eqs, congs, facets):
 
 
 # ---------------------------------------------------------------------------
-# exact embeddings and graded decompositions
+# exact embeddings
 
 
 def exact_embed_Nd(Q: AffineMonoid):
@@ -829,46 +777,3 @@ def exact_embed_Nd(Q: AffineMonoid):
     if not is_saturated(Q):  # NotSharp unless Q is sharp
         raise NotSaturated("facet embedding needs a saturated monoid")
     return facet_normals(Q)
-
-
-@record(hidden=("_level", "_basis", "_U", "_diag"))
-class GradedDecomposition:
-    """Grading of Z[Q] by G = Q^gp/(Qp)^gp; degree zero is is_zero_class."""
-
-    class_group: FinAbelianGroup
-    _level: int
-    _basis: tuple
-    _U: tuple
-    _diag: tuple
-
-    def class_of(self, x: MonoidElem):
-        """Label of x in G; labels are reduced coordinate tuples, additively."""
-        if x.level > self._level:
-            raise ValueError("element is finer than the grading level")
-        t = intlat.in_lattice(self._basis, x.at_level(self._level))
-        if t is None:
-            raise ValueError("element is outside the ambient groupification")
-        u = mat_vec(self._U, t)
-        out = []
-        for i, val in enumerate(u):
-            d = self._diag[i] if i < len(self._diag) else 0
-            out.append(val % d if d else val)
-        return tuple(out)
-
-    def is_zero_class(self, x: MonoidElem) -> bool:
-        return all(v == 0 for v in self.class_of(x))
-
-
-def graded_decomposition(Qp: AffineMonoid, Q: AffineMonoid) -> GradedDecomposition:
-    """Grading of Q by G = Q^gp/(Qp)^gp, with exactness as precondition."""
-    if not is_exact_submonoid(Qp, Q):
-        raise NotExact("submonoid is not exact in the ambient monoid")
-    level = max(Q.level, Qp.level)
-    group, basis, U, diag = intlat.smith_quotient(_rescaled_basis(Q, level), _rescaled_basis(Qp, level))
-    return GradedDecomposition(
-        class_group=group,
-        _level=level,
-        _basis=basis,
-        _U=U,
-        _diag=diag,
-    )

@@ -32,18 +32,14 @@ class FrozenInstanceError(AttributeError):
 _set_field = object.__setattr__
 
 
-def record(cls=None, *, hidden: tuple[str, ...] = ()):
-    """Class decorator; ``@record`` or ``@record(hidden=names)``, where the
-    hidden fields are left out of the repr."""
-    if cls is None:
-        return lambda c: record(c, hidden=hidden)
+def record(cls):
+    """Class decorator: gives cls the record methods of the module docstring,
+    over the fields its own annotations name."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {k: cls.__dict__[k] for k in names if k in cls.__dict__}
     for a, b in zip(names, names[1:]):
         if a in defaults and b not in defaults:
             raise TypeError(f"non-default field {b!r} follows default field {a!r}")
-    if not set(hidden) <= set(names):
-        raise TypeError(f"hidden names {hidden} are not all fields")
     qualname = cls.__qualname__
     post_init = hasattr(cls, "__post_init__")
     n = len(names)
@@ -82,10 +78,8 @@ def record(cls=None, *, hidden: tuple[str, ...] = ()):
     def __hash__(self):
         return hash(values(self))
 
-    shown = tuple(k for k in names if k not in hidden)
-
     def __repr__(self):
-        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in shown)
+        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in names)
         return f"{self.__class__.__qualname__}({body})"
 
     def __setattr__(self, name, value):

@@ -418,10 +418,6 @@ class PillarSystem:
     tower: TowerDesc
     exps: tuple[int | None, ...]
 
-    def exponent(self, i: int) -> MonoidElem | None:
-        v = self.exps[i]
-        return None if v is None else self.tower.levels[i].elem(v)
-
     def compatibility_witnesses(self) -> list[dict]:
         """F_i(f-bar_{i+1}) = f-bar_i on the nose, reported per level."""
         T = self.tower
@@ -550,14 +546,6 @@ def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
         if (F(d) is not None) != spared(d):  # e^(p d) survives
             return Si1.elem(d)
     return None
-
-
-def verify_tower(T: TowerDesc) -> dict:
-    """Full (a)-(g) verdict: purely inseparable layer plus perfectoid layer."""
-    a = verify_purely_inseparable(T)
-    b = verify_perfectoid(T)
-    rows = a["axioms"] + b["axioms"]
-    return {"axioms": rows, "all_pass": a["all_pass"] and b["all_pass"], "cutoff": T.cutoff_info()}
 
 
 # ---------------------------------------------------------------------------

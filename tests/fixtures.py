@@ -7,10 +7,10 @@ transition image, counting shows the Frobenius image set cannot be covered,
 so a lone (b) break is impossible and the expectation records both (as does
 the f_power fixture, whose transition also breaks (b)).
 
-elements() lists a monoid's elements for the monoid tests,
-torsion_oracle() a ring's power-torsion by series products for the torsion
-tests, and snf_diagonal() the invariant factors of a matrix for the lattice
-tests.
+elements() lists a monoid's elements for the monoid tests, verify_axioms()
+composes a tower's axiom report, torsion_oracle() finds a ring's
+power-torsion by series products for the torsion tests, and snf_diagonal()
+gives the invariant factors of a matrix for the lattice tests.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from ptlab.logreg import build_tower, preset_unramified
 from ptlab.monoid import AffineMonoid, MonoidElem, unpack, walk
 from ptlab.record import replace
 from ptlab.series import SeriesRingDesc, ideal_generator
-from ptlab.tower import TowerDesc, Transition
+from ptlab.tower import TowerDesc, Transition, verify_perfectoid, verify_purely_inseparable
 
 from series_oracle import deg, generator, make_series, s_mul
 
@@ -37,7 +37,16 @@ def elements(Q, max_degree):
     cap = floor(Fraction(max_degree) * Q.scale_base ** Q.level)
     field = cap.bit_length() + 1
     w = walk(Q.generators, field)
-    return [Q.elem(unpack(c, field, Q.ambient_rank)) for c in w.elements[:w.upto(cap)]]
+    return [MonoidElem(unpack(c, field, Q.ambient_rank), Q.level, Q.scale_base)
+            for c in w.elements[:w.upto(cap)]]
+
+
+def verify_axioms(T) -> dict:
+    """The axiom rows (a)-(g) of T and their verdict, composed as `tower
+    verify` composes them, without its Frobenius identity rows."""
+    a, b = verify_purely_inseparable(T), verify_perfectoid(T)
+    return {"axioms": a["axioms"] + b["axioms"], "all_pass": a["all_pass"] and b["all_pass"],
+            "cutoff": T.cutoff_info()}
 
 
 def snf_diagonal(M) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ def snf_oracle(M):
 
 def test_free_monoids_have_trivial_class_group():
     for d in (1, 2, 3, 4):
-        assert class_group(Nd(d)).group.is_trivial
+        assert class_group(Nd(d)).group == FinAbelianGroup(0)
 
 
 def test_quadric_class_group_is_Z():
@@ -56,7 +56,7 @@ def test_A1_class_group_is_Z2():
 
 
 def test_simplicial_example_trivial():
-    assert class_group(SIMPLICIAL).group.is_trivial
+    assert class_group(SIMPLICIAL).group == FinAbelianGroup(0)
 
 
 def test_matches_brute_force_snf_oracle():
@@ -71,7 +71,7 @@ def test_ell_primary_parts():
     G = FinAbelianGroup(0, (12,))
     assert ell_primary(G, 2).describe() == "Z/4"
     assert ell_primary(G, 3).describe() == "Z/3"
-    assert ell_primary(G, 5).is_trivial
+    assert ell_primary(G, 5) == FinAbelianGroup(0)
     H = FinAbelianGroup(1, (2, 6))
     assert ell_primary(H, 2).invariant_factors == (2, 2)
 

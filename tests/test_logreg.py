@@ -1,5 +1,7 @@
 """Presentations, tower construction, tilt prediction, regularity toolkit."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -227,7 +229,7 @@ def test_tilt_basis_mismatch_reports_the_walked_witnesses(monkeypatch):
     want = verify_tilt(P, T)
     x2 = MonoidElem((0, 1), 0, 2)
     for change in (lambda W: replace(W, base_ideal=generator(W.levels[0], [(x2, 1)])),
-                   _with_quotient(x2.scale(3))):
+                   _with_quotient(MonoidElem((0, 3), 0, 2))):
         with monkeypatch.context() as m:
             _patched_prediction(m, change)
             rep = verify_tilt(P, T)
@@ -365,7 +367,9 @@ def test_kummer_with_a_unit():
     x1 a unit with p not dividing e drops out.  With e = p a unit keeps the
     class of f - [b]^p: 4 - [1]^3 = 3 has the class of p, 8 = [2] has none.
     F_2[[x1]]: 1 + x1 with e = 2 has the class of x1, 1 has none, and with
-    e = 3 it is etale.  A unit with p | e, e != p, is refused."""
+    e = 3 it is etale.  A unit with p | e and e != p keeps the class of
+    f - [b] as well: 1 - [1] = 0 (e = 9) has none, 4 - [1] = 3 (e = 6) that
+    of p, and 1 + x1 - 1 (e = 4 over F_2) that of x1."""
     A = BaseRing(3, 1, mixed=True)
     ring = A.series_ring()
     x1 = coefficients(s_monomial(ring, ring.exp((1,))))
@@ -379,9 +383,61 @@ def test_kummer_with_a_unit():
     one_plus_x1 = coefficients(s_from_terms(er, [(er.exp((0,)), 1), (er.exp((1,)), 1)]))
     assert kummer_regularity(E, [one_plus_x1], [2]) and kummer_regularity(E, [one_plus_x1], [3])
     assert not kummer_regularity(E, [coefficients(s_const(er, 1))], [2])
-    for B, u, e in ((A, one, 9), (A, four, 6), (E, one_plus_x1, 4)):
-        with pytest.raises(UnsupportedBase, match="multiple of p"):
-            kummer_regularity(B, [u], [e])
+    assert not kummer_regularity(A, [one], [9])
+    assert kummer_regularity(A, [four], [6]) and kummer_regularity(E, [one_plus_x1], [4])
+
+
+def kummer_oracle(A: BaseRing, f_list, e_list) -> bool | None:
+    """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the points T_i = s_i
+    over m with every s_i in F_p, by expanding g_i = (s_i + t_i)^{e_i} - f_i
+    mod (p^2, n^2), n = (m, t_1, ..., t_n); None when some f_i has no such
+    root.  Mod n^2, (s + t)^e is s^e + e s^(e-1) t over Z/p^2, with only the
+    constant kept past p (p t is in n^2), and f_i is its constant mod p^2
+    and its linear terms mod p.  The classes of the g_i in n/n^2, on the
+    basis (p if mixed, x_1..x_d, t_1..t_n), must be independent over F_p at
+    every point, and the verdict may not depend on the point."""
+    p, n = A.p, len(f_list)
+    ring = A.series_ring()
+    lin = [ring.coords(ring.exp(tuple(int(i == k) for i in range(A.d)))) for k in range(A.d)]
+    roots = [[s for s in range(p) if (s ** e - x.get(ring.zero_exp, 0)) % p == 0]
+             for x, e in zip(f_list, e_list)]
+    if not all(roots):
+        return None
+    verdicts = set()
+    for point in itertools.product(*roots):
+        rows = []
+        for i, (x, e, s) in enumerate(zip(f_list, e_list, point)):
+            const = (s ** e - x.get(ring.zero_exp, 0)) % p ** 2
+            head = [const // p] if A.mixed else []
+            t = [e * s ** (e - 1) if k == i else 0 for k in range(n)]
+            rows.append(tuple(v % p for v in head + [-x.get(c, 0) for c in lin] + t))
+        # independent iff no nonzero F_p-combination of the rows vanishes
+        verdicts.add(not any(all(sum(c * r[k] for c, r in zip(cs, rows)) % p == 0
+                                 for k in range(len(rows[0])))
+                             for cs in itertools.product(range(p), repeat=n) if any(cs)))
+    assert len(verdicts) == 1, (f_list, e_list)
+    return verdicts.pop()
+
+
+def test_kummer_matches_the_expansion_oracle():
+    """Every f = c + a x1 (c mod p^2 in mixed, mod p in equal
+    characteristic) over Z_p[[x1]] and F_p[[x1]], p = 2, 3, alone with e = 2
+    to 9 and in random pairs, wherever the units have their roots in F_p."""
+    rng = random.Random(26)
+    checked = 0
+    for p, mixed in itertools.product((2, 3), (True, False)):
+        A = BaseRing(p, 1, mixed=mixed)
+        ring = A.series_ring()
+        fs = [coefficients(s_from_terms(ring, [(ring.exp((0,)), c), (ring.exp((1,)), a)]))
+              for c in range(p ** 2 if mixed else p) for a in range(p)]
+        cases = [([f], [e]) for f in fs for e in range(2, 10)]
+        cases += [(rng.sample(fs, 2), [rng.randint(2, 9), rng.randint(2, 9)]) for _ in range(200)]
+        for f_list, e_list in cases:
+            want = kummer_oracle(A, f_list, e_list)
+            if want is not None:
+                assert kummer_regularity(A, f_list, e_list) == want, (p, mixed, f_list, e_list)
+                checked += 1
+    assert checked > 1000
 
 
 def test_kummer_guards():

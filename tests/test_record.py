@@ -7,7 +7,7 @@ from functools import cached_property
 import pytest
 
 from ptlab.logreg import build_tower, preset
-from ptlab.monoid import AffineMonoid, MonoidElem, graded_decomposition, p_divide
+from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.record import FrozenInstanceError, record, replace
 from ptlab.series import InvariantViolation, coeff_map, ideal_generator
 
@@ -42,18 +42,6 @@ class DataPair:
     x: int
     y: int = 0
     tag: str = "P"
-
-
-@record(hidden=("secret",))
-class Hidden:
-    shown: int
-    secret: tuple
-
-
-@dataclasses.dataclass(frozen=True)
-class DataHidden:
-    shown: int
-    secret: tuple = dataclasses.field(repr=False)
 
 
 def test_defaults_and_binding():
@@ -159,13 +147,6 @@ def test_cached_property_writes_the_instance_dict():
 
 def test_repr_matches_dataclasses():
     assert repr(Pair(1, 2, "a")) == repr(DataPair(1, 2, "a")).replace("DataPair", "Pair")
-    assert repr(Hidden(1, (2,))) == repr(DataHidden(1, (2,))).replace("DataHidden", "Hidden")
-    assert repr(Hidden(1, (2,))) == "Hidden(shown=1)"
-    Q = AffineMonoid(2, 2, 0, ((1, 0), (0, 1)))
-    dec = graded_decomposition(Q, p_divide(Q, 1))
-    assert repr(dec) == f"GradedDecomposition(class_group={dec.class_group!r})"
-    with pytest.raises(TypeError):
-        record(hidden=("nope",))(type("H", (), {"__annotations__": {"a": int}}))
 
 
 def test_class_defined_methods_survive():

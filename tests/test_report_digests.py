@@ -14,9 +14,9 @@ import pytest
 
 from ptlab.cli import main
 from ptlab.logreg import build_tower, predict_tilt, preset
-from ptlab.tower import frobenius_identities, verify_tower
+from ptlab.tower import frobenius_identities
 
-from fixtures import SABOTAGE
+from fixtures import SABOTAGE, verify_axioms
 
 # (action, preset, p) -> sha256 of stdout of
 # `ptlab tower ACTION --preset PRESET --p P --d 2 --depth 2 --cutoff 4`
@@ -37,7 +37,7 @@ CLI_DIGESTS = {
     ("exactstilt", "quadric", 5): "837accd1b3d735e5359098065d478f35d2d2235a48403b57681852e50ca95cfa",
 }
 
-# sabotage letter -> sha256 of the tower descriptor, its verify_tower report
+# sabotage letter -> sha256 of the tower descriptor, its axiom report (verify_axioms)
 # and its Frobenius identities, as sorted-key JSON
 SABOTAGE_DIGESTS = {
     "a": "b391ed76966e71ed9ff176c868f98ec2e0e8e6763403e8e642cc476055f83fc6",
@@ -74,7 +74,7 @@ def test_sabotage_report_digest(letter):
     T, _ = SABOTAGE[letter]()
     report = {
         "descriptor": T.to_descriptor(),
-        "verify": verify_tower(T),
+        "verify": verify_axioms(T),
         "frobenius_identities": [frobenius_identities(T, i) for i in range(T.depth)],
     }
     assert _json_sha(report) == SABOTAGE_DIGESTS[letter]
@@ -82,5 +82,5 @@ def test_sabotage_report_digest(letter):
 
 def test_predict_tilt_digest():
     Tp = predict_tilt(build_tower(preset("quadric", 2), 2, Fraction(4), 2))
-    report = {"descriptor": Tp.to_descriptor(), "verify": verify_tower(Tp)}
+    report = {"descriptor": Tp.to_descriptor(), "verify": verify_axioms(Tp)}
     assert _json_sha(report) == PREDICT_TILT_DIGEST
