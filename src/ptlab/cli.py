@@ -22,7 +22,6 @@ from .logreg import (
     UnsupportedBase,
     build_tower,
     is_maximal_sequence,
-    kato_dim_check,
     kummer_regularity,
     omega_dim,
     preset,
@@ -219,9 +218,7 @@ def _cmd_tower(args) -> int:
     P = _presentation_from_args(args)
     T = build_tower(P, args.depth, args.cutoff, args.precision)
     if args.action == "build":
-        report = T.to_descriptor()
-        report["kato_dimensions"] = kato_dim_check(P)
-        _emit({"command": "tower build", "report": report}, args)
+        _emit({"command": "tower build", "report": T.to_descriptor()}, args)
         return 0
     if args.action == "verify":
         a = verify_purely_inseparable(T)

@@ -235,25 +235,6 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def kato_dim_check(P: LogRegPresentation) -> dict:
-    """dim R = dim(R/I_alpha) + dim Q on the presentation bookkeeping.
-
-    The monoid ideal I_alpha is generated by the nonzero monoid monomials.
-    With a relation the coefficient direction is spent: dim R = dim Q + r and
-    dim R/I_alpha = r; without one, both sides gain 1 in mixed characteristic.
-    """
-    dQ = dimension(P.Q)
-    coeff = 0 if P.f_terms else 1  # the coefficient direction, unless spent
-    dim_R = dQ + P.r + coeff
-    dim_mod = P.r + coeff
-    return {
-        "dim_R": dim_R,
-        "dim_mod_I_alpha": dim_mod,
-        "dim_Q": dQ,
-        "pass": dim_R == dim_mod + dQ,
-    }
-
-
 # ---------------------------------------------------------------------------
 # regularity toolkit: truncated differential module of A = C(k)[[x_1..x_d]]
 

@@ -260,16 +260,19 @@ def _ineq_cone_rays(constraints: tuple[tuple[int, ...], ...], n: int):
     return tuple(lin), tuple(sorted(r for r, _ in rays))
 
 
-def cone_contains(Q: AffineMonoid, coords) -> bool:
-    """Membership in the rational cone of Q's generators (scale-free)."""
-    lin, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
-    return all(_dot(l, coords) == 0 for l in lin) and all(_dot(r, coords) >= 0 for r in rays)
-
-
 def facet_normals(Q: AffineMonoid) -> tuple[tuple[int, ...], ...]:
     """Primitive inner normals of the facets of cone(Q), ambient coordinates."""
     _, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
     return rays
+
+
+@lru_cache(maxsize=None)
+def _facet_images(gens: tuple[tuple[int, ...], ...], n: int):
+    """mat_vec(rays, g) for the nonzero generators g, in N^facets.  Q is sharp
+    iff no image is 0: if g in cone(Q) pairs to 0 with every facet, so does
+    -g, which is then in cone(Q); if g and -g are in it, both pair to 0."""
+    _, rays = _ineq_cone_rays(gens, n)
+    return tuple(mat_vec(rays, g) for g in gens if any(g))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,7 @@ def contains(Q: AffineMonoid, x: MonoidElem) -> bool:
     pv = mat_vec(rays, x.at_level(Q.level))
     if min(pv, default=0) < 0 or not in_gp(Q, x):
         return False
-    return saturated or _generated(tuple(mat_vec(rays, g) for g in Q.generators if any(g)), pv)
+    return saturated or _generated(_facet_images(Q.generators, Q.ambient_rank), pv)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +446,8 @@ def _combine(q, gens, d: int, n: int) -> tuple[int, ...]:
 
 
 def is_sharp(Q: AffineMonoid) -> bool:
-    """No nonzero element of Q has its negation in Q (cone pointedness)."""
-    for g in Q.generators:
-        if any(g) and cone_contains(Q, tuple(-x for x in g)):
-            return False
-    return True
+    """No nonzero element of Q has its negation in Q (see _facet_images)."""
+    return all(map(any, _facet_images(Q.generators, Q.ambient_rank)))
 
 
 @lru_cache(maxsize=None)
@@ -468,10 +468,10 @@ def _saturation_gap(gens: tuple[tuple[int, ...], ...], n: int):
     generator pairs to 0 with every facet.  The result is level-free, the
     same for every level.
     """
-    _, rays = _ineq_cone_rays(gens, n)
-    images = tuple(mat_vec(rays, g) for g in gens if any(g))
-    if not all(any(v) for v in images):
+    images = _facet_images(gens, n)
+    if not all(map(any, images)):
         raise NotSharp("monoid is not sharp")
+    _, rays = _ineq_cone_rays(gens, n)
     gap = set()
     for G, M in _triangulation(gens, n):
         d, qs = _parallelepiped(M)

@@ -440,22 +440,28 @@ class SeriesRingDesc:
 
 def parse_cutoff(x) -> int | Fraction:
     """The degree cutoff D of a descriptor or of the command line: an integer,
-    or a string such as "4", "7/2" or "1.5"; ValueError naming x otherwise."""
+    or a string -?N, -?N/M or -?N.M in ASCII digits such as "4", "7/2" or
+    "1.5" (see _as_rational); ValueError naming x otherwise."""
     if type(x) not in (int, str):
         raise ValueError(f"cutoff {x!r} must be an integer or a string like '7/2'")
     try:
         return _as_rational(x)
     except ZeroDivisionError:
         raise ValueError(f"cutoff {x!r} has a zero denominator") from None
-    except ValueError:
-        raise ValueError(f"cutoff {x!r} is not a rational number") from None
 
 
 def _as_rational(x) -> int | Fraction:
     """x as an int when it is integral, else as a Fraction: fractions (with
-    decimal and numbers) loads only for a cutoff that is not an integer."""
+    decimal and numbers) loads only for a cutoff that is not an integer.  A
+    string must be -?N, -?N/M or -?N.M in ASCII digits: Fraction() alone
+    would also read "1_0", full-width digits, blanks, "+4" and "1e1"."""
     if type(x) is int or type(x) is str and x.isascii() and x.isdigit():
         return int(x)
+    if type(x) is str:
+        body = x[1:] if x.startswith("-") else x
+        parts = body.split("/" if "/" in body else ".", 1)
+        if not all(t.isascii() and t.isdigit() for t in parts):
+            raise ValueError(f"cutoff {x!r} is not a rational number")
     from fractions import Fraction
     q = Fraction(x)
     return q.numerator if q.denominator == 1 else q

@@ -8,6 +8,7 @@
   G = Q^gp / (Qp)^gp that an exact inclusion carries, on the cones and
   Smith forms of ptlab.monoid and ptlab.intlat.
 - The integer kernel of a matrix, read off its Smith form.
+- Membership in the rational cone of a monoid's generators.
 """
 
 from ptlab import intlat
@@ -19,7 +20,6 @@ from ptlab.monoid import (
     NotSaturated,
     _ineq_cone_rays,
     _rescaled_basis,
-    cone_contains,
     contains,
     facet_normals,
     is_saturated,
@@ -114,6 +114,20 @@ def kernel(M):
     _, D, V = intlat.snf(M)
     rank = sum(1 for i in range(min(rows, cols)) if D[i][i] != 0)
     return tuple(tuple(V[i][j] for j in range(rank, cols)) for i in range(cols))
+
+
+# ---------------------------------------------------------------------------
+# rational cones
+
+
+def cone_contains(Q: AffineMonoid, coords) -> bool:
+    """Membership in the rational cone of Q's generators (scale-free)."""
+    lin, rays = _ineq_cone_rays(Q.generators, Q.ambient_rank)
+    return all(_dot(l, coords) == 0 for l in lin) and all(_dot(r, coords) >= 0 for r in rays)
+
+
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,21 @@ def test_tower_tilt_builds_one_source_tower(capsys, monkeypatch):
 
 
 def test_tower_build_descriptor_roundtrip(capsys):
-    code, out, _ = run(capsys, "tower", "build", "--preset", "quadric", "--p", "2")
-    assert code == 0
-    report = json.loads(out)["report"]
-    assert report["kato_dimensions"]["pass"] is True
-    T = TowerDesc.from_descriptor(report)
-    assert T == build_tower(preset("quadric", 2), 2, Fraction(4), 2)
+    # the report is the tower descriptor and nothing else, and reading it
+    # back gives the same tower and the same bytes
+    for name, p, depth in itertools.product(PRESETS, (2, 3), (1, 2)):
+        code, out, _ = run(capsys, "tower", "build", "--preset", name, "--p", str(p),
+                           "--depth", str(depth))
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["command", "report"] and payload["command"] == "tower build"
+        T = build_tower(preset(name, p), depth, Fraction(4), 2)
+        report = payload["report"]
+        assert report.keys() == T.to_descriptor().keys()
+        back = TowerDesc.from_descriptor(report)
+        assert back == T
+        again = {"command": "tower build", "report": back.to_descriptor()}
+        assert json.dumps(again, sort_keys=True, separators=(",", ":")) + "\n" == out
 
 
 def test_tower_tilt_and_exactstilt_pass(capsys):
@@ -522,14 +531,20 @@ def test_multi_term_base_ideal_exits_2(tmp_path, capsys):
 
 
 def test_cutoff_has_one_parser(capsys):
-    # a zero denominator or a non-number names the cutoff and exits 2
-    for bad in ("1/0", "abc"):
-        err = _one_line_exit_2(capsys, "tower", "verify", "--preset", "quadric", "--p", "3",
-                               "--cutoff", bad)
-        assert f"cutoff '{bad}'" in err
+    # a zero denominator or a non-number names the cutoff and exits 2; a
+    # cutoff is ASCII -?N, -?N/M or -?N.M, so 1_0, a full-width 4, " 4", +4,
+    # 4/1_0 and 1e1 are refused (Fraction() reads them as 10, 4, 4, 4, 2/5, 10)
+    argv = ("tower", "verify", "--preset", "quadric", "--p", "3", "--cutoff")
+    for bad in ("7/0", "1/0"):
+        err = _one_line_exit_2(capsys, *argv, bad)
+        assert err == f"ptlab: cutoff {bad!r} has a zero denominator\n"
+    for bad in ("abc", "1_0", "\uff14", " 4", "+4", "4/1_0", "1e1"):
+        err = _one_line_exit_2(capsys, *argv, bad)
+        assert err == f"ptlab: cutoff {bad!r} is not a rational number\n"
     # a nonpositive cutoff or precision is refused by the ring descriptor
-    err = _one_line_exit_2(capsys, "tower", "verify", "--cutoff", "0")
-    assert err == "ptlab: degree cutoff must be positive\n"
+    for bad in ("0", "-1"):
+        err = _one_line_exit_2(capsys, "tower", "verify", "--cutoff", bad)
+        assert err == "ptlab: degree cutoff must be positive\n"
     err = _one_line_exit_2(capsys, "tower", "verify", "--precision", "0")
     assert err == "ptlab: precision must be >= 1\n"
     # the command line and a tower descriptor read "1.5" alike

@@ -356,9 +356,10 @@ def _defined_functions() -> dict[tuple[str, int], str]:
 
 def _cli_matrix(tmp_path) -> list[list[str]]:
     """Every action of the three groups: the monoid presets and descriptors,
-    both tower presets at p = 2 and 3, presentations read with --input (one
-    with f in (p), so I_0 = (0)), an exponent outside the ring monoid (its
-    error names it); and the usage, asked for before and after a group."""
+    a monoid that is not sharp, both tower presets at p = 2 and 3,
+    presentations read with --input (one with f in (p), so I_0 = (0)), an
+    exponent outside the ring monoid (its error names it); and the usage,
+    asked for before and after a group."""
     from ptlab.logreg import preset
 
     numeric = json.dumps({"ambient_rank": 1, "scale_base": 2, "generators": [[2], [3]]})
@@ -376,6 +377,10 @@ def _cli_matrix(tmp_path) -> list[list[str]]:
                        ["--json", numeric]):
             out.append(["monoid", action, *source])
     out.append(["monoid", "check", "--input", str(mon_file)])
+    # <(1,0),(-1,0),(0,1)> is not sharp: check reports it (exit 1), saturate refuses it (exit 2)
+    not_sharp = json.dumps({"ambient_rank": 2, "scale_base": 2,
+                            "generators": [[1, 0], [-1, 0], [0, 1]]})
+    out += [["monoid", "check", "--json", not_sharp], ["monoid", "saturate", "--json", not_sharp]]
     for name in ("unramified_rlr", "quadric"):
         for p, depth in (("2", "2"), ("3", "1")):
             for action in ("build", "verify", "tilt", "exactstilt"):

@@ -15,7 +15,6 @@ from ptlab.logreg import (
     build_tower,
     d_class,
     is_maximal_sequence,
-    kato_dim_check,
     kummer_regularity,
     omega_dim,
     predict_tilt,
@@ -252,17 +251,6 @@ def test_tilt_basis_match_ignores_inert_and_redundant_quotients(monkeypatch):
             _patched_prediction(m, _with_quotient(e))
             assert verify_tilt(P, T) == want
             assert basis_rows(want) == walked_basis_rows(T, logreg.predict_tilt(T))
-
-
-def test_kato_dimension_bookkeeping():
-    u = kato_dim_check(preset("unramified_rlr", 2, d=2))
-    assert u == {"dim_R": 2, "dim_mod_I_alpha": 2, "dim_Q": 0, "pass": True}
-    q = kato_dim_check(preset("quadric", 2))
-    assert q == {"dim_R": 3, "dim_mod_I_alpha": 0, "dim_Q": 3, "pass": True}
-    # no relation: the coefficient direction is not spent by theta
-    N1 = AffineMonoid(1, 2, 0, ((1,),))
-    c = kato_dim_check(LogRegPresentation(Q=N1, r=0, p=2, f_terms=()))
-    assert c["dim_R"] == 2 and c["dim_mod_I_alpha"] == 1 and c["dim_Q"] == 1
 
 
 def test_base_ring_guards():

@@ -16,7 +16,6 @@ from ptlab.monoid import (
     MonoidElem,
     NotSaturated,
     NotSharp,
-    cone_contains,
     contains,
     dimension,
     exact_embed_Nd,
@@ -34,7 +33,12 @@ from ptlab.monoid import (
     walk,
 )
 
-from algebra_oracle import NotSubmonoid, graded_decomposition, is_exact_submonoid
+from algebra_oracle import (
+    NotSubmonoid,
+    cone_contains,
+    graded_decomposition,
+    is_exact_submonoid,
+)
 from fixtures import elements, snf_diagonal
 
 QUADRIC = AffineMonoid(4, 2, 0, ((1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 1, 0)))
@@ -454,6 +458,30 @@ def test_saturation_needs_sharp():
         is_saturated(Z)
     with pytest.raises(NotSharp):
         saturate(Z)
+
+
+@st.composite
+def signed_monoids(draw):
+    """Up to 5 generators in [-2, 2]^d, d <= 4, zero and repeated ones included."""
+    d = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=5))
+    return AffineMonoid(d, 2, 0, tuple(gens))
+
+
+@settings(deadline=None, max_examples=300)
+@given(signed_monoids())
+@example(AffineMonoid(2, 2, 0, ((1, 0), (-1, 0), (0, 1))))
+@example(AffineMonoid(2, 2, 0, ((0, 1), (1, 1), (1, 0), (-1, 0))))
+def test_sharpness_matches_the_cone_oracle(Q):
+    # sharp iff no nonzero generator g has -g in cone(Q); the saturation
+    # check refuses exactly the monoids that are not sharp
+    sharp = not any(any(g) and cone_contains(Q, tuple(-x for x in g)) for g in Q.generators)
+    assert is_sharp(Q) == sharp
+    if sharp:
+        is_saturated(Q)
+    else:
+        with pytest.raises(NotSharp):
+            is_saturated(Q)
 
 
 # -- the triangulation against the algorithms it replaced -----------------------

@@ -1,6 +1,7 @@
 """Truncated series arithmetic: carries, relations, residue reduction."""
 
 import itertools
+import re
 import random
 from fractions import Fraction
 from math import floor
@@ -268,24 +269,32 @@ def test_descriptor_cutoff_parses_like_the_command_line():
     for bad, msg in (("7/0", "cutoff '7/0' has a zero denominator"),
                      ("1/0", "cutoff '1/0' has a zero denominator"),
                      ("abc", "cutoff 'abc' is not a rational number"),
+                     *((bad, re.escape(f"cutoff {bad!r} is not a rational number"))
+                       for bad in ("1_0", "\uff14", " 4", "+4", "4/1_0", "1e1", ".5", "5.", "")),
                      (1.5, "cutoff 1.5 must be an integer or a string"),
                      (True, "cutoff True must be an integer or a string")):
         with pytest.raises(ValueError, match=msg):
             SeriesRingDesc.from_descriptor({**d, "cutoff": bad})
         with pytest.raises(ValueError, match=msg):
             parse_cutoff(bad)
-    # "0" parses; the ring refuses it
+    # "0" and "-1" parse; the ring refuses them
     assert parse_cutoff("0") == 0
-    with pytest.raises(InvariantViolation, match="degree cutoff must be positive"):
-        SeriesRingDesc.from_descriptor({**d, "cutoff": "0"})
+    for bad in ("0", "-1"):
+        with pytest.raises(InvariantViolation, match="degree cutoff must be positive"):
+            SeriesRingDesc.from_descriptor({**d, "cutoff": bad})
     # a ring normalises its cutoff: an integral one is held as an int, however given
-    cutoffs = (4, "4", "4/1", "4.0", Fraction(4), parse_cutoff("4"), parse_cutoff("8/2"))
+    cutoffs = (4, "4", "4/1", "4.0", Fraction(4), parse_cutoff("4"), parse_cutoff("8/2"),
+               parse_cutoff("4/1"), parse_cutoff("4.0"))
     rings = [replace(MIXED, cutoff=c) for c in cutoffs]
     assert all(r == rings[0] for r in rings)
     assert len({hash(r) for r in rings}) == 1
     assert {type(r.cutoff) for r in rings} == {int}
     assert type(parse_cutoff("7/2")) is Fraction
     assert type(replace(MIXED, cutoff="7/2").cutoff) is Fraction
+    # a ring given a string reads it by the same grammar
+    for bad in ("1_0", "\uff14", " 4", "+4", "4/1_0", "1e1"):
+        with pytest.raises(ValueError, match="is not a rational number"):
+            replace(MIXED, cutoff=bad)
 
 
 # ---------------------------------------------------------------------------
