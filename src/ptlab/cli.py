@@ -14,23 +14,9 @@ from types import SimpleNamespace
 
 from .classgroup import class_group, prime_to_p_report
 from .coeffring import require_prime
-from .logreg import PRESETS as TOWER_PRESETS
-from .logreg import (
-    BaseRing,
-    InvalidPresentation,
-    LogRegPresentation,
-    UnsupportedBase,
-    build_tower,
-    is_maximal_sequence,
-    kummer_regularity,
-    omega_dim,
-    preset,
-    verify_tilt,
-)
 from .monoid import (
     AffineMonoid,
-    NotSharp,
-    NotSaturated,
+    InputError,
     dimension,
     exact_embed_Nd,
     is_saturated,
@@ -42,24 +28,12 @@ from .monoid import (
 )
 from .monoid import PRESETS as MONOID_PRESETS
 from .monoid import preset as monoid_preset
-from .series import (
-    InvariantViolation,
-    NonMonomialReduction,
-    coeff_map,
-    parse_cutoff,
-    term_from_json,
-)
-from .tower import (
-    frobenius_identities,
-    inverse_perfection_is_perfect,
-    tilt_mod_pillar_iso,
-    verify_exactstilt,
-    verify_perfectoid,
-    verify_purely_inseparable,
-)
+
+# The tower stack (logreg, series, tower) is imported inside the tower and
+# regularity commands, so a monoid command never loads it.
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     pass
 
 
@@ -76,6 +50,8 @@ def _check(args) -> None:
     if args.group == "tower":
         if args.depth < 0:
             raise ParseError("depth must be nonnegative")
+        from .series import parse_cutoff
+
         args.cutoff = parse_cutoff(args.cutoff)
 
 
@@ -127,7 +103,10 @@ def _monoid_from_args(args) -> AffineMonoid:
     raise ParseError("provide --input, --json, or --preset")
 
 
-def _presentation_from_args(args) -> LogRegPresentation:
+def _presentation_from_args(args):
+    """The --input or --preset presentation (logreg.LogRegPresentation)."""
+    from .logreg import InvalidPresentation, LogRegPresentation, preset
+
     if args.input:
         payload = load_descriptor(args.input)
         try:
@@ -215,6 +194,16 @@ def _cmd_tower(args) -> int:
     # compatibility constraint survives and the annihilator comparison degenerates
     if args.action == "exactstilt" and args.depth < 1:
         raise ParseError("exactstilt needs --depth >= 1")
+    from .logreg import build_tower, verify_tilt
+    from .tower import (
+        frobenius_identities,
+        inverse_perfection_is_perfect,
+        tilt_mod_pillar_iso,
+        verify_exactstilt,
+        verify_perfectoid,
+        verify_purely_inseparable,
+    )
+
     P = _presentation_from_args(args)
     T = build_tower(P, args.depth, args.cutoff, args.precision)
     if args.action == "build":
@@ -254,9 +243,12 @@ def _cmd_tower(args) -> int:
     return 0 if ok else 1
 
 
-def _series_list(arg: str, A: BaseRing) -> list[dict[int, int]]:
+def _series_list(arg: str, A) -> list[dict[int, int]]:
     """The --elems or --f list as coefficient maps of A.series_ring()
-    (series.coeff_map); ParseError or InvariantViolation for a bad entry."""
+    (series.coeff_map), A a logreg.BaseRing; ParseError or
+    InvariantViolation for a bad entry."""
+    from .series import coeff_map, term_from_json
+
     try:
         data = json.loads(arg)
     except json.JSONDecodeError as exc:
@@ -279,6 +271,8 @@ def _series_list(arg: str, A: BaseRing) -> list[dict[int, int]]:
 
 
 def _cmd_regularity(args) -> int:
+    from .logreg import BaseRing, is_maximal_sequence, kummer_regularity, omega_dim
+
     A = BaseRing(p=args.p, d=args.d, mixed=not args.equal_char)
     if args.action == "omega":
         om = omega_dim(A)
@@ -298,6 +292,16 @@ def _cmd_regularity(args) -> int:
     return 0 if verdict else 1
 
 
+class _TowerPresets:
+    """The choices of `tower --preset`: the names of logreg.PRESETS, read
+    when a tower --preset is parsed or the usage is printed."""
+
+    def __iter__(self):
+        from .logreg import PRESETS
+
+        return iter(PRESETS)
+
+
 _COMMON = {"--p": (int, None, None), "--d": (int, 2, None), "--output": (str, None, None)}
 # The command line: group -> (actions, flags), a flag -> (type, default,
 # choices); _parse reads argv by it and _usage prints it.
@@ -306,7 +310,7 @@ GROUPS = {
         "--input": (str, None, None), "--json": (str, None, None),
         "--preset": (str, None, tuple(MONOID_PRESETS)), "--i": (int, 1, None), **_COMMON}),
     "tower": (("build", "verify", "tilt", "exactstilt"), {
-        "--preset": (str, "unramified_rlr", tuple(TOWER_PRESETS)), "--input": (str, None, None),
+        "--preset": (str, "unramified_rlr", _TowerPresets()), "--input": (str, None, None),
         "--depth": (int, 2, None), "--cutoff": (str, "4", None), "--precision": (int, 2, None),
         **_COMMON}),
     "regularity": (("omega", "maximal", "kummer"), {
@@ -390,8 +394,7 @@ def main(argv=None) -> int:
         if args.group == "tower":
             return _cmd_tower(args)
         return _cmd_regularity(args)
-    except (ParseError, InvalidPresentation, UnsupportedBase, InvariantViolation,
-            NonMonomialReduction, NotSharp, NotSaturated) as exc:
+    except InputError as exc:
         print(f"ptlab: {exc}", file=sys.stderr)
         return 2
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .coeffring import digit_correction, require_prime
 from .monoid import (
     AffineMonoid,
+    InputError,
     MonoidElem,
     dimension,
     is_saturated,
@@ -36,11 +37,11 @@ from .series import (
 from .tower import TowerDesc, Transition
 
 
-class InvalidPresentation(ValueError):
+class InvalidPresentation(InputError):
     pass
 
 
-class UnsupportedBase(ValueError):
+class UnsupportedBase(InputError):
     pass
 
 

@@ -30,11 +30,16 @@ from .intlat import FinAbelianGroup, mat_vec
 from .record import record
 
 
-class NotSharp(ValueError):
+class InputError(ValueError):
+    """An input no command can run on; `ptlab` reports it in one line and
+    exits 2."""
+
+
+class NotSharp(InputError):
     pass
 
 
-class NotSaturated(ValueError):
+class NotSaturated(InputError):
     pass
 
 

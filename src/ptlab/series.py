@@ -27,6 +27,7 @@ from math import floor
 from .coeffring import require_prime
 from .monoid import (
     AffineMonoid,
+    InputError,
     MonoidElem,
     count_upto,
     graded_order,
@@ -40,11 +41,11 @@ from .monoid import (
 from .record import record, replace
 
 
-class NonMonomialReduction(ValueError):
+class NonMonomialReduction(InputError):
     pass
 
 
-class InvariantViolation(ValueError):
+class InvariantViolation(InputError):
     pass
 
 

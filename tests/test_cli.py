@@ -799,3 +799,53 @@ def test_degenerate_presentations_get_a_report_or_one_line(tmp_path, capsys, nam
     assert len(set(codes.values())) == 1, codes
     if name in ("f_zero_mod_p", "f_coefficient_0"):
         assert codes == dict.fromkeys(codes, 0)
+
+
+def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, monkeypatch):
+    """Each input error class reaches main from a real command and gives exit
+    2 with one `ptlab:` line; main catches them by their one base class,
+    InputError.  A ValueError that is not an input error is a fault of the
+    library and propagates out of main."""
+    import ptlab.cli as cli
+    import ptlab.logreg as logreg
+    from ptlab.intlat import SubLatticeNotContained
+    from ptlab.logreg import InvalidPresentation, UnsupportedBase
+    from ptlab.monoid import InputError, NotSaturated, NotSharp
+    from ptlab.series import InvariantViolation, NonMonomialReduction
+    from ptlab.tower import PillarNotFound
+
+    two_terms = tmp_path / "f_bar_two_terms.json"
+    two_terms.write_text(json.dumps(DEGENERATE["f_bar_two_terms"]))
+    not_sharp = json.dumps({"ambient_rank": 2, "scale_base": 2,
+                            "generators": [[1, 0], [-1, 0], [0, 1]]})
+    x1 = '[{"exponent": [1], "coeff": 1}]'
+    cases = {
+        cli.ParseError: ["monoid", "check"],
+        NotSharp: ["monoid", "saturate", "--json", not_sharp],
+        NotSaturated: ["monoid", "classgroup", "--json", json.dumps(NUMERIC)],
+        InvalidPresentation: ["tower", "build", "--preset", "unramified_rlr", "--d", "0"],
+        UnsupportedBase: ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2,3"],
+        InvariantViolation: ["regularity", "maximal", "--d", "2",
+                             "--elems", '[[{"exponent": [-1, 0], "coeff": 1}]]'],
+        NonMonomialReduction: ["tower", "verify", "--input", str(two_terms), "--depth", "1"],
+    }
+    for cls, argv in cases.items():
+        assert issubclass(cls, InputError)
+        _one_line_exit_2(capsys, *argv)
+        with monkeypatch.context() as m:  # main's handler off: the error itself surfaces
+            m.setattr(cli, "InputError", ())
+            with pytest.raises(cls):
+                main(argv)
+        capsys.readouterr()
+    for cls in (PillarNotFound, SubLatticeNotContained):
+        assert issubclass(cls, ValueError) and not issubclass(cls, InputError)
+
+    def fault(*args, **kwargs):
+        raise ValueError("a fault of the library")
+
+    monkeypatch.setattr(cli, "saturate", fault)
+    monkeypatch.setattr(logreg, "build_tower", fault)
+    for argv in (["monoid", "saturate", "--preset", "A1"], ["tower", "build", "--depth", "1"]):
+        with pytest.raises(ValueError, match="a fault of the library"):
+            main(argv)
+    assert capsys.readouterr().err == ""

@@ -154,6 +154,12 @@ def test_no_dataclasses_and_no_generated_code():
     assert sites == []
 
 
+def _child_env() -> dict:
+    """The environment of a child python that imports this checkout's ptlab."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+
+
 # Commands run in process after `import ptlab.cli`, in stages; after each
 # stage the child prints the exit codes and which of the given modules are
 # loaded by then.
@@ -174,11 +180,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     was most of it, and argparse loaded gettext and, on its first parse,
     locale.  fractions (with decimal and numbers) serves only a cutoff that
     is not an integer, and heapq only rings with a relation, so no monoid or
-    regularity command loads them and an integral tower cutoff no fractions."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    regularity command loads them and an integral tower cutoff no fractions.
+    The tower stack (ptlab.logreg, ptlab.series, ptlab.tower) serves only the
+    tower and regularity commands, so no monoid command loads it."""
+    env = _child_env()
     banned = ["argparse", "dataclasses", "decimal", "fractions", "gettext", "heapq",
-              "inspect", "locale", "numbers"]
+              "inspect", "locale", "numbers", "ptlab.logreg", "ptlab.series", "ptlab.tower"]
     x1 = '[{"exponent": [1], "coeff": 1}]'
     quadric = ["--preset", "quadric", "--p", "3", "--depth", "1", "--cutoff"]
     stages = [
@@ -191,20 +198,50 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     ]
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps(stages), *banned], env=env,
                          capture_output=True, text=True, check=True)
+    stack = "'ptlab.logreg', 'ptlab.series', 'ptlab.tower'"
     assert out.stdout.splitlines() == [
         "[0, 0, 0, 0, 0] []",
-        "[0, 0, 0] []",
-        "[0, 0, 0, 0] ['heapq']",
-        "[0] ['decimal', 'fractions', 'heapq', 'numbers']",
+        f"[0, 0, 0] [{stack}]",
+        f"[0, 0, 0, 0] ['heapq', {stack}]",
+        f"[0] ['decimal', 'fractions', 'heapq', 'numbers', {stack}]",
     ]
+
+
+def test_a_monoid_child_loads_no_tower_module():
+    """The benchmark's own path, a fresh `python -m ptlab.cli` child: under
+    -X importtime a monoid command imports no module of the tower stack, and
+    -h still lists the names of both preset tables, the tower's included."""
+    from ptlab.logreg import PRESETS
+    from ptlab.monoid import PRESETS as MONOID_PRESETS
+
+    env = _child_env()
+    child = [sys.executable, "-X", "importtime", "-m", "ptlab.cli"]
+    out = subprocess.run([*child, "monoid", "check", "--preset", "A1"], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()}
+    assert {"ptlab.monoid", "ptlab.classgroup"} <= loaded
+    assert not loaded & {"ptlab.logreg", "ptlab.series", "ptlab.tower"}
+    out = subprocess.run([*child, "-h"], env=env, capture_output=True, text=True, check=True)
+    words = set(out.stdout.replace("|", " ").split())
+    assert {*MONOID_PRESETS, *PRESETS} <= words
 
 
 # Every import inside a function of src/ptlab, with the reason it is not at
 # module level.  The guard above fails if one of these moves back up.
+TOWER_STACK = ("only tower and regularity commands use the tower stack, so no monoid "
+               "command loads it")
 LAZY_IMPORTS = {
     "series._as_rational: fractions": "only a cutoff that is not an integer needs "
                                       "fractions, which loads decimal and numbers",
     "series._digit_normalize: heapq": "only relation rings normalise digits",
+    "cli._check: .series": TOWER_STACK,
+    "cli._presentation_from_args: .logreg": TOWER_STACK,
+    "cli._cmd_tower: .logreg": TOWER_STACK,
+    "cli._cmd_tower: .tower": TOWER_STACK,
+    "cli._series_list: .series": TOWER_STACK,
+    "cli._cmd_regularity: .logreg": TOWER_STACK,
+    "cli.__iter__: .logreg": "the tower preset names (cli._TowerPresets), read for a "
+                             "tower --preset and the usage; " + TOWER_STACK,
 }
 
 
