@@ -17,6 +17,7 @@ from .coeffring import require_prime
 from .monoid import (
     AffineMonoid,
     InputError,
+    MonoidElem,
     dimension,
     exact_embed_Nd,
     is_saturated,
@@ -25,12 +26,14 @@ from .monoid import (
     layer_quotient,
     p_divide,
     saturate,
+    term_from_json,
 )
 from .monoid import PRESETS as MONOID_PRESETS
 from .monoid import preset as monoid_preset
 
-# The tower stack (logreg, series, tower) is imported inside the tower and
-# regularity commands, so a monoid command never loads it.
+# The tower stack (logreg, series, tower) is imported inside the tower
+# commands and the regularity toolkit inside the regularity command, so a
+# monoid command loads neither and a regularity command no tower module.
 
 
 class ParseError(InputError):
@@ -243,17 +246,13 @@ def _cmd_tower(args) -> int:
     return 0 if ok else 1
 
 
-def _series_list(arg: str, A) -> list[dict[int, int]]:
-    """The --elems or --f list as coefficient maps of A.series_ring()
-    (series.coeff_map), A a logreg.BaseRing; ParseError or
-    InvariantViolation for a bad entry."""
-    from .series import coeff_map, term_from_json
-
+def _series_list(arg: str, A) -> list[dict[tuple[int, ...], int]]:
+    """The --elems or --f list as elements of A, a regularity.BaseRing
+    (BaseRing.element); ParseError or UnsupportedBase for a bad entry."""
     try:
         data = json.loads(arg)
     except json.JSONDecodeError as exc:
         raise ParseError(f"series JSON: {exc.msg}") from exc
-    ring = A.series_ring()
     out = []
     if not isinstance(data, list):
         raise ParseError("series list must be a JSON array")
@@ -262,23 +261,23 @@ def _series_list(arg: str, A) -> list[dict[int, int]]:
             if isinstance(item, list):
                 terms = [term_from_json(t, A.p) for t in item]
             else:
-                terms = [(ring.elem(ring.zero_exp), json_int(item))]
+                terms = [(MonoidElem((0,) * A.d, 0, A.p), json_int(item))]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"series term: expected an int or a list of "
                              f'{{"exponent", "coeff"}} objects ({exc!r})') from exc
-        out.append(coeff_map(ring, terms))
+        out.append(A.element(terms))
     return out
 
 
 def _cmd_regularity(args) -> int:
-    from .logreg import BaseRing, is_maximal_sequence, kummer_regularity, omega_dim
+    from .regularity import BaseRing, is_maximal_sequence, kummer_regularity, omega_basis
 
     A = BaseRing(p=args.p, d=args.d, mixed=not args.equal_char)
     if args.action == "omega":
-        om = omega_dim(A)
+        basis = omega_basis(A)
         _emit({"command": "regularity omega",
-               "report": {"dimension": om.dim, "basis": list(om.basis_labels),
-                          "mixed": om.mixed}}, args)
+               "report": {"dimension": len(basis), "basis": list(basis), "mixed": A.mixed}},
+              args)
         return 0
     if args.action == "maximal":
         elems = _series_list(args.elems, A)

@@ -3,15 +3,11 @@
 A presentation is the complete normal form C(k)[[Q + N^r]]/(p - f) with Q
 fine, sharp and saturated and k = F_p, so the residue-field part of the
 general construction is empty and the tower is determined by dividing
-exponents.  The regularity toolkit at the bottom works with the truncated
-differential module of the base ring: dimension d+1 in the unramified mixed
-case (the class of p joins the coordinate classes), d in equal
-characteristic.
+exponents.
 """
 
 from __future__ import annotations
 
-from .coeffring import digit_correction, require_prime
 from .monoid import (
     AffineMonoid,
     InputError,
@@ -22,6 +18,8 @@ from .monoid import (
     json_int,
     layer_quotient,
     p_divide,
+    term_from_json,
+    term_json,
 )
 from .monoid import preset as monoid_preset
 from .record import record, replace
@@ -31,17 +29,11 @@ from .series import (
     coeff_map,
     ideal_generator,
     reduced_relation_exp,
-    term_from_json,
-    term_json,
 )
 from .tower import TowerDesc, Transition
 
 
 class InvalidPresentation(InputError):
-    pass
-
-
-class UnsupportedBase(InputError):
     pass
 
 
@@ -234,147 +226,3 @@ def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-# ---------------------------------------------------------------------------
-# regularity toolkit: truncated differential module of A = C(k)[[x_1..x_d]]
-
-
-@record
-class BaseRing:
-    """A = C(F_p)[[x_1..x_d]] (mixed) or F_p[[x_1..x_d]] (equal characteristic)."""
-
-    p: int
-    d: int
-    mixed: bool = True
-
-    def __post_init__(self):
-        require_prime(self.p, UnsupportedBase)
-        if self.d < 0:
-            raise UnsupportedBase("negative variable count")
-
-    def series_ring(self) -> SeriesRingDesc:
-        return SeriesRingDesc(
-            monoid_part=monoid_preset("Nd", self.p),
-            free_rank=self.d,
-            free_level=0,
-            p=self.p,
-            precision=2,
-            cutoff=3,
-            relation_f=None,
-            char_p=not self.mixed,
-        )
-
-
-@record
-class OmegaModule:
-    """The truncated differential module: dimension and basis labels only."""
-
-    p: int
-    d: int
-    mixed: bool
-    dim: int
-    basis_labels: tuple[str, ...]
-
-
-def omega_dim(A: BaseRing) -> OmegaModule:
-    """Mixed unramified: d+1 (class of p joins the coordinates); else d."""
-    labels = tuple(f"dx{i + 1}" for i in range(A.d))
-    if A.mixed:
-        return OmegaModule(A.p, A.d, True, A.d + 1, ("dp",) + labels)
-    return OmegaModule(A.p, A.d, False, A.d, labels)
-
-
-def d_class(A: BaseRing, x: dict[int, int]) -> tuple[int, ...]:
-    """Class of x in the truncated differential module, over F_p, for x a
-    coefficient map of A.series_ring() (series.coeff_map).
-
-    Mixed case: (second base-p digit of the constant corrected by the
-    Teichmuller defect of the first, then the linear coefficients mod p).
-    The correction makes the p-coordinate the honest coefficient of dp: a
-    Teichmuller unit constant has zero class.
-    """
-    ring = A.series_ring()
-    lin = []
-    for i in range(A.d):
-        e = ring.exp(tuple(1 if k == i else 0 for k in range(A.d)))
-        lin.append(x.get(ring.coords(e), 0) % A.p)
-    if not A.mixed:
-        return tuple(lin)
-    c = x.get(ring.zero_exp, 0) % A.p ** 2
-    a0 = c % A.p
-    a1 = (c - a0) // A.p % A.p
-    corrected = (a1 - digit_correction(a0, A.p)) % A.p
-    return (corrected, *lin)
-
-
-def _fp_rank(rows: list[tuple[int, ...]], p: int) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] % p != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] % p != 0:
-                f = mat[r][c]
-                mat[r] = [(v - f * w) % p for v, w in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _is_unit(A: BaseRing, x: dict[int, int]) -> bool:
-    """x, a coefficient map of A.series_ring(), is a unit: its constant is prime to p."""
-    return x.get(SeriesRingDesc.zero_exp, 0) % A.p != 0
-
-
-def is_maximal_sequence(A: BaseRing, elems) -> bool:
-    """True iff elems (coefficient maps, as in d_class) is a regular system
-    of parameters: no unit among them (a unit generates the unit ideal, not
-    m; Matsumura, "Commutative Ring Theory", Thm 14.2) and their
-    differential classes form a basis."""
-    if any(_is_unit(A, x) for x in elems):
-        return False
-    om = omega_dim(A)
-    classes = [d_class(A, x) for x in elems]
-    if len(classes) != om.dim:
-        return False
-    return _fp_rank(classes, A.p) == om.dim
-
-
-def kummer_regularity(A: BaseRing, f_list, e_list) -> bool:
-    """Regularity of A[T_1..T_n]/(T_i^{e_i} - f_i) at the points over m, the
-    f_i coefficient maps as in d_class.
-
-    Each exponent must exceed 1 for the extension to be a genuine cover.  At
-    a point n over m the ring is regular iff the classes of the T_i^{e_i} -
-    f_i in n/n^2 are independent.  A non-unit f_i sits at T_i = 0, where
-    T_i^{e_i} is in n^2, so it keeps the class of f_i.  A unit f_i with p
-    not dividing e_i gives an etale factor (T^e - f is separable mod m, its
-    derivative e T^(e-1) a unit where T^e = f): its class has a dT_i part
-    no other class has, so it drops out.  A unit f_i with p | e_i keeps the
-    class of f_i - [b], [b] the Teichmuller lift of its residue b: at a
-    point T_i = [s] + t with s^e = b (s in an extension k of F_p), every
-    binomial term e [s]^(e-1) t, ... of ([s] + t)^e lies in p n or n^2, and
-    [s]^e = [s^e] = [b], since Teichmuller lifts are multiplicative.  That
-    class is the corrected digit in mixed characteristic and the linear
-    terms in equal characteristic, the d_class of f_i, and extending the
-    scalars to k does not change linear independence.
-    """
-    if len(f_list) != len(e_list):
-        raise UnsupportedBase("one exponent per element")
-    for e in e_list:
-        if e <= 1:
-            raise UnsupportedBase("exponents must exceed 1")
-    classes = []
-    for x, e in zip(f_list, e_list):
-        if _is_unit(A, x) and e % A.p:
-            continue  # etale
-        classes.append(d_class(A, x))
-    if not classes:
-        return True
-    return _fp_rank(classes, A.p) == len(classes)

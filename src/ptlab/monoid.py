@@ -117,6 +117,16 @@ class MonoidElem:
         return f"<{','.join(map(str, self.coords))}>/{self.base}^{self.level}"
 
 
+def term_json(e: MonoidElem, c: int) -> dict:
+    """A series term as {"exponent": [..], "level": i, "coeff": c}."""
+    return {**e.to_json(), "coeff": int(c)}
+
+
+def term_from_json(t: dict, base: int) -> tuple[MonoidElem, int]:
+    """Inverse of term_json; a missing level means level 0."""
+    return MonoidElem.from_json(t, base), json_int(t["coeff"])
+
+
 @record
 class AffineMonoid:
     """A fine monoid given by generators at a common denominator level."""

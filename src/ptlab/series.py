@@ -35,6 +35,8 @@ from .monoid import (
     json_int,
     member_test,
     pack,
+    term_from_json,
+    term_json,
     unpack,
     walk,
 )
@@ -175,9 +177,6 @@ class SeriesRingDesc:
     def _guards(self) -> int:
         """The guard bit of every coordinate field."""
         return sum(1 << (k * self._field - 1) for k in range(1, self.width + 1))
-
-    def exp(self, coords) -> MonoidElem:
-        return MonoidElem(tuple(coords), 0, self.p)
 
     zero_exp = 0  # the packed exponent of 1
 
@@ -466,16 +465,6 @@ def _as_rational(x) -> int | Fraction:
     from fractions import Fraction
     q = Fraction(x)
     return q.numerator if q.denominator == 1 else q
-
-
-def term_json(e: MonoidElem, c: int) -> dict:
-    """A series term as {"exponent": [..], "level": i, "coeff": c}."""
-    return {**e.to_json(), "coeff": int(c)}
-
-
-def term_from_json(t: dict, base: int) -> tuple[MonoidElem, int]:
-    """Inverse of term_json; a missing level means level 0."""
-    return MonoidElem.from_json(t, base), json_int(t["coeff"])
 
 
 def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:

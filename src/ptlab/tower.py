@@ -22,17 +22,9 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache, partial
 
-from .monoid import MonoidElem, json_int
+from .monoid import MonoidElem, json_int, term_from_json, term_json
 from .record import record
-from .series import (
-    InvariantViolation,
-    SeriesRingDesc,
-    coeff_map,
-    ideal_generator,
-    make_series,
-    term_from_json,
-    term_json,
-)
+from .series import InvariantViolation, SeriesRingDesc, coeff_map, ideal_generator, make_series
 
 
 class PillarNotFound(ValueError):

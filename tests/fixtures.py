@@ -84,7 +84,7 @@ def sab_a():
     """Base ideal (x2) misses p: only (a) fails."""
     T = _unram_tower()
     R0 = T.levels[0]
-    bad = generator(R0, [(R0.exp((0, 1)), 1)])
+    bad = generator(R0, [(MonoidElem((0, 1), 0, 2), 1)])
     return replace(T, base_ideal=bad), {**ALL_PASS, "a": False}
 
 
@@ -163,7 +163,8 @@ def sab_e():
     """
     T = _unram_tower()
     R0 = T.levels[0]
-    return replace(T, base_ideal=generator(R0, [(R0.exp((0, 0)), 1)])), {**ALL_PASS, "e": False}
+    one = generator(R0, [(MonoidElem((0, 0), 0, 2), 1)])
+    return replace(T, base_ideal=one), {**ALL_PASS, "e": False}
 
 
 def sab_f():
@@ -194,7 +195,7 @@ def sab_g():
     T = TowerDesc(
         levels=tuple(levels),
         transitions=(Transition(),) * DEPTH,
-        base_ideal=generator(R0, [(R0.exp((1, 0)), 1)]),
+        base_ideal=generator(R0, [(MonoidElem((1, 0), 0, 2), 1)]),
         depth=DEPTH,
     )
     return T, {**ALL_PASS, "g": False}

@@ -9,15 +9,9 @@ the products and powers computed here.
 """
 
 from ptlab import series
-from ptlab.monoid import MonoidElem
+from ptlab.monoid import MonoidElem, term_json
 from ptlab.record import record
-from ptlab.series import (
-    NonMonomialReduction,
-    SeriesRingDesc,
-    coeff_map,
-    ideal_generator,
-    term_json,
-)
+from ptlab.series import NonMonomialReduction, SeriesRingDesc, coeff_map, ideal_generator
 
 
 class RingMismatch(ValueError):
@@ -157,8 +151,3 @@ def generator(ring: SeriesRingDesc, terms):
     """The canonical I_0 generator of (MonoidElem, coefficient) pairs, the
     base_ideal of a TowerDesc: (exponent, coefficient) or None."""
     return ideal_generator(ring, coeff_map(ring, terms))
-
-
-def coefficients(x: Series) -> dict[int, int]:
-    """x as the coefficient map the regularity toolkit reads."""
-    return dict(x.terms)

@@ -178,17 +178,19 @@ def test_kummer_with_a_unit(capsys):
 
 
 def test_regularity_reads_terms_as_coefficient_maps(capsys):
-    """How --elems and --f read their terms, over Z_2[[x]] (--p 2 --d 1, D =
-    3) unless noted: an exponent at level 1 is read at level 0 (x^{2/2} is
-    x); the coefficients of one exponent are summed (x + x = 2x is in m^2);
-    a term past the cutoff is dropped (x + x^9 reads as x); a constant is
-    read mod p^2 (6 has the class of p); an exponent outside the ring
-    monoid, finer than it or of the wrong width, exits 2."""
+    """How --elems and --f read their terms, over Z_2[[x]] (--p 2 --d 1)
+    unless noted: an exponent at level 1 is read at level 0 (x^{2/2} is x,
+    and x^{0/8} the constant); the coefficients of one exponent are summed
+    (x + x = 2x is in m^2); a term of any degree is accepted, and only the
+    constant and the linear coefficients are read (x + x^9 reads as x); a
+    constant is read mod p^2 (6 has the class of p); an exponent outside
+    the ring monoid, finer than it or of the wrong width, exits 2."""
     def x(*coeffs_at, level=0):
         return [{"exponent": [k], "level": level, "coeff": c} for k, c in coeffs_at]
 
     cases = [([2, x((2, 1), level=1)], True), ([2, x((1, 1), (1, 1))], False),
-             ([2, x((1, 3))], True), ([2, x((1, 1), (9, 1))], True), ([6, x((1, 1))], True)]
+             ([2, x((1, 3))], True), ([2, x((1, 1), (9, 1))], True), ([6, x((1, 1))], True),
+             ([x((0, 2), level=3), x((1, 1))], True)]
     for elems, want in cases:
         code, out, _ = run(capsys, "regularity", "maximal", "--p", "2", "--d", "1",
                            "--elems", json.dumps(elems))
@@ -198,10 +200,13 @@ def test_regularity_reads_terms_as_coefficient_maps(capsys):
         assert _one_line_exit_2(capsys, "regularity", "maximal", "--p", "2", "--d", "1",
                                 "--elems", json.dumps(elems)) == (
             f"ptlab: exponent {e} is not in the ring monoid\n")
-    # over Z_3[[x]], x + 2x = 3x is in m^2
-    code, out, _ = run(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
-                       "--f", json.dumps([x((1, 1), (1, 2))]), "--e", "3")
-    assert (code, json.loads(out)["report"]) == (1, {"regular": False})
+    # over Z_3[[x]], x + 2x = 3x is in m^2, x + x^9 reads as x and x^9 as 0,
+    # and 4 x^{0/27} is the constant 4, with the class of p at e = 3
+    for f, e, want in (([x((1, 1), (1, 2))], "3", False), ([x((1, 1), (9, 1))], "3", True),
+                       ([x((9, 1))], "3", False), ([x((0, 4), level=3)], "3", True)):
+        code, out, _ = run(capsys, "regularity", "kummer", "--p", "3", "--d", "1",
+                           "--f", json.dumps(f), "--e", e)
+        assert (code, json.loads(out)["report"]) == (0 if want else 1, {"regular": want}), f
 
 
 def test_tilt_walks_no_level_past_D_p(capsys):
@@ -809,29 +814,42 @@ def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, 
     import ptlab.cli as cli
     import ptlab.logreg as logreg
     from ptlab.intlat import SubLatticeNotContained
-    from ptlab.logreg import InvalidPresentation, UnsupportedBase
+    from ptlab.logreg import InvalidPresentation
     from ptlab.monoid import InputError, NotSaturated, NotSharp
+    from ptlab.regularity import UnsupportedBase
     from ptlab.series import InvariantViolation, NonMonomialReduction
     from ptlab.tower import PillarNotFound
 
     two_terms = tmp_path / "f_bar_two_terms.json"
     two_terms.write_text(json.dumps(DEGENERATE["f_bar_two_terms"]))
+    # f = x is no element of the A1 cone <(2,0),(1,1),(0,2)>
+    outside = tmp_path / "f_outside_Q.json"
+    outside.write_text(json.dumps({"monoid": {"ambient_rank": 2, "scale_base": 2,
+                                              "generators": [[2, 0], [1, 1], [0, 2]]},
+                                   "free_rank": 0, "p": 2, "f": [_term([1, 0], 1)]}))
     not_sharp = json.dumps({"ambient_rank": 2, "scale_base": 2,
                             "generators": [[1, 0], [-1, 0], [0, 1]]})
     x1 = '[{"exponent": [1], "coeff": 1}]'
-    cases = {
-        cli.ParseError: ["monoid", "check"],
-        NotSharp: ["monoid", "saturate", "--json", not_sharp],
-        NotSaturated: ["monoid", "classgroup", "--json", json.dumps(NUMERIC)],
-        InvalidPresentation: ["tower", "build", "--preset", "unramified_rlr", "--d", "0"],
-        UnsupportedBase: ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2,3"],
-        InvariantViolation: ["regularity", "maximal", "--d", "2",
-                             "--elems", '[[{"exponent": [-1, 0], "coeff": 1}]]'],
-        NonMonomialReduction: ["tower", "verify", "--input", str(two_terms), "--depth", "1"],
-    }
-    for cls, argv in cases.items():
+    cases = [
+        (cli.ParseError, ["monoid", "check"], None),
+        (NotSharp, ["monoid", "saturate", "--json", not_sharp], None),
+        (NotSaturated, ["monoid", "classgroup", "--json", json.dumps(NUMERIC)], None),
+        (InvalidPresentation, ["tower", "build", "--preset", "unramified_rlr", "--d", "0"],
+         None),
+        (UnsupportedBase, ["regularity", "kummer", "--d", "1", "--f", f"[{x1}]", "--e", "2,3"],
+         None),
+        (UnsupportedBase, ["regularity", "maximal", "--d", "2",
+                           "--elems", '[[{"exponent": [-1, 0], "coeff": 1}]]'],
+         "ptlab: exponent <-1,0> is not in the ring monoid\n"),
+        (InvariantViolation, ["tower", "verify", "--input", str(outside), "--depth", "1"],
+         "ptlab: relation exponent outside the ring monoid\n"),
+        (NonMonomialReduction, ["tower", "verify", "--input", str(two_terms), "--depth", "1"],
+         None),
+    ]
+    for cls, argv, line in cases:
         assert issubclass(cls, InputError)
-        _one_line_exit_2(capsys, *argv)
+        err = _one_line_exit_2(capsys, *argv)
+        assert line in (None, err), err
         with monkeypatch.context() as m:  # main's handler off: the error itself surfaces
             m.setattr(cli, "InputError", ())
             with pytest.raises(cls):

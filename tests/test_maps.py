@@ -20,7 +20,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ptlab.monoid import AffineMonoid
+from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.series import SeriesRingDesc
 from ptlab.tower import TowerDesc, Transition, _lift, _pillar_tilt, frobenius_identities
 
@@ -114,7 +114,7 @@ def non_closed_tower():
                              free_level=0, p=2, precision=1, cutoff=Fraction(6), char_p=True)
               for i in (0, 1))
     return TowerDesc(levels=(R0, R1), transitions=(Transition(),),
-                     base_ideal=generator(R0, [(R0.exp((4,)), 1)]), depth=1)
+                     base_ideal=generator(R0, [(MonoidElem((4,), 0, 2), 1)]), depth=1)
 
 
 def constant_tower():
@@ -123,7 +123,7 @@ def constant_tower():
     levels = (SeriesRingDesc(monoid_part=AffineMonoid(0, 2, 0, ()), free_rank=1, free_level=0,
                              p=2, precision=1, cutoff=Fraction(5), char_p=True),) * 3
     return TowerDesc(levels=levels, transitions=(Transition(),) * 2,
-                     base_ideal=generator(levels[0], [(levels[0].exp((3,)), 1)]), depth=2)
+                     base_ideal=generator(levels[0], [(MonoidElem((3,), 0, 2), 1)]), depth=2)
 
 
 def even_tower():
@@ -133,7 +133,7 @@ def even_tower():
     levels = (SeriesRingDesc(monoid_part=AffineMonoid(1, 2, 0, ((2,),)), free_rank=0,
                              free_level=0, p=2, precision=1, cutoff=Fraction(9), char_p=True),) * 3
     return TowerDesc(levels=levels, transitions=(Transition(),) * 2,
-                     base_ideal=generator(levels[0], [(levels[0].exp((4,)), 1)]), depth=2)
+                     base_ideal=generator(levels[0], [(MonoidElem((4,), 0, 2), 1)]), depth=2)
 
 
 TOWERS = {**oracle_towers(), "non-closed": non_closed_tower(), "constant": constant_tower(),
@@ -243,7 +243,7 @@ def test_an_image_finer_than_its_ring_is_named():
                              free_level=0, p=2, precision=1, cutoff=Fraction(5), char_p=True)
               for lv in (0, 2))
     T = TowerDesc(levels=(R0, R1), transitions=(Transition(),),
-                  base_ideal=generator(R0, [(R0.exp((3,)), 1)]), depth=1)
+                  base_ideal=generator(R0, [(MonoidElem((3,), 0, 2), 1)]), depth=1)
     with pytest.raises(ValueError, match=r"the image of <1>/2\^2 is finer than level 0"):
         frobenius_identities(T, 0)
     with pytest.raises(ValueError, match=r"<3>/2\^1 is finer than level 0"):

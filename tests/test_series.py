@@ -9,7 +9,15 @@ from math import floor
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ptlab.monoid import AffineMonoid, MonoidElem, contains, graded_order, walk
+from ptlab.monoid import (
+    AffineMonoid,
+    MonoidElem,
+    contains,
+    graded_order,
+    term_from_json,
+    term_json,
+    walk,
+)
 from ptlab.record import replace
 from ptlab.series import (
     InvariantViolation,
@@ -17,8 +25,6 @@ from ptlab.series import (
     SeriesRingDesc,
     parse_cutoff,
     reduced_relation_exp,
-    term_from_json,
-    term_json,
 )
 from ptlab.tower import _torsion
 
