@@ -542,29 +542,29 @@ def coeff_map(ring: SeriesRingDesc, terms) -> dict[int, int]:
 def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
     """Rewrite until every coefficient is a base-p digit, trading p for f.
 
-    Smallest degree first; substitution pushes mass to strictly larger degree,
-    so one pass over a growing heap terminates, no exponent gains mass after
-    it is popped (so each enters the heap once, when it first appears), and
-    the result is independent of the input order.
+    One sweep up the degrees: every term of f has positive degree, so a carry
+    lands at a larger degree and a coefficient is final, in any input order,
+    once the sweep reaches it.  An exponent joins its degree's bucket once.
     """
-    from heapq import heapify, heappop, heappush  # only relation rings normalise digits
-    p = ring.p
-    lim = ring._lim
+    p, lim, shift = ring.p, ring._lim, ring._shift
     work = dict(acc)
-    heap = list(work)
-    heapify(heap)
-    while heap:
-        v = heappop(heap)
-        c = work[v]
-        if 0 <= c < p:
-            continue
-        d0 = c % p
-        work[v] = d0
-        for fv, fc in ring._relation_terms:
-            v2 = v + fv
-            if v2 >= lim:
-                break  # relation terms come in term order
-            if v2 not in work:
-                heappush(heap, v2)
-            work[v2] = work.get(v2, 0) + (c - d0) // p * fc
+    buckets: dict[int, list[int]] = {}
+    for v in work:
+        buckets.setdefault(v >> shift, []).append(v)
+    degree = 0
+    while buckets:
+        for v in buckets.pop(degree, ()):
+            c = work[v]
+            if 0 <= c < p:
+                continue
+            d0 = c % p
+            work[v] = d0
+            for fv, fc in ring._relation_terms:
+                v2 = v + fv
+                if v2 >= lim:
+                    break  # relation terms come in term order
+                if v2 not in work:
+                    buckets.setdefault(v2 >> shift, []).append(v2)
+                work[v2] = work.get(v2, 0) + (c - d0) // p * fc
+        degree += 1
     return work

@@ -7,6 +7,9 @@ transition image, counting shows the Frobenius image set cannot be covered,
 so a lone (b) break is impossible and the expectation records both (as does
 the f_power fixture, whose transition also breaks (b)).
 
+BRANCHES holds towers that each fail one branch of a row, told apart by the
+row's note, that the SABOTAGE towers leave untried.
+
 elements() lists a monoid's elements for the monoid tests, verify_axioms()
 composes a tower's axiom report, torsion_oracle() finds a ring's
 power-torsion by series products for the torsion tests, and snf_diagonal()
@@ -173,11 +176,10 @@ def sab_f():
     return _half_fixed_levels(monoid_is_relation=True), {**ALL_PASS, "f": False}
 
 
-def sab_g():
-    """Equal characteristic k[x^{1/2^i}, y^{1/2^i}]/(x^2 y) with I0 = (x):
-    y is power-torsion but x*y is not zero, so torsion is not killed by I0."""
+def _charp_tower(quotients):
+    """Equal characteristic k[x^{1/2^i}, y^{1/2^i}] with I0 = (x), level i
+    carrying the monomial quotients quotients[i]."""
     Q = AffineMonoid(ambient_rank=0, scale_base=2, level=0, generators=())
-    quot = MonoidElem((2, 1), 0, 2)
     levels = []
     for i in range(DEPTH + 1):
         levels.append(SeriesRingDesc(
@@ -189,16 +191,71 @@ def sab_g():
             cutoff=D,
             relation_f=None,
             char_p=True,
-            quotient_exps=(quot,),
+            quotient_exps=quotients[i],
         ))
     R0 = levels[0]
-    T = TowerDesc(
+    return TowerDesc(
         levels=tuple(levels),
         transitions=(Transition(),) * DEPTH,
         base_ideal=generator(R0, [(MonoidElem((1, 0), 0, 2), 1)]),
         depth=DEPTH,
     )
-    return T, {**ALL_PASS, "g": False}
+
+
+def sab_g():
+    """Equal characteristic k[x^{1/2^i}, y^{1/2^i}]/(x^2 y) with I0 = (x):
+    y is power-torsion but x*y is not zero, so torsion is not killed by I0."""
+    quot = MonoidElem((2, 1), 0, 2)
+    return _charp_tower(((quot,),) * (DEPTH + 1)), {**ALL_PASS, "g": False}
+
+
+def sab_b_collides():
+    """Transition sends x2 to 1, so t-bar sends 1 and x2 to one monomial:
+    injectivity fails by a collision, not a vanishing image.  (c) fails with
+    it, as in sab_b; the pillar x1^{1/2^i} is fixed, so (f) holds."""
+    T = _unram_tower()
+    drop = Transition(((1, 0), (0, 0)))
+    return replace(T, transitions=(drop,) * DEPTH), {**ALL_PASS, "b": False, "c": False}
+
+
+def sab_f_kernel():
+    """R_0 alone carries y^2, so Frobenius S_1 -> S_0 kills y although y is
+    no multiple of the level-1 pillar: the kernel identity of (f) fails.
+    (c) fails with it: y^2 is a Frobenius image in S_1, and t-bar_0 cannot
+    reach it from S_0, where it is zero."""
+    return (_charp_tower(((MonoidElem((0, 2), 0, 2),), (), ())),
+            {**ALL_PASS, "c": False, "f": False})
+
+
+def sab_f_compatible():
+    """Z_2[[x1^{1/2^i}, x2^{1/2^i}]]/(2 - f_i) with f_0 = f_1 = x1 and
+    f_2 = x1^{1/4}: the level-2 pillar x1^{1/4} is zero in S_2 while
+    F_1 should send it to the live x1^{1/2} of S_1, so pillar compatibility
+    in (f) fails.  x1^{1/2} also vanishes under t-bar_1, so (b) fails, (c)
+    with it, and its p-th root is gone, so (d) fails."""
+    rels = (MonoidElem((1, 0), 0, 2), MonoidElem((1, 0), 0, 2), MonoidElem((1, 0), 2, 2))
+    levels = tuple(SeriesRingDesc(monoid_part=AffineMonoid(0, 2, 0, ()), free_rank=2,
+                                  free_level=i, p=2, precision=N, cutoff=D,
+                                  relation_f=((rel, 1),))
+                   for i, rel in enumerate(rels))
+    R0 = levels[0]
+    T = TowerDesc(levels=levels, transitions=(Transition(),) * DEPTH,
+                  base_ideal=ideal_generator(R0, [(R0.zero_exp, 2)]), depth=DEPTH)
+    return T, {**ALL_PASS, "b": False, "c": False, "d": False, "f": False}
+
+
+def sab_g_scaled():
+    """R_1 alone carries x y^{1/2}, a multiple of x, so y^{1/2} is torsion of
+    x at level 1 and killed by I0, but its p-th power y has no torsion
+    partner in R_0: the upward p-scaling of (g) fails, and nothing else."""
+    return _charp_tower(((), (MonoidElem((2, 1), 1, 2),), ())), {**ALL_PASS, "g": False}
+
+
+def sab_g_divided():
+    """R_0 alone carries x y, so y is torsion of x at level 0 and killed by
+    I0, but y^{1/2} is no torsion of R_1: the downward p-division of (g)
+    fails, and nothing else."""
+    return _charp_tower(((MonoidElem((1, 1), 0, 2),), (), ())), {**ALL_PASS, "g": False}
 
 
 SABOTAGE = {
@@ -210,4 +267,16 @@ SABOTAGE = {
     "f": sab_f,
     "f_power": sab_f_power,
     "g": sab_g,
+}
+
+# Towers that fail a branch of a row that no SABOTAGE tower fails: the
+# collision of (b), the pillar compatibility and the kernel identity of (f),
+# and both p-scaling checks of (g).  They are kept apart because the oracle
+# tests over SABOTAGE pin how many rings and refusals they meet.
+BRANCHES = {
+    "b_collides": sab_b_collides,
+    "f_kernel": sab_f_kernel,
+    "f_compatible": sab_f_compatible,
+    "g_scaled": sab_g_scaled,
+    "g_divided": sab_g_divided,
 }

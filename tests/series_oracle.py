@@ -8,6 +8,8 @@ decides every verdict on exponents; the tests compare those verdicts with
 the products and powers computed here.
 """
 
+from heapq import heapify, heappop, heappush
+
 from ptlab import series
 from ptlab.monoid import MonoidElem, term_json
 from ptlab.record import record
@@ -135,6 +137,36 @@ def reduce_mod_I0(x: Series) -> Series:
     if x.ring.char_p:
         return x
     return make_series(x.ring.residue_ring(), x.terms)
+
+
+def heap_series(ring: SeriesRingDesc, raw) -> tuple[tuple[int, int], ...]:
+    """The canonical form of raw (packed exponent, coefficient) data in a
+    relation ring, with the digits normalised by a heap: the smallest pending
+    exponent is rewritten first, and an exponent a carry creates is pushed
+    the first time it appears, as in Monagan-Pearce division.  The reference
+    for ptlab.series.make_series, which sweeps the degrees instead."""
+    p, lim = ring.p, ring._lim
+    work: dict[int, int] = {}
+    for v, c in raw:
+        if c and v < lim:
+            work[v] = work.get(v, 0) + c
+    heap = list(work)
+    heapify(heap)
+    while heap:
+        v = heappop(heap)
+        c = work[v]
+        if 0 <= c < p:
+            continue
+        d0 = c % p
+        work[v] = d0
+        for fv, fc in ring._relation_terms:
+            v2 = v + fv
+            if v2 >= lim:
+                break  # relation terms come in term order
+            if v2 not in work:
+                heappush(heap, v2)
+            work[v2] = work.get(v2, 0) + (c - d0) // p * fc
+    return tuple(sorted((v, c) for v, c in work.items() if c))
 
 
 def deg(ring: SeriesRingDesc, e: MonoidElem) -> int:

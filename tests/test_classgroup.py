@@ -87,6 +87,31 @@ def test_prime_to_p_reports():
     assert rep6["finite"]
 
 
+def veronese(n):
+    """V(2, n) = k[x, y]^(n), the cone over the rational normal curve of
+    degree n, with class group Z/n."""
+    return AffineMonoid(2, 2, 0, tuple((n - i, i) for i in range(n + 1)))
+
+
+@pytest.mark.parametrize("n,primary,away", [
+    (4, {2: "Z/4"},
+     {2: (1, {}), 3: (4, {"2": "Z/4"}), 5: (4, {"2": "Z/4"})}),
+    (6, {2: "Z/2", 3: "Z/3"},
+     {2: (3, {"3": "Z/3"}), 3: (2, {"2": "Z/2"}), 5: (6, {"2": "Z/2", "3": "Z/3"})}),
+])
+def test_veronese_class_groups_factor_their_order(n, primary, away):
+    """A torsion order of 4 or more runs the trial division of the prime
+    factorisation: Z/4 has one prime, Z/6 two."""
+    rep = class_group(veronese(n))
+    assert rep.group.describe() == f"Z/{n}"
+    assert rep.group == snf_oracle(pairing_matrix(veronese(n)))
+    assert {l: g.describe() for l, g in rep.ell_primary.items()} == primary
+    for p, (order, components) in away.items():
+        assert prime_to_p_report(rep.group, p) == {
+            "prime_to_p_order": order, "support": [int(l) for l in components],
+            "components": components, "finite": True}, p
+
+
 def test_report_json_is_plain_data():
     payload = class_group(A1).to_json()
     assert payload["group"] == "Z/2"

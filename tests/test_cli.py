@@ -809,8 +809,9 @@ def test_degenerate_presentations_get_a_report_or_one_line(tmp_path, capsys, nam
 def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, monkeypatch):
     """Each input error class reaches main from a real command and gives exit
     2 with one `ptlab:` line; main catches them by their one base class,
-    InputError.  A ValueError that is not an input error is a fault of the
-    library and propagates out of main."""
+    InputError, or, for a flag check such as a negative --depth, with the
+    usage errors before the command runs.  A ValueError that is not an
+    input error is a fault of the library and propagates out of main."""
     import ptlab.cli as cli
     import ptlab.logreg as logreg
     from ptlab.intlat import SubLatticeNotContained
@@ -832,6 +833,14 @@ def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, 
     x1 = '[{"exponent": [1], "coeff": 1}]'
     cases = [
         (cli.ParseError, ["monoid", "check"], None),
+        (cli.ParseError, ["tower", "verify", "--depth", "-1"],
+         "ptlab: depth must be nonnegative\n"),
+        (cli.ParseError, ["monoid", "check", "--json", "{"],
+         "ptlab: --json:1:2: Expecting property name enclosed in double quotes\n"),
+        (cli.ParseError, ["regularity", "maximal", "--d", "1", "--elems", "["],
+         "ptlab: series JSON: Expecting value\n"),
+        (cli.ParseError, ["regularity", "maximal", "--d", "1", "--elems", "{}"],
+         "ptlab: series list must be a JSON array\n"),
         (NotSharp, ["monoid", "saturate", "--json", not_sharp], None),
         (NotSaturated, ["monoid", "classgroup", "--json", json.dumps(NUMERIC)], None),
         (InvalidPresentation, ["tower", "build", "--preset", "unramified_rlr", "--d", "0"],
@@ -853,6 +862,7 @@ def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, 
         with monkeypatch.context() as m:  # main's handler off: the error itself surfaces
             m.setattr(cli, "InputError", ())
             with pytest.raises(cls):
+                cli._check(cli._parse(argv))  # the flag checks main makes first
                 main(argv)
         capsys.readouterr()
     for cls in (PillarNotFound, SubLatticeNotContained):

@@ -179,10 +179,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     the command load is paid per verdict.  dataclasses (which loads inspect)
     was most of it, and argparse loaded gettext and, on its first parse,
     locale.  fractions (with decimal and numbers) serves only a cutoff that
-    is not an integer, and heapq only rings with a relation, so no monoid or
-    regularity command loads them and an integral tower cutoff no fractions.
-    The tower stack (ptlab.logreg, ptlab.series, ptlab.tower) serves only the
-    tower commands, so no monoid or regularity command loads it."""
+    is not an integer, so no monoid or regularity command loads it and an
+    integral tower cutoff does not either.  No command loads heapq: digits
+    are normalised in one sweep up the degrees, with no heap.  The tower
+    stack (ptlab.logreg, ptlab.series, ptlab.tower) serves only the tower
+    commands, so no monoid or regularity command loads it."""
     env = _child_env()
     banned = ["argparse", "dataclasses", "decimal", "fractions", "gettext", "heapq",
               "inspect", "locale", "numbers", "ptlab.logreg", "ptlab.series", "ptlab.tower"]
@@ -202,8 +203,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.splitlines() == [
         "[0, 0, 0, 0, 0] []",
         "[0, 0, 0] []",
-        f"[0, 0, 0, 0] ['heapq', {stack}]",
-        f"[0] ['decimal', 'fractions', 'heapq', 'numbers', {stack}]",
+        f"[0, 0, 0, 0] [{stack}]",
+        f"[0] ['decimal', 'fractions', 'numbers', {stack}]",
     ]
 
 
@@ -238,7 +239,6 @@ TOWER_STACK = ("only tower commands use the tower stack, so no monoid or regular
 LAZY_IMPORTS = {
     "series._as_rational: fractions": "only a cutoff that is not an integer needs "
                                       "fractions, which loads decimal and numbers",
-    "series._digit_normalize: heapq": "only relation rings normalise digits",
     "cli._check: .series": TOWER_STACK,
     "cli._presentation_from_args: .logreg": TOWER_STACK,
     "cli._cmd_tower: .logreg": TOWER_STACK,

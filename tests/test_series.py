@@ -33,6 +33,7 @@ from series_oracle import (
     RingMismatch,
     deg,
     dominated,
+    heap_series,
     is_unit,
     make_series,
     reduce_mod_I0,
@@ -111,6 +112,50 @@ def test_canonicalization_is_order_independent(name):
             assert make_series(ring, terms) == ref
         cut = rng.randint(0, len(terms))
         assert s_add(make_series(ring, terms[:cut]), make_series(ring, terms[cut:])) == ref
+
+
+@st.composite
+def relation_rings(draw):
+    """A mixed ring C(k)[[Q + N^r]]/(p - f) with a monoid part (none, N^1 or
+    the A1 cone), a free part at level 0 or 1 and an f of one to three
+    terms, their coefficients units or multiples of p."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    rank, gens = draw(st.sampled_from(((0, ()), (1, ((1,),)), (2, ((2, 0), (1, 1), (0, 2))))))
+    free_rank = draw(st.integers(1 if rank == 0 else 0, 2))
+    base = SeriesRingDesc(
+        monoid_part=AffineMonoid(rank, p, 0, gens), free_rank=free_rank,
+        free_level=draw(st.integers(0, 1)), p=p, precision=1, cutoff=draw(st.integers(2, 4)),
+    )
+    exps = st.sampled_from(base.monomial_basis()[1:])
+    coeffs = st.one_of(st.integers(1, p * p).filter(lambda c: c % p),
+                       st.integers(-2, 3).filter(bool).map(lambda k: k * p))
+    f = draw(st.lists(st.tuples(exps, coeffs), min_size=1, max_size=3,
+                      unique_by=lambda t: t[0]))
+    return replace(base, relation_f=tuple((base.elem(v), c) for v, c in f))
+
+
+@st.composite
+def relation_inputs(draw):
+    """A relation ring and raw terms on its basis, coefficients taken from
+    [-40, 40] and among the multiples of p, repeated exponents allowed."""
+    ring = draw(relation_rings())
+    coeffs = st.one_of(st.integers(-40, 40), st.integers(-9, 9).map(lambda k: k * ring.p))
+    basis = (ring.zero_exp,) + ring.monomial_basis()
+    raw = draw(st.lists(st.tuples(st.sampled_from(basis), coeffs), max_size=8))
+    return ring, raw, draw(st.permutations(raw))
+
+
+@settings(deadline=None, max_examples=300)
+@given(relation_inputs())
+def test_degree_sweep_matches_the_heap(data):
+    """make_series normalises digits in one sweep up the degrees; the heap
+    version it replaced (series_oracle.heap_series) gives the same canonical
+    form, whatever the order of the raw terms."""
+    ring, raw, shuffled = data
+    ref = heap_series(ring, raw)
+    assert make_series(ring, raw).terms == ref
+    assert make_series(ring, shuffled).terms == ref
+    assert all(0 <= c < ring.p for _, c in ref)
 
 
 def test_relation_trades_p_for_f():

@@ -23,7 +23,7 @@ from ptlab.tower import (
     verify_purely_inseparable,
 )
 
-from fixtures import SABOTAGE, sab_c, sab_f, torsion_oracle, verify_axioms
+from fixtures import BRANCHES, SABOTAGE, sab_c, sab_f, torsion_oracle, verify_axioms
 from series_oracle import (
     Series,
     deg,
@@ -129,7 +129,7 @@ def test_frobenius_identities_match_the_series_path():
     """Deciding the identities on exponents gives the series path's report on
     every sabotaged tower and level."""
     witnessed = set()
-    for name, build in SABOTAGE.items():
+    for name, build in {**SABOTAGE, **BRANCHES}.items():
         T, _ = build()
         for i in range(T.depth):
             want = series_frobenius_identities(T, i)
@@ -430,6 +430,31 @@ def test_sabotage_towers_fail_their_axiom():
         assert failing
         for row in failing:
             assert "witness" in row or "note" in row, row
+
+
+def test_every_failure_branch_has_a_sabotage_tower():
+    """Each way a row of (b), (f) and (g) can fail, told apart by its note,
+    fails on some SABOTAGE or BRANCHES tower; each BRANCHES tower gives its
+    expected verdicts and fails the branch it is named after."""
+    notes: dict[str, set] = {}
+    for name, build in {**SABOTAGE, **BRANCHES}.items():
+        T, expected = build()
+        rows = verify_axioms(T)["axioms"]
+        got = {}
+        for row in rows:
+            got[row["axiom"]] = got.get(row["axiom"], True) and row["pass"]
+        assert got == expected, (name, got)
+        notes[name] = {(r["axiom"], r.get("note")) for r in rows if not r["pass"]}
+    assert {("b", "image vanishes"), ("b", "image collides"),
+            ("f", "no monomial pillar chain"), ("f", "F(f_{i+1}) != f_i mod I0"),
+            ("f", "I_{i+1}^p != I_i R_{i+1}"), ("f", "ker F_i differs from pillar multiples"),
+            ("g", None), ("g", "p-scaling does not land in the lower torsion basis"),
+            ("g", "lower torsion monomial with no p-divided partner")} <= set().union(*notes.values())
+    assert ("b", "image collides") in notes["b_collides"]
+    assert ("f", "ker F_i differs from pillar multiples") in notes["f_kernel"]
+    assert ("f", "F(f_{i+1}) != f_i mod I0") in notes["f_compatible"]
+    assert notes["g_scaled"] == {("g", "p-scaling does not land in the lower torsion basis")}
+    assert notes["g_divided"] == {("g", "lower torsion monomial with no p-divided partner")}
 
 
 def test_shift_and_qf_frobenius_are_inverse():
