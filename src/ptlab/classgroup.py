@@ -18,8 +18,14 @@ from .record import record
 class ClassGroupReport:
     group: FinAbelianGroup
     facet_count: int
-    torsion_order: int
-    ell_primary: dict
+
+    @property
+    def torsion_order(self) -> int:
+        return self.group.torsion_order()
+
+    @property
+    def ell_primary(self) -> dict:
+        return {l: ell_primary(self.group, l) for l in _prime_factors(self.torsion_order)}
 
     def to_json(self) -> dict:
         return {
@@ -28,7 +34,7 @@ class ClassGroupReport:
             "invariant_factors": list(self.group.invariant_factors),
             "facet_count": self.facet_count,
             "torsion_order": self.torsion_order,
-            "ell_primary": {str(l): g.describe() for l, g in sorted(self.ell_primary.items())},
+            "ell_primary": {str(l): g.describe() for l, g in self.ell_primary.items()},
         }
 
 
@@ -49,15 +55,7 @@ def class_group(Q: AffineMonoid) -> ClassGroupReport:
     M = pairing_matrix(Q)
     nf = len(M)
     # columns of M are the images of the Q^gp basis inside Z^facets
-    G = abelian_quotient(identity(nf), M)
-    tor = G.torsion_order()
-    primes = _prime_factors(tor)
-    return ClassGroupReport(
-        group=G,
-        facet_count=nf,
-        torsion_order=tor,
-        ell_primary={l: ell_primary(G, l) for l in primes},
-    )
+    return ClassGroupReport(group=abelian_quotient(identity(nf), M), facet_count=nf)
 
 
 def ell_primary(G: FinAbelianGroup, ell: int) -> FinAbelianGroup:

@@ -337,8 +337,11 @@ def _pick(what: str, word, choices):
 
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The flags of argv by GROUPS: before or after the action, `--flag value` or
-    `--flag=value`, the last one counting; a value may begin with '-'."""
+    `--flag=value`, the last one counting; a value may begin with '-'.  A run
+    reads one source, --input, --json or --preset, and --d sizes a preset
+    only: a flag the run would not read is a ParseError."""
     words = iter(argv)
+    given = set()
     group = _pick("the group", next(words, None), GROUPS)
     actions, flags = GROUPS[group]
     args = SimpleNamespace(group=group, action=None,
@@ -362,7 +365,13 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         elif choices:
             value = _pick(flag, value, choices)
         setattr(args, flag[2:].replace("-", "_"), value)
+        given.add(flag)
     args.action = _pick(f"the {group} action", args.action, actions)
+    sources = [f for f in ("--input", "--json", "--preset") if f in given]
+    if len(sources) > 1:
+        raise ParseError(f"{sources[0]} and {sources[1]} are two sources; give one")
+    if "--d" in given and sources in (["--input"], ["--json"]):
+        raise ParseError(f"--d sizes a preset; {sources[0]} fixes its own")
     return args
 
 

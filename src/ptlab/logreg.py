@@ -39,37 +39,36 @@ class InvalidPresentation(InputError):
 
 @record
 class LogRegPresentation:
-    """The Kato normal form: monoid part Q, free rank r, relation p - f."""
+    """The Kato normal form: monoid part Q (scale base p), free rank r, relation p - f."""
 
     Q: AffineMonoid
     r: int
-    p: int
     f_terms: tuple[tuple[MonoidElem, int], ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not is_sharp(self.Q):
             raise InvalidPresentation("monoid part must be sharp")
         if not is_saturated(self.Q):
             raise InvalidPresentation("monoid part must be saturated")
-        if self.Q.scale_base != self.p:
-            raise InvalidPresentation("monoid scale base must match p")
         for e, _ in self.f_terms:
+            if e.base != self.p:
+                raise InvalidPresentation("monoid scale base must match p")
             if sum(e.coords) <= 0:
                 raise InvalidPresentation("f must have positive degree in every term")
 
+    @property
+    def p(self) -> int:
+        return self.Q.scale_base
+
     def ring(self, level: int, D, N: int) -> SeriesRingDesc:
         """Level-i ring C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), or k[[...]] if f = 0."""
-        rel = self.f_terms or None
         return SeriesRingDesc(
             monoid_part=p_divide(self.Q, level),
             free_rank=self.r,
             free_level=level,
-            p=self.p,
             precision=N,
             cutoff=D,
-            relation_f=rel,
-            char_p=rel is None,
+            relation_f=self.f_terms or None,
         )
 
     def to_descriptor(self) -> dict:
@@ -78,7 +77,6 @@ class LogRegPresentation:
             "free_rank": self.r,
             "p": self.p,
             "f": [term_json(e, c) for e, c in self.f_terms],
-            "labels": list(self.labels),
         }
 
     @classmethod
@@ -86,8 +84,10 @@ class LogRegPresentation:
         Q = AffineMonoid.from_descriptor(d["monoid"])
         p = json_int(d["p"])
         f_terms = tuple(term_from_json(t, p) for t in d["f"])
-        return cls(Q=Q, r=json_int(d["free_rank"]), p=p, f_terms=f_terms,
-                   labels=tuple(d.get("labels", ())))
+        P = cls(Q=Q, r=json_int(d["free_rank"]), f_terms=f_terms)
+        if p != P.p:  # f = 0 carries no prime of its own
+            raise InvalidPresentation("monoid scale base must match p")
+        return P
 
 
 def preset_unramified(p: int, d: int) -> LogRegPresentation:
@@ -95,15 +95,13 @@ def preset_unramified(p: int, d: int) -> LogRegPresentation:
     if d < 1:
         raise InvalidPresentation("need at least one free variable for f = x_1")
     e1 = MonoidElem((1,) + (0,) * (d - 1), 0, p)
-    return LogRegPresentation(Q=monoid_preset("Nd", p), r=d, p=p, f_terms=((e1, 1),),
-                              labels=tuple(f"x{i + 1}" for i in range(d)))
+    return LogRegPresentation(Q=monoid_preset("Nd", p), r=d, f_terms=((e1, 1),))
 
 
 def preset_quadric(p: int) -> LogRegPresentation:
     """W(k)[[x,y,z,w]]/(xy - zw, p - w) as the monoid ring of the quadric cone."""
     w = MonoidElem((0, 1, 1, 0), 0, p)
-    return LogRegPresentation(Q=monoid_preset("quadric", p), r=0, p=p, f_terms=((w, 1),),
-                              labels=("x", "y", "z", "w"))
+    return LogRegPresentation(Q=monoid_preset("quadric", p), r=0, f_terms=((w, 1),))
 
 
 # named presentations: name -> (p, d) -> presentation; `ptlab tower --preset`
@@ -134,7 +132,6 @@ def build_tower(P: LogRegPresentation, depth: int, D=4, N: int = 2) -> TowerDesc
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
         base_ideal=ideal_generator(levels[0], [(levels[0].zero_exp, P.p)]),
-        depth=depth,
     )
 
 
@@ -145,7 +142,7 @@ def predict_tilt(T: TowerDesc) -> TowerDesc:
     The relation direction survives the tilt as an honest coordinate; the
     tilted base ideal is the f-bar monomial itself.
     """
-    levels = tuple(replace(R, relation_f=None, char_p=True) for R in T.levels)
+    levels = tuple(replace(R, relation_f=None) for R in T.levels)
     R0 = levels[0]
     try:
         base = ideal_generator(R0, coeff_map(R0, [(reduced_relation_exp(T.levels[0]), 1)]))
@@ -155,7 +152,6 @@ def predict_tilt(T: TowerDesc) -> TowerDesc:
         levels=levels,
         transitions=tuple(Transition() for _ in range(T.depth)),
         base_ideal=base,
-        depth=T.depth,
     )
 
 

@@ -48,11 +48,11 @@ class BaseRing:
 
 
 def omega_basis(A: BaseRing) -> tuple[str, ...]:
-    """The basis labels of the truncated differential module, one per
+    """The names of the basis of the truncated differential module, one per
     dimension: dp and the dx_i in the mixed case, the dx_i alone in equal
     characteristic."""
-    labels = tuple(f"dx{i + 1}" for i in range(A.d))
-    return ("dp", *labels) if A.mixed else labels
+    dx = tuple(f"dx{i + 1}" for i in range(A.d))
+    return ("dp", *dx) if A.mixed else dx
 
 
 def d_class(A: BaseRing, x: dict[tuple[int, ...], int]) -> tuple[int, ...]:

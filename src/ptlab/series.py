@@ -1,14 +1,14 @@
 """Ring descriptors of truncated monoid power series, and their canonical form.
 
 A ring descriptor pins down everything about a level of a tower: the divided
-monoid part Q^(i), the free part (N^r) at its own level, the prime, the input
-coefficient precision N, the rational degree cutoff D, an optional relation
-theta = p - f, and (for residue rings) a monomial quotient ideal.
+monoid part Q^(i), whose scale base is the prime, the free part (N^r) at its
+own level, the precision N that reports carry, the rational degree cutoff D,
+an optional relation theta = p - f, and (for residue rings) a monomial ideal.
 
 The canonical form (make_series) is the one place where coefficients are
 reduced: it drops terms past the cutoff and in the quotient ideal, then
-reduces mod p in a char-p ring, mod p^N in a ring without a relation, and
-otherwise expands coefficients into base-p digits over the exact integers,
+reduces mod p in a ring without a relation, which is of characteristic p,
+and otherwise expands coefficients into base-p digits over the exact integers,
 trading every p for the series f until all coefficients are digits in
 [0, p) or the terms leave the cutoff.  Negative integers expand like p-adic
 ones (-1 becomes (p-1)(1 + f + f^2 + ...)), which terminates because f has
@@ -56,9 +56,9 @@ class SeriesRingDesc:
     """Descriptor of one truncated ring C(k)[[Q^(i) + (N^r)^(i)]]/(theta).
 
     Exponents are combined vectors of length ambient_rank + free_rank; the
-    monoid part is sliced off the front.  char_p rings carry F_p
-    coefficients and may quotient by a monomial ideal (quotient_exps); mixed
-    rings may carry the Kato relation theta = p - f as a term tuple.
+    monoid part is sliced off the front; p is its scale base.  A ring without
+    a relation has F_p coefficients and may quotient by a monomial ideal
+    (quotient_exps); mixed rings carry the Kato relation theta = p - f.
 
     Every exponent of the ring lives at or above one level L (the finer of
     the monoid and free levels).  Its degree in steps of p^-L is the sum of
@@ -89,16 +89,12 @@ class SeriesRingDesc:
     monoid_part: AffineMonoid
     free_rank: int
     free_level: int
-    p: int
     precision: int
     cutoff: int | Fraction
     relation_f: tuple[tuple[MonoidElem, int], ...] | None = None
-    char_p: bool = False
     quotient_exps: tuple[MonoidElem, ...] = ()
 
     def __post_init__(self):
-        if self.p != self.monoid_part.scale_base:
-            raise InvariantViolation("prime differs from the monoid scale base")
         require_prime(self.p, InvariantViolation)
         if self.free_rank < 0 or self.free_level < 0:
             raise InvariantViolation("free part data must be nonnegative")
@@ -111,8 +107,6 @@ class SeriesRingDesc:
         if self.cutoff <= 0:
             raise InvariantViolation("degree cutoff must be positive")
         if self.relation_f is not None:
-            if self.char_p:
-                raise InvariantViolation("relation rings are mixed characteristic")
             for e, c in self.relation_f:
                 if sum(e.coords) <= 0:
                     raise InvariantViolation("relation f must have positive degree terms")
@@ -122,7 +116,7 @@ class SeriesRingDesc:
             terms = tuple(sorted(self.relation_f, key=lambda t: self.key(t[0])))
             object.__setattr__(self, "relation_f", terms)
         if self.quotient_exps:
-            if not self.char_p:
+            if self.relation_f is not None:
                 raise InvariantViolation("monomial quotients live in residue rings")
             if any(len(q.coords) != self.width or min(q.coords, default=0) < 0
                    for q in self.quotient_exps):
@@ -147,6 +141,10 @@ class SeriesRingDesc:
             object.__setattr__(out, k, getattr(self, k))
         object.__setattr__(out, "_field", field)
         return out
+
+    @cached_property
+    def p(self) -> int:
+        return self.monoid_part.scale_base
 
     @cached_property
     def level(self) -> int:
@@ -394,7 +392,7 @@ class SeriesRingDesc:
         quots = set(self.quotient_exps) | set(extra)
         if any(c % self.p for _, c in self.relation_f or ()):
             quots.add(reduced_relation_exp(self))
-        out = replace(self, relation_f=None, char_p=True, quotient_exps=tuple(quots))
+        out = replace(self, relation_f=None, quotient_exps=tuple(quots))
         return out._refield(self._field)
 
     def to_descriptor(self) -> dict:
@@ -408,8 +406,6 @@ class SeriesRingDesc:
         }
         if self.relation_f is not None:
             out["relation_f"] = [term_json(e, c) for e, c in self.relation_f]
-        if self.char_p:
-            out["char_p"] = True
         if self.quotient_exps:
             out["quotient_exponents"] = [e.to_json() for e in self.quotient_exps]
         return out
@@ -417,23 +413,24 @@ class SeriesRingDesc:
     @classmethod
     def from_descriptor(cls, d: dict) -> SeriesRingDesc:
         mon = AffineMonoid.from_descriptor(d["monoid"])
+        extra = sorted(set(d) - {"monoid", "free_rank", "free_level", "p", "precision",
+                                 "cutoff", "relation_f", "quotient_exponents"})
+        if extra:
+            raise ValueError(f"unknown ring descriptor key {extra[0]!r}")
         p = json_int(d["p"])
+        if p != mon.scale_base:
+            raise InvariantViolation("prime differs from the monoid scale base")
         rel = None
         if d.get("relation_f") is not None:
             rel = tuple(term_from_json(t, p) for t in d["relation_f"])
         quot = tuple(MonoidElem.from_json(t, p) for t in d.get("quotient_exponents", ()))
-        char_p = d.get("char_p", False)
-        if type(char_p) is not bool:
-            raise ValueError(f"char_p must be a JSON boolean, got {char_p!r}")
         return cls(
             monoid_part=mon,
             free_rank=json_int(d["free_rank"]),
             free_level=json_int(d.get("free_level", mon.level)),
-            p=p,
             precision=json_int(d["precision"]),
             cutoff=parse_cutoff(d["cutoff"]),
             relation_f=rel,
-            char_p=char_p,
             quotient_exps=quot,
         )
 
@@ -508,9 +505,8 @@ def make_series(ring: SeriesRingDesc, raw) -> tuple[tuple[int, int], ...]:
             continue
         acc[v] = acc.get(v, 0) + c
 
-    if ring.relation_f is None:  # F_p coefficients, or Z/p^N ones
-        m = ring.p if ring.char_p else ring.p ** ring.precision
-        norm = {v: c % m for v, c in acc.items()}
+    if ring.relation_f is None:  # F_p coefficients
+        norm = {v: c % ring.p for v, c in acc.items()}
     else:
         norm = _digit_normalize(ring, acc)
     return tuple(sorted((v, c) for v, c in norm.items() if c))

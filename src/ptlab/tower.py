@@ -76,11 +76,8 @@ class TowerDesc:
     levels: tuple[SeriesRingDesc, ...]
     transitions: tuple[Transition, ...]
     base_ideal: tuple[MonoidElem, int] | None
-    depth: int
 
     def __post_init__(self):
-        if len(self.levels) != self.depth + 1:
-            raise InvariantViolation("levels must run R_0 .. R_depth")
         if len(self.transitions) != self.depth:
             raise InvariantViolation("one transition per consecutive pair")
         R0, gexp = self.levels[0], self.ideal_exp()
@@ -105,6 +102,10 @@ class TowerDesc:
                         f"transition {i} sends {MonoidElem(v, src.level, src.p)} "
                         f"outside level {i + 1}"
                     )
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels) - 1
 
     @property
     def p(self) -> int:
@@ -200,14 +201,15 @@ class TowerDesc:
     @classmethod
     def from_descriptor(cls, d: dict) -> TowerDesc:
         levels = tuple(SeriesRingDesc.from_descriptor(r) for r in d["levels"])
+        if json_int(d["depth"]) != len(levels) - 1:
+            raise InvariantViolation("levels must run R_0 .. R_depth")
         transitions = tuple(
             Transition(None if t is None else tuple(tuple(map(json_int, row)) for row in t))
             for t in d["transitions"]
         )
         terms = [term_from_json(t, levels[0].p) for t in d["base_ideal"]]
         base = ideal_generator(levels[0], coeff_map(levels[0], terms))
-        return cls(levels=levels, transitions=transitions, base_ideal=base,
-                   depth=json_int(d["depth"]))
+        return cls(levels=levels, transitions=transitions, base_ideal=base)
 
 
 def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None) -> dict:
@@ -328,6 +330,8 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
     for i in range(T.depth):
         Si, Si1 = T.residue(i), T.residue(i + 1)
         image, live = T.transitions[i].on_packed(Si, Si1), T._alive[i + 1]
+        # the live images of the whole basis, which (c) reads; (b) keeps its
+        # first failure
         images = set()
         bad_b = None
         lim1 = Si1._lim
@@ -336,12 +340,11 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
             if w >= lim1:
                 continue  # image leaves the cutoff: no claim at this truncation
             if not live(w):
-                bad_b = ("vanishes", v)
-                break
-            if w in images:
-                bad_b = ("collides", v)
-                break
-            images.add(w)
+                bad_b = bad_b or ("vanishes", v)
+            elif w in images:
+                bad_b = bad_b or ("collides", v)
+            else:
+                images.add(w)
         if bad_b is None:
             rows.append(_row("b", i, True))
         else:

@@ -1,11 +1,10 @@
 """Deliberately broken towers, each named after the axiom it breaks.
 
 Every fixture returns (tower, expected) where expected maps axiom letters to
-the pass verdict the verification report must show.  The (b) fixture also
-pins its forced (c) failure: once some basis monomial has a vanishing
-transition image, counting shows the Frobenius image set cannot be covered,
-so a lone (b) break is impossible and the expectation records both (as does
-the f_power fixture, whose transition also breaks (b)).
+the pass verdict the verification report must show.  (b) and (c) are read
+off the whole image of t-bar, each from its own definition: the transitions
+of sab_b, sab_f_power and sab_b_collides break both, each docstring says
+why, while sab_f_compatible breaks (b) alone.
 
 BRANCHES holds towers that each fail one branch of a row, told apart by the
 row's note, that the SABOTAGE towers leave untried.
@@ -94,8 +93,8 @@ def sab_a():
 def sab_b():
     """Transition absorbs x1 into x2, so x2-images vanish mod I0.
 
-    (c) fails with it: the surviving image set is too small to contain every
-    Frobenius image, by counting.
+    (c) fails with it: t-bar sends x1^a x2^b to x1^(a+b) x2^b, so no image
+    is x2, the Frobenius image of x2^{1/2}.
     """
     T = _unram_tower()
     absorb = Transition(((1, 1), (0, 1)))
@@ -114,8 +113,9 @@ def sab_f_power():
     """Transition squares x1, the p-direction of the pillar: t(f_i) = f_i^2 is
     not f_{i+1}^p, so I_{i+1}^p = I_i R_{i+1} fails in (f).
 
-    At level 1, x1^{1/2} goes to x1 in S_2, which kills it: (b) fails, and
-    (c) with it by counting, as in sab_b.
+    At level 1, x1^{1/2} goes to x1 in S_2, which kills it: (b) fails.  (c)
+    fails with it: every image of t-bar_1 has an integral x1-exponent, and
+    x1^{1/2}, the Frobenius image of x1^{1/4}, has none.
     """
     T = _unram_tower()
     square = Transition(((2, 0), (0, 1)))
@@ -137,7 +137,6 @@ def _half_fixed_levels(monoid_is_relation: bool):
             monoid_part=Q,
             free_rank=1,
             free_level=i,
-            p=2,
             precision=N,
             cutoff=D,
             relation_f=((rel_exp, 1),),
@@ -148,7 +147,6 @@ def _half_fixed_levels(monoid_is_relation: bool):
         levels=tuple(levels),
         transitions=(Transition(),) * DEPTH,
         base_ideal=base,
-        depth=DEPTH,
     )
 
 
@@ -176,9 +174,10 @@ def sab_f():
     return _half_fixed_levels(monoid_is_relation=True), {**ALL_PASS, "f": False}
 
 
-def _charp_tower(quotients):
+def _charp_tower(quotients, transitions=(Transition(),) * DEPTH):
     """Equal characteristic k[x^{1/2^i}, y^{1/2^i}] with I0 = (x), level i
-    carrying the monomial quotients quotients[i]."""
+    carrying the monomial quotients quotients[i], with the given transitions
+    (inclusions by default)."""
     Q = AffineMonoid(ambient_rank=0, scale_base=2, level=0, generators=())
     levels = []
     for i in range(DEPTH + 1):
@@ -186,19 +185,16 @@ def _charp_tower(quotients):
             monoid_part=Q,
             free_rank=2,
             free_level=i,
-            p=2,
             precision=N,
             cutoff=D,
             relation_f=None,
-            char_p=True,
             quotient_exps=quotients[i],
         ))
     R0 = levels[0]
     return TowerDesc(
         levels=tuple(levels),
-        transitions=(Transition(),) * DEPTH,
+        transitions=transitions,
         base_ideal=generator(R0, [(MonoidElem((1, 0), 0, 2), 1)]),
-        depth=DEPTH,
     )
 
 
@@ -212,7 +208,8 @@ def sab_g():
 def sab_b_collides():
     """Transition sends x2 to 1, so t-bar sends 1 and x2 to one monomial:
     injectivity fails by a collision, not a vanishing image.  (c) fails with
-    it, as in sab_b; the pillar x1^{1/2^i} is fixed, so (f) holds."""
+    it: every image is a power of x1, and x2, the Frobenius image of
+    x2^{1/2}, is none.  The pillar x1^{1/2^i} is fixed, so (f) holds."""
     T = _unram_tower()
     drop = Transition(((1, 0), (0, 0)))
     return replace(T, transitions=(drop,) * DEPTH), {**ALL_PASS, "b": False, "c": False}
@@ -231,17 +228,18 @@ def sab_f_compatible():
     """Z_2[[x1^{1/2^i}, x2^{1/2^i}]]/(2 - f_i) with f_0 = f_1 = x1 and
     f_2 = x1^{1/4}: the level-2 pillar x1^{1/4} is zero in S_2 while
     F_1 should send it to the live x1^{1/2} of S_1, so pillar compatibility
-    in (f) fails.  x1^{1/2} also vanishes under t-bar_1, so (b) fails, (c)
-    with it, and its p-th root is gone, so (d) fails."""
+    in (f) fails.  x1^{1/2} also vanishes under t-bar_1, so (b) fails, and
+    its p-th root is gone, so (d) fails.  (c) holds: S_2 kills x1^{1/4}, so
+    its Frobenius images are the x2^{b/2}, which t-bar_1 reaches from S_1."""
     rels = (MonoidElem((1, 0), 0, 2), MonoidElem((1, 0), 0, 2), MonoidElem((1, 0), 2, 2))
     levels = tuple(SeriesRingDesc(monoid_part=AffineMonoid(0, 2, 0, ()), free_rank=2,
-                                  free_level=i, p=2, precision=N, cutoff=D,
+                                  free_level=i, precision=N, cutoff=D,
                                   relation_f=((rel, 1),))
                    for i, rel in enumerate(rels))
     R0 = levels[0]
     T = TowerDesc(levels=levels, transitions=(Transition(),) * DEPTH,
-                  base_ideal=ideal_generator(R0, [(R0.zero_exp, 2)]), depth=DEPTH)
-    return T, {**ALL_PASS, "b": False, "c": False, "d": False, "f": False}
+                  base_ideal=ideal_generator(R0, [(R0.zero_exp, 2)]))
+    return T, {**ALL_PASS, "b": False, "d": False, "f": False}
 
 
 def sab_g_scaled():

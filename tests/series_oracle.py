@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from ptlab import series
 from ptlab.monoid import MonoidElem, term_json
 from ptlab.record import record
-from ptlab.series import NonMonomialReduction, SeriesRingDesc, coeff_map, ideal_generator
+from ptlab.series import SeriesRingDesc, coeff_map, ideal_generator
 
 
 class RingMismatch(ValueError):
@@ -130,11 +130,10 @@ def reduce_mod_I0(x: Series) -> Series:
     The canonical form of a relation ring already has digit coefficients with
     every p traded for f, so reduction is reinterpretation of the same terms
     in the residue ring (same exponents, same level), which drops everything
-    the f-bar monomial dominates.
+    the f-bar monomial dominates.  A ring without a relation is of
+    characteristic p already.
     """
-    if x.ring.relation_f is None and not x.ring.char_p:
-        raise NonMonomialReduction("ring has no relation; nothing to reduce by")
-    if x.ring.char_p:
+    if x.ring.relation_f is None:
         return x
     return make_series(x.ring.residue_ring(), x.terms)
 
@@ -183,3 +182,37 @@ def generator(ring: SeriesRingDesc, terms):
     """The canonical I_0 generator of (MonoidElem, coefficient) pairs, the
     base_ideal of a TowerDesc: (exponent, coefficient) or None."""
     return ideal_generator(ring, coeff_map(ring, terms))
+
+
+def inseparability_failures(T, i: int):
+    """The failures of axioms (b) and (c) at level i, each row decided from
+    its definition by series, in basis order.
+
+    t-bar_i sends each basis monomial of S_i whose image is within the cutoff
+    to a series of S_{i+1}: (b) fails at one whose image is zero ("vanishes")
+    or the image of an earlier one ("collides").  (c) fails at a basis
+    monomial of S_{i+1} whose p-th power is neither zero (in the ideal or
+    past the cutoff) nor any of those images.  Returns ([(kind, MonoidElem)],
+    [MonoidElem])."""
+    Si, Si1 = T.residue(i), T.residue(i + 1)
+    t = T.transitions[i]
+    images = []
+    for v in Si.monomial_basis():
+        w = MonoidElem(t.act(Si.unpack(v)), Si.level, T.p)
+        if deg(Si1, w) <= Si1.cap:
+            images.append((Si.elem(v), s_monomial(Si1, w)))
+    bad_b, first = [], {}
+    for e, x in images:
+        if x.is_zero:
+            bad_b.append(("vanishes", e))
+        elif x.terms in first:
+            bad_b.append(("collides", e))
+        else:
+            first[x.terms] = e
+    reached = {x.terms for _, x in images}
+    bad_c = []
+    for d in map(Si1.elem, Si1.monomial_basis()):
+        y = s_pow(s_monomial(Si1, d), T.p)
+        if not y.is_zero and y.terms not in reached:
+            bad_c.append(d)
+    return bad_b, bad_c

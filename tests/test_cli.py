@@ -831,8 +831,23 @@ def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, 
     not_sharp = json.dumps({"ambient_rank": 2, "scale_base": 2,
                             "generators": [[1, 0], [-1, 0], [0, 1]]})
     x1 = '[{"exponent": [1], "coeff": 1}]'
+    # a run reads one source, and --d sizes a preset only
+    numeric, rlr = tmp_path / "V.json", tmp_path / "rlr.json"
+    numeric.write_text(json.dumps(NUMERIC))
+    rlr.write_text(json.dumps(preset("unramified_rlr", 2).to_descriptor()))
+    two_sources = "ptlab: --input and {} are two sources; give one\n"
     cases = [
         (cli.ParseError, ["monoid", "check"], None),
+        (cli.ParseError, ["monoid", "check", "--input", str(numeric), "--preset", "quadric",
+                          "--d", "7"], two_sources.format("--preset")),
+        (cli.ParseError, ["monoid", "check", "--json", json.dumps(NUMERIC),
+                          "--input", str(numeric)], two_sources.format("--json")),
+        (cli.ParseError, ["tower", "verify", "--input", str(rlr), "--preset", "quadric",
+                          "--d", "9"], two_sources.format("--preset")),
+        (cli.ParseError, ["monoid", "classgroup", "--json", json.dumps(NUMERIC), "--d", "3"],
+         "ptlab: --d sizes a preset; --json fixes its own\n"),
+        (cli.ParseError, ["tower", "build", "--input", str(rlr), "--d", "2"],
+         "ptlab: --d sizes a preset; --input fixes its own\n"),
         (cli.ParseError, ["tower", "verify", "--depth", "-1"],
          "ptlab: depth must be nonnegative\n"),
         (cli.ParseError, ["monoid", "check", "--json", "{"],

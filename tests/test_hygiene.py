@@ -336,6 +336,29 @@ def test_every_default_is_overridden_somewhere():
     assert unset == []
 
 
+def test_every_descriptor_field_is_read():
+    """Each field of a record with a from_descriptor reader is read, as an
+    attribute, somewhere in src/ptlab outside that record's own
+    to_descriptor: a field that only round-trips through its descriptor
+    decides nothing.  Reads are matched by attribute name."""
+    trees = list(_modules().values())
+    loads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for cls in (node for tree in trees for node in ast.walk(tree)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = {fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        if "from_descriptor" not in methods:
+            continue
+        writer = methods.get("to_descriptor")
+        skip = {id(node) for node in ast.walk(writer)} if writer else set()
+        read = {node.attr for node in loads if id(node) not in skip}
+        unread += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+    assert unread == []
+
+
 # Functions in src/ptlab that the CLI matrix does not reach, each with the
 # one reason it stays.
 RECORD_INTERNAL = "record internals: the decorator runs at import, the rest are guards and repr"

@@ -27,7 +27,7 @@ def test_presets():
     assert U.f_terms == ((MonoidElem((1, 0, 0), 0, 2), 1),)
     Qd = preset("quadric", 3)
     assert Qd.r == 0 and len(Qd.Q.generators) == 4
-    assert Qd.labels == ("x", "y", "z", "w")
+    assert Qd.p == 3
     with pytest.raises(InvalidPresentation):
         preset("nosuch", 2)
     with pytest.raises(InvalidPresentation):
@@ -38,12 +38,19 @@ def test_presentation_validation():
     N1 = AffineMonoid(1, 2, 0, ((1,),))
     full = AffineMonoid(1, 2, 0, ((1,), (-1,)))
     with pytest.raises(InvalidPresentation):
-        LogRegPresentation(Q=full, r=0, p=2, f_terms=())
+        LogRegPresentation(Q=full, r=0, f_terms=())
+    with pytest.raises(InvalidPresentation, match="monoid scale base must match p"):
+        LogRegPresentation(Q=N1, r=0, f_terms=((MonoidElem((1,), 0, 3), 1),))
     with pytest.raises(InvalidPresentation):
-        LogRegPresentation(Q=N1, r=0, p=3, f_terms=())   # scale base mismatch
-    with pytest.raises(InvalidPresentation):
-        LogRegPresentation(Q=N1, r=1, p=2,
+        LogRegPresentation(Q=N1, r=1,
                            f_terms=((MonoidElem((0, 0), 0, 2), 1),))
+    # the prime is the monoid's scale base: a descriptor's "p" must be it,
+    # also for f = 0 and ahead of a term of degree 0; "labels" is not read
+    d = {"monoid": N1.to_descriptor(), "free_rank": 1, "p": 2, "f": [], "labels": ["x"]}
+    assert LogRegPresentation.from_descriptor(d) == LogRegPresentation(Q=N1, r=1, f_terms=())
+    for f in ([], [{"exponent": [0, 0], "coeff": 1}]):
+        with pytest.raises(InvalidPresentation, match="monoid scale base must match p"):
+            LogRegPresentation.from_descriptor({**d, "p": 3, "f": f})
 
 
 def test_presentation_roundtrip():
@@ -55,7 +62,7 @@ def test_level_rings():
     P = preset("unramified_rlr", 2, d=2)
     R0 = P.ring(0, Fraction(4), 2)
     R1 = P.ring(1, Fraction(4), 2)
-    assert R0.relation_f is not None and not R0.char_p
+    assert R0.relation_f is not None and R0.p == 2
     assert R1.free_level == 1
     assert R1.exp_in_ring(MonoidElem((1, 0), 1, 2))
     assert not R0.exp_in_ring(MonoidElem((1, 0), 1, 2))
@@ -74,7 +81,7 @@ def test_build_tower_shape():
 def test_predict_tilt_is_equal_characteristic():
     P = preset("quadric", 2)
     W = predict_tilt(build_tower(P, 2, Fraction(4), 2))
-    assert all(r.char_p for r in W.levels)
+    assert all(r.relation_f is None for r in W.levels)
     assert W.ideal_exp() == MonoidElem((0, 1, 1, 0), 0, 2)
     assert W.base_ideal == (MonoidElem((0, 1, 1, 0), 0, 2), 1)
 
@@ -92,8 +99,8 @@ def test_predict_tilt_levels_are_the_char_p_rings(name, p):
     P = preset(name, p)
     W = predict_tilt(build_tower(P, 2, Fraction(4), 2))
     expected = tuple(
-        SeriesRingDesc(monoid_part=p_divide(P.Q, i), free_rank=P.r, free_level=i, p=p,
-                       precision=2, cutoff=Fraction(4), relation_f=None, char_p=True)
+        SeriesRingDesc(monoid_part=p_divide(P.Q, i), free_rank=P.r, free_level=i,
+                       precision=2, cutoff=Fraction(4), relation_f=None)
         for i in range(3)
     )
     assert W.levels == expected
@@ -102,7 +109,7 @@ def test_predict_tilt_levels_are_the_char_p_rings(name, p):
 def test_predict_tilt_without_monomial_fbar_has_zero_ideal():
     N1 = AffineMonoid(1, 2, 0, ((1,),))
     for f in ((), ((MonoidElem((1,), 0, 2), 2),)):
-        P = LogRegPresentation(Q=N1, r=0, p=2, f_terms=f)
+        P = LogRegPresentation(Q=N1, r=0, f_terms=f)
         W = predict_tilt(build_tower(P, 1, Fraction(2), 2))
         assert W.base_ideal is None and W.ideal_exp() is None
 

@@ -111,19 +111,19 @@ def non_closed_tower():
     """<2> at level 0 under <1/2> at level 1, I_0 = (x^4): F_0 reads the
     level-1 generator x^{1/2} as x, which is not in <2>."""
     R0, R1 = (SeriesRingDesc(monoid_part=AffineMonoid(1, 2, i, ((2 - i,),)), free_rank=0,
-                             free_level=0, p=2, precision=1, cutoff=Fraction(6), char_p=True)
+                             free_level=0, precision=1, cutoff=Fraction(6))
               for i in (0, 1))
     return TowerDesc(levels=(R0, R1), transitions=(Transition(),),
-                     base_ideal=generator(R0, [(MonoidElem((4,), 0, 2), 1)]), depth=1)
+                     base_ideal=generator(R0, [(MonoidElem((4,), 0, 2), 1)]))
 
 
 def constant_tower():
     """F_2[[x]] at level 0 at every level, I_0 = (x^3): the levels share
     their generators, but a root x^{v/2} is an exponent only for even v."""
     levels = (SeriesRingDesc(monoid_part=AffineMonoid(0, 2, 0, ()), free_rank=1, free_level=0,
-                             p=2, precision=1, cutoff=Fraction(5), char_p=True),) * 3
+                             precision=1, cutoff=Fraction(5)),) * 3
     return TowerDesc(levels=levels, transitions=(Transition(),) * 2,
-                     base_ideal=generator(levels[0], [(MonoidElem((3,), 0, 2), 1)]), depth=2)
+                     base_ideal=generator(levels[0], [(MonoidElem((3,), 0, 2), 1)]))
 
 
 def even_tower():
@@ -131,9 +131,9 @@ def even_tower():
     their generators but do not step by one level, so the root x^{v/2} is
     an exponent of the next level only for v in 4N, not for every v."""
     levels = (SeriesRingDesc(monoid_part=AffineMonoid(1, 2, 0, ((2,),)), free_rank=0,
-                             free_level=0, p=2, precision=1, cutoff=Fraction(9), char_p=True),) * 3
+                             free_level=0, precision=1, cutoff=Fraction(9)),) * 3
     return TowerDesc(levels=levels, transitions=(Transition(),) * 2,
-                     base_ideal=generator(levels[0], [(MonoidElem((4,), 0, 2), 1)]), depth=2)
+                     base_ideal=generator(levels[0], [(MonoidElem((4,), 0, 2), 1)]))
 
 
 TOWERS = {**oracle_towers(), "non-closed": non_closed_tower(), "constant": constant_tower(),
@@ -231,7 +231,7 @@ def test_towers_take_both_kinds_of_liveness():
     pillar component is not in its ring (f, constant, even)."""
     full = {name for name, T in TOWERS.items() if T._alive[0] is not T.residue(0).live}
     assert full == {"f", "non-closed", "constant", "even"}
-    assert len(MEMBERSHIP_RINGS) == 86 and len(RINGS) == 150
+    assert len(MEMBERSHIP_RINGS) == 85 and len(RINGS) == 149
 
 
 def test_an_image_finer_than_its_ring_is_named():
@@ -240,10 +240,10 @@ def test_an_image_finer_than_its_ring_is_named():
     component x^{3/2} is not in the level-0 ring of the constant tower:
     each is a ValueError naming the exponent and the level."""
     R0, R1 = (SeriesRingDesc(monoid_part=AffineMonoid(1, 2, lv, ((1,),)), free_rank=0,
-                             free_level=0, p=2, precision=1, cutoff=Fraction(5), char_p=True)
+                             free_level=0, precision=1, cutoff=Fraction(5))
               for lv in (0, 2))
     T = TowerDesc(levels=(R0, R1), transitions=(Transition(),),
-                  base_ideal=generator(R0, [(MonoidElem((3,), 0, 2), 1)]), depth=1)
+                  base_ideal=generator(R0, [(MonoidElem((3,), 0, 2), 1)]))
     with pytest.raises(ValueError, match=r"the image of <1>/2\^2 is finer than level 0"):
         frobenius_identities(T, 0)
     with pytest.raises(ValueError, match=r"<3>/2\^1 is finer than level 0"):

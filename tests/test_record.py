@@ -10,6 +10,7 @@ from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.record import FrozenInstanceError, record, replace
 from ptlab.series import InvariantViolation, coeff_map, ideal_generator
+from ptlab.tower import TowerDesc
 
 from series_oracle import s_one
 
@@ -106,7 +107,12 @@ def test_replace_validates_library_records():
         replace(T, base_ideal=ideal_generator(R0, [(R0.zero_exp, 3)]))
     # the canonical generator is its own canonical form, and replace keeps it
     assert ideal_generator(R0, coeff_map(R0, [T.base_ideal])) == T.base_ideal
-    assert replace(T, depth=2) == T
+    assert replace(T, transitions=T.transitions) == T
+    # a descriptor's depth must be the number of levels less one
+    d = T.to_descriptor()
+    assert TowerDesc.from_descriptor(d) == T
+    with pytest.raises(InvariantViolation, match="levels must run R_0 .. R_depth"):
+        TowerDesc.from_descriptor({**d, "depth": 3})
 
 
 def test_equality_needs_the_same_class():

@@ -46,11 +46,11 @@ SABOTAGE_DIGESTS = {
     "d": "888510be08265470c3d98acfe1af66c71a4dd46dd0bf335c960dbde4daff0e26",
     "e": "cf739e2076a3bf0ad03d968028703e6fa99a112b5697515dc05e320b04842b7b",
     "f": "1ee2784fa6210d8ddc42bc4be5b0431473df8fdfe63b268c3485799cf87a81e1",
-    "g": "e8984a4b6249a453bfd32eeb1b1f145b0135179e2ab9be2fc78c857c7d6eeb86",
+    "g": "e072390048ccb27b48ce038997ccc3e465a8e7e20d161a637485c49126f55016",
 }
 
 # the predicted tilt of the quadric tower at p = 2, depth 2, D = 4
-PREDICT_TILT_DIGEST = "a6f0f716776fc65353516dee94299d1a249b012aacfb365a70b420dd879a3ff4"
+PREDICT_TILT_DIGEST = "c50a13d47c6815dc784a846a13c5c3b7c3021c9ad602c408329cdd69b48f1ce8"
 
 
 def _sha(text: str) -> str:

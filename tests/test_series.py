@@ -51,23 +51,17 @@ TRIV = AffineMonoid(0, 2, 0, ())
 
 # Z_2[[x1,x2]]/(2 - x1) at precision 2, degree 4
 MIXED = SeriesRingDesc(
-    monoid_part=TRIV, free_rank=2, free_level=0, p=2, precision=2,
+    monoid_part=TRIV, free_rank=2, free_level=0, precision=2,
     cutoff=Fraction(4), relation_f=((MonoidElem((1, 0), 0, 2), 1),),
-)
-
-# Z/8[[x1,x2]] truncated at degree 6, no relation
-WITT = SeriesRingDesc(
-    monoid_part=TRIV, free_rank=2, free_level=0, p=2, precision=3,
-    cutoff=Fraction(6),
 )
 
 # F_2[x,y]/(x^2 y) truncated at degree 4
 CHARP = SeriesRingDesc(
-    monoid_part=TRIV, free_rank=2, free_level=0, p=2, precision=1,
-    cutoff=Fraction(4), char_p=True, quotient_exps=(MonoidElem((2, 1), 0, 2),),
+    monoid_part=TRIV, free_rank=2, free_level=0, precision=1,
+    cutoff=Fraction(4), quotient_exps=(MonoidElem((2, 1), 0, 2),),
 )
 
-RINGS = {"mixed": MIXED, "witt": WITT, "charp": CHARP}
+RINGS = {"mixed": MIXED, "charp": CHARP}
 
 
 def series_strategy(ring, max_terms=4):
@@ -93,7 +87,7 @@ def test_ring_axioms(name):
         assert s_add(x, s_neg(x)) == s_zero(ring)
 
     check()
-    other = WITT if ring is not WITT else CHARP
+    other = CHARP if ring is MIXED else MIXED
     with pytest.raises(RingMismatch):
         s_mul(s_one(ring), s_one(other))
 
@@ -124,7 +118,7 @@ def relation_rings(draw):
     free_rank = draw(st.integers(1 if rank == 0 else 0, 2))
     base = SeriesRingDesc(
         monoid_part=AffineMonoid(rank, p, 0, gens), free_rank=free_rank,
-        free_level=draw(st.integers(0, 1)), p=p, precision=1, cutoff=draw(st.integers(2, 4)),
+        free_level=draw(st.integers(0, 1)), precision=1, cutoff=draw(st.integers(2, 4)),
     )
     exps = st.sampled_from(base.monomial_basis()[1:])
     coeffs = st.one_of(st.integers(1, p * p).filter(lambda c: c % p),
@@ -190,8 +184,6 @@ def test_reduce_mod_I0_kills_the_relation_direction():
     assert r.is_zero
     assert reduce_mod_I0(s_const(MIXED, 2)).is_zero
     assert not reduce_mod_I0(s_monomial(MIXED, MonoidElem((0, 1), 0, 2))).is_zero
-    with pytest.raises(NonMonomialReduction):
-        reduce_mod_I0(s_one(WITT))
 
 
 def test_units():
@@ -230,7 +222,7 @@ def test_torsion_annihilator_degenerate_generators():
 def test_reduced_relation_exp():
     assert reduced_relation_exp(MIXED) == MonoidElem((1, 0), 0, 2)
     two_live = SeriesRingDesc(
-        monoid_part=TRIV, free_rank=2, free_level=0, p=2, precision=2,
+        monoid_part=TRIV, free_rank=2, free_level=0, precision=2,
         cutoff=Fraction(4),
         relation_f=((MonoidElem((1, 0), 0, 2), 1), (MonoidElem((0, 1), 0, 2), 1)),
     )
@@ -261,7 +253,7 @@ def test_residue_ring_quotients():
     fbar = MonoidElem((1, 0), 0, 2)
     g = MonoidElem((0, 1), 1, 2)
     S = MIXED.residue_ring()
-    assert S.char_p and S.relation_f is None and S.quotient_exps == (fbar,)
+    assert S.relation_f is None and S.quotient_exps == (fbar,)
     # extra monomials join f-bar once each, in sort_key order
     assert MIXED.residue_ring(g, fbar, g).quotient_exps == (g, fbar)
     # a char-p ring keeps its own quotients
@@ -279,15 +271,14 @@ def test_make_series_validation():
 
 
 def test_ring_descriptor_invariants():
+    # a descriptor's prime is its monoid's scale base, and a ring is of
+    # characteristic p when it has no relation: char_p is no key of its own
+    with pytest.raises(InvariantViolation, match="prime differs from the monoid scale base"):
+        SeriesRingDesc.from_descriptor({**MIXED.to_descriptor(), "p": 3})
+    with pytest.raises(ValueError, match="'char_p'"):
+        SeriesRingDesc.from_descriptor({**CHARP.to_descriptor(), "char_p": True})
     with pytest.raises(InvariantViolation):
-        SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0, p=3,
-                       precision=2, cutoff=Fraction(4))
-    with pytest.raises(InvariantViolation):
-        SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0, p=2,
-                       precision=2, cutoff=Fraction(4), char_p=True,
-                       relation_f=((MonoidElem((1,), 0, 2), 1),))
-    with pytest.raises(InvariantViolation):
-        SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0, p=2,
+        SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0,
                        precision=2, cutoff=Fraction(0))
     # a quotient monomial is a monomial of some ring: no negative coordinate
     with pytest.raises(InvariantViolation, match="nonnegative coordinates"):
@@ -295,17 +286,16 @@ def test_ring_descriptor_invariants():
     for q in (4, 10**25 + 13):   # p must be a prime, decided by is_prime
         with pytest.raises(InvariantViolation):
             SeriesRingDesc(monoid_part=AffineMonoid(0, q, 0, ()), free_rank=1, free_level=0,
-                           p=q, precision=2, cutoff=Fraction(4))
+                           precision=2, cutoff=Fraction(4))
 
 
 def test_ring_descriptor_roundtrip():
     for ring in RINGS.values():
         assert SeriesRingDesc.from_descriptor(ring.to_descriptor()) == ring
-    # integers must be JSON integers, not truncated floats or bools, char_p
-    # a JSON bool, not a truthy string or number, and a cutoff denominator nonzero
+    # integers must be JSON integers, not truncated floats or bools, and a
+    # cutoff denominator nonzero
     for ring, key, bad in ((MIXED, "precision", 2.7), (MIXED, "free_rank", True),
-                           (MIXED, "p", 2.0), (CHARP, "char_p", "no"), (CHARP, "char_p", 1),
-                           (MIXED, "cutoff", "7/0")):
+                           (MIXED, "p", 2.0), (MIXED, "cutoff", "7/0")):
         d = {**ring.to_descriptor(), key: bad}
         with pytest.raises(ValueError):
             SeriesRingDesc.from_descriptor(d)
@@ -360,7 +350,7 @@ SCALES = [(p, ml, fl, D) for p in (2, 3) for ml, fl in ((0, 2), (2, 0), (0, 1))
 
 def scale_ring(p, ml, fl, D, **kw):
     ring = SeriesRingDesc(monoid_part=AffineMonoid(2, p, ml, A1_GENS), free_rank=1,
-                          free_level=fl, p=p, precision=2, cutoff=D, **kw)
+                          free_level=fl, precision=2, cutoff=D, **kw)
     assert ring.level == max(ml, fl)
     assert ring.cap == floor(D * p ** ring.level)
     return ring
@@ -414,7 +404,6 @@ def test_degree_scale_basis_and_order(p, ml, fl, D):
 def test_degree_scale_truncation(p, ml, fl, D):
     ring = scale_ring(p, ml, fl, D)
     L = ring.level
-    pn = p ** ring.precision
     wide = brute_exps(p, ml, fl, D + 1)
 
     def elem(fr):
@@ -425,7 +414,7 @@ def test_degree_scale_truncation(p, ml, fl, D):
         for fr, c in pairs:
             if sum(fr) <= D:
                 acc[fr] = acc.get(fr, 0) + c
-        return sorted(((fr, c % pn) for fr, c in acc.items() if c % pn),
+        return sorted(((fr, c % p) for fr, c in acc.items() if c % p),
                       key=lambda t: frac_key(t[0]))
 
     rng = random.Random(17)
@@ -452,7 +441,7 @@ def test_degree_scale_truncation(p, ml, fl, D):
 @pytest.mark.parametrize("p,ml,fl,D", SCALES)
 def test_degree_scale_torsion(p, ml, fl, D):
     quots = (MonoidElem((1, 1, 0), 0, p), MonoidElem((0, 0, 1), 0, p))
-    ring = scale_ring(p, ml, fl, D, char_p=True, quotient_exps=quots)
+    ring = scale_ring(p, ml, fl, D, quotient_exps=quots)
 
     def dominated(fr):
         return any(in_scale_ring(tuple(a - b for a, b in zip(fr, fracs(q))), p, ml, fl)
@@ -487,11 +476,11 @@ TORSION_RINGS = {
                                   relation_f=((MonoidElem((0, 0, 1), 1, 3), 1),)),
     "relation A1 two-term f": scale_ring(2, 0, 1, Fraction(5, 2), relation_f=(
         (MonoidElem((0, 0, 1), 1, 2), 1), (MonoidElem((1, 1, 0), 0, 2), 1))),
-    "Z/8": WITT,
-    "Z/9 A1": scale_ring(3, 1, 0, Fraction(7, 3)),
-    "char p A1": scale_ring(3, 1, 0, Fraction(7, 3), char_p=True),
+    "char p plane": SeriesRingDesc(monoid_part=TRIV, free_rank=2, free_level=0, precision=1,
+                                   cutoff=Fraction(6)),
+    "char p A1": scale_ring(3, 1, 0, Fraction(7, 3)),
     "char p quotient": CHARP,
-    "char p A1 quotients": scale_ring(2, 1, 0, Fraction(5, 2), char_p=True, quotient_exps=(
+    "char p A1 quotients": scale_ring(2, 1, 0, Fraction(5, 2), quotient_exps=(
         MonoidElem((1, 1, 0), 0, 2), MonoidElem((0, 0, 1), 0, 2))),
 }
 
@@ -548,17 +537,17 @@ def membership_rings():
 
     rings = dict(TORSION_RINGS)
     rings["non-saturated <2,3> + N"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(1, 2, 0, ((2,), (3,))), free_rank=1, free_level=0, p=2,
-        precision=1, cutoff=Fraction(9, 2), char_p=True,
+        monoid_part=AffineMonoid(1, 2, 0, ((2,), (3,))), free_rank=1, free_level=0,
+        precision=1, cutoff=Fraction(9, 2),
         quotient_exps=(MonoidElem((3, 1), 0, 2), MonoidElem((3, 0), 1, 2)))
     rings["V(2,3)"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(2, 2, 0, V23_GENS), free_rank=1, free_level=0, p=2,
-        precision=1, cutoff=Fraction(7), char_p=True, quotient_exps=(MonoidElem((2, 1, 1), 0, 2),))
+        monoid_part=AffineMonoid(2, 2, 0, V23_GENS), free_rank=1, free_level=0,
+        precision=1, cutoff=Fraction(7), quotient_exps=(MonoidElem((2, 1, 1), 0, 2),))
     rings["<(1,0),(1,1)>, facet x >= y"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(2, 3, 0, ((1, 0), (1, 1))), free_rank=1, free_level=0, p=3,
-        precision=1, cutoff=Fraction(3), char_p=True, quotient_exps=(MonoidElem((2, 1, 0), 0, 3),))
+        monoid_part=AffineMonoid(2, 3, 0, ((1, 0), (1, 1))), free_rank=1, free_level=0,
+        precision=1, cutoff=Fraction(3), quotient_exps=(MonoidElem((2, 1, 0), 0, 3),))
     rings["V(2,3) at level 1, free level 0"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(2, 3, 1, V23_GENS), free_rank=2, free_level=0, p=3,
+        monoid_part=AffineMonoid(2, 3, 1, V23_GENS), free_rank=2, free_level=0,
         precision=2, cutoff=Fraction(5, 3))
     for name, T in oracle_towers().items():
         for i in range(T.depth + 1):
@@ -652,18 +641,18 @@ def count_rings():
     rings = {name: R for name, R in MEMBERSHIP_RINGS.items()
              if len(R._ideal_gens) <= 1 and name != "non-saturated <2,3> + N"}
     rings["V(3,3)"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(3, 2, 0, V33_GENS), free_rank=0, free_level=0, p=2,
-        precision=1, cutoff=Fraction(10), char_p=True, quotient_exps=(MonoidElem((1, 1, 4), 0, 2),))
+        monoid_part=AffineMonoid(3, 2, 0, V33_GENS), free_rank=0, free_level=0,
+        precision=1, cutoff=Fraction(10), quotient_exps=(MonoidElem((1, 1, 4), 0, 2),))
     rings["Segre 2x3 + N"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(5, 3, 0, segre(2, 3)), free_rank=1, free_level=1, p=3,
-        precision=1, cutoff=Fraction(5, 3), char_p=True,
+        monoid_part=AffineMonoid(5, 3, 0, segre(2, 3)), free_rank=1, free_level=1,
+        precision=1, cutoff=Fraction(5, 3),
         quotient_exps=(MonoidElem((1, 1, 0, 1, 0, 1), 0, 3),))
     rings["Segre 3x3"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(6, 2, 0, segre(3, 3)), free_rank=0, free_level=0, p=2,
+        monoid_part=AffineMonoid(6, 2, 0, segre(3, 3)), free_rank=0, free_level=0,
         precision=1, cutoff=Fraction(6))
     rings["<(1,0),(1,1)> + N^2 at level 1, free level 0"] = SeriesRingDesc(
-        monoid_part=AffineMonoid(2, 2, 1, ((1, 0), (1, 1))), free_rank=2, free_level=0, p=2,
-        precision=1, cutoff=Fraction(3), char_p=True,
+        monoid_part=AffineMonoid(2, 2, 1, ((1, 0), (1, 1))), free_rank=2, free_level=0,
+        precision=1, cutoff=Fraction(3),
         quotient_exps=(MonoidElem((3, 1, 2, 0), 1, 2),))
     return rings
 
@@ -703,8 +692,8 @@ def saturated_rings(draw):
     gens = tuple(draw(st.lists(vec, min_size=1, max_size=4)))
     Q = saturate(AffineMonoid(n, 2, draw(st.integers(0, 1)), gens))
     ring = SeriesRingDesc(monoid_part=Q, free_rank=draw(st.integers(0, 1)),
-                          free_level=draw(st.integers(0, 1)), p=2, precision=1,
-                          cutoff=Fraction(draw(st.integers(1, 12)), 2), char_p=True)
+                          free_level=draw(st.integers(0, 1)), precision=1,
+                          cutoff=Fraction(draw(st.integers(1, 12)), 2))
     if draw(st.booleans()):
         ring = replace(ring, quotient_exps=(ring.elem(draw(st.sampled_from(ring.support()))),))
     return ring
@@ -749,8 +738,8 @@ def test_same_basis_matches_the_walk():
     which is inert."""
     seen = set()
     for name, R in sorted(COUNT_RINGS.items()):
-        if not R.char_p:
-            R = replace(R, relation_f=None, char_p=True)
+        if R.relation_f is not None:
+            R = replace(R, relation_f=None)
         basis, ideal = R.monomial_basis(), materialised_ideal(R)
         off = [R.pack(v) for v in itertools.product(range(2), repeat=R.width)
                if not in_gp(R, v)][:1]
@@ -799,7 +788,7 @@ def lookup_rings():
         for p in (2, 3):
             for ml, r, fl in ((0, 0, 0), (1, 0, 0), (0, 1, 1), (1, 1, 0)):
                 R = SeriesRingDesc(monoid_part=AffineMonoid(rank, p, ml, gens), free_rank=r,
-                                   free_level=fl, p=p, precision=2, cutoff=Fraction(5, 2))
+                                   free_level=fl, precision=2, cutoff=Fraction(5, 2))
                 L = R.level
                 q_in = MonoidElem(gens[0] + (0,) * r, ml, p)
                 q_out = MonoidElem((1,) + (0,) * (rank - 1 + r), L, p)
@@ -883,18 +872,18 @@ def support_rings(draw):
     r = draw(st.integers(0, 2))
     D = draw(st.fractions(Fraction(1, 3), 4, max_denominator=3))
     return SeriesRingDesc(monoid_part=Q, free_rank=r, free_level=draw(st.integers(0, 1)),
-                          p=p, precision=2, cutoff=D)
+                          precision=2, cutoff=D)
 
 
 @settings(deadline=2000, max_examples=120)
 @given(support_rings())
 @example(SeriesRingDesc(monoid_part=AffineMonoid(1, 2, 1, ((2,), (3,))), free_rank=2,
-                        free_level=0, p=2, precision=2, cutoff=Fraction(7, 3)))
+                        free_level=0, precision=2, cutoff=Fraction(7, 3)))
 @example(SeriesRingDesc(monoid_part=AffineMonoid(2, 3, 0, ((1, 0), (0, 1))), free_rank=1,
-                        free_level=0, p=3, precision=2, cutoff=Fraction(2)))
+                        free_level=0, precision=2, cutoff=Fraction(2)))
 # sab_d's shape: the monoid part at level 0, the free part at level 2
 @example(SeriesRingDesc(monoid_part=AffineMonoid(1, 2, 0, ((1,),)), free_rank=1,
-                        free_level=2, p=2, precision=2, cutoff=Fraction(4)))
+                        free_level=2, precision=2, cutoff=Fraction(4)))
 def test_support_matches_box_enumeration(ring):
     box = [v for v in itertools.product(range(ring.cap + 1), repeat=ring.width)
            if sum(v) <= ring.cap and ring.structural_contains(v)]
@@ -907,7 +896,7 @@ def test_in_ring_answers_within_the_cutoff():
     exactly; past it the fields overflow.  exp_in_ring and
     structural_contains decide on exact coordinates at any degree."""
     ring = SeriesRingDesc(monoid_part=AffineMonoid(2, 2, 0, ((2, 0), (3, 0), (0, 1))),
-                          free_rank=0, free_level=0, p=2, precision=2, cutoff=Fraction(3))
+                          free_rank=0, free_level=0, precision=2, cutoff=Fraction(3))
     assert ring._field == 3
     assert ring.exp_in_ring(MonoidElem((9, 0), 0, 2)) and ring.structural_contains((9, 0))
     assert ring.unpack(ring.pack((9, 0))) == (1, 0)
@@ -934,7 +923,7 @@ def test_widened_support_unpacks_to_the_same_exponents(ring, extra):
 def packed_rings(draw):
     p = draw(st.sampled_from((2, 3, 5)))
     ring = SeriesRingDesc(monoid_part=AffineMonoid(0, p, 0, ()), free_rank=draw(st.integers(1, 4)),
-                          free_level=draw(st.integers(0, 2)), p=p, precision=2,
+                          free_level=draw(st.integers(0, 2)), precision=2,
                           cutoff=draw(st.fractions(Fraction(1, 2), 9, max_denominator=3)))
     return ring._refield(ring._field + draw(st.integers(0, 2)))
 

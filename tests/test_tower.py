@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem
@@ -23,11 +24,21 @@ from ptlab.tower import (
     verify_purely_inseparable,
 )
 
-from fixtures import BRANCHES, SABOTAGE, sab_c, sab_f, torsion_oracle, verify_axioms
+from fixtures import (
+    BRANCHES,
+    DEPTH,
+    SABOTAGE,
+    _charp_tower,
+    sab_c,
+    sab_f,
+    torsion_oracle,
+    verify_axioms,
+)
 from series_oracle import (
     Series,
     deg,
     dominated,
+    inseparability_failures,
     make_series,
     s_add,
     s_monomial,
@@ -48,12 +59,12 @@ def perfect_tower():
     """F_2[[x^{1/2^i}]] with I = (0): every axiom holds without a pillar."""
     triv = AffineMonoid(0, 2, 0, ())
     levels = tuple(
-        SeriesRingDesc(monoid_part=triv, free_rank=1, free_level=i, p=2,
-                       precision=2, cutoff=Fraction(4), char_p=True)
+        SeriesRingDesc(monoid_part=triv, free_rank=1, free_level=i,
+                       precision=2, cutoff=Fraction(4))
         for i in range(3)
     )
     return TowerDesc(levels=levels, transitions=(Transition(), Transition()),
-                     base_ideal=None, depth=2)
+                     base_ideal=None)
 
 
 def test_unramified_tower_passes_all_axioms():
@@ -457,6 +468,52 @@ def test_every_failure_branch_has_a_sabotage_tower():
     assert notes["g_divided"] == {("g", "lower torsion monomial with no p-divided partner")}
 
 
+def assert_inseparability_matches_the_oracle(T):
+    """Rows (b) and (c) of T's report agree with series_oracle's decision from
+    their definitions: the verdict, and as witness the first failure, so a
+    witness is a genuine one."""
+    rows = {(r["axiom"], r["level"]): r for r in verify_purely_inseparable(T)["axioms"]}
+    for i in range(T.depth):
+        bad_b, bad_c = inseparability_failures(T, i)
+        b, c = rows["b", i], rows["c", i]
+        assert b["pass"] == (not bad_b), i
+        if bad_b:
+            kind, e = bad_b[0]
+            assert (b["note"], b["witness"]) == (f"image {kind}", e.to_json()), i
+        assert c["pass"] == (not bad_c), i
+        if bad_c:
+            assert c["witness"] == bad_c[0].to_json(), i
+
+
+@pytest.mark.parametrize("name", sorted({**SABOTAGE, **BRANCHES}))
+def test_inseparability_rows_match_the_oracle(name):
+    T, _ = {**SABOTAGE, **BRANCHES}[name]()
+    assert_inseparability_matches_the_oracle(T)
+
+
+@st.composite
+def charp_towers(draw):
+    """fixtures._charp_tower with up to two monomial quotients per level,
+    each at that level or a coarser one, and transitions that are inclusions
+    or matrices with entries in 0..2, all of which TowerDesc accepts (N^2
+    maps into N^2)."""
+    quotients = tuple(
+        tuple(MonoidElem((draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+                         draw(st.integers(0, i)), 2)
+              for _ in range(draw(st.integers(0, 2))))
+        for i in range(DEPTH + 1))
+    entry = st.integers(0, 2)
+    matrices = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry))
+    transitions = tuple(Transition(draw(st.none() | matrices)) for _ in range(DEPTH))
+    return _charp_tower(quotients, transitions)
+
+
+@settings(deadline=None, max_examples=60)
+@given(charp_towers())
+def test_inseparability_rows_match_the_oracle_on_random_towers(T):
+    assert_inseparability_matches_the_oracle(T)
+
+
 def test_shift_and_qf_frobenius_are_inverse():
     rep = inverse_perfection_is_perfect(unram2())
     assert rep["all_pass"]
@@ -494,14 +551,13 @@ def test_transition_matrix_action():
 
 def a1_ring(ml, fl):
     return SeriesRingDesc(monoid_part=AffineMonoid(2, 2, ml, ((2, 0), (1, 1), (0, 2))),
-                          free_rank=1, free_level=fl, p=2, precision=1, cutoff=Fraction(4),
-                          char_p=True)
+                          free_rank=1, free_level=fl, precision=1, cutoff=Fraction(4))
 
 
 def one_step(matrix, src=(0, 0), dst=(0, 0)):
     levels = (a1_ring(*src), a1_ring(*dst))
     return TowerDesc(levels=levels, transitions=(Transition(matrix),),
-                     base_ideal=None, depth=1)
+                     base_ideal=None)
 
 
 def test_transition_on_generators_accepts_a_monoid_map():
