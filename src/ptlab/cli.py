@@ -318,6 +318,12 @@ GROUPS = {
 }
 
 
+# The flags that serve one action, and the presets that read --d: _parse
+# refuses such a flag where the run would not read it.
+_READ_BY = {"--i": "divide", "--elems": "maximal", "--f": "kummer", "--e": "kummer"}
+_SIZED_PRESETS = ("Nd", "unramified_rlr")
+
+
 def _decimal(what: str, text: str) -> int:
     """text as an int if it is ASCII decimal, -?[0-9]+; int() would also take
     '1_0', full-width digits and surrounding blanks."""
@@ -338,8 +344,9 @@ def _pick(what: str, word, choices):
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The flags of argv by GROUPS: before or after the action, `--flag value` or
     `--flag=value`, the last one counting; a value may begin with '-'.  A run
-    reads one source, --input, --json or --preset, and --d sizes a preset
-    only: a flag the run would not read is a ParseError."""
+    reads one source, --input, --json or --preset, --d sizes only the presets
+    of _SIZED_PRESETS, and a flag of _READ_BY serves its one action: a flag
+    the run would not read is a ParseError."""
     words = iter(argv)
     given = set()
     group = _pick("the group", next(words, None), GROUPS)
@@ -372,6 +379,11 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         raise ParseError(f"{sources[0]} and {sources[1]} are two sources; give one")
     if "--d" in given and sources in (["--input"], ["--json"]):
         raise ParseError(f"--d sizes a preset; {sources[0]} fixes its own")
+    if "--d" in given and sources == ["--preset"] and args.preset not in _SIZED_PRESETS:
+        raise ParseError(f"--d sizes a preset; --preset {args.preset} has one size")
+    for flag, action in _READ_BY.items():
+        if flag in given and args.action != action:
+            raise ParseError(f"{flag} is read only by {group} {action}")
     return args
 
 

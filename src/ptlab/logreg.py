@@ -23,13 +23,7 @@ from .monoid import (
 )
 from .monoid import preset as monoid_preset
 from .record import record, replace
-from .series import (
-    NonMonomialReduction,
-    SeriesRingDesc,
-    coeff_map,
-    ideal_generator,
-    reduced_relation_exp,
-)
+from .series import SeriesRingDesc, f_bar
 from .tower import TowerDesc, Transition
 
 
@@ -121,17 +115,17 @@ def preset(name: str, p: int, d: int = 2) -> LogRegPresentation:
 def build_tower(P: LogRegPresentation, depth: int, D=4, N: int = 2) -> TowerDesc:
     """The division tower R_i = C(k)[[Q^(i) + (N^r)^(i)]]/(p - f), I_0 = (p).
 
-    NonMonomialReduction unless f-bar is one monomial or f is in (p), where
-    R/(p, f) = R/(p) and I_0 = (0): every tower action refuses the same
-    presentations, here, before it builds anything.
+    f-bar = c x^w makes p = x^w times a unit, so I_0 = (x^w) with the
+    generator (w, c mod p) when w is within the cutoff, and (0) past it or
+    for f in (p).  NonMonomialReduction unless f-bar is one monomial or
+    zero: every tower action refuses the same presentations, here, before
+    it builds anything.
     """
     levels = tuple(P.ring(i, D, N) for i in range(depth + 1))
-    if any(c % P.p for _, c in P.f_terms):
-        reduced_relation_exp(levels[0])
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(depth)),
-        base_ideal=ideal_generator(levels[0], [(levels[0].zero_exp, P.p)]),
+        base_ideal=_within(levels[0], f_bar(levels[0])),
     )
 
 
@@ -143,16 +137,18 @@ def predict_tilt(T: TowerDesc) -> TowerDesc:
     tilted base ideal is the f-bar monomial itself.
     """
     levels = tuple(replace(R, relation_f=None) for R in T.levels)
-    R0 = levels[0]
-    try:
-        base = ideal_generator(R0, coeff_map(R0, [(reduced_relation_exp(T.levels[0]), 1)]))
-    except NonMonomialReduction:
-        base = None
+    fb = _within(levels[0], f_bar(T.levels[0]))
     return TowerDesc(
         levels=levels,
         transitions=tuple(Transition() for _ in range(T.depth)),
-        base_ideal=base,
+        base_ideal=None if fb is None else (fb[0], 1),
     )
+
+
+def _within(R0: SeriesRingDesc, term):
+    """term, an (exponent, coefficient) pair or None, when its exponent is
+    within R0's cutoff; else None."""
+    return term if term is not None and R0._code(term[0]) is not None else None
 
 
 def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
@@ -169,12 +165,8 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
     compared on their quotient monomials (SeriesRingDesc.same_basis) and
     only a mismatch walks both bases for its witnesses.  basis_size is
     counted (SeriesRingDesc.basis_count): S_j's quotient monomials are
-    f-bar's exponent w and the I_0 generator's, which is w too whenever w is
-    within the cutoff.  The canonical form of p = f starts with the digit
-    c_w mod p != 0 at w: every later carry onto w is a multiple of a
-    coefficient of f other than c_w, all divisible by p.  Past the cutoff
-    every digit it produces is 0 for the same reason, so I_0 contributes no
-    monomial within the cutoff; with f in (p) there is no w and I_0 = (0).
+    f-bar's exponent w and the I_0 generator's, which is w within the cutoff
+    (build_tower).
     """
     Tp = predict_tilt(T)
     rows = []

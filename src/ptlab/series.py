@@ -1,21 +1,15 @@
-"""Ring descriptors of truncated monoid power series, and their canonical form.
+"""Ring descriptors of truncated monoid power series.
 
 A ring descriptor pins down everything about a level of a tower: the divided
 monoid part Q^(i), whose scale base is the prime, the free part (N^r) at its
 own level, the precision N that reports carry, the rational degree cutoff D,
 an optional relation theta = p - f, and (for residue rings) a monomial ideal.
 
-The canonical form (make_series) is the one place where coefficients are
-reduced: it drops terms past the cutoff and in the quotient ideal, then
-reduces mod p in a ring without a relation, which is of characteristic p,
-and otherwise expands coefficients into base-p digits over the exact integers,
-trading every p for the series f until all coefficients are digits in
-[0, p) or the terms leave the cutoff.  Negative integers expand like p-adic
-ones (-1 becomes (p-1)(1 + f + f^2 + ...)), which terminates because f has
-positive degree.  No reduction mod p^N happens during normalization; that
-keeps the truncated ring an honest quotient of C(k)[[monoid]] and the ring
-axioms exact at the cutoff.  The library canonicalises only the I_0
-generator of a tower (ideal_generator) and p for axiom (a).
+The library reads p and f through f-bar = f mod p alone (f_bar).  In Kato's
+normal form f = c x^w + p h with c prime to p and h in the maximal ideal, so
+p (1 - h) = c x^w: p is x^w times a unit, I_0 = (p) = (x^w), and every term
+of p lies in w + M.  No series is canonicalised: the tests' series oracle
+(tests/series_oracle.py) writes coefficients as base-p digits.
 """
 
 from __future__ import annotations
@@ -380,18 +374,13 @@ class SeriesRingDesc:
             raise InvariantViolation("bases are compared on one exponent monoid and layout")
         return _ideal_in(self, other) and _ideal_in(other, self)
 
-    @cached_property
-    def _relation_terms(self) -> tuple[tuple[int, int], ...]:
-        """The relation f as (packed exponent, coefficient), in term order."""
-        return tuple((self.coords(e), c) for e, c in self.relation_f or ())
-
     def residue_ring(self, *extra: MonoidElem) -> SeriesRingDesc:
         """The char-p ring on the same exponents modulo f-bar (when there is a
         relation with a coefficient prime to p; for f in (p), R/(p, f) =
         R/(p)), the ring's own quotient monomials and the extra ones."""
         quots = set(self.quotient_exps) | set(extra)
-        if any(c % self.p for _, c in self.relation_f or ()):
-            quots.add(reduced_relation_exp(self))
+        if (fb := f_bar(self)) is not None:
+            quots.add(fb[0])
         out = replace(self, relation_f=None, quotient_exps=tuple(quots))
         return out._refield(self._field)
 
@@ -464,16 +453,16 @@ def _as_rational(x) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def reduced_relation_exp(ring: SeriesRingDesc) -> MonoidElem:
-    """The exponent of f-bar = f mod p, which must be a single monomial."""
-    if ring.relation_f is None:
-        raise NonMonomialReduction("ring has no relation to reduce by")
-    live = [(e, c % ring.p) for e, c in ring.relation_f if c % ring.p != 0]
-    if len(live) != 1:
+def f_bar(ring: SeriesRingDesc) -> tuple[MonoidElem, int] | None:
+    """f-bar = f mod p as its one term (exponent w, c mod p); None when the
+    ring has no relation or f is in (p).  NonMonomialReduction for two or
+    more terms."""
+    live = [(e, c % ring.p) for e, c in ring.relation_f or () if c % ring.p]
+    if len(live) > 1:
         raise NonMonomialReduction(
             "f mod p is not a monomial; declare a monomial order to proceed"
         )
-    return live[0][0]
+    return live[0] if live else None
 
 
 def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
@@ -487,80 +476,3 @@ def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
             raise InvariantViolation(f"quotient monomial {A.elem(a)} is in the ring's "
                                      "group but not in the ring")
     return True
-
-
-def make_series(ring: SeriesRingDesc, raw) -> tuple[tuple[int, int], ...]:
-    """The canonical form of raw (packed exponent, coefficient) data: its
-    terms in term order, with nonzero reduced coefficients.
-
-    Exponents are packed at the ring's level.  Truncation drops exponents
-    beyond D and the quotient ideal; nothing is validated (coeff_map is the
-    validating entry for MonoidElem exponents).
-    """
-    lim, quotient = ring._lim, ring._ideal_gens
-    acc: dict[int, int] = {}
-    items = raw.items() if isinstance(raw, dict) else raw
-    for v, c in items:
-        if c == 0 or v >= lim or quotient and not ring.nonzero(v):
-            continue
-        acc[v] = acc.get(v, 0) + c
-
-    if ring.relation_f is None:  # F_p coefficients
-        norm = {v: c % ring.p for v, c in acc.items()}
-    else:
-        norm = _digit_normalize(ring, acc)
-    return tuple(sorted((v, c) for v, c in norm.items() if c))
-
-
-def ideal_generator(ring: SeriesRingDesc, raw) -> tuple[MonoidElem, int] | None:
-    """The canonical form of raw as the generator of a principal monomial
-    ideal: its one term, or None for zero; InvariantViolation for more."""
-    terms = make_series(ring, raw)
-    if len(terms) > 1:
-        raise InvariantViolation("the base ideal generator must be a monomial or zero")
-    return (ring.elem(terms[0][0]), terms[0][1]) if terms else None
-
-
-def coeff_map(ring: SeriesRingDesc, terms) -> dict[int, int]:
-    """(MonoidElem, coefficient) pairs as {packed exponent: coefficient},
-    with the coefficients of one exponent summed and the exponents past the
-    cutoff dropped; InvariantViolation for an exponent outside the ring."""
-    out: dict[int, int] = {}
-    for e, c in terms:
-        if not ring.exp_in_ring(e):
-            raise InvariantViolation(f"exponent {e} is not in the ring monoid")
-        v = ring._code(e)
-        if v is not None:  # else beyond the cutoff
-            out[v] = out.get(v, 0) + c
-    return out
-
-
-def _digit_normalize(ring: SeriesRingDesc, acc: dict) -> dict:
-    """Rewrite until every coefficient is a base-p digit, trading p for f.
-
-    One sweep up the degrees: every term of f has positive degree, so a carry
-    lands at a larger degree and a coefficient is final, in any input order,
-    once the sweep reaches it.  An exponent joins its degree's bucket once.
-    """
-    p, lim, shift = ring.p, ring._lim, ring._shift
-    work = dict(acc)
-    buckets: dict[int, list[int]] = {}
-    for v in work:
-        buckets.setdefault(v >> shift, []).append(v)
-    degree = 0
-    while buckets:
-        for v in buckets.pop(degree, ()):
-            c = work[v]
-            if 0 <= c < p:
-                continue
-            d0 = c % p
-            work[v] = d0
-            for fv, fc in ring._relation_terms:
-                v2 = v + fv
-                if v2 >= lim:
-                    break  # relation terms come in term order
-                if v2 not in work:
-                    buckets.setdefault(v2 >> shift, []).append(v2)
-                work[v2] = work.get(v2, 0) + (c - d0) // p * fc
-        degree += 1
-    return work

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache, partial
 
 from .monoid import MonoidElem, json_int, term_from_json, term_json
 from .record import record
-from .series import InvariantViolation, SeriesRingDesc, coeff_map, ideal_generator, make_series
+from .series import InvariantViolation, SeriesRingDesc, f_bar
 
 
 class PillarNotFound(ValueError):
@@ -66,8 +66,8 @@ class Transition:
 class TowerDesc:
     """R_0 .. R_depth with transitions and the principal base ideal I_0.
 
-    base_ideal is the canonical I_0 generator (series.ideal_generator): one
-    (exponent of R_0, coefficient) pair, or None for I_0 = (0).  The levels
+    base_ideal is the I_0 generator as one term, an exponent of R_0 within
+    the cutoff with a coefficient in [1, p), or None for I_0 = (0).  The levels
     share one packed exponent layout, sized from the largest cap (the top
     level's), so a map between levels is an int product; the levels given
     are widened to it.
@@ -80,12 +80,17 @@ class TowerDesc:
     def __post_init__(self):
         if len(self.transitions) != self.depth:
             raise InvariantViolation("one transition per consecutive pair")
-        R0, gexp = self.levels[0], self.ideal_exp()
-        # a canonical generator is an exponent of R_0 (its width, at most
-        # R_0's level, in R_0's monoid) within the cutoff
-        if gexp is not None and not (R0.exp_in_ring(gexp) and R0._code(gexp) is not None):
-            raise InvariantViolation(f"the base ideal generator's exponent {gexp} "
-                                     "is not an exponent of R_0 within the cutoff")
+        R0 = self.levels[0]
+        if self.base_ideal is not None:
+            # one term: an exponent of R_0 (its width, at most R_0's level, in
+            # R_0's monoid) within the cutoff, and a digit
+            gexp, c = self.base_ideal
+            if not (R0.exp_in_ring(gexp) and R0._code(gexp) is not None):
+                raise InvariantViolation(f"the base ideal generator's exponent {gexp} "
+                                         "is not an exponent of R_0 within the cutoff")
+            if not 0 < c < self.p:
+                raise InvariantViolation(f"the base ideal generator's coefficient {c} "
+                                         "is not a digit in [1, p)")
         if any(R.cutoff != R0.cutoff for R in self.levels):
             raise InvariantViolation("all levels must share the degree cutoff D")
         field = max(R.cap for R in self.levels).bit_length() + 1
@@ -208,8 +213,9 @@ class TowerDesc:
             for t in d["transitions"]
         )
         terms = [term_from_json(t, levels[0].p) for t in d["base_ideal"]]
-        base = ideal_generator(levels[0], coeff_map(levels[0], terms))
-        return cls(levels=levels, transitions=transitions, base_ideal=base)
+        if len(terms) > 1:
+            raise InvariantViolation("the base ideal generator must be a monomial or zero")
+        return cls(levels=levels, transitions=transitions, base_ideal=terms[0] if terms else None)
 
 
 def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None) -> dict:
@@ -316,16 +322,16 @@ def verify_purely_inseparable(T: TowerDesc) -> dict:
     rows = []
     p = T.p
     R0 = T.levels[0]
-    p_terms = make_series(R0, [(R0.zero_exp, p)])
+    # p is x^w times a unit (series.f_bar), so every term of p lies in w + M
+    # and p is in I_0 iff its lowest term x^w is; a w past the cutoff is 0
+    fb = f_bar(R0)
+    w = None if fb is None else R0._code(fb[0])
     if T.base_ideal is None:
-        rows.append(_row("a", 0, not p_terms,
-                         [term_json(R0.elem(v), c) for v, c in p_terms] or None,
+        rows.append(_row("a", 0, w is None, None if w is None else [term_json(*fb)],
                          note="I0 = (0): p must vanish in R0"))
     else:
-        spared = R0.nonzero_mod([T.pillar_coords(R0, 0)])
-        # the canonical form of p keeps only exponents of R_0 within the cutoff
-        bad = [v for v, _ in p_terms if spared(v)]
-        rows.append(_row("a", 0, not bad, R0.elem(bad[0]).to_json() if bad else None))
+        bad = w is not None and R0.nonzero_mod([T.pillar_coords(R0, 0)])(w)
+        rows.append(_row("a", 0, not bad, fb[0].to_json() if bad else None))
 
     for i in range(T.depth):
         Si, Si1 = T.residue(i), T.residue(i + 1)

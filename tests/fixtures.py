@@ -22,7 +22,7 @@ from ptlab.intlat import dims, snf
 from ptlab.logreg import build_tower, preset_unramified
 from ptlab.monoid import AffineMonoid, MonoidElem, unpack, walk
 from ptlab.record import replace
-from ptlab.series import SeriesRingDesc, ideal_generator
+from ptlab.series import SeriesRingDesc, f_bar
 from ptlab.tower import TowerDesc, Transition, verify_perfectoid, verify_purely_inseparable
 
 from series_oracle import deg, generator, make_series, s_mul
@@ -142,7 +142,7 @@ def _half_fixed_levels(monoid_is_relation: bool):
             relation_f=((rel_exp, 1),),
         ))
     R0 = levels[0]
-    base = ideal_generator(R0, [(R0.zero_exp, 2)])
+    base = f_bar(R0)
     return TowerDesc(
         levels=tuple(levels),
         transitions=(Transition(),) * DEPTH,
@@ -238,7 +238,7 @@ def sab_f_compatible():
                    for i, rel in enumerate(rels))
     R0 = levels[0]
     T = TowerDesc(levels=levels, transitions=(Transition(),) * DEPTH,
-                  base_ideal=ideal_generator(R0, [(R0.zero_exp, 2)]))
+                  base_ideal=f_bar(R0))
     return T, {**ALL_PASS, "b": False, "d": False, "f": False}
 
 

@@ -1,19 +1,21 @@
 """The power-series algebra of the truncated rings, the tests' reference.
 
-A Series is a ring descriptor and the canonical form of its terms, which
-ptlab.series.make_series computes; this module adds the ring arithmetic
-(s_add, s_neg, s_mul, s_pow), units, reduction modulo I_0 = (p) and the
-degree and quotient-ideal membership of MonoidElem exponents.  The library
-decides every verdict on exponents; the tests compare those verdicts with
-the products and powers computed here.
+A Series is a ring descriptor and the canonical form of its terms
+(make_series): truncated at the cutoff and the quotient ideal, with
+coefficients mod p in a ring without a relation and base-p digits in one
+with the relation p = f (heap_series).  This module adds the ring
+arithmetic (s_add, s_neg, s_mul, s_pow), units, reduction modulo
+I_0 = (p) and the degree and quotient-ideal membership of MonoidElem
+exponents.  The library decides every verdict on exponents, and reads p
+only through f-bar; the tests compare those verdicts with the products and
+powers computed here.
 """
 
 from heapq import heapify, heappop, heappush
 
-from ptlab import series
 from ptlab.monoid import MonoidElem, term_json
 from ptlab.record import record
-from ptlab.series import SeriesRingDesc, coeff_map, ideal_generator
+from ptlab.series import InvariantViolation, SeriesRingDesc
 
 
 class RingMismatch(ValueError):
@@ -53,8 +55,31 @@ class Series:
 
 
 def make_series(ring: SeriesRingDesc, raw) -> Series:
-    """The Series of raw (packed exponent, coefficient) data."""
-    return Series(ring, series.make_series(ring, raw))
+    """The Series of raw (packed exponent, coefficient) data: its terms in
+    term order, with nonzero reduced coefficients.  Truncation drops
+    exponents beyond D and the quotient ideal; nothing is validated
+    (coeff_map is the validating entry for MonoidElem exponents)."""
+    acc: dict[int, int] = {}
+    for v, c in raw.items() if isinstance(raw, dict) else raw:
+        if c and ring.nonzero(v):
+            acc[v] = acc.get(v, 0) + c
+    if ring.relation_f is not None:
+        return Series(ring, heap_series(ring, acc.items()))
+    return Series(ring, tuple(sorted((v, c % ring.p) for v, c in acc.items() if c % ring.p)))
+
+
+def coeff_map(ring: SeriesRingDesc, terms) -> dict[int, int]:
+    """(MonoidElem, coefficient) pairs as {packed exponent: coefficient},
+    with the coefficients of one exponent summed and the exponents past the
+    cutoff dropped; InvariantViolation for an exponent outside the ring."""
+    out: dict[int, int] = {}
+    for e, c in terms:
+        if not ring.exp_in_ring(e):
+            raise InvariantViolation(f"exponent {e} is not in the ring monoid")
+        v = ring._code(e)
+        if v is not None:  # else beyond the cutoff
+            out[v] = out.get(v, 0) + c
+    return out
 
 
 def s_zero(ring: SeriesRingDesc) -> Series:
@@ -140,11 +165,15 @@ def reduce_mod_I0(x: Series) -> Series:
 
 def heap_series(ring: SeriesRingDesc, raw) -> tuple[tuple[int, int], ...]:
     """The canonical form of raw (packed exponent, coefficient) data in a
-    relation ring, with the digits normalised by a heap: the smallest pending
-    exponent is rewritten first, and an exponent a carry creates is pushed
-    the first time it appears, as in Monagan-Pearce division.  The reference
-    for ptlab.series.make_series, which sweeps the degrees instead."""
+    relation ring: every coefficient a base-p digit, each p traded for f.
+    A coefficient c at v keeps its digit d = c mod p and carries (c - d)/p
+    times f to the exponents v + w of f's terms, dropping a carry past the
+    cutoff.  The smallest pending exponent is rewritten first, and an
+    exponent a carry creates is pushed the first time it appears, as in
+    Monagan-Pearce division.  Negative integers expand like p-adic ones,
+    which terminates because every term of f has positive degree."""
     p, lim = ring.p, ring._lim
+    f = [(ring.coords(e), c) for e, c in ring.relation_f]
     work: dict[int, int] = {}
     for v, c in raw:
         if c and v < lim:
@@ -158,7 +187,7 @@ def heap_series(ring: SeriesRingDesc, raw) -> tuple[tuple[int, int], ...]:
             continue
         d0 = c % p
         work[v] = d0
-        for fv, fc in ring._relation_terms:
+        for fv, fc in f:
             v2 = v + fv
             if v2 >= lim:
                 break  # relation terms come in term order
@@ -179,9 +208,12 @@ def dominated(ring: SeriesRingDesc, e: MonoidElem) -> bool:
 
 
 def generator(ring: SeriesRingDesc, terms):
-    """The canonical I_0 generator of (MonoidElem, coefficient) pairs, the
-    base_ideal of a TowerDesc: (exponent, coefficient) or None."""
-    return ideal_generator(ring, coeff_map(ring, terms))
+    """The canonical form of (MonoidElem, coefficient) pairs as a TowerDesc
+    base_ideal: its one term, or None for zero; InvariantViolation for more."""
+    out = make_series(ring, coeff_map(ring, terms)).exp_terms()
+    if len(out) > 1:
+        raise InvariantViolation("the base ideal generator must be a monomial or zero")
+    return out[0] if out else None
 
 
 def inseparability_failures(T, i: int):

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from ptlab.cli import GROUPS, load_descriptor, main
+from ptlab.cli import _SIZED_PRESETS, GROUPS, load_descriptor, main
 from ptlab.logreg import PRESETS, build_tower, preset
 from ptlab.monoid import PRESETS as MONOID_PRESETS
 from ptlab.monoid import AffineMonoid
+from ptlab.monoid import preset as monoid_preset
 from ptlab.tower import TowerDesc
 
 NUMERIC = {"ambient_rank": 1, "scale_base": 2, "level": 0, "generators": [[2], [3]]}
@@ -432,6 +433,10 @@ def test_preset_choices_are_the_preset_tables(capsys):
             code, out, err = run(capsys, "tower", "build", "--preset", name, "--p", p,
                                  "--depth", "1")
             assert code == 0 and json.loads(out)["report"]["depth"] == 1, (name, err)
+    # --d is taken by exactly the presets whose value it changes
+    sized = [n for n in MONOID_PRESETS if monoid_preset(n, 2, 1) != monoid_preset(n, 2, 2)]
+    sized += [n for n in PRESETS if preset(n, 2, 1) != preset(n, 2, 2)]
+    assert sorted(sized) == sorted(_SIZED_PRESETS)
 
 
 def _one_line_exit_2(capsys, *argv):
@@ -519,20 +524,6 @@ def test_exactstilt_needs_positive_depth(capsys):
         assert err == "ptlab: exactstilt needs --depth >= 1\n"
     code, out, _ = run(capsys, "tower", "exactstilt", "--preset", "unramified_rlr", "--depth", "1")
     assert code == 0 and len(json.loads(out)["report"]["levels"]) == 1
-
-
-def test_multi_term_base_ideal_exits_2(tmp_path, capsys):
-    # Q = <2>, r = 1, f = x^2 + 2y: the canonical form of p is x^2 (1 + y + y^2 + ...),
-    # which is not a monomial, so no tower command may treat I_0 as (0)
-    P = {"monoid": {"ambient_rank": 1, "scale_base": 2, "level": 0, "generators": [[2]]},
-         "free_rank": 1, "p": 2,
-         "f": [{"exponent": [2, 0], "coeff": 1}, {"exponent": [0, 1], "coeff": 2}]}
-    path = tmp_path / "multi.json"
-    path.write_text(json.dumps(P))
-    for action in ("build", "verify", "tilt", "exactstilt"):
-        err = _one_line_exit_2(capsys, "tower", action, "--input", str(path),
-                               "--depth", "1", "--cutoff", "7/2")
-        assert "monomial" in err
 
 
 def test_cutoff_has_one_parser(capsys):
@@ -870,6 +861,21 @@ def test_every_input_error_exits_2_and_nothing_else_is_caught(tmp_path, capsys, 
         (NonMonomialReduction, ["tower", "verify", "--input", str(two_terms), "--depth", "1"],
          None),
     ]
+    # a flag that the action or the preset does not read
+    unread = [
+        (["monoid", "check", "--preset", "A1", "--i", "5"], "--i is read only by monoid divide"),
+        (["regularity", "omega", "--elems", "[1]"], "--elems is read only by regularity maximal"),
+        (["regularity", "maximal", "--d", "1", "--f", f"[{x1}]"],
+         "--f is read only by regularity kummer"),
+        (["regularity", "omega", "--e", "3"], "--e is read only by regularity kummer"),
+        (["monoid", "check", "--preset", "A1", "--d", "5"],
+         "--d sizes a preset; --preset A1 has one size"),
+        (["monoid", "classgroup", "--preset", "quadric", "--d", "4"],
+         "--d sizes a preset; --preset quadric has one size"),
+        (["tower", "build", "--preset", "quadric", "--p", "3", "--depth", "1", "--d", "9"],
+         "--d sizes a preset; --preset quadric has one size"),
+    ]
+    cases += [(cli.ParseError, argv, f"ptlab: {line}\n") for argv, line in unread]
     for cls, argv, line in cases:
         assert issubclass(cls, InputError)
         err = _one_line_exit_2(capsys, *argv)

@@ -180,8 +180,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     was most of it, and argparse loaded gettext and, on its first parse,
     locale.  fractions (with decimal and numbers) serves only a cutoff that
     is not an integer, so no monoid or regularity command loads it and an
-    integral tower cutoff does not either.  No command loads heapq: digits
-    are normalised in one sweep up the degrees, with no heap.  The tower
+    integral tower cutoff does not either.  No command loads heapq: the
+    library normalises no digits, and reads p off f-bar.  The tower
     stack (ptlab.logreg, ptlab.series, ptlab.tower) serves only the tower
     commands, so no monoid or regularity command loads it."""
     env = _child_env()
@@ -367,8 +367,12 @@ DESCRIPTOR = "reads or writes a descriptor format; no command calls it yet"
 DESCRIBED_ONLY = ("decides what only a ring or tower descriptor gives, no preset: a "
                   "non-saturated monoid, a matrix transition, maps that leave a ring; "
                   "no command reads such a descriptor yet")
+WITNESS = ("turns a packed exponent back into coordinates for a witness, which only a "
+           "failing check writes; every presentation a command reads passes")
 UNREACHED_BY_DESIGN = {
     "record.record": RECORD_INTERNAL,
+    "record.record.<locals>.__eq__": "record equality: a command meets equal records only "
+                                     "as one object, in sets and dicts",
     "record.record.<locals>.<lambda 1>": "the values of a record with no fields, "
                                          "which only test_record defines",
     "record.record.<locals>.__delattr__": RECORD_INTERNAL,
@@ -380,6 +384,8 @@ UNREACHED_BY_DESIGN = {
     "monoid.contains": DESCRIBED_ONLY,
     "monoid.in_gp": DESCRIBED_ONLY,
     "series.SeriesRingDesc.nonzero": DESCRIBED_ONLY,
+    "series.SeriesRingDesc.elem": WITNESS,
+    "series.SeriesRingDesc.unpack": WITNESS,
     "tower.Transition.on_packed.<locals>.act_packed": DESCRIBED_ONLY,
     "monoid.MonoidElem.__add__": ORACLE,
     "monoid.MonoidElem.__sub__": ORACLE,

@@ -9,7 +9,7 @@ import pytest
 from ptlab.logreg import build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.record import FrozenInstanceError, record, replace
-from ptlab.series import InvariantViolation, coeff_map, ideal_generator
+from ptlab.series import InvariantViolation
 from ptlab.tower import TowerDesc
 
 from series_oracle import s_one
@@ -101,18 +101,23 @@ def test_replace_validates_library_records():
     Q = build_tower(preset("quadric", 3), 1, Fraction(4), 2)
     with pytest.raises(InvariantViolation):    # in N^4, off the quadric's lattice
         replace(Q, base_ideal=(MonoidElem((1, 0, 0, 0), 0, 3), 1))
-    # 3 = 1 + 2 = 1 + x1 has two terms in canonical form
-    R0 = T.levels[0]
-    with pytest.raises(InvariantViolation, match="monomial or zero"):
-        replace(T, base_ideal=ideal_generator(R0, [(R0.zero_exp, 3)]))
-    # the canonical generator is its own canonical form, and replace keeps it
-    assert ideal_generator(R0, coeff_map(R0, [T.base_ideal])) == T.base_ideal
+    # the base ideal is held as to_descriptor writes it: one term whose
+    # coefficient is a digit in [1, p), never canonicalised
+    x1 = MonoidElem((1, 0), 0, 2)
+    for c in (0, 2, 3, -1):
+        with pytest.raises(InvariantViolation, match="not a digit"):
+            replace(T, base_ideal=(x1, c))
     assert replace(T, transitions=T.transitions) == T
     # a descriptor's depth must be the number of levels less one
     d = T.to_descriptor()
     assert TowerDesc.from_descriptor(d) == T
     with pytest.raises(InvariantViolation, match="levels must run R_0 .. R_depth"):
         TowerDesc.from_descriptor({**d, "depth": 3})
+    x2 = {"exponent": [0, 1], "level": 0, "coeff": 1}
+    with pytest.raises(InvariantViolation, match="monomial or zero"):
+        TowerDesc.from_descriptor({**d, "base_ideal": [*d["base_ideal"], x2]})
+    with pytest.raises(InvariantViolation, match="not a digit"):
+        TowerDesc.from_descriptor({**d, "base_ideal": [{**x2, "coeff": 3}]})
 
 
 def test_equality_needs_the_same_class():

@@ -19,7 +19,8 @@ from ptlab.tower import frobenius_identities
 from fixtures import SABOTAGE, verify_axioms
 
 # (action, preset, p) -> sha256 of stdout of
-# `ptlab tower ACTION --preset PRESET --p P --d 2 --depth 2 --cutoff 4`
+# `ptlab tower ACTION --preset PRESET --p P --d 2 --depth 2 --cutoff 4`,
+# without `--d 2` for the quadric, which has one size
 CLI_DIGESTS = {
     ("verify", "quadric", 2): "3b9a4d8d6d2183d83a71113417d42a23977efea2050669f8623d8f88293efe9f",
     ("tilt", "quadric", 2): "0189ebe580994b60cbce6dfac72dab8da45fe5092e628fbb1818cc97d30e4ee6",
@@ -63,8 +64,8 @@ def _json_sha(obj) -> str:
 
 @pytest.mark.parametrize("action,name,p", sorted(CLI_DIGESTS))
 def test_cli_report_digest(action, name, p, capsys):
-    argv = ["tower", action, "--preset", name, "--p", str(p), "--d", "2",
-            "--depth", "2", "--cutoff", "4"]
+    d = ["--d", "2"] if name == "unramified_rlr" else []
+    argv = ["tower", action, "--preset", name, "--p", str(p), *d, "--depth", "2", "--cutoff", "4"]
     assert main(argv) == 0
     assert _sha(capsys.readouterr().out) == CLI_DIGESTS[action, name, p]
 

@@ -23,8 +23,8 @@ from ptlab.series import (
     InvariantViolation,
     NonMonomialReduction,
     SeriesRingDesc,
+    f_bar,
     parse_cutoff,
-    reduced_relation_exp,
 )
 from ptlab.tower import _torsion
 
@@ -33,6 +33,7 @@ from series_oracle import (
     RingMismatch,
     deg,
     dominated,
+    generator,
     heap_series,
     is_unit,
     make_series,
@@ -112,7 +113,8 @@ def test_canonicalization_is_order_independent(name):
 def relation_rings(draw):
     """A mixed ring C(k)[[Q + N^r]]/(p - f) with a monoid part (none, N^1 or
     the A1 cone), a free part at level 0 or 1 and an f of one to three
-    terms, their coefficients units or multiples of p."""
+    terms: the first with a unit coefficient or a multiple of p, the others,
+    at any exponent, with multiples of p, so f-bar is one monomial or zero."""
     p = draw(st.sampled_from((2, 3, 5)))
     rank, gens = draw(st.sampled_from(((0, ()), (1, ((1,),)), (2, ((2, 0), (1, 1), (0, 2))))))
     free_rank = draw(st.integers(1 if rank == 0 else 0, 2))
@@ -121,35 +123,27 @@ def relation_rings(draw):
         free_level=draw(st.integers(0, 1)), precision=1, cutoff=draw(st.integers(2, 4)),
     )
     exps = st.sampled_from(base.monomial_basis()[1:])
-    coeffs = st.one_of(st.integers(1, p * p).filter(lambda c: c % p),
-                       st.integers(-2, 3).filter(bool).map(lambda k: k * p))
-    f = draw(st.lists(st.tuples(exps, coeffs), min_size=1, max_size=3,
-                      unique_by=lambda t: t[0]))
-    return replace(base, relation_f=tuple((base.elem(v), c) for v, c in f))
+    p_multiples = st.integers(-2, 3).filter(bool).map(lambda k: k * p)
+    coeffs = st.one_of(st.integers(1, p * p).filter(lambda c: c % p), p_multiples)
+    lead = draw(st.tuples(exps, coeffs))
+    rest = draw(st.lists(st.tuples(exps, p_multiples), max_size=2))
+    return replace(base, relation_f=tuple((base.elem(v), c) for v, c in [lead, *rest]))
 
 
-@st.composite
-def relation_inputs(draw):
-    """A relation ring and raw terms on its basis, coefficients taken from
-    [-40, 40] and among the multiples of p, repeated exponents allowed."""
-    ring = draw(relation_rings())
-    coeffs = st.one_of(st.integers(-40, 40), st.integers(-9, 9).map(lambda k: k * ring.p))
-    basis = (ring.zero_exp,) + ring.monomial_basis()
-    raw = draw(st.lists(st.tuples(st.sampled_from(basis), coeffs), max_size=8))
-    return ring, raw, draw(st.permutations(raw))
-
-
-@settings(deadline=None, max_examples=300)
-@given(relation_inputs())
-def test_degree_sweep_matches_the_heap(data):
-    """make_series normalises digits in one sweep up the degrees; the heap
-    version it replaced (series_oracle.heap_series) gives the same canonical
-    form, whatever the order of the raw terms."""
-    ring, raw, shuffled = data
-    ref = heap_series(ring, raw)
-    assert make_series(ring, raw).terms == ref
-    assert make_series(ring, shuffled).terms == ref
-    assert all(0 <= c < ring.p for _, c in ref)
+@settings(deadline=None, max_examples=200)
+@given(relation_rings())
+def test_p_is_x_to_the_w_times_a_unit(ring):
+    """f = c x^w + p h makes p (1 - h) = c x^w: the oracle's canonical form
+    of p leads with (w, c mod p), the term f_bar reads, and every term lies
+    in w + M.  With f in (p), or w past the cutoff, p is 0 in the window."""
+    terms = heap_series(ring, [(ring.zero_exp, ring.p)])
+    fb = f_bar(ring)
+    if fb is None or ring._code(fb[0]) is None:
+        assert terms == ()
+        return
+    w, c = fb
+    assert terms[0] == (ring.coords(w), c)
+    assert all(ring.exp_in_ring(ring.elem(v) - w) for v, _ in terms)
 
 
 def test_relation_trades_p_for_f():
@@ -160,6 +154,9 @@ def test_relation_trades_p_for_f():
     three = s_const(MIXED, 3)
     assert three.constant_coeff == 1
     assert three.coeff(x1) == 1
+    # so 3 = 1 + x1 is no TowerDesc base ideal
+    with pytest.raises(InvariantViolation, match="monomial or zero"):
+        generator(MIXED, [(MonoidElem((0, 0), 0, 2), 3)])
     # canonical coefficients are base-p digits
     for s in (three, s_const(MIXED, 7), s_monomial(MIXED, x1, 5)):
         assert all(0 <= c < MIXED.p for _, c in s.terms)
@@ -219,15 +216,16 @@ def test_torsion_annihilator_degenerate_generators():
         assert _torsion(CHARP, g) == CHARP.monomial_basis()
 
 
-def test_reduced_relation_exp():
-    assert reduced_relation_exp(MIXED) == MonoidElem((1, 0), 0, 2)
-    two_live = SeriesRingDesc(
-        monoid_part=TRIV, free_rank=2, free_level=0, precision=2,
-        cutoff=Fraction(4),
-        relation_f=((MonoidElem((1, 0), 0, 2), 1), (MonoidElem((0, 1), 0, 2), 1)),
-    )
+def test_f_bar():
+    x1, x2 = MonoidElem((1, 0), 0, 2), MonoidElem((0, 1), 0, 2)
+    assert f_bar(MIXED) == (x1, 1)
+    # the coefficient is reduced mod p, and multiples of p drop out
+    assert f_bar(replace(MIXED, relation_f=((x1, 4), (x2, 3)))) == (x2, 1)
+    for c in (0, 2, -4):   # f in (p)
+        assert f_bar(replace(MIXED, relation_f=((x1, c),))) is None
+    assert f_bar(CHARP) is None
     with pytest.raises(NonMonomialReduction):
-        reduced_relation_exp(two_live)
+        f_bar(replace(MIXED, relation_f=((x1, 1), (x2, 1))))
 
 
 def test_residue_of_f_in_p_adds_no_quotient():

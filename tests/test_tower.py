@@ -358,27 +358,28 @@ def test_inverse_perfection_matches_the_series_path():
 
 def test_tilt_checks_build_no_series(monkeypatch):
     """inverse_perfection_is_perfect and tilt_mod_pillar_iso decide on
-    exponents: past the residue rings, they canonicalise no series."""
+    exponents: past the residue rings, they do not even read f-bar, which
+    axiom (a) reads once for p."""
     from ptlab import series, tower
 
     T = oracle_towers()["quadric_p3"]
     for j in range(T.depth + 1):
         T.residue(j).monomial_basis()
-    built = []
-    canonical = series.make_series
+    read = []
+    f_bar = series.f_bar
 
-    def counting(ring, raw):
-        built.append(raw)
-        return canonical(ring, raw)
+    def counting(ring):
+        read.append(ring)
+        return f_bar(ring)
 
     for mod in (series, tower):
-        monkeypatch.setattr(mod, "make_series", counting)
-    assert verify_purely_inseparable(T)["all_pass"] and len(built) == 1  # axiom (a)'s p
-    built.clear()
+        monkeypatch.setattr(mod, "f_bar", counting)
+    assert verify_purely_inseparable(T)["all_pass"] and read == [T.levels[0]]
+    read.clear()
     inverse_perfection_is_perfect(T)
     for j in range(T.depth + 1):
         tilt_mod_pillar_iso(T, j)
-    assert built == []
+    assert read == []
 
 
 def test_frobenius_projection_guards():
