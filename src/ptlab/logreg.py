@@ -161,11 +161,12 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
     generators of R_j's exponent monoid, the generic transition degree must
     be the layer-quotient order times p^r, and dimensions match.
 
-    S_j and its predicted ring share one exponent monoid, so the bases are
-    compared on their quotient monomials (SeriesRingDesc.same_basis) and
-    only a mismatch walks both bases for its witnesses.  basis_size is
-    counted (SeriesRingDesc.basis_count): S_j's quotient monomials are
-    f-bar's exponent w and the I_0 generator's, which is w within the cutoff
+    S_j and its predicted ring share one exponent monoid and one packed
+    layout, so the same quotient monomials give the same basis; only rings
+    whose quotient monomials differ walk both bases, which then decide the
+    row and give its witnesses.  basis_size is counted
+    (SeriesRingDesc.basis_count): S_j's quotient monomials are f-bar's
+    exponent w and the I_0 generator's, which is w within the cutoff
     (build_tower).
     """
     Tp = predict_tilt(T)
@@ -174,7 +175,7 @@ def verify_tilt(P: LogRegPresentation, T: TowerDesc) -> dict:
         Sj = T.residue(j)
         Pj = Tp.residue(j)
         witnesses = []
-        match = Sj.same_basis(Pj)
+        match = Sj._ideal_gens == Pj._ideal_gens or Sj.monomial_basis() == Pj.monomial_basis()
         if not match:
             # both bases are in term order, packed alike at the same level
             src, prd = set(Sj.monomial_basis()), set(Pj.monomial_basis())

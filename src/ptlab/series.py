@@ -282,7 +282,9 @@ class SeriesRingDesc:
         packed exponents w.  A w in the group of the exponent monoid divides
         v when v - w (in the group too) passes the facet-only member test;
         one outside the group, or None, divides no exponent of the ring."""
-        ws = [w for w in dict.fromkeys(ws) if w is not None and self.in_group(w)]
+        M = AffineMonoid(self.width, self.p, self.level, self.generators)
+        ws = [w for w in dict.fromkeys(ws)
+              if w is not None and (self.in_ring(w) or in_gp(M, self.elem(w)))]
         return self._spared(ws, self._member[1])
 
     def _spared(self, ws, test):
@@ -302,11 +304,6 @@ class SeriesRingDesc:
             return True
 
         return spared
-
-    def in_group(self, v: int) -> bool:
-        """The packed exponent v is in the group of the exponent monoid."""
-        return self.in_ring(v) or in_gp(AffineMonoid(self.width, self.p, self.level,
-                                                     self.generators), self.elem(v))
 
     def _code(self, e: MonoidElem) -> int | None:
         """e packed, when it is within the cutoff with coordinates >= 0 at the
@@ -356,23 +353,6 @@ class SeriesRingDesc:
             raise InvariantViolation("the basis count needs at most one quotient "
                                      "monomial within the cutoff, an exponent of the ring")
         return H(k) - H(k - (quots[0] >> self._shift))
-
-    def same_basis(self, other: SeriesRingDesc) -> bool:
-        """monomial_basis() == other.monomial_basis() for a ring on the same
-        generators, packed alike, decided on the quotient monomials.
-
-        With I_A the exponents v within the cutoff with v - a in M for a
-        quotient monomial a of A (M the exponent monoid), I_A is in I_B iff
-        every a of A within the cutoff that is in M lies in I_B.  Such an a
-        is in I_A (a - a = 0).  Conversely, let v - a be in M: an a outside
-        M^gp cannot be (v and v - a are in M^gp), so a is in M with
-        deg a <= deg v, and a - b in M for a quotient monomial b of B gives
-        v - b = (v - a) + (a - b) in M.  So an a outside M^gp is inert, and
-        one in M^gp outside M (a hole, or past a facet that is not a
-        coordinate) is an InvariantViolation."""
-        if (other.generators, other.cap, other._field) != (self.generators, self.cap, self._field):
-            raise InvariantViolation("bases are compared on one exponent monoid and layout")
-        return _ideal_in(self, other) and _ideal_in(other, self)
 
     def residue_ring(self, *extra: MonoidElem) -> SeriesRingDesc:
         """The char-p ring on the same exponents modulo f-bar (when there is a
@@ -464,15 +444,3 @@ def f_bar(ring: SeriesRingDesc) -> tuple[MonoidElem, int] | None:
         )
     return live[0] if live else None
 
-
-def _ideal_in(A: SeriesRingDesc, B: SeriesRingDesc) -> bool:
-    """Every quotient monomial of A within the cutoff that is an exponent
-    of the ring lies in B's quotient ideal (see same_basis)."""
-    for a in A._ideal_gens:
-        if A.in_ring(a):
-            if B.live(a):  # a is an exponent of B's ring too, within the cutoff
-                return False
-        elif A.in_group(a):
-            raise InvariantViolation(f"quotient monomial {A.elem(a)} is in the ring's "
-                                     "group but not in the ring")
-    return True

@@ -27,10 +27,6 @@ from .record import record
 from .series import InvariantViolation, SeriesRingDesc, f_bar
 
 
-class PillarNotFound(ValueError):
-    pass
-
-
 @record
 class Transition:
     """Exponent-linear transition t_i: R_i -> R_{i+1}.
@@ -134,6 +130,15 @@ class TowerDesc:
         gexp = self.ideal_exp()
         return None if gexp is None else ring.coords(gexp.divide(i))
 
+    @cached_property
+    def pillars(self) -> tuple[int | None, ...]:
+        """Per level i, the exponent of the pillar f_i (the I_0 generator's
+        divided by p^i) packed at level i, when it is an exponent of R_i
+        within the cutoff; else None, and None at every level for I_0 = (0)."""
+        out = (self.pillar_coords(R, i) for i, R in enumerate(self.levels))
+        return tuple(v if v is not None and R.in_ring(v) else None
+                     for v, R in zip(out, self.levels))
+
     def residue(self, i: int) -> SeriesRingDesc:
         return self._residues[i]
 
@@ -163,14 +168,14 @@ class TowerDesc:
         """Per level, v -> e^v is a nonzero monomial of S_i: S_i.live when
         every exponent the maps meet is one of S_i's ring, which holds when
         each F_i sends the generators of S_{i+1} into S_i (t-bar_i does, by
-        __post_init__; both are additive) and each pillar exponent is in its
-        ring; else the full test."""
-        R, ideal = self.residue, self.base_ideal is not None
+        __post_init__; both are additive) and, for a nonzero I_0, every
+        pillar is an exponent of its ring (no None in pillars); else the
+        full test."""
+        R = self.residue
         exact = (all((w := R(i).vec_at(v, R(i + 1).level - 1)) is not None
                      and R(i).structural_contains(w)
                      for i in range(self.depth) for v in R(i + 1).generators)
-                 and all((w := self.pillar_coords(S, i)) is not None and S.in_ring(w)
-                         for i, S in enumerate(self._residues) if ideal))
+                 and (self.base_ideal is None or None not in self.pillars))
         return tuple(S.live if exact else S.nonzero for S in self._residues)
 
     @cached_property
@@ -394,40 +399,6 @@ def frobenius_identities(T: TowerDesc, i: int) -> dict:
     }
 
 
-def pillar_system(T: TowerDesc):
-    """Monomial generators f_i of the unique pillar chain I_i.
-
-    f_i has the exponent of the I_0 generator divided by p^i; existence in the
-    level-i monoid is exactly what can fail, and failure raises PillarNotFound
-    with the offending level.
-    """
-    exps = []
-    for i, R in enumerate(T.levels):
-        pe = T.pillar_coords(R, i)  # None at every level for I = (0)
-        if T.base_ideal is not None and (pe is None or not R.in_ring(pe)):
-            raise PillarNotFound(f"no monomial pillar at level {i}: "
-                                 f"{T.ideal_exp().divide(i)} is not in the monoid")
-        exps.append(pe)
-    return PillarSystem(tower=T, exps=tuple(exps))
-
-
-@record
-class PillarSystem:
-    """The pillar exponents, each packed at its level; None for I_0 = (0),
-    whose chain is the zero ideal at every level."""
-
-    tower: TowerDesc
-    exps: tuple[int | None, ...]
-
-    def compatibility_witnesses(self) -> list[dict]:
-        """F_i(f-bar_{i+1}) = f-bar_i on the nose, reported per level."""
-        T = self.tower
-        # pillar_system checked that each pillar exponent is in its ring
-        bars = [v if v is not None and T._alive[i](v) else None for i, v in enumerate(self.exps)]
-        return [{"level": i, "pass": T.F[i](bars[i + 1]) == bars[i]}
-                for i in range(T.depth)]
-
-
 def verify_perfectoid(T: TowerDesc) -> dict:
     """Axioms (d) Frobenius projections surjective, (e) Zariskian locality,
     (f) pillar existence with I_{i+1}^p = I_i R_{i+1} and the kernel identity,
@@ -456,21 +427,24 @@ def verify_perfectoid(T: TowerDesc) -> dict:
                          note="constant-term locality check (preset-only)"))
 
     # (f): pillar chain and the kernel comparison
-    try:
-        pillars = pillar_system(T)
-    except PillarNotFound as exc:
-        rows.append(_row("f", -1, False, str(exc), note="no monomial pillar chain"))
-        pillars = None
-    if pillars is not None:
+    pillars = T.pillars
+    if gexp is not None and None in pillars:
+        i = pillars.index(None)
+        rows.append(_row("f", -1, False, f"no monomial pillar at level {i}: "
+                         f"{gexp.divide(i)} is not in the monoid",
+                         note="no monomial pillar chain"))
+    else:
         ok_f = True
-        for w in pillars.compatibility_witnesses():
-            if not w["pass"]:
-                rows.append(_row("f", w["level"], False, note="F(f_{i+1}) != f_i mod I0"))
+        # F_i(f-bar_{i+1}) = f-bar_i on the nose; each pillar is an exponent of its ring
+        bars = [v if v is not None and T._alive[i](v) else None for i, v in enumerate(pillars)]
+        for i in range(T.depth):
+            if T.F[i](bars[i + 1]) != bars[i]:
+                rows.append(_row("f", i, False, note="F(f_{i+1}) != f_i mod I0"))
                 ok_f = False
         for i in range(T.depth):
             # t_i(f_i) = f_{i+1}^p, compared as exponents at R_{i+1}'s level
             R0, R1 = T.levels[i], T.levels[i + 1]
-            v0, v1 = T.pillar_coords(R0, i), T.pillar_coords(R1, i + 1)
+            v0, v1 = pillars[i], pillars[i + 1]
             if v0 is not None and T.transitions[i].on_packed(R0, R1)(v0) != p * v1:
                 rows.append(_row("f", i, False, R1.elem(v1).to_json(),
                                  note="I_{i+1}^p != I_i R_{i+1}"))
@@ -530,16 +504,16 @@ def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
     The kernel of every Frobenius projection is the level-1 pillar ideal: the
     residue rings all carry the same level-0 quotient exponents, so Frobenius
     kills exactly the p-divided multiples of those.  The predicted set uses
-    every quotient exponent the residue ring carries (the reduced relation and
-    any quotients baked into an equal-characteristic level behave like the
-    ideal generator here), so only a genuine discrepancy is reported.
+    every quotient exponent the residue ring carries: the I_0 generator
+    (TowerDesc._residues puts it in every residue ring), the reduced relation
+    and any quotients baked into an equal-characteristic level, which behave
+    like the generator here, so only a genuine discrepancy is reported.
     """
     Si1 = T.residue(i + 1)
     lim = Si1._lim
-    # the quotient exponents and the generator, divided by p, at Si1's level
-    # (one finer than Si1, or past its cutoff, divides no exponent of Si1)
+    # the quotient exponents divided by p, at Si1's level (one finer than
+    # Si1, or past its cutoff, divides no exponent of Si1)
     shifted = [Si1.coords(q.divide(1)) for q in Si1.quotient_exps]
-    shifted.append(T.pillar_coords(Si1, 1))
     spared = Si1.nonzero_mod([q for q in shifted if q is not None and q < lim])
     F = T.F[i]
     # past p deg d > cap, truncation kills, not the kernel

@@ -33,9 +33,9 @@ from ptlab.monoid import (
 from ptlab.regularity import BaseRing, is_maximal_sequence, kummer_regularity
 from ptlab.tower import (
     frobenius_identities,
-    pillar_system,
     tilt_mod_pillar_iso,
     verify_exactstilt,
+    verify_perfectoid,
 )
 
 from algebra_oracle import (
@@ -181,16 +181,16 @@ def test_criterion_04_frobenius_decomposition_identities():
 def test_criterion_05_pillars_and_exact_tilts():
     for name, p, d in PRESETS:
         T = tower(name, p, d)
-        pillars = pillar_system(T)
         gexp = T.ideal_exp()
         for i in range(DEPTH + 1):
-            e = T.levels[i].elem(pillars.exps[i])
+            e = T.levels[i].elem(T.pillars[i])
             assert e == gexp.divide(i)
             if i:
                 # I_{i+1}^p = I_i R_{i+1} on monomial generators
                 assert (MonoidElem(tuple(p * x for x in e.coords), e.level, e.base)
-                        == T.levels[i - 1].elem(pillars.exps[i - 1]))
-        assert all(w["pass"] for w in pillars.compatibility_witnesses())
+                        == T.levels[i - 1].elem(T.pillars[i - 1]))
+        assert [r for r in verify_perfectoid(T)["axioms"] if r["axiom"] == "f"] == [
+            {"axiom": "f", "level": -1, "pass": True, "note": "pillar chain with kernel identity"}]
         for j in (0, 1):
             rep = verify_exactstilt(T, j)
             assert rep["all_pass"], (name, p, d, j, rep)

@@ -36,6 +36,8 @@ def test_snf_frozen_examples():
     assert snf_diagonal(((6, 0), (0, 10), (0, 0))) == (2, 30)
     assert snf_diagonal(((2, 0), (0, 6))) == (2, 6)
     assert snf_diagonal(((0, 0), (0, 0))) == ()
+    with pytest.raises(ValueError, match="ragged matrix"):
+        snf(((1, 2), (3,)))
 
 
 def test_snf_random_small_matrices():
@@ -60,6 +62,10 @@ def test_snf_random_small_matrices():
                 assert b % a == 0
             else:
                 assert b == 0
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(((1, 2),), ((1, 2),))
+    with pytest.raises(ValueError, match="non-square"):
+        det(((1, 2),))
 
 
 def test_snf_matches_sympy():
@@ -124,6 +130,8 @@ def test_in_lattice_roundtrip():
         assert tuple(sum(M[i][j] * sol[j] for j in range(cols)) for i in range(rows)) == v
     assert in_lattice(((2, 0), (0, 2)), (1, 0)) is None
     assert in_lattice(((2,), (4,)), (3, 6)) is None
+    with pytest.raises(ValueError, match="vector length"):
+        in_lattice(((2,), (4,)), (2,))
 
 
 def test_lattice_basis_and_rank():
@@ -157,6 +165,8 @@ def test_abelian_quotient_frozen():
     assert G.free_rank == 1 and G.invariant_factors == (2, 2)
     with pytest.raises(SubLatticeNotContained):
         abelian_quotient(((2, 0), (0, 2)), ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        abelian_quotient(identity(2), ((1, 0, 0),))
 
 
 def test_fin_abelian_group_contract():
@@ -168,6 +178,8 @@ def test_fin_abelian_group_contract():
         FinAbelianGroup(0, (1,))
     with pytest.raises(ValueError):
         FinAbelianGroup(0, (4, 2))
+    with pytest.raises(ValueError, match="free_rank must be nonnegative"):
+        FinAbelianGroup(-1)
 
 
 def test_transpose_involution():

@@ -221,13 +221,19 @@ def _with_quotient(e):
 def test_tilt_basis_mismatch_reports_the_walked_witnesses(monkeypatch):
     """A predicted ring whose quotient monomial differs from S_j's (x2 for
     x1), or that has one more (x2^3), fails basis_match with exactly the
-    witnesses of the full-basis comparison; the other rows are untouched."""
-    P = preset("unramified_rlr", 2)
-    T = build_tower(P, 2, 4, 2)
-    want = verify_tilt(P, T)
+    witnesses of the full-basis comparison; the other rows are untouched.
+    So does one more that is in the group of the monoid but not in it: y on
+    the cone <x, xy> (facet x >= y), which kills xy = x * y."""
     x2 = MonoidElem((0, 1), 0, 2)
-    for change in (lambda W: replace(W, base_ideal=generator(W.levels[0], [(x2, 1)])),
-                   _with_quotient(MonoidElem((0, 3), 0, 2))):
+    rlr = preset("unramified_rlr", 2)
+    facet = LogRegPresentation(Q=AffineMonoid(2, 2, 0, ((1, 0), (1, 1))), r=0,
+                               f_terms=((MonoidElem((1, 0), 0, 2), 1),))
+    cases = [(rlr, lambda W: replace(W, base_ideal=generator(W.levels[0], [(x2, 1)]))),
+             (rlr, _with_quotient(MonoidElem((0, 3), 0, 2))),
+             (facet, _with_quotient(x2))]
+    for P, change in cases:
+        T = build_tower(P, 2, 4, 2)
+        want = verify_tilt(P, T)
         with monkeypatch.context() as m:
             _patched_prediction(m, change)
             rep = verify_tilt(P, T)

@@ -231,7 +231,7 @@ def test_towers_take_both_kinds_of_liveness():
     pillar component is not in its ring (f, constant, even)."""
     full = {name for name, T in TOWERS.items() if T._alive[0] is not T.residue(0).live}
     assert full == {"f", "non-closed", "constant", "even"}
-    assert len(MEMBERSHIP_RINGS) == 85 and len(RINGS) == 149
+    assert len(MEMBERSHIP_RINGS) == 89 and len(RINGS) == 153
 
 
 def test_an_image_finer_than_its_ring_is_named():

@@ -65,6 +65,10 @@ def test_elem_rejects_bad_data():
         MonoidElem((1,), -1, 2)
     with pytest.raises(ValueError):
         MonoidElem((1,), 0, 1)
+    # sums and differences need one width and one base
+    for other in (MonoidElem((1, 0), 0, 2), MonoidElem((1,), 0, 3)):
+        with pytest.raises(ValueError, match="mismatched element contexts"):
+            MonoidElem((1,), 0, 2) + other
 
 
 def test_quadric_basic_invariants():

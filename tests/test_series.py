@@ -278,6 +278,13 @@ def test_ring_descriptor_invariants():
     with pytest.raises(InvariantViolation):
         SeriesRingDesc(monoid_part=TRIV, free_rank=1, free_level=0,
                        precision=2, cutoff=Fraction(0))
+    with pytest.raises(InvariantViolation, match="free part data must be nonnegative"):
+        replace(MIXED, free_rank=-1)
+    with pytest.raises(InvariantViolation, match="positive degree terms"):
+        replace(MIXED, relation_f=((MonoidElem((0, 0), 0, 2), 1),))
+    # a quotient monomial belongs to a residue ring, which has no relation
+    with pytest.raises(InvariantViolation, match="monomial quotients live in residue rings"):
+        replace(MIXED, quotient_exps=(MonoidElem((1, 1), 0, 2),))
     # a quotient monomial is a monomial of some ring: no negative coordinate
     with pytest.raises(InvariantViolation, match="nonnegative coordinates"):
         replace(CHARP, quotient_exps=(MonoidElem((-1, 2), 0, 2),))
@@ -618,11 +625,10 @@ def test_implicit_membership_paths():
 
 
 # ---------------------------------------------------------------------------
-# bases counted and compared without the walk.  monoid.count_upto counts a
-# saturated monoid by degree over a half-open decomposition of its
-# triangulation, basis_count subtracts the translate by the one quotient
-# monomial, and same_basis compares two quotient ideals on their generators;
-# the oracle is the walk.  The rings are the saturated membership rings with
+# bases counted without the walk.  monoid.count_upto counts a saturated
+# monoid by degree over a half-open decomposition of its triangulation, and
+# basis_count subtracts the translate by the one quotient monomial; the
+# oracle is the walk.  The rings are the saturated membership rings with
 # at most one quotient monomial, and cones with simplices of volume > 1
 # (V(2,3), V(3,3), the facet x >= y with a coarser free part) or several
 # simplices (the Segre cones).
@@ -720,50 +726,6 @@ def test_count_refusals():
     for ring in (two, replace(V, quotient_exps=(MonoidElem((1, 1, 0), 0, 2),))):
         with pytest.raises(InvariantViolation):
             ring.basis_count()
-
-
-def in_gp(R, v):
-    """The coordinates v lie in the group of R's exponent monoid."""
-    from ptlab.monoid import in_gp as monoid_in_gp
-
-    return monoid_in_gp(AffineMonoid(R.width, R.p, R.level, R.generators), R.elem(R.pack(v)))
-
-
-def test_same_basis_matches_the_walk():
-    """same_basis agrees with comparing the walked bases, on each count ring
-    against itself with one more quotient monomial: one of its own basis
-    (different), one in its ideal (redundant), and one off its lattice,
-    which is inert."""
-    seen = set()
-    for name, R in sorted(COUNT_RINGS.items()):
-        if R.relation_f is not None:
-            R = replace(R, relation_f=None)
-        basis, ideal = R.monomial_basis(), materialised_ideal(R)
-        off = [R.pack(v) for v in itertools.product(range(2), repeat=R.width)
-               if not in_gp(R, v)][:1]
-        extras = {"basis": [basis[len(basis) // 2]], "ideal": ideal[:1], "inert": off}
-        for kind, qs in extras.items():
-            for q in qs:
-                other = replace(R, quotient_exps=R.quotient_exps + (R.elem(q),))
-                other = other._refield(R._field)
-                want = other.monomial_basis() == basis
-                assert R.same_basis(other) == other.same_basis(R) == want, (name, R.elem(q))
-                seen.add((kind, want))
-    assert seen == {("basis", False), ("ideal", True), ("inert", True)}
-
-
-def test_same_basis_refuses_a_quotient_in_the_group_outside_the_ring():
-    """On <(1,0),(1,1)> the monomial (0,1) is in the lattice but past the
-    facet x >= y: it kills (1,1) = (0,1) + (1,0), so its ideal is not
-    principal, and same_basis refuses it; rings on other generators or
-    another layout are refused too."""
-    F = MEMBERSHIP_RINGS["<(1,0),(1,1)>, facet x >= y"]
-    hole = replace(F, quotient_exps=F.quotient_exps + (MonoidElem((0, 1, 0), 0, 3),))
-    with pytest.raises(InvariantViolation):
-        hole.same_basis(F)
-    for other in (MEMBERSHIP_RINGS["V(2,3)"], F._refield(F._field + 1)):
-        with pytest.raises(InvariantViolation):
-            F.same_basis(other)
 
 
 # ---------------------------------------------------------------------------

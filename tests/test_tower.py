@@ -6,21 +6,20 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptlab.logreg import build_tower, preset
+from ptlab.logreg import LogRegPresentation, build_tower, preset
 from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.record import replace
 from ptlab.series import InvariantViolation, SeriesRingDesc
 from ptlab.tower import (
-    PillarNotFound,
     TowerDesc,
     Transition,
     _ideal_coords,
     _torsion,
     frobenius_identities,
     inverse_perfection_is_perfect,
-    pillar_system,
     tilt_mod_pillar_iso,
     verify_exactstilt,
+    verify_perfectoid,
     verify_purely_inseparable,
 )
 
@@ -249,21 +248,28 @@ def series_tilt_mod_pillar_iso(T, j):
             "mismatches": mismatches}
 
 
-def series_compatibility_witnesses(pillars):
-    T = pillars.tower
+def series_compatibility_failures(T):
+    """The levels i where F_i(f-bar_{i+1}) != f-bar_i on series, for a tower
+    whose pillars are all exponents of their rings."""
     bars = [make_series(T.residue(i), [] if v is None else [(v, 1)])
-            for i, v in enumerate(pillars.exps)]
-    return [{"level": i, "pass": series_frob(T, i, bars[i + 1]) == bars[i]}
-            for i in range(T.depth)]
+            for i, v in enumerate(T.pillars)]
+    return [i for i in range(T.depth) if series_frob(T, i, bars[i + 1]) != bars[i]]
 
 
 def oracle_towers():
-    """Every sabotaged tower, the perfect tower, the two benchmark windows and
-    a tower whose first transition swaps x1 and x2, so t-bar_0 sends the zero
-    f-bar_0 = x1 to the nonzero x2."""
+    """Every sabotaged tower, the perfect tower, the two benchmark windows, a
+    tower whose first transition swaps x1 and x2, so t-bar_0 sends the zero
+    f-bar_0 = x1 to the nonzero x2, and a depth-1 tower on N^2 whose R_1 is
+    written at level 2 on the generators (2,0), (0,2), so the tilt checks
+    read S_1's exponents at a level finer than S_0's."""
     towers = {name: build()[0] for name, build in SABOTAGE.items()}
     swap = Transition(((0, 1), (1, 0)))
     towers["swap"] = replace(unram2(), transitions=(swap, Transition()))
+    N2 = AffineMonoid(2, 2, 0, ((1, 0), (0, 1)))
+    T = build_tower(LogRegPresentation(Q=N2, r=0, f_terms=((MonoidElem((1, 0), 0, 2), 1),)),
+                    1, Fraction(4), 2)
+    R1 = replace(T.levels[1], monoid_part=AffineMonoid(2, 2, 2, ((2, 0), (0, 2))))
+    towers["finer_level"] = replace(T, levels=(T.levels[0], R1))
     towers["perfect"] = perfect_tower()
     towers["quadric_p3"] = build_tower(preset("quadric", 3), 2, Fraction(4), 2)
     towers["rlr_deep"] = build_tower(preset("unramified_rlr", 2, 3), 3, Fraction(5), 2)
@@ -285,12 +291,11 @@ def test_tilt_checks_match_the_series_path():
             want = series_tilt_mod_pillar_iso(T, j)
             assert tilt_mod_pillar_iso(T, j) == want, (name, j)
             seen |= {("mod_pillar_iso", want["bijective"])}
-        try:
-            pillars = pillar_system(T)
-        except PillarNotFound:
+        if T.base_ideal is not None and None in T.pillars:
             continue
-        want = series_compatibility_witnesses(pillars)
-        assert pillars.compatibility_witnesses() == want, name
+        got = [r["level"] for r in verify_perfectoid(T)["axioms"]
+               if r.get("note") == "F(f_{i+1}) != f_i mod I0"]
+        assert got == series_compatibility_failures(T), name
     # both verdicts of every row the exponents now decide were compared
     assert {(c, v) for c in ("principal", "pillar_power", "source_empty", "tilt_empty",
                              "mod_pillar_iso")
@@ -308,6 +313,17 @@ def test_axiom_g_torsion_matches_the_product_loop():
             assert list(got) == torsion_oracle(R, series_ideal(T, R)), name
             seen.add(0 < len(got) < len(R.monomial_basis()))
     assert seen == {True, False}
+
+    # the shear (x, y) -> (x + y, y) maps N^2 into the cone x >= y, which
+    # leaves out the I_0 generator y: (g) cannot read it at level 1
+    def ring(gens):
+        return SeriesRingDesc(monoid_part=AffineMonoid(2, 2, 0, gens), free_rank=0,
+                              free_level=0, precision=1, cutoff=Fraction(4))
+    sheared = TowerDesc(levels=(ring(((1, 0), (0, 1))), ring(((1, 0), (1, 1)))),
+                        transitions=(Transition(((1, 1), (0, 1))),),
+                        base_ideal=(MonoidElem((0, 1), 0, 2), 1))
+    with pytest.raises(InvariantViolation, match="exponent <0,1> is not in the ring monoid"):
+        verify_perfectoid(sheared)
 
 
 def series_inverse_perfection(T):
@@ -342,10 +358,10 @@ def series_inverse_perfection(T):
 
 def test_inverse_perfection_matches_the_series_path():
     """The exponent sets give the series tuples' report, as a whole dict, on
-    the oracle towers and unramified towers of depth 1 and 3; the p-th power
-    row both passes and fails among them."""
+    the oracle towers and unramified towers of depth 0 (no checks), 1 and 3;
+    the p-th power row both passes and fails among them."""
     towers = oracle_towers()
-    for depth in (1, 3):
+    for depth in (0, 1, 3):
         towers[f"unramified_depth{depth}"] = build_tower(
             preset("unramified_rlr", 3), depth, Fraction(4), 2)
     seen = set()
@@ -396,15 +412,15 @@ def test_frobenius_projection_guards():
 
 def test_pillar_chain_exponents():
     T = unram2()
-    pillars = pillar_system(T)
     for i in range(3):
-        e = T.levels[i].elem(pillars.exps[i])
+        e = T.levels[i].elem(T.pillars[i])
         assert e == MonoidElem((1, 0), i, 2)
         if i:
             # I_{i+1}^p = I_i R_{i+1} on monomial generators
             assert (MonoidElem(tuple(2 * x for x in e.coords), e.level, e.base)
-                    == T.levels[i - 1].elem(pillars.exps[i - 1]))
-    assert all(w["pass"] for w in pillars.compatibility_witnesses())
+                    == T.levels[i - 1].elem(T.pillars[i - 1]))
+    assert not any(r.get("note") == "F(f_{i+1}) != f_i mod I0"
+                   for r in verify_perfectoid(T)["axioms"])
 
 
 def test_pillar_chain_row_consults_the_transition():
@@ -420,14 +436,18 @@ def test_pillar_chain_row_consults_the_transition():
 
 
 def test_pillar_not_found_on_undividable_ideal():
+    """sab_f's frozen relation direction leaves x1/2 out of R_1: (f) reports
+    the first level without a pillar and checks nothing else."""
     Tf, _ = sab_f()
-    with pytest.raises(PillarNotFound):
-        pillar_system(Tf)
+    assert Tf.pillars[0] is not None and Tf.pillars[1:] == (None,) * DEPTH
+    assert [r for r in verify_perfectoid(Tf)["axioms"] if r["axiom"] == "f"] == [
+        {"axiom": "f", "level": -1, "pass": False, "note": "no monomial pillar chain",
+         "witness": "no monomial pillar at level 1: <1,0>/2^1 is not in the monoid"}]
 
 
 def test_zero_ideal_pillars_are_zero():
-    pillars = pillar_system(perfect_tower())
-    assert pillars.exps == (None,) * len(pillars.tower.levels)
+    T = perfect_tower()
+    assert T.pillars == (None,) * len(T.levels)
 
 
 def test_sabotage_towers_fail_their_axiom():
