@@ -3,9 +3,10 @@
 A tower is a finite chain R_0 -> ... -> R_m of ring descriptors whose
 transitions act on exponents, together with a principal base ideal I_0 in R_0.
 All verification happens in the residue rings S_i = R_i/(I_0 + p), whose
-monomial bases are finite at the degree cutoff.  Axiom checks never throw:
-they return report rows with counterexample witnesses, so deliberately broken
-towers are first-class inputs.
+monomial bases are finite at the degree cutoff.  Checks never throw: they
+return report rows with counterexample witnesses, so deliberately broken
+towers are first-class inputs, and TowerDesc refuses, when it is built, the
+towers no check could read.
 
 Truncation policy: any probe whose defining product or image would leave the
 degree cutoff is skipped rather than counted, and every report carries
@@ -77,13 +78,19 @@ class TowerDesc:
         if len(self.transitions) != self.depth:
             raise InvariantViolation("one transition per consecutive pair")
         R0 = self.levels[0]
+        for R in self.levels:
+            f_bar(R)  # NonMonomialReduction unless one monomial or zero
         if self.base_ideal is not None:
-            # one term: an exponent of R_0 (its width, at most R_0's level, in
-            # R_0's monoid) within the cutoff, and a digit
+            # one term: an exponent of every level (its width, at most the
+            # level's level, in its monoid), within R_0's cutoff, and a digit
             gexp, c = self.base_ideal
-            if not (R0.exp_in_ring(gexp) and R0._code(gexp) is not None):
+            for i, R in enumerate(self.levels):
+                if not R.exp_in_ring(gexp):
+                    raise InvariantViolation(f"the base ideal generator's exponent {gexp} "
+                                             f"is not an exponent of level {i}")
+            if R0._code(gexp) is None:
                 raise InvariantViolation(f"the base ideal generator's exponent {gexp} "
-                                         "is not an exponent of R_0 within the cutoff")
+                                         "is past the cutoff")
             if not 0 < c < self.p:
                 raise InvariantViolation(f"the base ideal generator's coefficient {c} "
                                          "is not a digit in [1, p)")
@@ -149,19 +156,18 @@ class TowerDesc:
     @cached_property
     def F(self) -> tuple:
         R = self.residue
-        return tuple(_map(R(i).scaler(R(i + 1).level - 1), self._alive[i], R(i + 1), R(i))
+        return tuple(_map(R(i).scaler(R(i + 1).level - 1), self._alive[i])
                      for i in range(self.depth))
 
     @cached_property
     def t_bar(self) -> tuple:
         R = self.residue
-        return tuple(_map(t.on_packed(R(i), R(i + 1)), self._alive[i + 1], R(i), R(i + 1))
+        return tuple(_map(t.on_packed(R(i), R(i + 1)), self._alive[i + 1])
                      for i, t in enumerate(self.transitions))
 
     @cached_property
     def frob(self) -> tuple:
-        return tuple(_map(self.p.__mul__, alive, S, S)
-                     for alive, S in zip(self._alive, self._residues))
+        return tuple(_map(self.p.__mul__, alive) for alive in self._alive)
 
     @cached_property
     def _alive(self) -> tuple:
@@ -234,16 +240,15 @@ def _row(axiom: str, level: int, ok: bool, witness=None, note: str | None = None
 
 # Exponents below are packed in the tower's one layout (see SeriesRingDesc).
 
-def _map(scale, alive, src, dst):
-    """v -> scale(v), for v an exponent of src and scale(v) packed at dst's
-    level, when alive says that monomial of dst is nonzero, else None (and
-    None -> None); ValueError naming v when its image is finer than dst."""
+def _map(scale, alive):
+    """v -> scale(v), packed at the target ring's level, when alive says that
+    monomial of the target is nonzero, else None (and None -> None).  An
+    image finer than the target (scale gives None) is no exponent of it, so
+    it is zero."""
 
     def image(v):
-        if v is None:
+        if v is None or (w := scale(v)) is None:
             return None
-        if (w := scale(v)) is None:
-            raise ValueError(f"the image of {src.elem(v)} is finer than level {dst.level}")
         return w if alive(w) else None
 
     return image
@@ -252,7 +257,7 @@ def _map(scale, alive, src, dst):
 def _lift(src: SeriesRingDesc, dst: SeriesRingDesc, level: int):
     """_map of v (an exponent of src, read at level) to dst's level, when in
     dst's ring."""
-    return _map(dst.scaler(level), _holds(src, dst, level), src, dst)
+    return _map(dst.scaler(level), _holds(src, dst, level))
 
 
 def _holds(src: SeriesRingDesc, dst: SeriesRingDesc, level: int):
@@ -309,17 +314,6 @@ def _reach(ring: SeriesRingDesc, level: int) -> int:
     if shift >= 0:
         return ring.cap // ring.p ** shift
     return ring.cap * ring.p ** -shift
-
-
-def _ideal_coords(T: TowerDesc, ring: SeriesRingDesc) -> int | None:
-    """The I_0 generator's exponent packed at ring's level; None for
-    I_0 = (0), InvariantViolation when it is not an exponent of ring."""
-    gexp = T.ideal_exp()
-    if gexp is None:
-        return None
-    if not ring.exp_in_ring(gexp):
-        raise InvariantViolation(f"exponent {gexp} is not in the ring monoid")
-    return ring.coords(gexp)
 
 
 def verify_purely_inseparable(T: TowerDesc) -> dict:
@@ -422,7 +416,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         rows.append(_row("e", 0, True, note="I0 = (0) is contained in every maximal ideal"))
     else:
         c = T.base_ideal[1]
-        ok_e = any(gexp.coords) or c % p == 0  # a unit is a constant prime to p
+        ok_e = any(gexp.coords)  # a unit is a constant, and c is a digit in [1, p)
         rows.append(_row("e", 0, ok_e, None if ok_e else [term_json(gexp, c)],
                          note="constant-term locality check (preset-only)"))
 
@@ -459,7 +453,7 @@ def verify_perfectoid(T: TowerDesc) -> dict:
             rows.append(_row("f", -1, True, note="pillar chain with kernel identity"))
 
     # (g): torsion annihilated by I_0, p-scaling matches torsion across levels
-    gs = [_ideal_coords(T, R) for R in T.levels]
+    gs = [T.pillar_coords(R, 0) for R in T.levels]
     tors = [_torsion(R, g) for R, g in zip(T.levels, gs)]
     witness_g = None
     note_g = None
@@ -467,8 +461,8 @@ def verify_perfectoid(T: TowerDesc) -> dict:
         note_g = "I0 = (0): axiom follows from (c) and (f); torsion is the whole ring"
     else:
         for R, g, ms in zip(T.levels, gs, tors):
-            # e^g kills e^m unless m + g (an exponent of R: _ideal_coords
-            # checked g) is a live monomial
+            # e^g kills e^m unless m + g (an exponent of R: TowerDesc checked
+            # g) is a live monomial
             bad = next((m for m in ms if R.live(m + g)), None)
             if bad is not None:
                 witness_g = R.elem(bad).to_json()
@@ -532,15 +526,11 @@ def _kernel_mismatch(T: TowerDesc, i: int) -> MonoidElem | None:
 # like the Frobenius identities: component l of a tuple at home level j is an
 # exponent of S_{j+l}.
 
-def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[int]:
+def _pillar_tilt(T: TowerDesc, j: int, depth: int) -> list[int | None]:
     """The exponents of the tilt pillar f^{s.flat}_j = (f_j mod I0, f_{j+1}
-    mod I0, ...) for a nonzero I_0; ValueError for one finer than its ring."""
-    out = [T.pillar_coords(T.residue(j + l), j + l) for l in range(depth + 1)]
-    if None in out:
-        l = out.index(None)
-        raise ValueError(f"{T.ideal_exp().divide(j + l)} is finer than level "
-                         f"{T.residue(j + l).level}")
-    return out
+    mod I0, ...) for a nonzero I_0; None for a component finer than its
+    ring, which is no exponent of it, so zero."""
+    return [T.pillar_coords(T.residue(j + l), j + l) for l in range(depth + 1)]
 
 
 def tilt_mod_pillar_iso(T: TowerDesc, j: int) -> dict:
@@ -615,12 +605,13 @@ def verify_exactstilt(T: TowerDesc, j: int) -> dict:
             mj1 = T.depth - j - 1
             f_j, f_j1 = _pillar_tilt(T, j, mj1), _pillar_tilt(T, j + 1, mj1)
             # (f_{j+1})^p against t-bar(f_j), component by component
-            ok = all(T.frob[j + l + 1](g1) == T.t_bar[j + l](g if T._alive[j + l](g) else None)
+            ok = all(T.frob[j + l + 1](g1)
+                     == T.t_bar[j + l](g if g is not None and T._alive[j + l](g) else None)
                      for l, (g, g1) in enumerate(zip(f_j, f_j1)))
             rows.append({"check": "pillar_power", "pass": ok})
 
     # torsion on both sides
-    source_empty = not _torsion(T.levels[j], _ideal_coords(T, T.levels[j]))
+    source_empty = not _torsion(T.levels[j], T.pillar_coords(T.levels[j], 0))
     tilt_empty = _tilt_torsion_empty(T, j)
     rows.append({
         "check": "torsion",
@@ -645,11 +636,12 @@ def _tilt_torsion_empty(T: TowerDesc, j: int) -> bool:
     m = T.depth - j
     f = _pillar_tilt(T, j, m)
     Sj, roots, alive = T.residue(j), T.roots(j, m), T._alive[j:]
-    # mu times the pillar within the cutoff
-    for mu in Sj.monomial_basis(Sj.cap - (T.pillar_coords(Sj, j) >> Sj._shift)):
+    # mu times the pillar within the cutoff (a zero f[0] bounds nothing)
+    for mu in Sj.monomial_basis(Sj.cap - ((f[0] or 0) >> Sj._shift)):
         r = roots(mu)
         # the tuple times the tilt pillar is zero in every component
-        if r is not None and not any(a(w + g) for a, w, g in zip(alive, r, f)):
+        if r is not None and not any(g is not None and a(w + g)
+                                     for a, w, g in zip(alive, r, f)):
             return False
     return True
 

@@ -5,10 +5,11 @@ A Series is a ring descriptor and the canonical form of its terms
 coefficients mod p in a ring without a relation and base-p digits in one
 with the relation p = f (heap_series).  This module adds the ring
 arithmetic (s_add, s_neg, s_mul, s_pow), units, reduction modulo
-I_0 = (p) and the degree and quotient-ideal membership of MonoidElem
-exponents.  The library decides every verdict on exponents, and reads p
-only through f-bar; the tests compare those verdicts with the products and
-powers computed here.
+I_0 = (p), the degree and quotient-ideal membership of MonoidElem
+exponents, the tower maps F_i and t-bar_i on series, and the decision of
+axioms (a) to (d) from their definitions.  The library decides every
+verdict on exponents, and reads p only through f-bar; the tests compare
+those verdicts with the products and powers computed here.
 """
 
 from heapq import heapify, heappop, heappush
@@ -248,3 +249,41 @@ def inseparability_failures(T, i: int):
         if not y.is_zero and y.terms not in reached:
             bad_c.append(d)
     return bad_b, bad_c
+
+
+# The tower maps on series.  F_i: S_{i+1} -> S_i sends c e^v to c^p e^{pv},
+# and t-bar_i: S_i -> S_{i+1} applies the transition term by term.
+
+
+def series_frob(T, i, x):
+    """F_i on a series of S_{i+1}; a term whose image is finer than S_i is
+    no exponent of S_i, so it maps to zero."""
+    Si = T.residue(i)
+    if x.ring != T.residue(i + 1):
+        raise InvariantViolation("argument must live in S_{i+1}")
+    # p * v at S_{i+1}'s level is v at one level coarser
+    terms = ((Si.rescale(v, x.ring.level - 1), pow(c, T.p, T.p)) for v, c in x.terms)
+    return make_series(Si, [(w, c) for w, c in terms if w is not None])
+
+
+def series_t_bar(T, i, x):
+    """t-bar_i on a series of S_i."""
+    t, Si1 = T.transitions[i], T.residue(i + 1)
+    return make_series(Si1, [(t.on_packed(x.ring, Si1)(v), c) for v, c in x.terms])
+
+
+def ideal_failures(T):
+    """Axiom (a), p in I_0, decided on p's canonical series in R_0: its
+    terms (MonoidElem, coefficient), in term order, outside g + M for the
+    I_0 generator x^g, or all of them for I_0 = (0), where p must be zero."""
+    R0, g = T.levels[0], T.ideal_exp()
+    return [(e, c) for e, c in s_const(R0, T.p).exp_terms()
+            if g is None or not R0.exp_in_ring(e - g)]
+
+
+def projection_failures(T, i: int):
+    """Axiom (d) at level i: the basis monomials of S_i, in basis order,
+    that series_frob sends no basis monomial of S_{i+1} to."""
+    Si, Si1 = T.residue(i), T.residue(i + 1)
+    hit = {series_frob(T, i, Series(Si1, ((d, 1),))).terms for d in Si1.monomial_basis()}
+    return [Si.elem(mu) for mu in Si.monomial_basis() if ((mu, 1),) not in hit]

@@ -134,6 +134,27 @@ def test_cutoff_is_decided_on_the_ring_scale():
     assert _cutoff_readers(planted, "planted") == {"planted.Walk.within"}
 
 
+def test_tower_raises_only_where_a_tower_is_built():
+    """Checks never throw: the only raise statements in tower.py are in
+    TowerDesc.__post_init__ and TowerDesc.from_descriptor, so a tower that
+    was built can be checked."""
+    where = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                if isinstance(child, ast.Raise):
+                    where.append((owner, child.lineno))
+                visit(child, owner)
+
+    visit(_modules()["tower.py"], "")
+    built = {"TowerDesc.__post_init__", "TowerDesc.from_descriptor"}
+    assert [line for owner, line in where if owner not in built] == []
+    assert {owner for owner, _ in where} == built
+
+
 def test_no_dataclasses_and_no_generated_code():
     """Value classes are records (ptlab.record): nothing imports dataclasses,
     and nothing builds code from text with exec, compile or eval."""

@@ -11,22 +11,39 @@ on every level and residue ring of the oracle towers (the sabotaged towers
 among them), on the 86 membership rings and the lookup rings of
 test_series (whose quotient monomials include ones outside the group), on a
 tower whose F_0 leaves the monoid of S_0, and on two whose levels share
-their generators at one level, so the last three take the full test.
+their generators at one level, so the last three take the full test.  An
+image or pillar finer than its ring is no exponent of it, so the maps and
+the oracles read it as zero, and the series path gives the tilt checks'
+reports on those towers and on one whose levels skip a level.
 """
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ptlab.monoid import AffineMonoid, MonoidElem
 from ptlab.series import SeriesRingDesc
-from ptlab.tower import TowerDesc, Transition, _lift, _pillar_tilt, frobenius_identities
+from ptlab.tower import (
+    TowerDesc,
+    Transition,
+    _lift,
+    _pillar_tilt,
+    frobenius_identities,
+    inverse_perfection_is_perfect,
+    tilt_mod_pillar_iso,
+    verify_exactstilt,
+)
 
 from series_oracle import generator
 from test_series import LOOKUP_RINGS, MEMBERSHIP_RINGS
-from test_tower import oracle_towers
+from test_tower import (
+    oracle_towers,
+    series_frobenius_identities,
+    series_inverse_perfection,
+    series_tilt_mod_pillar_iso,
+    series_verify_exactstilt,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +72,8 @@ def oracle_in_ideal(ring, v):
 
 
 def oracle_live(ring, v):
-    """v if e^v is a nonzero monomial of ring, else None."""
-    return v if v < ring._lim and not oracle_in_ideal(ring, v) else None
+    """v if e^v is a nonzero monomial of ring, else None (and None -> None)."""
+    return v if v is not None and v < ring._lim and not oracle_in_ideal(ring, v) else None
 
 
 def oracle_divides(ring, w, v):
@@ -65,16 +82,12 @@ def oracle_divides(ring, w, v):
 
 
 def _into(ring, v, level):
-    w = ring.rescale(v, level)
-    if w is None:
-        raise ValueError("finer than the target ring")
-    return w
+    """v of the given level at ring's level; None (zero) when it is finer than ring."""
+    return None if v is None else ring.rescale(v, level)
 
 
 def oracle_frob_down(T, i, v):
     """F_i on e^v of S_{i+1}."""
-    if v is None:
-        return None
     Si = T.residue(i)
     return oracle_live(Si, _into(Si, v, T.residue(i + 1).level - 1))
 
@@ -86,10 +99,7 @@ def oracle_t_bar(T, i, v):
     Si, Si1, t = T.residue(i), T.residue(i + 1), T.transitions[i]
     if t.matrix is not None:
         v = Si1.pack(t.act(Si.unpack(v)))
-    w = Si1.rescale(v, Si.level)
-    if w is None:
-        raise ValueError("finer than the target ring")
-    return oracle_live(Si1, w)
+    return oracle_live(Si1, _into(Si1, v, Si.level))
 
 
 def oracle_roots(T, j, v, level, depth):
@@ -209,7 +219,8 @@ def check_tower(T, rng):
             top = T.residue(i + m)
             d, level = rng.choice(SUPPORTS[id(top)]), top.level - m
             w = _into(Si, d, level)
-            assert _lift(top, Si, level)(d) == (w if oracle_in_ring(Si, w) else None)
+            assert _lift(top, Si, level)(d) == (w if w is not None and oracle_in_ring(Si, w)
+                                                else None)
 
 
 @settings(max_examples=EXAMPLES, deadline=None, database=None,
@@ -234,17 +245,39 @@ def test_towers_take_both_kinds_of_liveness():
     assert len(MEMBERSHIP_RINGS) == 89 and len(RINGS) == 153
 
 
-def test_an_image_finer_than_its_ring_is_named():
-    """F_0 of a tower whose levels skip one (x^{1/4} over x) reads
-    x^{1/4} as x^{1/2}, which S_0 does not hold, and a tilt pillar
-    component x^{3/2} is not in the level-0 ring of the constant tower:
-    each is a ValueError naming the exponent and the level."""
+def skipping_tower():
+    """F_2[[x]] under F_2[[x^{1/4}]], I_0 = (x^3): the levels skip one, so
+    F_0 reads x^{1/4} as x^{1/2}, which S_0 does not hold."""
     R0, R1 = (SeriesRingDesc(monoid_part=AffineMonoid(1, 2, lv, ((1,),)), free_rank=0,
                              free_level=0, precision=1, cutoff=Fraction(5))
               for lv in (0, 2))
-    T = TowerDesc(levels=(R0, R1), transitions=(Transition(),),
-                  base_ideal=generator(R0, [(MonoidElem((3,), 0, 2), 1)]))
-    with pytest.raises(ValueError, match=r"the image of <1>/2\^2 is finer than level 0"):
-        frobenius_identities(T, 0)
-    with pytest.raises(ValueError, match=r"<3>/2\^1 is finer than level 0"):
-        _pillar_tilt(constant_tower(), 0, 1)
+    return TowerDesc(levels=(R0, R1), transitions=(Transition(),),
+                     base_ideal=generator(R0, [(MonoidElem((3,), 0, 2), 1)]))
+
+
+def test_an_image_finer_than_its_ring_is_zero():
+    """F_0 of the skipping tower sends x^{1/4}, whose image x^{1/2} is no
+    exponent of S_0, to zero, so the identity t-bar(F(e^d)) = e^{2d} fails
+    there, and the tilt pillar component x^{3/2} is no exponent of the
+    level-0 ring of the constant tower, so it is zero."""
+    T = skipping_tower()
+    S0, S1 = T.residue(0), T.residue(1)
+    assert T.F[0](S1.pack((1,))) is None and T.F[0](S1.pack((2,))) == S0.pack((1,))
+    assert {"exponent": [1], "level": 2} in frobenius_identities(T, 0)["witnesses"]
+    C = constant_tower()
+    assert _pillar_tilt(C, 0, 1) == [C.residue(0).pack((3,)), None]
+
+
+def test_the_series_path_reads_a_finer_exponent_as_zero():
+    """On the towers whose maps or pillars meet exponents finer than their
+    rings, the Frobenius identities, verify_exactstilt, tilt_mod_pillar_iso
+    and inverse perfection give the series path's reports."""
+    towers = {"non-closed": non_closed_tower(), "constant": constant_tower(),
+              "even": even_tower(), "skipping": skipping_tower()}
+    for name, T in towers.items():
+        for i in range(T.depth):
+            assert frobenius_identities(T, i) == series_frobenius_identities(T, i), (name, i)
+        for j in range(T.depth + 1):
+            assert verify_exactstilt(T, j) == series_verify_exactstilt(T, j), (name, j)
+            assert tilt_mod_pillar_iso(T, j) == series_tilt_mod_pillar_iso(T, j), (name, j)
+        assert inverse_perfection_is_perfect(T) == series_inverse_perfection(T), name

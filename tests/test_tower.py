@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptlab.logreg import LogRegPresentation, build_tower, preset
-from ptlab.monoid import AffineMonoid, MonoidElem
+from ptlab.monoid import AffineMonoid, InputError, MonoidElem, term_json
 from ptlab.record import replace
 from ptlab.series import InvariantViolation, SeriesRingDesc
 from ptlab.tower import (
     TowerDesc,
     Transition,
-    _ideal_coords,
     _torsion,
     frobenius_identities,
     inverse_perfection_is_perfect,
@@ -37,14 +36,18 @@ from series_oracle import (
     Series,
     deg,
     dominated,
+    ideal_failures,
     inseparability_failures,
     make_series,
+    projection_failures,
     s_add,
     s_monomial,
     s_mul,
     s_one,
     s_pow,
     s_zero,
+    series_frob,
+    series_t_bar,
 )
 
 
@@ -88,26 +91,9 @@ def test_frobenius_identities_both_directions():
         assert r["witnesses"] == []
 
 
-# The Series-level tower maps, the oracle of the checks decided on exponents.
-# F_i: S_{i+1} -> S_i sends c e^v to c^p e^{pv}, and t-bar_i: S_i -> S_{i+1}
-# applies the transition term by term.  A tuple of the small tilt at home
-# level j is a plain tuple of series, component l in S_{j+l}.
-
-
-def series_frob(T, i, x):
-    """F_i on a series of S_{i+1}."""
-    Si = T.residue(i)
-    if x.ring != T.residue(i + 1):
-        raise InvariantViolation("argument must live in S_{i+1}")
-    # p * v at S_{i+1}'s level is v at one level coarser
-    return make_series(Si, [(Si.rescale(v, x.ring.level - 1), pow(c, T.p, T.p))
-                            for v, c in x.terms])
-
-
-def series_t_bar(T, i, x):
-    """t-bar_i on a series of S_i."""
-    t, Si1 = T.transitions[i], T.residue(i + 1)
-    return make_series(Si1, [(t.on_packed(x.ring, Si1)(v), c) for v, c in x.terms])
+# The Series-level tower maps (series_oracle.series_frob and series_t_bar)
+# are the oracle of the checks decided on exponents.  A tuple of the small
+# tilt at home level j is a plain tuple of series, component l in S_{j+l}.
 
 
 def tuple_frob(T, x, home):
@@ -167,10 +153,14 @@ def series_teich(T, j, mu, depth):
 
 
 def series_pillar_tilt(T, j, depth):
-    """(f_j mod I0, f_{j+1} mod I0, ...)."""
-    g = T.ideal_exp()
-    return tuple(make_series(T.residue(j + l), [(T.residue(j + l).coords(
-        MonoidElem(g.coords, g.level + j + l, T.p)), 1)]) for l in range(depth + 1))
+    """(f_j mod I0, f_{j+1} mod I0, ...), a component finer than its ring
+    (no exponent of it) being zero."""
+    out = []
+    for l in range(depth + 1):
+        ring = T.residue(j + l)
+        w = ring.coords(T.ideal_exp().divide(j + l))
+        out.append(make_series(ring, [] if w is None else [(w, 1)]))
+    return tuple(out)
 
 
 def full_walk_principal(T, j):
@@ -183,9 +173,11 @@ def full_walk_principal(T, j):
     for d in top.support():
         e = top.elem(d)
         mu = MonoidElem(tuple(T.p ** m * x for x in e.coords), e.level, e.base)
-        if deg(Sj, mu) > Sj.cap:
+        # its degree in S_j's steps, a fraction when mu is finer than S_j
+        if Fraction(sum(mu.coords) * T.p ** Sj.level, T.p ** mu.level) > Sj.cap:
             continue
-        # kernel of pi_j o Phi_0, and the multiples of the tilt pillar
+        # kernel of pi_j o Phi_0 (a mu finer than S_j is zero), and the
+        # multiples of the tilt pillar
         in_ker = (not Sj.exp_in_ring(mu) or dominated(Sj, mu)
                   or Sj.exp_in_ring(mu - g.divide(j)))
         in_ideal = top.exp_in_ring(e - g.divide(j + m))
@@ -220,7 +212,9 @@ def series_verify_exactstilt(T, j):
             if T.base_ideal is not None:
                 f = series_pillar_tilt(T, j, m)
                 Sj = T.residue(j)
-                room = Sj.cap - deg(Sj, Sj.elem(T.pillar_coords(Sj, j)))
+                # a zero pillar component f_j bounds nothing
+                g = T.pillar_coords(Sj, j)
+                room = Sj.cap - (0 if g is None else deg(Sj, Sj.elem(g)))
                 tuples = (series_teich(T, j, Sj.elem(mu), m)
                           for mu in Sj.monomial_basis() if deg(Sj, Sj.elem(mu)) <= room)
                 empty = not any(all(s_mul(a, b).is_zero for a, b in zip(te, f))
@@ -309,21 +303,26 @@ def test_axiom_g_torsion_matches_the_product_loop():
     seen = set()
     for name, T in oracle_towers().items():
         for R in T.levels:
-            got = _torsion(R, _ideal_coords(T, R))
+            got = _torsion(R, T.pillar_coords(R, 0))
             assert list(got) == torsion_oracle(R, series_ideal(T, R)), name
             seen.add(0 < len(got) < len(R.monomial_basis()))
     assert seen == {True, False}
 
     # the shear (x, y) -> (x + y, y) maps N^2 into the cone x >= y, which
-    # leaves out the I_0 generator y: (g) cannot read it at level 1
+    # leaves out the I_0 generator y: no check could read it at level 1, so
+    # the tower is refused when it is built, from fields or a descriptor
     def ring(gens):
         return SeriesRingDesc(monoid_part=AffineMonoid(2, 2, 0, gens), free_rank=0,
                               free_level=0, precision=1, cutoff=Fraction(4))
-    sheared = TowerDesc(levels=(ring(((1, 0), (0, 1))), ring(((1, 0), (1, 1)))),
-                        transitions=(Transition(((1, 1), (0, 1))),),
-                        base_ideal=(MonoidElem((0, 1), 0, 2), 1))
-    with pytest.raises(InvariantViolation, match="exponent <0,1> is not in the ring monoid"):
-        verify_perfectoid(sheared)
+    fields = {"levels": (ring(((1, 0), (0, 1))), ring(((1, 0), (1, 1)))),
+              "transitions": (Transition(((1, 1), (0, 1))),)}
+    y = MonoidElem((0, 1), 0, 2)
+    refused = r"exponent <0,1> is not an exponent of level 1"
+    with pytest.raises(InvariantViolation, match=refused):
+        TowerDesc(**fields, base_ideal=(y, 1))
+    d = {**TowerDesc(**fields, base_ideal=None).to_descriptor(), "base_ideal": [term_json(y, 1)]}
+    with pytest.raises(InvariantViolation, match=refused):
+        TowerDesc.from_descriptor(d)
 
 
 def series_inverse_perfection(T):
@@ -512,6 +511,30 @@ def test_inseparability_rows_match_the_oracle(name):
     assert_inseparability_matches_the_oracle(T)
 
 
+def test_axioms_a_and_d_match_the_series_oracle():
+    """Rows (a) and (d) give the verdict of their series decisions, and as
+    witness the first failure, on every oracle and BRANCHES tower; both
+    verdicts of each row occur."""
+    towers = {**oracle_towers(), **{name: build()[0] for name, build in BRANCHES.items()}}
+    seen = set()
+    for name, T in towers.items():
+        rows = {(r["axiom"], r["level"]): r for r in verify_axioms(T)["axioms"]}
+        bad_a, a = ideal_failures(T), rows["a", 0]
+        assert a["pass"] == (not bad_a), name
+        if bad_a:
+            e, c = bad_a[0]
+            want = [term_json(e, c)] if T.base_ideal is None else e.to_json()
+            assert a["witness"] == want, name
+        seen.add(("a", a["pass"]))
+        for i in range(T.depth):
+            bad_d, d = projection_failures(T, i), rows["d", i]
+            assert d["pass"] == (not bad_d), (name, i)
+            if bad_d:
+                assert d["witness"] == bad_d[0].to_json(), (name, i)
+            seen.add(("d", d["pass"]))
+    assert len(towers) == 18 and seen == {(x, v) for x in "ad" for v in (True, False)}
+
+
 @st.composite
 def charp_towers(draw):
     """fixtures._charp_tower with up to two monomial quotients per level,
@@ -533,6 +556,59 @@ def charp_towers(draw):
 @given(charp_towers())
 def test_inseparability_rows_match_the_oracle_on_random_towers(T):
     assert_inseparability_matches_the_oracle(T)
+
+
+# the exponent monoids of hand-built levels, each at its level's own level
+CONES = (((1, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (1, 1), (0, 2)))
+
+
+@st.composite
+def hand_built_towers(draw):
+    """The fields of a tower of depth 1 or 2 over p = 2, D = 2, which
+    TowerDesc may refuse: levels stepping by 0, 1 or 2, each on one of
+    CONES with up to two quotient monomials or (one time in three) a
+    relation of one or two terms, inclusion or matrix transitions (entries
+    0..2), and I_0 zero or a monomial.  A quotient monomial may be one level
+    finer than its ring."""
+    def exps(level):
+        return st.builds(MonoidElem, st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.integers(0, level), st.just(2))
+
+    depth, level, rings = draw(st.integers(1, 2)), 0, []
+    for i in range(depth + 1):
+        level += draw(st.integers(0, 2)) if i else 0
+        ring = {"monoid_part": AffineMonoid(2, 2, level, draw(st.sampled_from(CONES))),
+                "free_rank": 0, "free_level": 0, "precision": 1, "cutoff": 2}
+        if draw(st.integers(0, 2)) == 0:
+            terms = st.tuples(exps(level).filter(lambda e: any(e.coords)), st.integers(1, 3))
+            ring["relation_f"] = tuple(draw(st.lists(terms, min_size=1, max_size=2)))
+        else:
+            ring["quotient_exps"] = tuple(draw(st.lists(exps(level + 1), max_size=2)))
+        rings.append(ring)
+    entry = st.integers(0, 2)
+    matrices = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry))
+    transitions = tuple(Transition(draw(st.none() | matrices)) for _ in range(depth))
+    base_ideal = draw(st.none() | st.tuples(exps(1), st.just(1)))
+    return rings, transitions, base_ideal
+
+
+@settings(deadline=None, max_examples=100, database=None)
+@given(hand_built_towers())
+def test_every_check_of_a_built_tower_returns_a_report(fields):
+    """A hand-built tower is refused with an InputError when it is built,
+    or else every check returns its report: finer images and pillars are
+    zero, and nothing the checks read is left for them to refuse."""
+    rings, transitions, base_ideal = fields
+    try:
+        T = TowerDesc(levels=tuple(SeriesRingDesc(**r) for r in rings),
+                      transitions=transitions, base_ideal=base_ideal)
+    except InputError:
+        return
+    reports = [verify_purely_inseparable(T), verify_perfectoid(T), inverse_perfection_is_perfect(T)]
+    reports += [frobenius_identities(T, i) for i in range(T.depth)]
+    reports += [check(T, j) for j in range(T.depth + 1)
+                for check in (verify_exactstilt, tilt_mod_pillar_iso)]
+    assert all(isinstance(r, dict) for r in reports)
 
 
 def test_shift_and_qf_frobenius_are_inverse():
